@@ -20,7 +20,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"regexp"
 	"runtime"
 	"runtime/pprof"
 	"runtime/trace"
@@ -30,7 +29,6 @@ import (
 	"time"
 
 	"bundler/internal/exp"
-	"bundler/internal/perf"
 	"bundler/internal/runstore"
 	_ "bundler/internal/scenario" // registers every experiment
 	"bundler/internal/topo"
@@ -55,11 +53,7 @@ func main() {
 		grid     = flag.String("grid", defaultGrid, `sweep grid "axis=v1,v2;..."; a seed axis overrides -seed`)
 		parallel = flag.Int("parallel", runtime.NumCPU(), "sweep worker goroutines")
 		out      = flag.String("out", "", "sweep results file (.json or .csv); default: CSV to stdout")
-		benchOut = flag.String("bench-out", "",
-			"run the perf harness and write its JSON trajectory (e.g. BENCH_main.json), then exit")
-		benchFilter = flag.String("bench-filter", "",
-			"with -bench-out: regexp selecting which benchmarks to run (default all)")
-		config = flag.String("config", "",
+		config   = flag.String("config", "",
 			"comma-separated declarative scenario files or directories (*.json) to load and register as experiments; a config named like a built-in shadows it")
 		store = flag.String("store", "",
 			"run store directory: completed sweep cells are checkpointed there as content-addressed manifests (default with -resume: $BUNDLER_RUNSTORE or the user cache dir)")
@@ -89,10 +83,6 @@ func main() {
 
 	if *storePrune > 0 {
 		pruneStore(*store, *storePrune)
-		return
-	}
-	if *benchOut != "" {
-		runBench(*benchOut, *benchFilter)
 		return
 	}
 	if *dump != "" {
@@ -325,43 +315,6 @@ func runSweep(name, gridSpec, setSpec string, seed int64, parallel int, outPath,
 		stopProfiles() // os.Exit skips the deferred flush
 		os.Exit(1)
 	}
-}
-
-// runBench executes the internal/perf suite and writes the trajectory
-// file (current measurements next to the frozen pre-pooling baseline).
-// Streams are strictly separated so CI log parsing is reliable: stdout
-// carries only the machine-parseable `go test -bench`-format result
-// lines, while progress, measurements-in-flight, and the "wrote ..."
-// confirmation all go to stderr.
-func runBench(outPath, filter string) {
-	var re *regexp.Regexp
-	if filter != "" {
-		var err error
-		if re, err = regexp.Compile(filter); err != nil {
-			fatal("-bench-filter:", err)
-		}
-	}
-	records, err := perf.MeasureAll(re, func(format string, args ...any) {
-		fmt.Fprintf(os.Stderr, format+"\n", args...)
-	})
-	if err != nil {
-		fatal(err)
-	}
-	if len(records) == 0 {
-		fatal("-bench-filter matched no benchmarks")
-	}
-	for _, r := range records {
-		fmt.Println(r.GoBenchLine())
-	}
-	f, err := os.Create(outPath)
-	if err != nil {
-		fatal(err)
-	}
-	defer f.Close()
-	if err := perf.WriteJSON(f, records); err != nil {
-		fatal(err)
-	}
-	fmt.Fprintf(os.Stderr, "wrote %d benchmark records to %s\n", len(records), outPath)
 }
 
 // loadConfigs registers every declarative scenario named by the -config

@@ -1,22 +1,18 @@
-// Command bundler-report diffs two evaluation artifacts and gates on
-// regressions — the tool CI's hard gates are built from. It compares
-// either two sweep/run result files (JSON arrays from bundler-bench
-// -sweep -out or bundler-sim -json) or two benchmark trajectory files
-// (BENCH_*.json from bundler-bench -bench-out), auto-detecting which.
+// Command bundler-report diffs two sweep/run result files (JSON arrays
+// from bundler-bench -sweep -out, bundler-sim -json or bundler-pilot
+// -out) and gates on regressions — the tool CI's result gates are built
+// from. Cells are matched on (experiment, seed, params); metric or
+// summary drift beyond -tol, missing cells/metrics, new errors, and — in
+// exact mode — golden-table drift of the rendered report text fail.
 //
-// Results mode matches cells on (experiment, seed, params) and fails on
-// metric or summary drift beyond -tol, missing cells/metrics, new
-// errors, and — in exact mode — golden-table drift of the rendered
-// report text. Bench mode fails when ns/op, allocs/op, or ns/packet
-// regresses more than -ns-threshold / -alloc-threshold / -nspkt-threshold
-// percent against the old file.
+// It does not compare performance: benchmarks are measured and compared
+// by `bash bench/run.sh` (see bench/README.md), and a benchmark file (a
+// JSON object) given here is refused with exit status 2.
 //
 // Exit status: 0 clean, 1 regressions found, 2 usage or I/O error.
 //
 // Example:
 //
-//	bundler-report BENCH_main.json BENCH_new.json
-//	bundler-report -alloc-threshold 5 BENCH_main.json BENCH_new.json
 //	bundler-report baseline-sweep.json sweep.json          # exact
 //	bundler-report -tol 0.01 baseline-sweep.json sweep.json
 //	bundler-report -json report.json old.json new.json     # machine output too
@@ -33,20 +29,14 @@ import (
 func main() {
 	var (
 		tol = flag.Float64("tol", 0,
-			"results mode: relative metric/summary tolerance (0 = exact; report-text drift only gates at 0)")
-		nsPct = flag.Float64("ns-threshold", 10,
-			"bench mode: fail when ns/op regresses more than this percent")
-		allocPct = flag.Float64("alloc-threshold", 10,
-			"bench mode: fail when allocs/op regresses more than this percent")
-		nsPktPct = flag.Float64("nspkt-threshold", 10,
-			"bench mode: fail when ns/packet regresses more than this percent (records without per-packet figures are skipped)")
+			"relative metric/summary tolerance (0 = exact; report-text drift only gates at 0)")
 		jsonOut = flag.String("json", "",
 			`also write the machine-readable report to this file ("-" for stdout, replacing the text)`)
 		quiet = flag.Bool("q", false, "suppress the text report (exit status still reflects the verdict)")
 	)
 	flag.Usage = func() {
 		fmt.Fprintf(flag.CommandLine.Output(), "usage: bundler-report [flags] OLD NEW\n\n")
-		fmt.Fprintf(flag.CommandLine.Output(), "Diffs two result files or two BENCH_*.json trajectories (auto-detected).\n\n")
+		fmt.Fprintf(flag.CommandLine.Output(), "Diffs two result files (JSON arrays of cells); benchmarks are compared by `bash bench/run.sh`.\n\n")
 		flag.PrintDefaults()
 	}
 	flag.Parse()
@@ -55,9 +45,7 @@ func main() {
 		os.Exit(2)
 	}
 
-	r, err := report.DiffFiles(flag.Arg(0), flag.Arg(1), report.Options{
-		MetricTol: *tol, NsPct: *nsPct, AllocPct: *allocPct, NsPktPct: *nsPktPct,
-	})
+	r, err := report.DiffFiles(flag.Arg(0), flag.Arg(1), report.Options{MetricTol: *tol})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)

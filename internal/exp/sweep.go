@@ -266,10 +266,10 @@ func SweepOpts(e Experiment, g Grid, opt Options) ([]Result, Stats, error) {
 var activeWorkers atomic.Int64
 
 // ShardBudget reports how many engine shards a scenario running inside
-// (or outside) a sweep should use by default: GOMAXPROCS divided by the
-// active sweep worker count, floored at 1. Outside any sweep the full
-// GOMAXPROCS is available. Scenarios use it only for auto (shards=0)
-// mode — an explicit shards setting is a user decision and is honored.
+// (or outside) a sweep should use: GOMAXPROCS divided by the active
+// sweep worker count, floored at 1. Outside any sweep the full
+// GOMAXPROCS is available. Every experiment and config sizes its shards
+// this way; only tests pin a count (scenario.MeshOptions.Shards).
 func ShardBudget() int {
 	workers := activeWorkers.Load()
 	if workers < 1 {

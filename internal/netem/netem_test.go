@@ -406,3 +406,32 @@ func TestJitterOrderedMode(t *testing.T) {
 		t.Fatalf("ordered jitter mean delay %.2f ms vs plain %.2f ms: clamping changed the delay distribution, not just the order", orderedMean, plainMean)
 	}
 }
+
+// TestLinkAllocFree pins the packet path's allocation contract: once the
+// pool, the FIFO and the engine's event free list have grown to their
+// working size, a pooled packet crossing a Link — enqueue, serialize,
+// propagate, deliver into a Sink that releases it — allocates nothing.
+// The shape is the one bench/layers/netem prices (netem.link_allocs):
+// bursts of 64 queue behind the serializer, as a window does.
+func TestLinkAllocFree(t *testing.T) {
+	const burst, perRun = 64, 4096
+	eng := sim.NewEngine(1)
+	pool := &pkt.Pool{} // a free list of its own: the global pool is a sync.Pool, which a GC may empty
+	sink := &Sink{}
+	link := NewLink(eng, "l", 96e6, 25*sim.Millisecond, qdisc.NewFIFO(1<<20), sink)
+	if n := testing.AllocsPerRun(10, func() {
+		for sent := 0; sent < perRun; sent += burst {
+			for i := 0; i < burst; i++ {
+				p := pool.Get()
+				p.Size = pkt.MTU
+				link.Receive(p)
+			}
+			eng.Run()
+		}
+	}); n != 0 {
+		t.Errorf("Link + FIFO into Sink: %.0f allocations per %d packets, want 0", n, perRun)
+	}
+	if sink.Count != 11*perRun {
+		t.Fatalf("sink saw %d packets, want %d", sink.Count, 11*perRun)
+	}
+}

@@ -134,7 +134,7 @@ type Packet struct {
 
 // Pool bookkeeping. Counters are global (sweeps run engines on many
 // goroutines against the one pool) and monotonically increasing; the
-// perf harness differences them around a run to price its hot path in
+// benchmark (bench/) differences them around a run to price it in
 // packets, and the invariant tests use Live to check conservation.
 var (
 	pool     sync.Pool
@@ -207,8 +207,8 @@ func Put(p *Packet) {
 // the window barrier, where the sharded runner is single-threaded.
 //
 // The global Gets/Puts/News counters still tick for pool-issued packets:
-// the perf harness prices runs by differencing Stats() and must see
-// per-shard traffic too.
+// the benchmark (bench/) prices runs by differencing Stats() and must
+// see per-shard traffic too.
 type Pool struct {
 	free []*Packet
 

@@ -33,7 +33,7 @@ func TestPoolNilDelegatesToGlobal(t *testing.T) {
 	Put(p)
 }
 
-// TestPoolGlobalCountersTick: the perf harness prices runs by
+// TestPoolGlobalCountersTick: the benchmark (bench/) prices runs by
 // differencing the global counters, so per-shard traffic must tick them.
 func TestPoolGlobalCountersTick(t *testing.T) {
 	before := Stats()

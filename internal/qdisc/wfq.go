@@ -60,7 +60,7 @@ type wfqClass struct {
 // classes. Every class weight must be positive; classify must map
 // packets to a class index (out-of-range results clamp to the last
 // class). It panics on invalid construction; user-supplied specs are
-// validated by scenario.ParseScheduler and the topo compiler first.
+// validated by Parse and the topo compiler first.
 func NewWFQ(limitPackets int, classes []Class, classify Classifier) *WFQ {
 	if limitPackets <= 0 {
 		panic("qdisc: WFQ limit must be positive")

@@ -1,13 +1,13 @@
 // Package report is the regression-diff engine behind cmd/bundler-report:
 // it compares two sweep result files (or a run against a committed
 // baseline) cell by cell with metric tolerances and golden-table drift
-// detection, and two benchmark trajectory files record by record with
-// percentage thresholds on ns/op and allocs/op. CI's bench-gate and
-// sweep jobs turn its verdict into a hard build gate; the same engine
-// renders both human text and machine JSON.
+// detection. CI's pilot-smoke job turns its verdict into a hard build
+// gate; the same engine renders both human text and machine JSON.
+// Performance is not compared here: that is bench/ (`bash bench/run.sh`).
 package report
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -18,17 +18,6 @@ import (
 	"strings"
 
 	"bundler/internal/exp"
-	"bundler/internal/perf"
-)
-
-// Kind says which diff ran.
-type Kind string
-
-const (
-	// KindBench compares perf trajectory files (BENCH_*.json).
-	KindBench Kind = "bench"
-	// KindResults compares sweep/run result files ([]exp.Result JSON).
-	KindResults Kind = "results"
 )
 
 // Options are the comparison thresholds.
@@ -38,29 +27,15 @@ type Options struct {
 	// report-text drift downgrades from failure to information: the
 	// rendered tables print the very values the tolerance admits.
 	MetricTol float64
-	// NsPct fails a benchmark whose ns/op regressed by more than this
-	// percentage (default 10 in the CLI).
-	NsPct float64
-	// AllocPct fails a benchmark whose allocs/op regressed by more than
-	// this percentage (default 10 in the CLI).
-	AllocPct float64
-	// NsPktPct fails a benchmark whose ns/packet regressed by more than
-	// this percentage (default 10 in the CLI). Per-packet cost is the
-	// scale-normalized gate: ns/op moves whenever a benchmark's workload
-	// is re-scaled, ns/packet only when the simulator itself gets slower.
-	// Records without per-packet figures (the pre-pooling baseline) are
-	// skipped.
-	NsPktPct float64
 }
 
 // Finding is one comparison outcome worth reporting.
 type Finding struct {
 	// Severity is "fail" (gates the build) or "info".
 	Severity string `json:"severity"`
-	// Cell names the compared unit: a benchmark name, or
-	// "experiment seed=N k=v ..." for a results cell.
+	// Cell names the compared unit: "experiment seed=N k=v ...".
 	Cell string `json:"cell"`
-	// Metric is the compared quantity ("ns/op", "fct-p99", "report").
+	// Metric is the compared quantity ("fct-p99", "report").
 	Metric string `json:"metric,omitempty"`
 	// Old and New are the compared values (absent for text drift).
 	Old *float64 `json:"old,omitempty"`
@@ -73,7 +48,9 @@ type Finding struct {
 
 // Report is a full diff outcome. OK is false iff any finding failed.
 type Report struct {
-	Kind     Kind      `json:"kind"`
+	// Kind is always "results"; it stays in the machine report so its
+	// schema is the one existing consumers parse.
+	Kind     string    `json:"kind"`
 	Old      string    `json:"old"`
 	New      string    `json:"new"`
 	OK       bool      `json:"ok"`
@@ -98,222 +75,35 @@ func pct(old, new float64) *float64 {
 	return ptr((new - old) / math.Abs(old) * 100)
 }
 
-// DetectKind sniffs a file's diff kind: a perf trajectory is a JSON
-// object, a results file is a JSON array.
-func DetectKind(data []byte) (Kind, error) {
-	for _, c := range data {
-		switch c {
-		case ' ', '\t', '\r', '\n':
-			continue
-		case '{':
-			return KindBench, nil
-		case '[':
-			return KindResults, nil
-		default:
-			return "", fmt.Errorf("report: unrecognized file (want a BENCH_*.json object or a results array, got %q...)", string(c))
-		}
-	}
-	return "", fmt.Errorf("report: empty file")
-}
-
-// DiffFiles loads old and new, sniffs their kind (which must match),
-// and runs the corresponding diff.
+// DiffFiles loads two results files ([]exp.Result JSON) and diffs them.
+// A JSON object — what the benchmark writes — is turned away with a
+// pointer to where benchmarks are compared, not an unmarshal error.
 func DiffFiles(oldPath, newPath string, opt Options) (*Report, error) {
-	oldData, err := os.ReadFile(oldPath)
-	if err != nil {
-		return nil, fmt.Errorf("report: %w", err)
-	}
-	newData, err := os.ReadFile(newPath)
-	if err != nil {
-		return nil, fmt.Errorf("report: %w", err)
-	}
-	oldKind, err := DetectKind(oldData)
-	if err != nil {
-		return nil, fmt.Errorf("%w (in %s)", err, oldPath)
-	}
-	newKind, err := DetectKind(newData)
-	if err != nil {
-		return nil, fmt.Errorf("%w (in %s)", err, newPath)
-	}
-	if oldKind != newKind {
-		return nil, fmt.Errorf("report: cannot diff a %s file against a %s file", oldKind, newKind)
-	}
-	var r *Report
-	switch oldKind {
-	case KindBench:
-		var of, nf perf.File
-		if err := json.Unmarshal(oldData, &of); err != nil {
-			return nil, fmt.Errorf("report: parse %s: %w", oldPath, err)
+	load := func(path string) ([]exp.Result, error) {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			return nil, fmt.Errorf("report: %w", err)
 		}
-		if err := json.Unmarshal(newData, &nf); err != nil {
-			return nil, fmt.Errorf("report: parse %s: %w", newPath, err)
+		if c := bytes.TrimLeft(data, " \t\r\n"); len(c) > 0 && c[0] == '{' {
+			return nil, fmt.Errorf("report: %s is a JSON object, not a results array; benchmarks are measured and compared by `bash bench/run.sh` (see bench/README.md)", path)
 		}
-		r = DiffBench(of, nf, opt)
-	case KindResults:
-		var or, nr []exp.Result
-		if err := json.Unmarshal(oldData, &or); err != nil {
-			return nil, fmt.Errorf("report: parse %s: %w", oldPath, err)
+		var res []exp.Result
+		if err := json.Unmarshal(data, &res); err != nil {
+			return nil, fmt.Errorf("report: parse %s: %w", path, err)
 		}
-		if err := json.Unmarshal(newData, &nr); err != nil {
-			return nil, fmt.Errorf("report: parse %s: %w", newPath, err)
-		}
-		r = DiffResults(or, nr, opt)
+		return res, nil
 	}
+	old, err := load(oldPath)
+	if err != nil {
+		return nil, err
+	}
+	new, err := load(newPath)
+	if err != nil {
+		return nil, err
+	}
+	r := DiffResults(old, new, opt)
 	r.Old, r.New = oldPath, newPath
 	return r, nil
-}
-
-// DiffBench compares two benchmark trajectories' Current records by
-// name: ns/op and allocs/op regressions beyond their thresholds fail;
-// improvements beyond the same thresholds, bytes/op movement, and
-// added benchmarks are informational; a benchmark missing from new
-// fails (lost coverage reads as a pass otherwise).
-func DiffBench(old, new perf.File, opt Options) *Report {
-	r := &Report{Kind: KindBench, Findings: []Finding{}}
-	newByName := map[string]perf.Record{}
-	for _, rec := range new.Current {
-		newByName[rec.Name] = rec
-	}
-	oldNames := make([]string, 0, len(old.Current))
-	oldByName := map[string]perf.Record{}
-	for _, rec := range old.Current {
-		oldNames = append(oldNames, rec.Name)
-		oldByName[rec.Name] = rec
-	}
-	sort.Strings(oldNames)
-	for _, name := range oldNames {
-		o := oldByName[name]
-		n, ok := newByName[name]
-		if !ok {
-			r.add(Finding{Severity: "fail", Cell: name,
-				Detail: "benchmark missing from new trajectory (lost coverage)"})
-			continue
-		}
-		r.Compared++
-		r.diffStat(name, "ns/op", o.NsPerOp, n.NsPerOp, opt.NsPct)
-		r.diffStat(name, "allocs/op", o.AllocsPerOp, n.AllocsPerOp, opt.AllocPct)
-		if o.NsPerPacket != 0 {
-			if n.NsPerPacket == 0 {
-				r.add(Finding{Severity: "fail", Cell: name, Metric: "ns/pkt",
-					Old: ptr(o.NsPerPacket), New: ptr(0),
-					Detail: "per-packet accounting missing from new trajectory (lost coverage)"})
-			} else {
-				r.diffStat(name, "ns/pkt", o.NsPerPacket, n.NsPerPacket, opt.NsPktPct)
-			}
-		}
-		// bytes/op is informational: the gated quantities are the
-		// issue-specified ns/op and allocs/op.
-		if d := pct(o.BytesPerOp, n.BytesPerOp); d != nil && math.Abs(*d) > opt.AllocPct {
-			r.add(Finding{Severity: "info", Cell: name, Metric: "B/op",
-				Old: ptr(o.BytesPerOp), New: ptr(n.BytesPerOp), DeltaPct: d,
-				Detail: fmt.Sprintf("bytes/op changed %+.1f%% (not gated)", *d)})
-		}
-	}
-	newNames := make([]string, 0, len(newByName))
-	for name := range newByName {
-		if _, ok := oldByName[name]; !ok {
-			newNames = append(newNames, name)
-		}
-	}
-	sort.Strings(newNames)
-	for _, name := range newNames {
-		r.add(Finding{Severity: "info", Cell: name, Detail: "new benchmark (no baseline yet)"})
-	}
-	r.userFlatnessGate(new.Current)
-	r.OK = r.Failures == 0
-	return r
-}
-
-// userGrowthPct is how much bytes-per-emulated-user may grow from the
-// smallest to the largest user count of an axis before the gate fails.
-// Linear memory in the user count means the figure stays flat (0 %
-// growth); the tolerance absorbs measurement noise in bytes/op, not a
-// change in complexity class — a fluid model that regressed to
-// per-user state shows up as ~10× growth, three orders past it.
-const userGrowthPct = 15.0
-
-// userFlatnessGate enforces the memory-per-emulated-user contract on
-// the new trajectory: benchmarks carrying Users > 0 are grouped into an
-// axis by name prefix (everything before the first digit), and within
-// each axis bytes-per-user at the largest user count must not exceed
-// bytes-per-user at the smallest by more than userGrowthPct. The gate
-// reads only the new file — it guards a scaling property of the current
-// tree, not a delta against the baseline — so old trajectories without
-// user figures don't exempt a regression.
-func (r *Report) userFlatnessGate(recs []perf.Record) {
-	groups := map[string][]perf.Record{}
-	for _, rec := range recs {
-		if rec.Users <= 0 || rec.BytesPerUser <= 0 {
-			continue
-		}
-		p := userAxisPrefix(rec.Name)
-		groups[p] = append(groups[p], rec)
-	}
-	prefixes := make([]string, 0, len(groups))
-	for p := range groups {
-		prefixes = append(prefixes, p)
-	}
-	sort.Strings(prefixes)
-	for _, p := range prefixes {
-		g := groups[p]
-		if len(g) < 2 {
-			r.add(Finding{Severity: "info", Cell: g[0].Name, Metric: "B/user",
-				Detail: "user axis has a single point; memory flatness not checkable"})
-			continue
-		}
-		sort.Slice(g, func(i, j int) bool { return g[i].Users < g[j].Users })
-		lo, hi := g[0], g[len(g)-1]
-		r.Compared++
-		d := *pct(lo.BytesPerUser, hi.BytesPerUser)
-		cell := fmt.Sprintf("%s (%.0f -> %.0f users)", p, lo.Users, hi.Users)
-		if d > userGrowthPct {
-			r.add(Finding{Severity: "fail", Cell: cell, Metric: "B/user",
-				Old: ptr(lo.BytesPerUser), New: ptr(hi.BytesPerUser), DeltaPct: ptr(d),
-				Detail: fmt.Sprintf("bytes per emulated user grew %.1f -> %.1f (%+.1f%%, threshold %.0f%%): memory is super-linear in the user count",
-					lo.BytesPerUser, hi.BytesPerUser, d, userGrowthPct)})
-		} else {
-			r.add(Finding{Severity: "info", Cell: cell, Metric: "B/user",
-				Old: ptr(lo.BytesPerUser), New: ptr(hi.BytesPerUser), DeltaPct: ptr(d),
-				Detail: fmt.Sprintf("bytes per emulated user flat-or-falling (%.1f -> %.1f, %+.1f%%)",
-					lo.BytesPerUser, hi.BytesPerUser, d)})
-		}
-	}
-}
-
-// userAxisPrefix groups user-axis benchmark names: everything before
-// the first digit ("BenchmarkMeshBg010kUsers" -> "BenchmarkMeshBg").
-func userAxisPrefix(name string) string {
-	for i := 0; i < len(name); i++ {
-		if name[i] >= '0' && name[i] <= '9' {
-			return name[:i]
-		}
-	}
-	return name
-}
-
-// diffStat gates one per-op statistic with a percentage threshold.
-func (r *Report) diffStat(name, metric string, old, new, threshold float64) {
-	if old == 0 {
-		if new != 0 {
-			r.add(Finding{Severity: "fail", Cell: name, Metric: metric,
-				Old: ptr(old), New: ptr(new),
-				Detail: fmt.Sprintf("%s regressed from zero to %.0f", metric, new)})
-		}
-		return
-	}
-	d := *pct(old, new)
-	switch {
-	case d > threshold:
-		r.add(Finding{Severity: "fail", Cell: name, Metric: metric,
-			Old: ptr(old), New: ptr(new), DeltaPct: ptr(d),
-			Detail: fmt.Sprintf("%s regressed %.0f -> %.0f (%+.1f%%, threshold %.0f%%)",
-				metric, old, new, d, threshold)})
-	case d < -threshold:
-		r.add(Finding{Severity: "info", Cell: name, Metric: metric,
-			Old: ptr(old), New: ptr(new), DeltaPct: ptr(d),
-			Detail: fmt.Sprintf("%s improved %.0f -> %.0f (%+.1f%%) — consider re-committing the baseline",
-				metric, old, new, d)})
-	}
 }
 
 // cellID names a results cell: experiment, seed, and sorted params.
@@ -347,7 +137,7 @@ func cellID(res exp.Result) string {
 // exact mode (MetricTol == 0) and is informational otherwise — with a
 // tolerance, the table prints the very values the tolerance admits.
 func DiffResults(old, new []exp.Result, opt Options) *Report {
-	r := &Report{Kind: KindResults, Findings: []Finding{}}
+	r := &Report{Kind: "results", Findings: []Finding{}}
 	newByID := map[string]exp.Result{}
 	newOrder := make([]string, 0, len(new))
 	for _, res := range new {

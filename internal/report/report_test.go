@@ -3,218 +3,14 @@ package report
 import (
 	"bytes"
 	"math"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
 	"bundler/internal/exp"
-	"bundler/internal/perf"
 	"bundler/internal/stats"
 )
-
-func benchFile(records ...perf.Record) perf.File {
-	return perf.File{Note: "test", Current: records}
-}
-
-var opt10 = Options{NsPct: 10, AllocPct: 10}
-
-// TestBenchGateSyntheticAllocRegression is the acceptance criterion for
-// CI's bench-gate: a 20% allocs/op regression against the committed
-// baseline must fail, while the unchanged file and sub-threshold noise
-// must pass.
-func TestBenchGateSyntheticAllocRegression(t *testing.T) {
-	base := benchFile(
-		perf.Record{Name: "BenchmarkFig09FCT", NsPerOp: 3.7e9, BytesPerOp: 7.8e7, AllocsPerOp: 821403},
-		perf.Record{Name: "BenchmarkFig10CrossTraffic", NsPerOp: 5.0e9, BytesPerOp: 2.8e8, AllocsPerOp: 2701636},
-	)
-
-	if r := DiffBench(base, base, opt10); !r.OK || r.Compared != 2 {
-		t.Fatalf("identical trajectories must pass: %+v", r)
-	}
-
-	regressed := benchFile(
-		perf.Record{Name: "BenchmarkFig09FCT", NsPerOp: 3.7e9, BytesPerOp: 7.8e7, AllocsPerOp: 821403 * 1.2},
-		base.Current[1],
-	)
-	r := DiffBench(base, regressed, opt10)
-	if r.OK {
-		t.Fatal("20% allocs/op regression passed the 10% gate")
-	}
-	if len(r.Findings) != 1 || r.Findings[0].Metric != "allocs/op" || r.Findings[0].Severity != "fail" {
-		t.Fatalf("unexpected findings: %+v", r.Findings)
-	}
-	if d := r.Findings[0].DeltaPct; d == nil || math.Abs(*d-20) > 0.01 {
-		t.Fatalf("delta not reported as +20%%: %+v", r.Findings[0])
-	}
-
-	noisy := benchFile(
-		perf.Record{Name: "BenchmarkFig09FCT", NsPerOp: 3.7e9 * 1.08, BytesPerOp: 7.8e7, AllocsPerOp: 821403 * 1.05},
-		base.Current[1],
-	)
-	if r := DiffBench(base, noisy, opt10); !r.OK {
-		t.Fatalf("sub-threshold drift must pass: %+v", r.Findings)
-	}
-}
-
-func TestBenchNsRegressionAndImprovement(t *testing.T) {
-	base := benchFile(perf.Record{Name: "B", NsPerOp: 1e9, AllocsPerOp: 100})
-	slow := benchFile(perf.Record{Name: "B", NsPerOp: 1.2e9, AllocsPerOp: 100})
-	r := DiffBench(base, slow, opt10)
-	if r.OK || r.Findings[0].Metric != "ns/op" {
-		t.Fatalf("ns/op regression not gated: %+v", r)
-	}
-	fast := benchFile(perf.Record{Name: "B", NsPerOp: 0.5e9, AllocsPerOp: 100})
-	r = DiffBench(base, fast, opt10)
-	if !r.OK {
-		t.Fatalf("improvement failed the gate: %+v", r.Findings)
-	}
-	if len(r.Findings) != 1 || r.Findings[0].Severity != "info" {
-		t.Fatalf("improvement should surface as info: %+v", r.Findings)
-	}
-}
-
-func TestBenchMissingAndAddedRecords(t *testing.T) {
-	base := benchFile(
-		perf.Record{Name: "A", NsPerOp: 1, AllocsPerOp: 1},
-		perf.Record{Name: "B", NsPerOp: 1, AllocsPerOp: 1},
-	)
-	missing := benchFile(base.Current[0], perf.Record{Name: "C", NsPerOp: 1, AllocsPerOp: 1})
-	r := DiffBench(base, missing, opt10)
-	if r.OK {
-		t.Fatal("lost benchmark coverage passed the gate")
-	}
-	var failCells, infoCells []string
-	for _, f := range r.Findings {
-		if f.Severity == "fail" {
-			failCells = append(failCells, f.Cell)
-		} else {
-			infoCells = append(infoCells, f.Cell)
-		}
-	}
-	if len(failCells) != 1 || failCells[0] != "B" || len(infoCells) != 1 || infoCells[0] != "C" {
-		t.Fatalf("missing=B should fail, added=C should inform: %+v", r.Findings)
-	}
-}
-
-// TestBenchRegressionFromZero: allocs/op going 0 -> nonzero has no
-// percentage, but is the regression the alloc-free hot path exists to
-// prevent.
-func TestBenchRegressionFromZero(t *testing.T) {
-	base := benchFile(perf.Record{Name: "B", NsPerOp: 1e9, AllocsPerOp: 0})
-	r := DiffBench(base, benchFile(perf.Record{Name: "B", NsPerOp: 1e9, AllocsPerOp: 5}), opt10)
-	if r.OK {
-		t.Fatal("allocs regressed from zero and passed")
-	}
-}
-
-// TestBenchNsPerPacketGate covers the scale-normalized gate: ns/packet
-// drift beyond the threshold fails, per-packet figures vanishing fails
-// (lost coverage), and old records without the figure — the pre-pooling
-// baseline — are skipped rather than compared against zero.
-func TestBenchNsPerPacketGate(t *testing.T) {
-	opt := Options{NsPct: 10, AllocPct: 10, NsPktPct: 10}
-	base := benchFile(perf.Record{Name: "B", NsPerOp: 1e9, AllocsPerOp: 100, NsPerPacket: 2000})
-
-	slow := benchFile(perf.Record{Name: "B", NsPerOp: 1e9, AllocsPerOp: 100, NsPerPacket: 2500})
-	r := DiffBench(base, slow, opt)
-	if r.OK || r.Findings[0].Metric != "ns/pkt" {
-		t.Fatalf("25%% ns/packet regression passed the 10%% gate: %+v", r.Findings)
-	}
-
-	lost := benchFile(perf.Record{Name: "B", NsPerOp: 1e9, AllocsPerOp: 100})
-	if r := DiffBench(base, lost, opt); r.OK {
-		t.Fatal("vanished per-packet accounting passed")
-	}
-
-	// The frozen baseline has no per-packet figures; current records
-	// gaining them must not trip the gate.
-	old := benchFile(perf.Record{Name: "B", NsPerOp: 1e9, AllocsPerOp: 100})
-	if r := DiffBench(old, base, opt); !r.OK {
-		t.Fatalf("per-packet figures appearing must pass: %+v", r.Findings)
-	}
-}
-
-// TestBenchUserFlatnessGate covers the memory-per-emulated-user axis:
-// flat or falling bytes/user passes, super-linear growth fails, and a
-// single-point axis only informs (nothing to compare against).
-func TestBenchUserFlatnessGate(t *testing.T) {
-	mk := func(bpu10k, bpu100k float64) perf.File {
-		return benchFile(
-			perf.Record{Name: "BenchmarkMeshBg010kUsers", NsPerOp: 1e9, AllocsPerOp: 100,
-				Users: 2e4, BytesPerUser: bpu10k},
-			perf.Record{Name: "BenchmarkMeshBg100kUsers", NsPerOp: 1e9, AllocsPerOp: 100,
-				Users: 2e5, BytesPerUser: bpu100k},
-		)
-	}
-
-	falling := mk(4000, 420)
-	r := DiffBench(falling, falling, opt10)
-	if !r.OK {
-		t.Fatalf("falling bytes/user failed the flatness gate: %+v", r.Findings)
-	}
-	var gateInfos int
-	for _, f := range r.Findings {
-		if f.Metric == "B/user" && f.Severity == "info" {
-			gateInfos++
-		}
-	}
-	if gateInfos != 1 {
-		t.Fatalf("want one informational flatness finding, got %d: %+v", gateInfos, r.Findings)
-	}
-
-	flat := mk(4000, 4000*1.10) // within the 15% noise allowance
-	if r := DiffBench(flat, flat, opt10); !r.OK {
-		t.Fatalf("near-flat bytes/user failed the gate: %+v", r.Findings)
-	}
-
-	super := mk(4000, 4000*1.5)
-	r = DiffBench(super, super, opt10)
-	if r.OK {
-		t.Fatal("super-linear bytes/user growth passed the flatness gate")
-	}
-	var fails []Finding
-	for _, f := range r.Findings {
-		if f.Severity == "fail" {
-			fails = append(fails, f)
-		}
-	}
-	if len(fails) != 1 || fails[0].Metric != "B/user" || !strings.Contains(fails[0].Detail, "super-linear") {
-		t.Fatalf("unexpected failures: %+v", fails)
-	}
-
-	// The gate reads the new trajectory only: a baseline without user
-	// figures must not exempt the regression.
-	old := benchFile(
-		perf.Record{Name: "BenchmarkMeshBg010kUsers", NsPerOp: 1e9, AllocsPerOp: 100},
-		perf.Record{Name: "BenchmarkMeshBg100kUsers", NsPerOp: 1e9, AllocsPerOp: 100},
-	)
-	if r := DiffBench(old, super, opt10); r.OK {
-		t.Fatal("super-linear growth passed because the baseline lacked user figures")
-	}
-
-	// A single-point axis informs instead of comparing.
-	single := benchFile(perf.Record{Name: "BenchmarkMeshBg010kUsers", NsPerOp: 1e9,
-		AllocsPerOp: 100, Users: 2e4, BytesPerUser: 4000})
-	r = DiffBench(single, single, opt10)
-	if !r.OK {
-		t.Fatalf("single-point axis must pass: %+v", r.Findings)
-	}
-	if len(r.Findings) != 1 || r.Findings[0].Severity != "info" ||
-		!strings.Contains(r.Findings[0].Detail, "single point") {
-		t.Fatalf("single-point axis should inform: %+v", r.Findings)
-	}
-}
-
-func TestUserAxisPrefix(t *testing.T) {
-	for name, want := range map[string]string{
-		"BenchmarkMeshBg010kUsers": "BenchmarkMeshBg",
-		"BenchmarkMeshBg100kUsers": "BenchmarkMeshBg",
-		"BenchmarkNoDigits":        "BenchmarkNoDigits",
-	} {
-		if got := userAxisPrefix(name); got != want {
-			t.Errorf("userAxisPrefix(%q) = %q, want %q", name, got, want)
-		}
-	}
-}
 
 func cell(name string, seed int64, params exp.Params, metrics map[string]float64, report string) exp.Result {
 	r := exp.Result{Experiment: name, Seed: seed, Params: params, Report: report}
@@ -330,25 +126,37 @@ func TestCellIDNoDelimiterCollision(t *testing.T) {
 	}
 }
 
-func TestDetectKind(t *testing.T) {
-	if k, _ := DetectKind([]byte("  {\"note\":1}")); k != KindBench {
-		t.Fatal("object not detected as bench file")
+// TestDiffFilesRejectsNonResults: a JSON object (a benchmark file) is
+// refused with a pointer to bench/run.sh; garbage and empty input are
+// refused too. An array pair is diffed.
+func TestDiffFilesRejectsNonResults(t *testing.T) {
+	dir := t.TempDir()
+	write := func(name, body string) string {
+		p := filepath.Join(dir, name)
+		if err := os.WriteFile(p, []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return p
 	}
-	if k, _ := DetectKind([]byte("\n[ ]")); k != KindResults {
-		t.Fatal("array not detected as results file")
+	ok := write("ok.json", "\n[ ]")
+	if r, err := DiffFiles(ok, ok, Options{}); err != nil || !r.OK {
+		t.Fatalf("empty results arrays must diff clean: %v %+v", err, r)
 	}
-	if _, err := DetectKind([]byte("xyz")); err == nil {
-		t.Fatal("garbage accepted")
+	_, err := DiffFiles(write("obj.json", "  {\"note\":1}"), ok, Options{})
+	if err == nil || !strings.Contains(err.Error(), "bash bench/run.sh") {
+		t.Fatalf("JSON object not redirected to the benchmark: %v", err)
 	}
-	if _, err := DetectKind([]byte("  ")); err == nil {
-		t.Fatal("empty file accepted")
+	for name, body := range map[string]string{"garbage.json": "xyz", "empty.json": "  "} {
+		if _, err := DiffFiles(ok, write(name, body), Options{}); err == nil {
+			t.Fatalf("%s accepted", name)
+		}
 	}
 }
 
 // TestWriters smoke-checks both renderers are well-formed.
 func TestWriters(t *testing.T) {
-	base := benchFile(perf.Record{Name: "B", NsPerOp: 1e9, AllocsPerOp: 100})
-	r := DiffBench(base, benchFile(perf.Record{Name: "B", NsPerOp: 1.5e9, AllocsPerOp: 100}), opt10)
+	old := []exp.Result{cell("fct", 1, nil, map[string]float64{"fct-p99": 100}, "")}
+	r := DiffResults(old, []exp.Result{cell("fct", 1, nil, map[string]float64{"fct-p99": 150}, "")}, Options{})
 	var text, js bytes.Buffer
 	if err := r.WriteText(&text); err != nil {
 		t.Fatal(err)

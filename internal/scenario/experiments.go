@@ -36,6 +36,7 @@ func init() {
 	exp.Register(hierExp{})
 	exp.Register(meshExp{})
 	exp.RegisterHidden(fctExp{})
+	exp.RegisterHidden(ablationsExp{})
 }
 
 // ReportHeader writes the banner every experiment report opens with.

@@ -2,9 +2,7 @@ package scenario
 
 import (
 	"fmt"
-	"math"
 	"sort"
-	"strconv"
 	"strings"
 	"time"
 
@@ -13,7 +11,6 @@ import (
 	"bundler/internal/pkt"
 	"bundler/internal/qdisc"
 	"bundler/internal/sim"
-	"bundler/internal/sim/shard"
 	"bundler/internal/stats"
 	"bundler/internal/tcp"
 	"bundler/internal/workload"
@@ -44,12 +41,6 @@ type FCTOptions struct {
 	TunnelMode bool
 	// Horizon bounds the run.
 	Horizon sim.Time
-	// Shards ≥ 1 drives the run through the sharded-world protocol
-	// (internal/sim/shard) instead of the legacy Fabric.RunUntilDone
-	// loop. The dumbbell is a single partition, so any value clamps to
-	// one worker and the output is byte-identical to the legacy path —
-	// this exists so the determinism tests can pin exactly that.
-	Shards int
 }
 
 func (o *FCTOptions) fill() {
@@ -111,19 +102,7 @@ func RunFCT(o FCTOptions) *workload.Recorder {
 		CC:            o.EndhostCC,
 		FixedCwndSegs: o.FixedCwnd,
 	})
-	check := func() bool { return rec.Completed >= o.Requests }
-	if o.Shards >= 1 {
-		// Windowed protocol over the same engine: a one-partition world
-		// with no ports steps in the same one-second windows with the
-		// same check-first cadence as RunUntilDone, so this path is
-		// byte-identical to the legacy one below.
-		w := shard.NewWorld()
-		w.AdoptPart(n.Eng)
-		w.SetShards(o.Shards)
-		w.Run(o.Horizon, check)
-	} else {
-		n.RunUntilDone(o.Horizon, check)
-	}
+	n.RunUntilDone(o.Horizon, func() bool { return rec.Completed >= o.Requests })
 	if site.SB != nil {
 		site.SB.Stop()
 	}
@@ -142,10 +121,6 @@ type Fig9Result struct {
 // RunFig9 reproduces Figure 9: status quo vs Bundler+SFQ vs In-Network FQ
 // vs Bundler+FIFO on the §7.1 web workload.
 func RunFig9(seed int64, requests int) []Fig9Result {
-	return runFig9(seed, requests, 0)
-}
-
-func runFig9(seed int64, requests, shards int) []Fig9Result {
 	configs := []struct{ label, mode, sched string }{
 		{"Status Quo", "statusquo", ""},
 		{"Bundler (SFQ)", "bundler", "sfq"},
@@ -154,7 +129,7 @@ func runFig9(seed int64, requests, shards int) []Fig9Result {
 	}
 	var out []Fig9Result
 	for _, c := range configs {
-		rec := RunFCT(FCTOptions{Seed: seed, Requests: requests, Mode: c.mode, Scheduler: c.sched, Shards: shards})
+		rec := RunFCT(FCTOptions{Seed: seed, Requests: requests, Mode: c.mode, Scheduler: c.sched})
 		out = append(out, SummarizeFCT(c.label, rec))
 	}
 	return out
@@ -370,117 +345,16 @@ func RunFig12(seed int64) []Fig12Point {
 	return out
 }
 
-// SchedulerByName builds a sendbox scheduler with an explicit depth in
-// packets: "sfq" (default), "fifo", "fqcodel", "codel", "red", "drr",
-// "pie", "prio:<port>" giving strict priority to destination port
-// <port>, "sp:<port>[/<port>...]" for class-based strict priority over
-// destination ports (first listed = highest), or
-// "wfq:<port>=<weight>[/<port>=<weight>...]" for weighted fair queueing
-// (classes are "/"-separated so a spec survives a sweep grid, whose
-// axis values split on commas). It panics on an unknown name; code
-// paths fed by user-supplied config files use ParseScheduler instead.
+// SchedulerByName builds the sendbox scheduler a spec names (the
+// grammar is qdisc.Parse's) with a depth in packets. It panics on a bad
+// spec; code paths fed by user-supplied config files call qdisc.Parse
+// instead.
 func SchedulerByName(eng *sim.Engine, name string, packets int) qdisc.Qdisc {
-	q, err := ParseScheduler(eng, name, packets)
+	q, err := qdisc.Parse(eng, name, packets, nil)
 	if err != nil {
 		panic("scenario: " + err.Error())
 	}
 	return q
-}
-
-// ParseScheduler is SchedulerByName returning an error instead of
-// panicking — the entry point for internal/topo's declarative configs,
-// where a bad qdisc name is user input, not a programming error.
-func ParseScheduler(eng *sim.Engine, name string, packets int) (qdisc.Qdisc, error) {
-	switch {
-	case name == "" || name == "sfq":
-		return qdisc.NewSFQ(1024, packets), nil
-	case name == "fifo":
-		return qdisc.NewFIFO(packets * pkt.MTU), nil
-	case name == "fqcodel":
-		return qdisc.NewFQCoDel(eng, 1024, packets), nil
-	case name == "codel":
-		return qdisc.NewCoDel(eng, packets), nil
-	case name == "red":
-		return qdisc.NewRED(eng, packets*pkt.MTU), nil
-	case name == "drr":
-		return qdisc.NewDRR(packets), nil
-	case name == "pie":
-		return qdisc.NewPIE(eng, packets), nil
-	case len(name) > 5 && name[:5] == "prio:":
-		var port int
-		if _, err := fmt.Sscanf(name[5:], "%d", &port); err != nil || port < 0 || port > 65535 {
-			return nil, fmt.Errorf("bad prio port in scheduler %q (want 0-65535)", name)
-		}
-		return qdisc.NewPrio(2, packets/2*pkt.MTU, func(p *pkt.Packet) int {
-			if int(p.Dst.Port) == port {
-				return 0
-			}
-			return 1
-		}), nil
-	case name == "wfq" || name == "sp":
-		// Bare mode names resolve only where a class set is in scope: the
-		// topo compiler substitutes its declared classes before reaching
-		// here, so seeing one means no classes were declared.
-		return nil, fmt.Errorf("scheduler %q needs classes: declare a classes section in the config, or spell out %s", name, specSyntax(name))
-	case strings.HasPrefix(name, "wfq:"):
-		classes, err := parseClassSpec(name[len("wfq:"):], true)
-		if err != nil {
-			return nil, fmt.Errorf("scheduler %q: %w", name, err)
-		}
-		return qdisc.NewWFQ(packets, classes, qdisc.ClassifierByPort(classes)), nil
-	case strings.HasPrefix(name, "sp:"):
-		classes, err := parseClassSpec(name[len("sp:"):], false)
-		if err != nil {
-			return nil, fmt.Errorf("scheduler %q: %w", name, err)
-		}
-		return qdisc.NewSP(packets, classes, qdisc.ClassifierByPort(classes)), nil
-	default:
-		return nil, fmt.Errorf("unknown scheduler %q (want sfq, fifo, fqcodel, codel, red, drr, pie, prio:<port>, sp:<port>/..., or wfq:<port>=<weight>/...)", name)
-	}
-}
-
-func specSyntax(mode string) string {
-	if mode == "wfq" {
-		return "wfq:<port>=<weight>[/<port>=<weight>...]"
-	}
-	return "sp:<port>[/<port>...]"
-}
-
-// parseClassSpec parses the inline class grammar shared by the sp: and
-// wfq: scheduler specs: "/"-separated destination ports, each optionally
-// weighted as <port>=<weight> when weighted is true. The separator is
-// "/" rather than "," so a full spec survives as one sweep-grid axis
-// value (exp.ParseGrid splits values on commas). Classes are named
-// "p<port>"; packets matching no class fall to the last listed one.
-func parseClassSpec(spec string, weighted bool) ([]qdisc.Class, error) {
-	if spec == "" {
-		return nil, fmt.Errorf("empty class list")
-	}
-	seen := make(map[int]bool)
-	var classes []qdisc.Class
-	for _, tok := range strings.Split(spec, "/") {
-		portStr, weightStr, hasWeight := strings.Cut(tok, "=")
-		if hasWeight && !weighted {
-			return nil, fmt.Errorf("class %q carries a weight, but strict priority takes no weights (weights are a wfq-mode feature)", tok)
-		}
-		port, err := strconv.Atoi(portStr)
-		if err != nil || port < 1 || port > 65535 {
-			return nil, fmt.Errorf("bad class port %q (want 1-65535)", portStr)
-		}
-		if seen[port] {
-			return nil, fmt.Errorf("duplicate class port %d", port)
-		}
-		seen[port] = true
-		weight := 1.0
-		if hasWeight {
-			weight, err = strconv.ParseFloat(weightStr, 64)
-			if err != nil || math.IsNaN(weight) || math.IsInf(weight, 0) || weight <= 0 {
-				return nil, fmt.Errorf("bad weight %q for port %d (want a positive, finite number)", weightStr, port)
-			}
-		}
-		classes = append(classes, qdisc.Class{Name: "p" + portStr, Port: uint16(port), Weight: weight})
-	}
-	return classes, nil
 }
 
 // --- experiment adapters ---
@@ -507,7 +381,6 @@ func (fctExp) Params() []exp.Param {
 		{Name: "loadfrac", Default: "", Help: "offered load as a fraction of rate (overrides load)"},
 		{Name: "requests", Default: "10000", Help: "number of requests to complete"},
 		{Name: "tunnel", Default: "false", Help: "encapsulation-based epoch marking (§4.5 tunnel mode)"},
-		{Name: "shards", Default: "0", Help: "0 = legacy run loop; ≥1 = windowed sharded-world protocol (byte-identical output)"},
 	}
 }
 
@@ -530,16 +403,12 @@ func (fctExp) Run(seed int64, p exp.Params) (exp.Result, error) {
 		loadfrac = b.Float("loadfrac", 0)
 		requests = b.Int("requests", 10000)
 		tunnel   = b.Bool("tunnel", false)
-		shards   = b.Int("shards", 0)
 	)
 	if err := b.Err(); err != nil {
 		return exp.Result{}, err
 	}
 	if loadfrac > 0 {
 		load = loadfrac * rate
-	}
-	if shards < 0 {
-		return exp.Result{}, fmt.Errorf("scenario: fct shards must be non-negative")
 	}
 	rec := RunFCT(FCTOptions{
 		Seed:       seed,
@@ -552,7 +421,6 @@ func (fctExp) Run(seed int64, p exp.Params) (exp.Result, error) {
 		Scheduler:  sched,
 		EndhostCC:  endhost,
 		TunnelMode: tunnel,
-		Shards:     shards,
 	})
 
 	s := rec.Slowdowns.Summarize()
@@ -584,12 +452,7 @@ func (fig9Exp) Name() string { return "fig9" }
 func (fig9Exp) Desc() string {
 	return "Figure 9: FCT slowdowns — status quo vs Bundler (SFQ/FIFO) vs in-network FQ"
 }
-func (fig9Exp) Params() []exp.Param {
-	return []exp.Param{
-		requestsParam("15000"),
-		{Name: "shards", Default: "0", Help: "0 = legacy run loop; ≥1 = windowed sharded-world protocol (byte-identical output)"},
-	}
-}
+func (fig9Exp) Params() []exp.Param { return []exp.Param{requestsParam("15000")} }
 
 // Metadata implements exp.Metadater for run-store manifests.
 func (fig9Exp) Metadata() map[string]string {
@@ -599,14 +462,10 @@ func (fig9Exp) Metadata() map[string]string {
 func (fig9Exp) Run(seed int64, p exp.Params) (exp.Result, error) {
 	b := exp.Bind(p)
 	requests := b.Int("requests", 15000)
-	shards := b.Int("shards", 0)
 	if err := b.Err(); err != nil {
 		return exp.Result{}, err
 	}
-	if shards < 0 {
-		return exp.Result{}, fmt.Errorf("scenario: fig9 shards must be non-negative")
-	}
-	rows := runFig9(seed, requests, shards)
+	rows := RunFig9(seed, requests)
 	var w strings.Builder
 	ReportHeader(&w, fmt.Sprintf("Figure 9: FCT slowdowns (%d requests; paper: 1M, medians 1.76 → 1.26)", requests))
 	WriteFCTRows(&w, rows)

@@ -34,7 +34,7 @@ import (
 // are access→core and core→site, each with RTT/4 propagation, which is
 // therefore the world's conservative lookahead. Pairwise mode has no
 // cross-partition edges at all. Partition identity depends only on the
-// site count, never on the shard (worker) count, so any shards setting
+// site count, never on the shard (worker) count, so any shard count
 // produces byte-identical output.
 //
 // The mesh is also the stress harness for the in-bundle ordering fixes:
@@ -99,10 +99,12 @@ type MeshOptions struct {
 	// rule over the total request count).
 	Horizon sim.Time
 	// Shards is the worker-goroutine count driving the partitions. 0
-	// (default) auto-budgets against the sweep's active worker count so
-	// sweep parallelism × shard parallelism never oversubscribes
-	// GOMAXPROCS; an explicit value is honored (clamped to the partition
-	// count). The value never affects results, only wall-clock.
+	// (default, and what every experiment and config runs with)
+	// auto-budgets against the sweep's active worker count so sweep
+	// parallelism × shard parallelism never oversubscribes GOMAXPROCS.
+	// The value never affects results, only wall-clock; an explicit one
+	// (clamped to the partition count) is how the determinism tests pin
+	// exactly that.
 	Shards int
 }
 
@@ -537,8 +539,7 @@ func RunMesh(o MeshOptions) ([]Fig9Result, []MeshBg) {
 }
 
 // meshExp is the registered mesh experiment: the scale-out scenario
-// family (2..N sites), sweepable over site count, mode, load, and shard
-// parallelism.
+// family (2..N sites), sweepable over site count, mode and load.
 type meshExp struct{}
 
 func (meshExp) Name() string { return "mesh" }
@@ -556,7 +557,6 @@ func (meshExp) Params() []exp.Param {
 		{Name: "perturb", Default: "2s", Help: "sendbox SFQ re-key period (0s disables)"},
 		{Name: "jitter", Default: "0s", Help: "in-path delay variation bound after each access link"},
 		{Name: "jitterordered", Default: "true", Help: "order-preserving jitter (false fakes multipath reordering)"},
-		{Name: "shards", Default: "0", Help: "engine shards driving the per-site partitions (0 = auto-budget against sweep workers; results are identical for any value)"},
 		{Name: "users", Default: "0", Help: "emulated background users per site, modeled as a fluid AIMD aggregate on each access link (0 disables; >0 also switches stats to sketch mode)"},
 		{Name: "sketch", Default: "auto", Help: `bounded quantile sketches for FCT stats: "auto" (on when users > 0), "true", or "false"`},
 	}
@@ -578,7 +578,6 @@ func (meshExp) Run(seed int64, p exp.Params) (exp.Result, error) {
 		perturb  = b.Duration("perturb", 2*time.Second)
 		jitter   = b.Duration("jitter", 0)
 		ordered  = b.Bool("jitterordered", true)
-		shards   = b.Int("shards", 0)
 		users    = b.Int("users", 0)
 		sketch   = b.String("sketch", "auto")
 	)
@@ -595,7 +594,6 @@ func (meshExp) Run(seed int64, p exp.Params) (exp.Result, error) {
 		PerturbPeriod:  sim.FromSeconds(perturb.Seconds()),
 		JitterMax:      sim.FromSeconds(jitter.Seconds()),
 		JitterOrdered:  ordered,
-		Shards:         shards,
 		BgUsersPerSite: users,
 	}
 	switch sketch {

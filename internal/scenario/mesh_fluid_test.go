@@ -2,6 +2,7 @@ package scenario_test
 
 import (
 	"math"
+	"runtime"
 	"testing"
 
 	"bundler/internal/scenario"
@@ -113,4 +114,27 @@ func TestMeshFluidShardInvariant(t *testing.T) {
 	if b1 == 0 {
 		t.Fatal("background aggregates delivered nothing")
 	}
+}
+
+// TestMeshFluidMemoryFlat pins the fluid model's O(1)-state-per-user
+// contract: the same 2-site mesh under a 10× step in emulated users —
+// identical foreground workload, packet count and sketch recorders —
+// must allocate the same memory, within 15 % (noise in what the runtime
+// allocates beside the run, not a change of complexity class: per-user
+// state shows up as a multiple, not a percentage).
+func TestMeshFluidMemoryFlat(t *testing.T) {
+	allocated := func(users int) uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		scenario.RunMesh(scenario.MeshOptions{
+			Seed: 1, Sites: 2, Mode: "pairwise", Requests: 30, BgUsersPerSite: users})
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	lo, hi := allocated(10_000), allocated(100_000)
+	if float64(hi) > 1.15*float64(lo) {
+		t.Fatalf("memory grows with the emulated user count: %d B at 10k users/site, %d B at 100k (%+.1f%%, limit +15%%)",
+			lo, hi, (float64(hi)/float64(lo)-1)*100)
+	}
+	t.Logf("allocated %d B at 10k users/site, %d B at 100k", lo, hi)
 }

@@ -1,17 +1,19 @@
 package scenario
 
 import (
+	"math"
 	"testing"
 
 	"bundler/internal/bundle"
+	"bundler/internal/exp"
 	"bundler/internal/sim"
 	"bundler/internal/tcp"
 	"bundler/internal/workload"
 )
 
 // Request counts are scaled down from the paper's 1M so the suite runs in
-// minutes; the comparative claims are stable at this scale (EXPERIMENTS.md
-// records full-scale numbers).
+// minutes; the comparative claims are stable at this scale
+// (docs/PAPER_MAP.md maps each to the paper's figure and claim).
 const testRequests = 15000
 
 func TestFig9Shape(t *testing.T) {
@@ -392,5 +394,44 @@ func TestExperimentsAreDeterministic(t *testing.T) {
 	c := RunFCT(FCTOptions{Seed: 4, Requests: 3000, Mode: "bundler"})
 	if c.Bytes == a.Bytes {
 		t.Fatal("different seeds produced identical workloads (suspicious)")
+	}
+}
+
+// TestAblationsExperiment: the hidden ablations experiment reports every
+// label `go test -bench Ablation .` used to, and stays out of "all".
+func TestAblationsExperiment(t *testing.T) {
+	e, ok := exp.Lookup("ablations")
+	if !ok {
+		t.Fatal("ablations experiment not registered")
+	}
+	for _, listed := range exp.All() {
+		if listed.Name() == "ablations" {
+			t.Fatal("ablations must stay hidden: it would lengthen -experiment all and the invariant table")
+		}
+	}
+	res, err := e.Run(1, exp.Params{"requests": "600"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := map[string]float64{}
+	for _, m := range res.Metrics {
+		got[m.Name] = m.Value
+	}
+	for _, name := range []string{
+		"rounded-matched-frac", "exact-matched-frac",
+		"window-1rtt-rate-var", "window-quarter-rate-var",
+		"paper-gains-err-ms", "low-gains-err-ms", "high-gains-err-ms",
+		"sfq1024-median", "sfq16-median",
+		"hash-matched-frac", "hash-goodput-Mbps", "tunnel-matched-frac", "tunnel-goodput-Mbps",
+	} {
+		v, ok := got[name]
+		if !ok {
+			t.Errorf("metric %q missing", name)
+		} else if math.IsNaN(v) {
+			t.Errorf("metric %q is NaN", name)
+		}
+	}
+	if len(res.Metrics) != 13 {
+		t.Errorf("%d metrics reported, want 13", len(res.Metrics))
 	}
 }

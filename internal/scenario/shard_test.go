@@ -3,6 +3,7 @@ package scenario_test
 import (
 	"encoding/json"
 	"runtime"
+	"strings"
 	"testing"
 
 	"bundler/internal/exp"
@@ -11,21 +12,20 @@ import (
 	"bundler/internal/sim"
 )
 
-// runNormalized executes a registered experiment and returns its result
-// as JSON with Params stripped: the shards knob legitimately differs
-// between the runs under comparison, and the whole point is that nothing
-// else may.
-func runNormalized(t *testing.T, name string, seed int64, p exp.Params) []byte {
+// meshOutput runs both variants of a mesh and renders everything the
+// mesh experiment reports from them — table text, headline metrics,
+// completion counts, every NaN — as JSON, the form two shard counts are
+// compared in.
+func meshOutput(t *testing.T, o scenario.MeshOptions) []byte {
 	t.Helper()
-	e, ok := exp.Lookup(name)
-	if !ok {
-		t.Fatalf("experiment %q not registered", name)
+	rows, _ := scenario.RunMesh(o)
+	var w strings.Builder
+	scenario.WriteFCTRows(&w, rows)
+	res := exp.Result{Experiment: "mesh", Seed: o.Seed, Report: w.String()}
+	scenario.AddFCTRowMetrics(&res, rows)
+	for _, r := range rows {
+		res.AddMetric(r.Label+"/completed", float64(r.Rec.Completed), "requests")
 	}
-	res, err := e.Run(seed, p)
-	if err != nil {
-		t.Fatalf("%s %v: %v", name, p, err)
-	}
-	res.Params = nil
 	out, err := json.Marshal(res)
 	if err != nil {
 		t.Fatal(err)
@@ -34,40 +34,26 @@ func runNormalized(t *testing.T, name string, seed int64, p exp.Params) []byte {
 }
 
 // TestShardDeterminism is the sharded engine's hard gate: shards=N must
-// be byte-identical to shards=1 — metrics, summaries, report text, every
-// NaN — on both mesh modes, and the windowed world protocol (shards≥1)
-// must be byte-identical to the legacy run loop (shards=0) on the
-// single-engine fig9/fct scenarios. CI runs this under -race, so the
-// multi-worker runs also prove the partition isolation claims.
+// be byte-identical to shards=1 — metrics, report text, every NaN — on
+// both mesh modes. CI runs this under -race, so the multi-worker runs
+// also prove the partition isolation claims.
 func TestShardDeterminism(t *testing.T) {
 	cases := []struct {
-		name   string
-		exp    string
-		params exp.Params
-		shards []string
+		name string
+		opt  scenario.MeshOptions
 	}{
-		{"mesh hub", "mesh",
-			exp.Params{"sites": "4", "requests": "10", "perturb": "300ms", "jitter": "1ms"},
-			[]string{"1", "8"}},
-		{"mesh pairwise", "mesh",
-			exp.Params{"sites": "4", "mode": "pairwise", "requests": "10", "perturb": "300ms"},
-			[]string{"1", "8"}},
-		{"fig9", "fig9", exp.Params{"requests": "400"}, []string{"0", "1", "8"}},
-		{"fct", "fct", exp.Params{"requests": "400"}, []string{"0", "1", "8"}},
+		{"mesh hub", scenario.MeshOptions{Seed: 1, Sites: 4, Requests: 10,
+			PerturbPeriod: 300 * sim.Millisecond, JitterMax: sim.Millisecond, JitterOrdered: true}},
+		{"mesh pairwise", scenario.MeshOptions{Seed: 1, Sites: 4, Mode: "pairwise", Requests: 10,
+			PerturbPeriod: 300 * sim.Millisecond, JitterOrdered: true}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			base := tc.params.Clone()
-			base["shards"] = tc.shards[0]
-			want := runNormalized(t, tc.exp, 1, base)
-			for _, s := range tc.shards[1:] {
-				p := tc.params.Clone()
-				p["shards"] = s
-				got := runNormalized(t, tc.exp, 1, p)
-				if string(got) != string(want) {
-					t.Fatalf("shards=%s output diverges from shards=%s:\n got: %s\nwant: %s",
-						s, tc.shards[0], got, want)
-				}
+			serial, sharded := tc.opt, tc.opt
+			serial.Shards, sharded.Shards = 1, 8
+			want := meshOutput(t, serial)
+			if got := meshOutput(t, sharded); string(got) != string(want) {
+				t.Fatalf("shards=8 output diverges from shards=1:\n got: %s\nwant: %s", got, want)
 			}
 		})
 	}

@@ -65,8 +65,7 @@ type Part struct {
 	ID int
 	// Eng is the partition's private event engine.
 	Eng *sim.Engine
-	// Pool owns the packets this partition mints (nil for adopted
-	// partitions, which use the global pool).
+	// Pool owns the packets this partition mints.
 	Pool *pkt.Pool
 
 	outbox []message
@@ -167,16 +166,6 @@ func NewWorld() *World { return &World{shards: 1} }
 // shard count.
 func (w *World) AddPart(seed int64) *Part {
 	pa := &Part{ID: len(w.parts), Eng: sim.NewEngine(seed), Pool: &pkt.Pool{}}
-	w.parts = append(w.parts, pa)
-	return pa
-}
-
-// AdoptPart wraps an existing engine as a partition using the shared
-// global packet pool. It lets a legacy single-engine scenario run under
-// the windowed protocol unchanged: a one-partition world with no ports
-// executes exactly like Fabric.RunUntilDone on the adopted engine.
-func (w *World) AdoptPart(eng *sim.Engine) *Part {
-	pa := &Part{ID: len(w.parts), Eng: eng}
 	w.parts = append(w.parts, pa)
 	return pa
 }

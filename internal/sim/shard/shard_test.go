@@ -162,29 +162,6 @@ func TestPoolHandoff(t *testing.T) {
 	pkt.Put(p)
 }
 
-// TestAdoptedSinglePartition checks a no-port, one-partition world is a
-// plain run loop over the adopted engine: same stop time, check cadence
-// honored before advancing.
-func TestAdoptedSinglePartition(t *testing.T) {
-	eng := sim.NewEngine(7)
-	w := NewWorld()
-	w.AdoptPart(eng)
-	fired := 0
-	eng.At(1500*sim.Millisecond, func() { fired++ })
-	stop := w.Run(10*sim.Second, func() bool { return fired > 0 })
-	if fired != 1 {
-		t.Fatalf("event fired %d times, want 1", fired)
-	}
-	// The event fires inside the second 1s window; the barrier check
-	// stops the run at its close.
-	if stop != 2*sim.Second {
-		t.Fatalf("stopped at %v, want 2s", stop)
-	}
-	if eng.Now() != 2*sim.Second {
-		t.Fatalf("engine clock at %v, want 2s", eng.Now())
-	}
-}
-
 // TestShardsClamp pins SetShards' clamping to [1, partitions].
 func TestShardsClamp(t *testing.T) {
 	w := NewWorld()

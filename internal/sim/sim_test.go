@@ -239,3 +239,53 @@ func TestEventPendingStates(t *testing.T) {
 		t.Fatal("fired event still pending")
 	}
 }
+
+// TestSchedulingAllocFree pins the hot path's allocation contract: once
+// the event free list and the heap have grown to their working size,
+// CallAfter plus dispatch, and re-arming a Timer, allocate nothing. The
+// shape is the one bench/layers/sim prices (sim.sched_allocs): events
+// that reschedule themselves among 1 024 pending ones, and a timer armed,
+// pushed out, stopped and fired among 1 024 armed timers.
+func TestSchedulingAllocFree(t *testing.T) {
+	const pending, perRun = 1024, 4096
+
+	eng := NewEngine(1)
+	left := 0
+	var fire func(a0, a1 any)
+	fire = func(a0, _ any) {
+		if left--; left <= 0 {
+			eng.Stop()
+		}
+		eng.CallAfter(Time(1+eng.Rand().Intn(1000))*Microsecond, fire, a0, nil)
+	}
+	for i := 0; i < pending; i++ {
+		eng.CallAfter(Time(i)*Microsecond, fire, eng, nil)
+	}
+	if n := testing.AllocsPerRun(10, func() {
+		left = perRun
+		eng.Run()
+	}); n != 0 {
+		t.Errorf("CallAfter + dispatch: %.0f allocations per %d events, want 0", n, perRun)
+	}
+
+	eng = NewEngine(1)
+	for i := 0; i < pending; i++ {
+		eng.NewTimer(func() {}).ArmAfter(Time(1000+i) * Second) // past the test's 45 virtual seconds
+	}
+	fired := 0
+	tm := eng.NewTimer(func() { fired++ })
+	if n := testing.AllocsPerRun(10, func() {
+		for i := 0; i < perRun; i++ {
+			tm.ArmAfter(200 * Millisecond)
+			tm.ArmAfter(300 * Millisecond)
+			tm.Stop()
+			tm.ArmAfter(Millisecond)
+			eng.RunUntil(eng.Now() + Millisecond)
+		}
+	}); n != 0 {
+		t.Errorf("Timer re-arm: %.0f allocations per %d arm/re-arm/stop/fire rounds, want 0", n, perRun)
+	}
+	if fired != 11*perRun {
+		t.Fatalf("timer fired %d times, want %d", fired, 11*perRun)
+	}
+}

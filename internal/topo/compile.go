@@ -352,7 +352,7 @@ func compile(sc Scenario, seed int64, pv map[string]string) (*compiled, error) {
 			}
 			queue := b.count("bundle queue", bd.Queue, 1000)
 			schedName := b.str("bundle sched", bd.Sched)
-			sched, err := buildSched(eng, schedName, queue, classes)
+			sched, err := qdisc.Parse(eng, schedName, queue, classes)
 			if b.err != nil {
 				return nil, b.err
 			}
@@ -535,7 +535,6 @@ func compileMesh(sc Scenario, seed int64, b *binder, rtt sim.Time) (*compiled, e
 	ordered := b.boolean("mesh jitterordered", d.JitterOrdered, true)
 	requests := b.count("mesh requests", d.Requests, 300)
 	load := b.rate("mesh load", d.Load, 0)
-	shards := b.count("mesh shards", d.Shards, 0)
 	users := b.count("mesh users", d.Users, 0)
 	sketch := b.str("mesh sketch", d.Sketch)
 	if b.err != nil {
@@ -558,7 +557,6 @@ func compileMesh(sc Scenario, seed int64, b *binder, rtt sim.Time) (*compiled, e
 		JitterOrdered:       ordered,
 		Requests:            requests,
 		OfferedBps:          load,
-		Shards:              shards,
 		BgUsersPerSite:      users,
 	}
 	switch sketch {
@@ -635,24 +633,6 @@ func compileClasses(b *binder, decls []ClassDecl) ([]qdisc.Class, map[string]uin
 	return classes, byName, nil
 }
 
-// buildSched resolves a scheduler name against the scenario's declared
-// classes: bare "wfq" and "sp" take their class lists from the classes
-// section; everything else — fifo, sfq, prio:<port>, and the inline
-// "wfq:<port>=<weight>/..." spellings — goes through
-// scenario.ParseScheduler unchanged (which rejects bare wfq/sp with a
-// "needs classes" error when no section is declared).
-func buildSched(eng *sim.Engine, name string, packets int, classes []qdisc.Class) (qdisc.Qdisc, error) {
-	if len(classes) > 0 {
-		switch name {
-		case "wfq":
-			return qdisc.NewWFQ(packets, classes, qdisc.ClassifierByPort(classes)), nil
-		case "sp":
-			return qdisc.NewSP(packets, classes, qdisc.ClassifierByPort(classes)), nil
-		}
-	}
-	return scenario.ParseScheduler(eng, name, packets)
-}
-
 // linkTo resolves a link's downstream name ("dst" default).
 func linkTo(l Link) string {
 	if l.To == "" {
@@ -724,7 +704,7 @@ func linkQdisc(b *binder, eng *sim.Engine, l Link, bufBytes int, classes []qdisc
 		// NetConfig's 2×BDP dumbbell bottleneck byte for byte.
 		return qdisc.NewFIFO(bufBytes), nil
 	}
-	q, err := buildSched(eng, name, bufBytes/pkt.MTU, classes)
+	q, err := qdisc.Parse(eng, name, bufBytes/pkt.MTU, classes)
 	if err != nil {
 		return nil, fmt.Errorf("link %q: %w", l.Name, err)
 	}

@@ -123,10 +123,6 @@ type MeshDecl struct {
 	// split across the site's destinations).
 	Requests string `json:"requests,omitempty"`
 	Load     string `json:"load,omitempty"`
-	// Shards is the engine shard count driving the per-site partitions
-	// (default 0 = auto-budget against sweep workers). Results are
-	// byte-identical for any value; "$param" makes it a sweep axis.
-	Shards string `json:"shards,omitempty"`
 	// Users emulates this many background users per site as a fluid AIMD
 	// aggregate on each access link (scenario.MeshOptions.BgUsersPerSite;
 	// default 0 = off). "$param" makes the user count a sweep axis.

@@ -28,11 +28,11 @@ func main() {
 			shortFCTs = append(shortFCTs, fct)
 		})
 	}
-	sim.Tick(net.Eng, 2*sim.Second, launchShort)
+	net.Eng.Tick(2*sim.Second, launchShort)
 
 	// Observe where the queue lives once per second.
 	fmt.Println("time   pacing-rate  sendbox-queue  bottleneck-queue  mode")
-	sim.Tick(net.Eng, 5*sim.Second, func() {
+	net.Eng.Tick(5*sim.Second, func() {
 		fmt.Printf("%5s  %8.1f Mb/s %10.1f ms %13.1f ms   %v\n",
 			net.Eng.Now(), site.SB.CurrentRate()/1e6,
 			site.SB.QueueDelay().Millis(), net.Bottleneck.QueueDelay().Millis(),

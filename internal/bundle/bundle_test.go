@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"bundler/internal/ccalg"
+	"bundler/internal/clock"
 	"bundler/internal/netem"
 	"bundler/internal/pkt"
 	"bundler/internal/qdisc"
@@ -132,7 +133,7 @@ func TestQueueShift(t *testing.T) {
 	bs, _ := base.addFlow(1<<40, tcp.NewCubic())
 	bs.Start()
 	var baseQ, baseSamples float64
-	sim.Tick(base.eng, 100*sim.Millisecond, func() {
+	base.eng.Tick(100*sim.Millisecond, func() {
 		baseQ += base.bottleneck.QueueDelay().Seconds()
 		baseSamples++
 	})
@@ -144,7 +145,7 @@ func TestQueueShift(t *testing.T) {
 	ws, _ := bt.addFlow(1<<40, tcp.NewCubic())
 	ws.Start()
 	var bq, sbq, samples float64
-	sim.Tick(bt.eng, 100*sim.Millisecond, func() {
+	bt.eng.Tick(100*sim.Millisecond, func() {
 		if bt.eng.Now() < 5*sim.Second {
 			return // skip convergence
 		}
@@ -182,7 +183,7 @@ func TestRTTEstimateAccuracy(t *testing.T) {
 	// Ground truth: base RTT + bottleneck queueing delay sampled over
 	// time; compare the median estimate against the median truth.
 	var truth []float64
-	sim.Tick(tp.eng, 10*sim.Millisecond, func() {
+	tp.eng.Tick(10*sim.Millisecond, func() {
 		if tp.eng.Now() > 5*sim.Second {
 			truth = append(truth, 50+tp.bottleneck.QueueDelay().Millis())
 		}
@@ -298,7 +299,7 @@ func TestElasticCrossTrafficTriggersPassThrough(t *testing.T) {
 	cs, _ := tp.addCrossFlow(1<<40, tcp.NewCubic())
 	cs.Start()
 	passTicks, ticks := 0, 0
-	sim.Tick(tp.eng, 100*sim.Millisecond, func() {
+	tp.eng.Tick(100*sim.Millisecond, func() {
 		if tp.eng.Now() < 30*sim.Second {
 			return
 		}
@@ -361,14 +362,14 @@ func TestCrossTrafficEstimateThroughBoxes(t *testing.T) {
 	spawn = func() {
 		cs, _ := tp.addCrossFlow(1_200_000, tcp.NewCubic())
 		cs.Start()
-		tp.eng.After(time500ms, spawn)
+		clock.After(tp.eng, time500ms, spawn)
 	}
 	spawn()
 	// The instantaneous estimate swings with the cross flows' churn;
 	// average it over the run.
 	var sum float64
 	var samples int
-	sim.Tick(tp.eng, 100*sim.Millisecond, func() {
+	tp.eng.Tick(100*sim.Millisecond, func() {
 		if tp.eng.Now() < 5*sim.Second {
 			return
 		}

@@ -52,7 +52,7 @@ func TestFluidSharesWithForegroundPackets(t *testing.T) {
 
 	// Foreground: one MTU every 750 µs = 16 Mbit/s offered.
 	period := sim.Time(float64(pkt.MTU*8) / 16e6 * float64(sim.Second))
-	sim.Tick(eng, period, func() {
+	eng.Tick(period, func() {
 		link.Receive(&pkt.Packet{Size: pkt.MTU})
 	})
 

@@ -32,23 +32,6 @@ type ReceiverFunc func(p *pkt.Packet)
 // Receive implements Receiver.
 func (f ReceiverFunc) Receive(p *pkt.Packet) { f(p) }
 
-// BoundaryPort is a Receiver that spans two event engines: the endpoint
-// of a link whose far side lives in a different shard of a sharded
-// simulation. A Link whose dst implements BoundaryPort skips its own
-// propagation scheduling and instead hands the packet over with the
-// precomputed arrival time (now + link delay); the port is responsible
-// for delivering it at exactly that virtual time on the remote engine.
-// The plain Receive method must remain usable too (it is the path taken
-// when the element upstream of the port is not a Link — e.g. a Jitter),
-// in which case the port adds its own configured latency.
-type BoundaryPort interface {
-	Receiver
-	// ReceiveAt takes ownership of p for delivery on the remote shard at
-	// virtual time arrive, which must be at or beyond the shard window's
-	// lookahead bound.
-	ReceiveAt(p *pkt.Packet, arrive clock.Time)
-}
-
 // Sink discards packets, counting them.
 type Sink struct{ Count int }
 
@@ -70,11 +53,6 @@ type Link struct {
 	delay clock.Time
 	q     qdisc.Qdisc
 	dst   Receiver
-
-	// boundary caches dst's BoundaryPort implementation (nil for ordinary
-	// receivers), asserted once at construction so the per-packet fast
-	// path is a nil check, not an interface assertion.
-	boundary BoundaryPort
 
 	busy bool
 	// txCarry accumulates the sub-nanosecond fraction of each packet's
@@ -116,11 +94,7 @@ func NewLink(eng clock.Clock, name string, rate float64, delay clock.Time, q qdi
 	if dst == nil {
 		panic("netem: link needs a destination")
 	}
-	l := &Link{eng: eng, name: name, rate: rate, delay: delay, q: q, dst: dst}
-	if bp, ok := dst.(BoundaryPort); ok {
-		l.boundary = bp
-	}
-	return l
+	return &Link{eng: eng, name: name, rate: rate, delay: delay, q: q, dst: dst}
 }
 
 // Receive implements Receiver: enqueue and start transmitting if idle.
@@ -178,16 +152,6 @@ func linkTransmitted(a0, a1 any) {
 	l.bytesSent += int64(p.Size)
 	if l.onTransmitted != nil {
 		l.onTransmitted(p)
-	}
-	if l.boundary != nil {
-		// Shard-boundary hand-off: propagation happens on the remote
-		// engine, so compute the arrival time here instead of scheduling
-		// the delay locally. OnDelivery hooks do not fire on this path —
-		// delivery is the remote shard's event, not this link's.
-		arrive := l.eng.Now() + l.delay
-		l.transmitNext()
-		l.boundary.ReceiveAt(p, arrive)
-		return
 	}
 	dst, delay := l.dst, l.delay
 	if delay == 0 {

@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"bundler/internal/clock"
 	"bundler/internal/pkt"
 	"bundler/internal/qdisc"
 	"bundler/internal/sim"
@@ -352,7 +353,7 @@ func jitterRun(ordered bool, n int, spacing, max sim.Time) (order []uint16, mean
 	for i := 0; i < n; i++ {
 		p := newpkt(100)
 		p.IPID = uint16(i)
-		eng.At(sim.Time(i)*spacing, func() {
+		clock.At(eng, sim.Time(i)*spacing, func() {
 			p.SentAt = eng.Now()
 			j.Receive(p)
 		})

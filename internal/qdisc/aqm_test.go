@@ -186,10 +186,10 @@ func TestPIEKeepsDelayNearTarget(t *testing.T) {
 	// Overload: 1.2x the drain rate; PIE should hold the queue near its
 	// 15 ms target rather than letting it grow to the limit.
 	drainEvery := sim.Time(float64(pkt.MTU*8) / 96e6 * float64(sim.Second))
-	sim.Tick(eng, drainEvery, func() { p.Dequeue() })
+	eng.Tick(drainEvery, func() { p.Dequeue() })
 	arriveEvery := sim.Time(float64(drainEvery) / 1.2)
 	i := 0
-	sim.Tick(eng, arriveEvery, func() {
+	eng.Tick(arriveEvery, func() {
 		i++
 		p.Enqueue(mkpkt(0, pkt.MTU))
 	})

@@ -7,14 +7,13 @@ import (
 
 // CoDel is the standalone Controlled-Delay AQM (Nichols & Jacobson, [38]
 // in the paper): a single FIFO whose head packets are dropped when their
-// sojourn time persistently exceeds the target. FQCoDel composes this
-// logic per flow; the standalone variant is useful as a bottleneck AQM and
-// as a sendbox policy that bounds delay without per-flow state.
+// sojourn time persistently exceeds the target. FQCoDel runs its own copy
+// of the state machine per flow (the two differ when entering the dropping
+// state); the standalone variant is useful as a bottleneck AQM and as a
+// sendbox policy that bounds delay without per-flow state.
 type CoDel struct {
+	pktQueue
 	eng      clock.Clock
-	q        []*pkt.Packet
-	head     int
-	bytes    int
 	limit    int // packets
 	drops    int
 	target   clock.Time
@@ -43,34 +42,8 @@ func (c *CoDel) Enqueue(p *pkt.Packet) bool {
 		return false
 	}
 	p.EnqueuedAt = c.eng.Now()
-	c.q = append(c.q, p)
-	c.bytes += p.Size
+	c.push(p)
 	return true
-}
-
-func (c *CoDel) pop() *pkt.Packet {
-	if c.head == len(c.q) {
-		return nil
-	}
-	p := c.q[c.head]
-	c.q[c.head] = nil
-	c.head++
-	c.bytes -= p.Size
-	if c.head == len(c.q) {
-		c.q = c.q[:0]
-		c.head = 0
-	} else if c.head > 64 && c.head*2 >= len(c.q) {
-		c.q = append(c.q[:0], c.q[c.head:]...)
-		c.head = 0
-	}
-	return p
-}
-
-func (c *CoDel) peek() *pkt.Packet {
-	if c.head == len(c.q) {
-		return nil
-	}
-	return c.q[c.head]
 }
 
 // shouldDrop evaluates the head's sojourn time against the CoDel state
@@ -139,7 +112,7 @@ func (c *CoDel) Dequeue() *pkt.Packet {
 }
 
 // Len implements Qdisc.
-func (c *CoDel) Len() int { return len(c.q) - c.head }
+func (c *CoDel) Len() int { return c.len() }
 
 // Bytes implements Qdisc.
 func (c *CoDel) Bytes() int { return c.bytes }

@@ -18,9 +18,7 @@ type DRR struct {
 }
 
 type drrFlow struct {
-	q       []*pkt.Packet
-	head    int
-	bytes   int
+	pktQueue
 	deficit int
 	active  bool
 }
@@ -51,8 +49,7 @@ func (d *DRR) Enqueue(p *pkt.Packet) bool {
 		f = &drrFlow{}
 		d.flows[key] = f
 	}
-	f.q = append(f.q, p)
-	f.bytes += p.Size
+	f.push(p)
 	d.count++
 	d.bytes += p.Size
 	if !f.active {
@@ -72,20 +69,6 @@ func (d *DRR) fattest() uint64 {
 		}
 	}
 	return best
-}
-
-func (f *drrFlow) len() int { return len(f.q) - f.head }
-
-func (f *drrFlow) pop() *pkt.Packet {
-	p := f.q[f.head]
-	f.q[f.head] = nil
-	f.head++
-	f.bytes -= p.Size
-	if f.head == len(f.q) {
-		f.q = f.q[:0]
-		f.head = 0
-	}
-	return p
 }
 
 func (d *DRR) dropHead(key uint64) {
@@ -110,7 +93,7 @@ func (d *DRR) Dequeue() *pkt.Packet {
 			d.active = append(d.active[:d.cursor], d.active[d.cursor+1:]...)
 			continue
 		}
-		if f.q[f.head].Size > f.deficit {
+		if f.peek().Size > f.deficit {
 			f.deficit += d.quantum
 			d.cursor++
 			continue

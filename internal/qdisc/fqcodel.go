@@ -27,9 +27,7 @@ type FQCoDel struct {
 }
 
 type fqFlow struct {
-	q       []*pkt.Packet
-	head    int
-	bytes   int
+	pktQueue
 	deficit int
 	state   fqFlowState
 	codel   codelState
@@ -81,8 +79,7 @@ func (f *FQCoDel) Enqueue(p *pkt.Packet) bool {
 	fi := f.flowOf(p)
 	fl := &f.flows[fi]
 	p.EnqueuedAt = f.eng.Now()
-	fl.q = append(fl.q, p)
-	fl.bytes += p.Size
+	fl.push(p)
 	f.count++
 	f.bytes += p.Size
 	if fl.state == fqIdle {
@@ -109,20 +106,6 @@ func (f *FQCoDel) fattest() int {
 	scan(f.newFlows)
 	scan(f.oldFlows)
 	return best
-}
-
-func (fl *fqFlow) len() int { return len(fl.q) - fl.head }
-
-func (fl *fqFlow) pop() *pkt.Packet {
-	p := fl.q[fl.head]
-	fl.q[fl.head] = nil
-	fl.head++
-	fl.bytes -= p.Size
-	if fl.head == len(fl.q) {
-		fl.q = fl.q[:0]
-		fl.head = 0
-	}
-	return p
 }
 
 func (f *FQCoDel) dropHead(fi int) {
@@ -185,7 +168,7 @@ func (f *FQCoDel) codelDequeue(fl *fqFlow) *pkt.Packet {
 	if c.dropping {
 		if p == nil {
 			c.dropping = false
-			return fl.headPacketPop(f)
+			return fl.pop()
 		}
 		for now >= c.dropNext && c.dropping {
 			f.dropPacket(fl)
@@ -197,11 +180,11 @@ func (f *FQCoDel) codelDequeue(fl *fqFlow) *pkt.Packet {
 			}
 			if p == nil {
 				c.dropping = false
-				return fl.headPacketPop(f)
+				return fl.pop()
 			}
 			c.dropNext = controlLaw(c.dropNext, f.interval, c.dropCount)
 		}
-		return fl.headPacketPop(f)
+		return fl.pop()
 	}
 	if p != nil && (now-c.dropNext < f.interval || now-c.firstAboveTime >= f.interval) {
 		// Enter dropping state.
@@ -220,16 +203,7 @@ func (f *FQCoDel) codelDequeue(fl *fqFlow) *pkt.Packet {
 			return nil
 		}
 		_ = np
-		return fl.headPacketPop(f)
-	}
-	return fl.headPacketPop(f)
-}
-
-// headPacketPop pops the flow's head packet (caller adjusts aggregate
-// counters).
-func (fl *fqFlow) headPacketPop(f *FQCoDel) *pkt.Packet {
-	if fl.len() == 0 {
-		return nil
+		return fl.pop()
 	}
 	return fl.pop()
 }
@@ -247,11 +221,11 @@ func (f *FQCoDel) dropPacket(fl *fqFlow) {
 // (head, true) when the head is above target long enough to be a drop
 // candidate, (nil, true) when below target, and (nil, false) when empty.
 func (f *FQCoDel) codelShouldDrop(fl *fqFlow, now clock.Time) (*pkt.Packet, bool) {
-	if fl.len() == 0 {
+	head := fl.peek()
+	if head == nil {
 		fl.codel.firstAboveTime = 0
 		return nil, false
 	}
-	head := fl.q[fl.head]
 	sojourn := now - head.EnqueuedAt
 	if sojourn < f.target || fl.bytes <= pkt.MTU {
 		fl.codel.firstAboveTime = 0

@@ -10,11 +10,9 @@ import (
 // the estimated queueing delay and its trend, targeting a configured
 // latency without per-packet timestamps.
 type PIE struct {
+	pktQueue
 	eng clock.Clock
 
-	q     []*pkt.Packet
-	head  int
-	bytes int
 	limit int
 	drops int
 
@@ -95,26 +93,15 @@ func (p *PIE) Enqueue(pk *pkt.Packet) bool {
 		p.drops++
 		return false
 	}
-	p.q = append(p.q, pk)
-	p.bytes += pk.Size
+	p.push(pk)
 	return true
 }
 
 // Dequeue implements Qdisc and feeds the departure-rate estimator.
 func (p *PIE) Dequeue() *pkt.Packet {
-	if p.head == len(p.q) {
+	out := p.pop()
+	if out == nil {
 		return nil
-	}
-	out := p.q[p.head]
-	p.q[p.head] = nil
-	p.head++
-	p.bytes -= out.Size
-	if p.head == len(p.q) {
-		p.q = p.q[:0]
-		p.head = 0
-	} else if p.head > 64 && p.head*2 >= len(p.q) {
-		p.q = append(p.q[:0], p.q[p.head:]...)
-		p.head = 0
 	}
 	// Departure-rate EWMA over 100 ms busy-period measurement windows.
 	now := p.eng.Now()
@@ -143,7 +130,7 @@ func (p *PIE) Dequeue() *pkt.Packet {
 }
 
 // Len implements Qdisc.
-func (p *PIE) Len() int { return len(p.q) - p.head }
+func (p *PIE) Len() int { return p.len() }
 
 // Bytes implements Qdisc.
 func (p *PIE) Bytes() int { return p.bytes }

@@ -30,10 +30,8 @@ type Qdisc interface {
 
 // FIFO is a droptail queue bounded in bytes.
 type FIFO struct {
+	pktQueue
 	limit int // bytes
-	q     []*pkt.Packet
-	head  int
-	bytes int
 	drops int
 }
 
@@ -51,30 +49,15 @@ func (f *FIFO) Enqueue(p *pkt.Packet) bool {
 		f.drops++
 		return false
 	}
-	f.q = append(f.q, p)
-	f.bytes += p.Size
+	f.push(p)
 	return true
 }
 
 // Dequeue implements Qdisc.
-func (f *FIFO) Dequeue() *pkt.Packet {
-	if f.head == len(f.q) {
-		return nil
-	}
-	p := f.q[f.head]
-	f.q[f.head] = nil
-	f.head++
-	f.bytes -= p.Size
-	// Compact once the dead prefix dominates, to bound memory.
-	if f.head > 64 && f.head*2 >= len(f.q) {
-		f.q = append(f.q[:0], f.q[f.head:]...)
-		f.head = 0
-	}
-	return p
-}
+func (f *FIFO) Dequeue() *pkt.Packet { return f.pop() }
 
 // Len implements Qdisc.
-func (f *FIFO) Len() int { return len(f.q) - f.head }
+func (f *FIFO) Len() int { return f.len() }
 
 // Bytes implements Qdisc.
 func (f *FIFO) Bytes() int { return f.bytes }

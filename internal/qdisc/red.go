@@ -18,11 +18,9 @@ const redFallbackTx = clock.Millisecond
 // linearly as the EWMA of the queue size moves between two thresholds,
 // signalling endhost loops before the buffer overflows.
 type RED struct {
+	pktQueue
 	eng clock.Clock
 
-	q     []*pkt.Packet
-	head  int
-	bytes int
 	limit int // bytes, hard cap
 	drops int
 
@@ -108,8 +106,7 @@ func (r *RED) Enqueue(p *pkt.Packet) bool {
 	default:
 		r.count = -1
 	}
-	r.q = append(r.q, p)
-	r.bytes += p.Size
+	r.push(p)
 	r.emptyValid = false
 	return true
 }
@@ -117,19 +114,9 @@ func (r *RED) Enqueue(p *pkt.Packet) bool {
 // Dequeue implements Qdisc and feeds the service-time estimate the
 // idle-period correction scales by.
 func (r *RED) Dequeue() *pkt.Packet {
-	if r.head == len(r.q) {
+	p := r.pop()
+	if p == nil {
 		return nil
-	}
-	p := r.q[r.head]
-	r.q[r.head] = nil
-	r.head++
-	r.bytes -= p.Size
-	if r.head == len(r.q) {
-		r.q = r.q[:0]
-		r.head = 0
-	} else if r.head > 64 && r.head*2 >= len(r.q) {
-		r.q = append(r.q[:0], r.q[r.head:]...)
-		r.head = 0
 	}
 	now := r.eng.Now()
 	// Back-to-back dequeues (the queue stayed busy in between) are
@@ -153,7 +140,7 @@ func (r *RED) Dequeue() *pkt.Packet {
 }
 
 // Len implements Qdisc.
-func (r *RED) Len() int { return len(r.q) - r.head }
+func (r *RED) Len() int { return r.len() }
 
 // Bytes implements Qdisc.
 func (r *RED) Bytes() int { return r.bytes }

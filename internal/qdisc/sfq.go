@@ -41,9 +41,7 @@ const (
 type sfqGroup [1 << sfqGroupShift]*sfqBucket
 
 type sfqBucket struct {
-	q       []*pkt.Packet
-	head    int
-	bytes   int
+	pktQueue
 	deficit int
 	active  bool
 }
@@ -97,39 +95,22 @@ func (s *SFQ) SetPerturbation(p uint64) {
 	s.cursor = 0
 	s.count, s.bytes = 0, 0
 	// Drain the old table in slot order (the order the flat table used),
-	// so the rehash admits packets in exactly the legacy sequence.
-	for gi := range old {
-		g := old[gi]
+	// so the rehash admits packets in exactly the legacy sequence. A
+	// drained bucket holds no packet reference (a retained pointer would
+	// pin pooled packets) and keeps its slice, so the table comes back
+	// clean as the next re-key's spare.
+	for _, g := range old {
 		if g == nil {
 			continue
 		}
-		for si := range g {
-			b := g[si]
+		for _, b := range g {
 			if b == nil {
 				continue
 			}
-			for i := b.head; i < len(b.q); i++ {
-				s.push(s.bucketOf(b.q[i]), b.q[i])
+			for p := b.pop(); p != nil; p = b.pop() {
+				s.push(s.bucketOf(p), p)
 			}
-		}
-	}
-	// Retire the old table as the next re-key's spare: clear packet
-	// references (a retained pointer would pin pooled packets) and reset
-	// per-bucket state so the table comes back clean.
-	for gi := range old {
-		g := old[gi]
-		if g == nil {
-			continue
-		}
-		for si := range g {
-			b := g[si]
-			if b == nil {
-				continue
-			}
-			for i := range b.q {
-				b.q[i] = nil
-			}
-			*b = sfqBucket{q: b.q[:0]}
+			b.deficit, b.active = 0, false
 		}
 	}
 	s.spare = old
@@ -171,8 +152,7 @@ func (s *SFQ) push(bi int, p *pkt.Packet) {
 		b = &sfqBucket{}
 		g[bi&sfqGroupMask] = b
 	}
-	b.q = append(b.q, p)
-	b.bytes += p.Size
+	b.push(p)
 	s.count++
 	s.bytes += p.Size
 	if !b.active {
@@ -192,23 +172,6 @@ func (s *SFQ) fattestBucket() int {
 		}
 	}
 	return best
-}
-
-func (b *sfqBucket) len() int { return len(b.q) - b.head }
-
-func (b *sfqBucket) pop() *pkt.Packet {
-	p := b.q[b.head]
-	b.q[b.head] = nil
-	b.head++
-	b.bytes -= p.Size
-	if b.head == len(b.q) {
-		b.q = b.q[:0]
-		b.head = 0
-	} else if b.head > 64 && b.head*2 >= len(b.q) {
-		b.q = append(b.q[:0], b.q[b.head:]...)
-		b.head = 0
-	}
-	return p
 }
 
 func (s *SFQ) dropHead(bi int) {
@@ -233,8 +196,7 @@ func (s *SFQ) Dequeue() *pkt.Packet {
 			s.active = append(s.active[:s.cursor], s.active[s.cursor+1:]...)
 			continue
 		}
-		head := b.q[b.head]
-		if head.Size > b.deficit {
+		if b.peek().Size > b.deficit {
 			b.deficit += s.quantum
 			s.cursor++
 			continue

@@ -12,18 +12,12 @@ import "bundler/internal/pkt"
 // lowest-priority backlogged class, so bulk traffic can never starve
 // interactive traffic of buffer space.
 type SP struct {
-	classes  []spClass
+	classes  []pktQueue
 	classify Classifier
 	limit    int // total packets
 	count    int
 	bytes    int
 	drops    int
-}
-
-type spClass struct {
-	q     []*pkt.Packet
-	head  int
-	bytes int
 }
 
 // NewSP builds a strict-priority scheduler holding at most limitPackets
@@ -37,7 +31,7 @@ func NewSP(limitPackets int, classes []Class, classify Classifier) *SP {
 	if len(classes) == 0 {
 		panic("qdisc: SP needs at least one class")
 	}
-	return &SP{classes: make([]spClass, len(classes)), classify: classify, limit: limitPackets}
+	return &SP{classes: make([]pktQueue, len(classes)), classify: classify, limit: limitPackets}
 }
 
 // Enqueue implements Qdisc. When full, the arrival is admitted only if
@@ -57,9 +51,7 @@ func (s *SP) Enqueue(p *pkt.Packet) bool {
 		}
 		s.dropHead(victim)
 	}
-	cl := &s.classes[idx]
-	cl.q = append(cl.q, p)
-	cl.bytes += p.Size
+	s.classes[idx].push(p)
 	s.count++
 	s.bytes += p.Size
 	return true
@@ -72,20 +64,6 @@ func (s *SP) lowestBacklogged() int {
 		}
 	}
 	return -1
-}
-
-func (cl *spClass) len() int { return len(cl.q) - cl.head }
-
-func (cl *spClass) pop() *pkt.Packet {
-	p := cl.q[cl.head]
-	cl.q[cl.head] = nil
-	cl.head++
-	cl.bytes -= p.Size
-	if cl.head == len(cl.q) {
-		cl.q = cl.q[:0]
-		cl.head = 0
-	}
-	return p
 }
 
 func (s *SP) dropHead(idx int) {

@@ -48,11 +48,9 @@ type WFQ struct {
 }
 
 type wfqClass struct {
+	pktQueue
 	weight  float64
-	q       []*pkt.Packet
-	fin     []float64 // finish tags, parallel to q
-	head    int
-	bytes   int
+	fin     []float64 // finish tags: fin[i] belongs to q[i]
 	lastFin float64
 }
 
@@ -106,9 +104,8 @@ func (w *WFQ) Enqueue(p *pkt.Packet) bool {
 	}
 	fin := start + float64(p.Size)/cl.weight
 	cl.lastFin = fin
-	cl.q = append(cl.q, p)
+	cl.push(p)
 	cl.fin = append(cl.fin, fin)
-	cl.bytes += p.Size
 	w.count++
 	w.bytes += p.Size
 	return true
@@ -124,17 +121,15 @@ func (w *WFQ) fattest() int {
 	return best
 }
 
-func (cl *wfqClass) len() int { return len(cl.q) - cl.head }
-
+// pop removes the head packet and keeps fin aligned with q: pktQueue
+// moves what it holds to the front of its slice exactly when a pop
+// leaves head at 0 (reset on empty, or compaction), and the tags move
+// with it.
 func (cl *wfqClass) pop() *pkt.Packet {
-	p := cl.q[cl.head]
-	cl.q[cl.head] = nil
-	cl.head++
-	cl.bytes -= p.Size
-	if cl.head == len(cl.q) {
-		cl.q = cl.q[:0]
-		cl.fin = cl.fin[:0]
-		cl.head = 0
+	head := cl.head
+	p := cl.pktQueue.pop()
+	if cl.head == 0 {
+		cl.fin = append(cl.fin[:0], cl.fin[head+1:]...)
 	}
 	return p
 }

@@ -82,7 +82,7 @@ func collectAccuracy(seed int64, rate float64, rtt, dur sim.Time, res *AccuracyR
 	// sampling interval, smoothed over one RTT when paired.
 	var truthRate stats.TimeSeries
 	var rc stats.RateCounter
-	sim.Tick(n.Eng, 10*sim.Millisecond, func() {
+	n.Eng.Tick(10*sim.Millisecond, func() {
 		now := n.Eng.Now()
 		truthRate.Add(now, rc.Rate(now, n.Bottleneck.BytesSent())/1e6)
 	})

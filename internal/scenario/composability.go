@@ -112,7 +112,7 @@ func RunHierarchical(seed int64, dur sim.Time) HierarchicalResult {
 
 	var bnQ, pQ, aQ float64
 	var samples int
-	sim.Tick(eng, 100*sim.Millisecond, func() {
+	eng.Tick(100*sim.Millisecond, func() {
 		if eng.Now() < 5*sim.Second {
 			return
 		}

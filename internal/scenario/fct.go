@@ -360,8 +360,8 @@ func SchedulerByName(eng *sim.Engine, name string, packets int) qdisc.Qdisc {
 // --- experiment adapters ---
 
 // fctExp is the single-point FCT run: the unit of work the sweep engine
-// fans out, and what cmd/bundler-sim exposes interactively. Registered
-// hidden — it is looked up or swept, not part of "all".
+// fans out, and one interactive run as bundler-bench -experiment fct.
+// Registered hidden — it is looked up or swept, not part of "all".
 type fctExp struct{}
 
 func (fctExp) Name() string { return "fct" }

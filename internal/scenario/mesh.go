@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"bundler/internal/bundle"
+	"bundler/internal/clock"
 	"bundler/internal/exp"
 	"bundler/internal/fluid"
 	"bundler/internal/netem"
@@ -226,7 +227,7 @@ type Mesh struct {
 
 	oracleRate float64
 	sfqs       [][]*qdisc.SFQ // per source site
-	perturbs   []*sim.Ticker
+	perturbs   []clock.Ticker
 }
 
 // NewMesh builds the mesh and schedules its workloads; drive it with Run.
@@ -255,24 +256,24 @@ func NewMesh(o MeshOptions) *Mesh {
 		core = m.World.AddPart(shard.MixSeed(o.Seed, o.Sites))
 		// The core switch: decode the owning site from the destination
 		// host's partition bits and forward over that site's inbound port.
-		router := shard.NewRouter(func(p *pkt.Packet) *shard.Port {
+		// An unroutable packet panics — a silent drop would break pool
+		// conservation.
+		router := netem.ReceiverFunc(func(p *pkt.Packet) {
 			site := meshSiteOf(p.Dst.Host)
 			if site < 0 || site >= len(inPorts) {
 				panic(fmt.Sprintf("scenario: mesh core cannot route host %#x", p.Dst.Host))
 			}
-			return inPorts[site]
+			inPorts[site].Receive(p)
 		})
 		coreBuf := 2 * int(o.CoreRate/8*o.RTT.Seconds())
-		m.Core = netem.NewLink(core.Eng, "core", o.CoreRate, o.RTT/4, qdisc.NewFIFO(coreBuf), router)
+		m.Core = netem.NewLink(core.Eng, "core", o.CoreRate, 0, qdisc.NewFIFO(coreBuf), router)
 	}
 
-	// Per-site fabric, access link, and (hub) boundary ports. Forward
-	// propagation totals RTT/2 either way: pairwise pays it all on the
-	// local access link; hub pays RTT/4 on the access→core crossing and
-	// RTT/4 on the core link's own delay (consumed by the core→site
-	// crossing). With jitter the access link's share moves onto the
-	// outbound port so the jitter element sits between them, matching
-	// the single-engine topology's access → jitter → core chain.
+	// Per-site fabric, access link, and (hub) cross-partition ports.
+	// Forward propagation totals RTT/2 either way: pairwise pays it all on
+	// the local access link; in a hub the access and core links carry no
+	// delay of their own and each crossing (access→core, core→site) pays
+	// RTT/4 as its port's latency.
 	accessBuf := 2 * int(o.AccessRate/8*o.RTT.Seconds())
 	for i := 0; i < o.Sites; i++ {
 		pa := parts[i]
@@ -285,34 +286,20 @@ func NewMesh(o MeshOptions) *Mesh {
 		fab.OracleRate = m.oracleRate
 		m.Fabs = append(m.Fabs, fab)
 
-		var dst netem.Receiver
-		var accessDelay sim.Time
+		dst, accessDelay := netem.Receiver(fab.Demux), o.RTT/2
 		if hub {
-			out := m.World.NewPort(pa, core, m.Core, o.RTT/4)
+			dst, accessDelay = m.World.NewPort(pa, core, m.Core, o.RTT/4), 0
 			inPorts = append(inPorts, m.World.NewPort(core, pa, fab.Demux, o.RTT/4))
-			dst = out
-			accessDelay = o.RTT / 4
-			if o.JitterMax > 0 {
-				// In-path delay variation between access and core. Ordered
-				// mode is the physically honest choice for a FIFO element;
-				// plain mode deliberately fakes reordering. The port's
-				// fixed RTT/4 replaces the access link's propagation.
-				accessDelay = 0
-				if o.JitterOrdered {
-					dst = netem.NewOrderedJitter(pa.Eng, o.JitterMax, out)
-				} else {
-					dst = netem.NewJitter(pa.Eng, o.JitterMax, out)
-				}
-			}
-		} else {
-			dst = fab.Demux
-			accessDelay = o.RTT / 2
-			if o.JitterMax > 0 {
-				if o.JitterOrdered {
-					dst = netem.NewOrderedJitter(pa.Eng, o.JitterMax, fab.Demux)
-				} else {
-					dst = netem.NewJitter(pa.Eng, o.JitterMax, fab.Demux)
-				}
+		}
+		if o.JitterMax > 0 {
+			// In-path delay variation after the access link (hub: between
+			// access and core). Ordered mode is the physically honest
+			// choice for a FIFO element; plain mode deliberately fakes
+			// reordering.
+			if o.JitterOrdered {
+				dst = netem.NewOrderedJitter(pa.Eng, o.JitterMax, dst)
+			} else {
+				dst = netem.NewJitter(pa.Eng, o.JitterMax, dst)
 			}
 		}
 		m.Access = append(m.Access, netem.NewLink(pa.Eng, fmt.Sprintf("access%d", i),
@@ -389,7 +376,7 @@ func NewMesh(o MeshOptions) *Mesh {
 				continue
 			}
 			eng, qs := m.Fabs[i].Eng, qs
-			m.perturbs = append(m.perturbs, sim.Tick(eng, o.PerturbPeriod, func() {
+			m.perturbs = append(m.perturbs, eng.Tick(o.PerturbPeriod, func() {
 				for _, q := range qs {
 					q.SetPerturbation(eng.Rand().Uint64())
 				}

@@ -110,7 +110,7 @@ func RunFig7(seed int64, dur sim.Time) Fig7Result {
 		m.AddFlow(1<<40, tcp.NewCubic())
 	}
 	res := Fig7Result{PathRTTms: make([]stats.TimeSeries, len(m.Paths))}
-	sim.Tick(m.Eng, 100*sim.Millisecond, func() {
+	m.Eng.Tick(100*sim.Millisecond, func() {
 		now := m.Eng.Now()
 		for i, p := range m.Paths {
 			rtt := 2*p.Delay() + p.QueueDelay() // forward prop + queue, plus symmetric reverse

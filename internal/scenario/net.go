@@ -3,7 +3,7 @@
 // measurement probes each figure of the paper's evaluation (§7–§9) needs.
 // Every evaluation figure has a Run* entry point here, wrapped as a
 // registered exp.Experiment, invoked by cmd/bundler-bench and by the
-// root-level benchmarks.
+// benchmark under bench/.
 //
 // The reusable endpoint machinery — sender mux, destination demux,
 // reverse path, address allocation — lives in Fabric; Net adds the

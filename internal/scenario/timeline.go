@@ -5,6 +5,7 @@ import (
 	"strings"
 	"time"
 
+	"bundler/internal/clock"
 	"bundler/internal/exp"
 	"bundler/internal/sim"
 	"bundler/internal/stats"
@@ -43,7 +44,7 @@ func RunQueueShift(seed int64, dur sim.Time) QueueShiftResult {
 			site = n.AddSite(nil)
 		}
 		snd := site.AddFlow(1<<40, tcp.NewCubic(), nil)
-		sim.Tick(n.Eng, 100*sim.Millisecond, func() {
+		n.Eng.Tick(100*sim.Millisecond, func() {
 			bn.Add(n.Eng.Now(), n.Bottleneck.QueueDelay().Millis())
 			if site.SB != nil {
 				edge.Add(n.Eng.Now(), site.SB.QueueDelay().Millis())
@@ -120,14 +121,14 @@ func RunFig10(seed int64) Fig10Result {
 
 	// Phase 2: a buffer-filling cross flow from 60 s to 120 s.
 	var crossSender *tcp.Sender
-	n.Eng.At(phaseDur, func() {
+	clock.At(n.Eng, phaseDur, func() {
 		crossSender = crossSite.AddFlow(1<<40, tcp.NewCubic(), nil)
 	})
-	n.Eng.At(2*phaseDur, func() { crossSender.Abort() })
+	clock.At(n.Eng, 2*phaseDur, func() { crossSender.Abort() })
 	// Phase 3: non-buffer-filling web cross traffic at a quarter of the
 	// link (the paper does not state the phase-3 offered load; a modest
 	// one keeps the total near capacity rather than deep overload).
-	n.Eng.At(2*phaseDur, func() {
+	clock.At(n.Eng, 2*phaseDur, func() {
 		workload.Arrivals(n.Eng, workload.PaperWebCDF(), 24e6, 1<<30, func(size int64) {
 			if n.Eng.Now() >= 3*phaseDur {
 				return
@@ -139,7 +140,7 @@ func RunFig10(seed int64) Fig10Result {
 	var res Fig10Result
 	var lastBundleBytes, lastCrossBytes int64
 	var passTicks, totalTicks [3]int
-	sim.Tick(n.Eng, 100*sim.Millisecond, func() {
+	n.Eng.Tick(100*sim.Millisecond, func() {
 		now := n.Eng.Now()
 		p := phaseOf(now)
 		bb := site.RB.BytesReceived()

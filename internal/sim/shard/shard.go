@@ -80,10 +80,11 @@ func (pa *Part) send(arrive sim.Time, tgt *Part, dst netem.Receiver, p *pkt.Pack
 	pa.msgSeq++
 }
 
-// Port is a cross-partition edge endpoint: a netem.BoundaryPort living
-// on the source partition that delivers packets to dst on the target
-// partition after latency. Its latency participates in the world's
-// lookahead, so it must be the true minimum transit time of the edge.
+// Port is a cross-partition edge endpoint: a netem.Receiver living on
+// the source partition that delivers packets to dst on the target
+// partition after latency. The crossing's propagation delay lives here
+// and nowhere else (an upstream Link carries delay 0), and it is the
+// edge's contribution to the world's lookahead.
 type Port struct {
 	src     *Part
 	tgt     *Part
@@ -110,39 +111,11 @@ func (w *World) NewPort(src, tgt *Part, dst netem.Receiver, latency sim.Time) *P
 	return pt
 }
 
-// ReceiveAt implements netem.BoundaryPort: a Link upstream has already
-// computed the arrival time (its own delay folded in), so the port just
-// records the message for the barrier.
-func (pt *Port) ReceiveAt(p *pkt.Packet, arrive sim.Time) {
-	pt.src.send(arrive, pt.tgt, pt.dst, p)
-}
-
-// Receive implements netem.Receiver for non-Link upstreams (e.g. a
-// Jitter element): the port adds its own latency.
+// Receive implements netem.Receiver: it records the packet for the
+// barrier, to arrive one latency from now.
 func (pt *Port) Receive(p *pkt.Packet) {
 	pt.src.send(pt.src.Eng.Now()+pt.latency, pt.tgt, pt.dst, p)
 }
-
-// Router fans packets out to one of several Ports by inspecting the
-// packet — the hub partition's core switch. It implements
-// netem.BoundaryPort so a Link can terminate directly on it and use the
-// boundary fast path.
-type Router struct {
-	route func(p *pkt.Packet) *Port
-}
-
-// NewRouter builds a router around a routing function. route must
-// return a non-nil port for every packet it is handed (panic inside it
-// for unroutable packets — silent drops would break pool conservation).
-func NewRouter(route func(p *pkt.Packet) *Port) *Router {
-	return &Router{route: route}
-}
-
-// Receive implements netem.Receiver.
-func (r *Router) Receive(p *pkt.Packet) { r.route(p).Receive(p) }
-
-// ReceiveAt implements netem.BoundaryPort.
-func (r *Router) ReceiveAt(p *pkt.Packet, arrive sim.Time) { r.route(p).ReceiveAt(p, arrive) }
 
 // World is a set of partitions advancing in lock-step windows.
 type World struct {

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"bundler/internal/clock"
 	"bundler/internal/netem"
 	"bundler/internal/pkt"
 	"bundler/internal/sim"
@@ -48,7 +49,7 @@ func buildRing(n int, latency sim.Time, seed int64, perPart int) (*World, []*[]d
 			// the schedule irregular without depending on shard count.
 			at := sim.Time(pa.Eng.Rand().Int63n(int64(sim.Second)))
 			flow, seq := uint64(i), int64(k)
-			pa.Eng.At(at, func() {
+			clock.At(pa.Eng, at, func() {
 				p := pa.Pool.Get()
 				p.FlowID, p.Seq = flow, seq
 				port.Receive(p)
@@ -98,7 +99,7 @@ func TestWindowBound(t *testing.T) {
 		pkt.Put(p)
 	}), 25*sim.Millisecond)
 	const emit = 40 * sim.Millisecond
-	a.Eng.At(emit, func() { port.Receive(a.Pool.Get()) })
+	clock.At(a.Eng, emit, func() { port.Receive(a.Pool.Get()) })
 	w.Run(sim.Second, nil)
 	if want := emit + 25*sim.Millisecond; arrived != want {
 		t.Fatalf("arrival at %v, want %v", arrived, want)
@@ -114,11 +115,12 @@ func TestLookaheadViolationPanics(t *testing.T) {
 	w := NewWorld()
 	a := w.AddPart(1)
 	b := w.AddPart(2)
-	port := w.NewPort(a, b, netem.ReceiverFunc(func(p *pkt.Packet) { pkt.Put(p) }), 50*sim.Millisecond)
-	a.Eng.At(10*sim.Millisecond, func() {
-		// A buggy upstream element claiming instant arrival: 10ms is
-		// inside the first [0, 50ms) window.
-		port.ReceiveAt(a.Pool.Get(), a.Eng.Now())
+	sink := netem.ReceiverFunc(func(p *pkt.Packet) { pkt.Put(p) })
+	w.NewPort(a, b, sink, 50*sim.Millisecond)
+	clock.At(a.Eng, 10*sim.Millisecond, func() {
+		// A message claiming instant arrival, as a bug in Port would
+		// produce: 10ms is inside the first [0, 50ms) window.
+		a.send(a.Eng.Now(), b, sink, a.Pool.Get())
 	})
 	defer func() {
 		r := recover()
@@ -140,7 +142,7 @@ func TestPoolHandoff(t *testing.T) {
 	a := w.AddPart(1)
 	b := w.AddPart(2)
 	port := w.NewPort(a, b, netem.ReceiverFunc(func(p *pkt.Packet) { pkt.Put(p) }), 10*sim.Millisecond)
-	a.Eng.At(5*sim.Millisecond, func() { port.Receive(a.Pool.Get()) })
+	clock.At(a.Eng, 5*sim.Millisecond, func() { port.Receive(a.Pool.Get()) })
 	w.Run(sim.Second, nil)
 	if w.Transferred() != 1 {
 		t.Fatalf("Transferred() = %d, want 1", w.Transferred())

@@ -41,64 +41,34 @@ const (
 // FromSeconds converts floating-point seconds to a Time.
 func FromSeconds(s float64) Time { return clock.FromSeconds(s) }
 
-// Event is a scheduled callback. It is returned by the scheduling methods
-// so callers can cancel it before it fires.
+// event is a scheduled callback. Events come in two kinds, distinguished
+// by how their storage is managed:
 //
-// Events come in three flavors, distinguished by how their storage is
-// managed:
-//
-//   - handle events (At/After): heap-allocated per call, returned to the
-//     caller, never recycled — a retained *Event stays valid forever.
 //   - pooled events (CallAt/CallAfter): owned by the engine's free list
 //     and recycled the moment they fire. No handle escapes, so no caller
-//     can observe the reuse. This is the allocation-free hot path.
-//   - intrusive events: embedded in a Timer (or Ticker) and re-armed in
+//     can observe the reuse. This is the allocation-free hot path; plain
+//     closures ride it through clock.At/clock.After.
+//   - intrusive events: embedded in a timer (or ticker) and re-armed in
 //     place by their owner.
-type Event struct {
+type event struct {
 	at  Time
 	seq uint64 // tie-break: FIFO among events with equal timestamps
 
-	// Exactly one of fn / afn is set. afn carries its arguments in the
-	// event itself so hot-path callers need no capturing closure.
+	// A pooled event sets afn and carries its arguments in the event
+	// itself, so hot-path callers need no capturing closure; a timer's
+	// event sets fn.
 	fn  func()
 	afn func(a0, a1 any)
 	a0  any
 	a1  any
 
-	index  int // heap index; -1 once removed
-	cancel bool
-	pooled bool // owned by the engine free list; recycled after firing
+	index  int  // heap index; -1 once removed
+	cancel bool // timer stopped: skip when popped
 }
-
-func (e *Event) run() {
-	if e.afn != nil {
-		e.afn(e.a0, e.a1)
-		return
-	}
-	e.fn()
-}
-
-// Time reports when the event will fire.
-func (e *Event) Time() Time { return e.at }
-
-// Cancel prevents the event from firing. Cancelling an already-fired or
-// already-cancelled event is a no-op.
-func (e *Event) Cancel() {
-	if e != nil {
-		e.cancel = true
-	}
-}
-
-// Cancelled reports whether Cancel was called.
-func (e *Event) Cancelled() bool { return e == nil || e.cancel }
-
-// Pending reports whether the event is still scheduled: not yet fired and
-// not cancelled. A nil event is not pending.
-func (e *Event) Pending() bool { return e != nil && e.index >= 0 && !e.cancel }
 
 // heapEntry is one slot of the event queue. The ordering key (at, seq)
 // is duplicated inline so sift comparisons walk the slice sequentially
-// instead of chasing an *Event per compare — with tens of thousands of
+// instead of chasing an *event per compare — with tens of thousands of
 // pending events the queue is the engine's hottest data structure, and
 // the pointer-chasing version spent most of its time in cache misses.
 // The key total-orders events (seq is unique), so pop order — and with
@@ -106,7 +76,7 @@ func (e *Event) Pending() bool { return e != nil && e.index >= 0 && !e.cancel }
 type heapEntry struct {
 	at  Time
 	seq uint64
-	ev  *Event
+	ev  *event
 }
 
 // eventHeap is a hand-rolled binary min-heap over heapEntry. It replaces
@@ -160,14 +130,14 @@ func (h eventHeap) down(i int) bool {
 	return i > i0
 }
 
-func (h *eventHeap) push(ev *Event) {
+func (h *eventHeap) push(ev *event) {
 	ev.index = len(*h)
 	*h = append(*h, heapEntry{at: ev.at, seq: ev.seq, ev: ev})
 	h.up(ev.index)
 }
 
 // popMin removes and returns the earliest event.
-func (h *eventHeap) popMin() *Event {
+func (h *eventHeap) popMin() *event {
 	old := *h
 	n := len(old) - 1
 	old.swap(0, n)
@@ -182,7 +152,7 @@ func (h *eventHeap) popMin() *Event {
 }
 
 // fix re-establishes heap order after the entry at index i changed its
-// key (Timer re-arm); the caller must have updated the inline key first.
+// key (timer re-arm); the caller must have updated the inline key first.
 func (h eventHeap) fix(i int) {
 	if !h.down(i) {
 		h.up(i)
@@ -197,7 +167,7 @@ type Engine struct {
 	seq     uint64
 	rng     *rand.Rand
 	stopped bool
-	free    []*Event // recycled pooled events (CallAt/CallAfter)
+	free    []*event // recycled pooled events (CallAt/CallAfter)
 }
 
 // NewEngine returns an engine whose clock starts at zero and whose random
@@ -214,33 +184,13 @@ func (e *Engine) Now() Time { return e.now }
 // this source so runs are reproducible.
 func (e *Engine) Rand() *rand.Rand { return e.rng }
 
-// At schedules fn to run at absolute virtual time t. Scheduling in the
-// past (t < Now) panics: it always indicates a logic error in a component.
-func (e *Engine) At(t Time, fn func()) *Event {
-	if t < e.now {
-		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, e.now))
-	}
-	e.seq++
-	ev := &Event{at: t, seq: e.seq, fn: fn}
-	e.events.push(ev)
-	return ev
-}
-
-// After schedules fn to run d nanoseconds from now. Negative d is clamped
-// to zero.
-func (e *Engine) After(d Time, fn func()) *Event {
-	if d < 0 {
-		d = 0
-	}
-	return e.At(e.now+d, fn)
-}
-
 // CallAt schedules fn(a0, a1) at absolute virtual time t without
 // returning a handle. The backing event comes from a per-engine free
 // list and is recycled the moment it fires, so steady-state scheduling
 // through this path allocates nothing. Use it for per-packet work
-// (link serialization, propagation, jitter); use At/After when the
-// caller needs to cancel, and Timer for re-armed component timers.
+// (link serialization, propagation, jitter), and NewTimer for anything
+// that must be cancelled or re-armed. Scheduling in the past (t < Now)
+// panics: it always indicates a logic error in a component.
 //
 // fn should be a package-level function (a func literal that captures
 // nothing also compiles to a static value); the values it needs travel
@@ -249,17 +199,16 @@ func (e *Engine) CallAt(t Time, fn func(a0, a1 any), a0, a1 any) {
 	if t < e.now {
 		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, e.now))
 	}
-	var ev *Event
+	var ev *event
 	if n := len(e.free); n > 0 {
 		ev = e.free[n-1]
 		e.free = e.free[:n-1]
 	} else {
-		ev = &Event{pooled: true}
+		ev = &event{}
 	}
 	e.seq++
 	ev.at, ev.seq = t, e.seq
 	ev.afn, ev.a0, ev.a1 = fn, a0, a1
-	ev.cancel = false
 	e.events.push(ev)
 }
 
@@ -271,36 +220,36 @@ func (e *Engine) CallAfter(d Time, fn func(a0, a1 any), a0, a1 any) {
 	e.CallAt(e.now+d, fn, a0, a1)
 }
 
-// NewTimer implements clock.Clock: it returns an unarmed Timer bound to
-// fn. Components holding their Timer by value should keep calling
-// (*Timer).Init instead; this constructor exists for code written
-// against the interface.
+// NewTimer implements clock.Clock: it returns an unarmed timer bound to
+// fn.
 func (e *Engine) NewTimer(fn func()) clock.Timer {
-	t := &Timer{}
-	t.Init(e, fn)
+	t := &timer{}
+	t.init(e, fn)
 	return t
 }
 
-// Tick implements clock.Clock; it is Tick(e, period, fn).
+// Tick implements clock.Clock: fn runs every period, first one period
+// from now, until the returned ticker is stopped. Each tick re-arms an
+// intrusive timer, so a running ticker allocates nothing.
 func (e *Engine) Tick(period Time, fn func()) clock.Ticker {
-	return Tick(e, period, fn)
+	if period <= 0 {
+		panic("sim: Tick period must be positive")
+	}
+	t := &ticker{period: period, fn: fn}
+	t.timer.init(e, t.tick)
+	t.timer.ArmAfter(period)
+	return t
 }
 
 // The engine is the virtual-time implementation of the scheduling
 // interface; clock.Wall is the real-time one.
 var _ clock.Clock = (*Engine)(nil)
 
-// release returns a pooled event to the free list, dropping references
-// so the pool never retains callbacks or packet arguments.
-func (e *Engine) release(ev *Event) {
-	ev.afn, ev.a0, ev.a1, ev.fn = nil, nil, nil, nil
-	e.free = append(e.free, ev)
-}
-
 // Stop makes Run / RunUntil return after the currently executing event.
 func (e *Engine) Stop() { e.stopped = true }
 
-// Pending reports the number of scheduled (possibly cancelled) events.
+// Pending reports the number of scheduled events, stopped timers that
+// have not yet been popped included.
 func (e *Engine) Pending() int { return len(e.events) }
 
 // step executes the earliest event. It reports false if none remain.
@@ -311,22 +260,24 @@ func (e *Engine) step(limit Time, useLimit bool) bool {
 		}
 		next := e.events.popMin()
 		if next.cancel {
-			if next.pooled {
-				e.release(next)
-			}
 			continue
 		}
 		// Invariant: virtual time never runs backwards. The heap makes
 		// this structural, but a corrupted comparison (or a mutated
-		// Timer event) would surface here first.
+		// timer event) would surface here first.
 		if next.at < e.now {
 			panic(fmt.Sprintf("sim: clock would run backwards: event at %v, now %v", next.at, e.now))
 		}
 		e.now = next.at
-		next.run()
-		if next.pooled {
-			e.release(next)
+		if next.afn == nil {
+			next.fn()
+			return true
 		}
+		next.afn(next.a0, next.a1)
+		// Back to the free list, dropping references so the pool never
+		// retains callbacks or packet arguments.
+		next.afn, next.a0, next.a1 = nil, nil, nil
+		e.free = append(e.free, next)
 		return true
 	}
 	return false
@@ -350,41 +301,34 @@ func (e *Engine) RunUntil(t Time) {
 	}
 }
 
-// Timer is a reusable one-shot timer for components that repeatedly
-// schedule, cancel, and re-arm the same callback (retransmission
-// timeouts, pacing gates, tickers). It owns a single intrusive Event
-// that is re-armed in place, so arming allocates nothing after Init.
-//
-// A Timer must be initialized with Init before use and belongs to one
-// engine for its lifetime. The zero value is not usable.
-type Timer struct {
+// timer is the engine's clock.Timer: a reusable one-shot timer for
+// components that repeatedly schedule, cancel, and re-arm the same
+// callback (retransmission timeouts, pacing gates, tickers). It owns a
+// single intrusive event that is re-armed in place, so arming allocates
+// nothing, and it belongs to one engine for its lifetime.
+type timer struct {
 	eng *Engine
-	ev  Event
+	ev  event
 }
 
-// Init binds the timer to an engine and callback. It must be called
-// exactly once, before any Arm.
-func (t *Timer) Init(eng *Engine, fn func()) {
-	if t.eng != nil {
-		panic("sim: Timer initialized twice")
-	}
+func (t *timer) init(eng *Engine, fn func()) {
 	t.eng = eng
 	t.ev.fn = fn
 	t.ev.index = -1
 }
 
 // Pending reports whether the timer is armed and will fire.
-func (t *Timer) Pending() bool { return t.ev.index >= 0 && !t.ev.cancel }
+func (t *timer) Pending() bool { return t.ev.index >= 0 && !t.ev.cancel }
 
 // Stop disarms the timer. Stopping an unarmed timer is a no-op.
-func (t *Timer) Stop() { t.ev.cancel = true }
+func (t *timer) Stop() { t.ev.cancel = true }
 
 // ArmAt (re)schedules the timer's callback at absolute time at,
-// regardless of its current state. Like Engine.At, arming in the past
+// regardless of its current state. Like CallAt, arming in the past
 // panics. The re-armed event gets a fresh sequence number, so FIFO
 // ordering among equal timestamps behaves exactly as if the timer had
 // been cancelled and a new event created.
-func (t *Timer) ArmAt(at Time) {
+func (t *timer) ArmAt(at Time) {
 	e := t.eng
 	if at < e.now {
 		panic(fmt.Sprintf("sim: arming timer at %v before now %v", at, e.now))
@@ -401,36 +345,22 @@ func (t *Timer) ArmAt(at Time) {
 }
 
 // ArmAfter arms the timer d from now; negative d is clamped to zero.
-func (t *Timer) ArmAfter(d Time) {
+func (t *timer) ArmAfter(d Time) {
 	if d < 0 {
 		d = 0
 	}
 	t.ArmAt(t.eng.now + d)
 }
 
-// Ticker invokes fn every period until Stop is called on it. The first
-// invocation happens one period from the time Tick is called. Each
-// tick re-arms an intrusive Timer, so a running ticker allocates
-// nothing.
-type Ticker struct {
-	timer   Timer
+// ticker is the engine's clock.Ticker.
+type ticker struct {
+	timer   timer
 	period  Time
 	fn      func()
 	stopped bool
 }
 
-// Tick starts a new periodic callback. period must be positive.
-func Tick(eng *Engine, period Time, fn func()) *Ticker {
-	if period <= 0 {
-		panic("sim: Tick period must be positive")
-	}
-	t := &Ticker{period: period, fn: fn}
-	t.timer.Init(eng, t.tick)
-	t.timer.ArmAfter(period)
-	return t
-}
-
-func (t *Ticker) tick() {
+func (t *ticker) tick() {
 	if t.stopped {
 		return
 	}
@@ -441,7 +371,7 @@ func (t *Ticker) tick() {
 }
 
 // Stop cancels future ticks.
-func (t *Ticker) Stop() {
+func (t *ticker) Stop() {
 	t.stopped = true
 	t.timer.Stop()
 }

@@ -5,6 +5,8 @@ import (
 	"sort"
 	"testing"
 	"testing/quick"
+
+	"bundler/internal/clock"
 )
 
 func TestEngineRunsEventsInOrder(t *testing.T) {
@@ -12,7 +14,7 @@ func TestEngineRunsEventsInOrder(t *testing.T) {
 	var got []Time
 	for _, d := range []Time{5 * Millisecond, Millisecond, 3 * Millisecond} {
 		d := d
-		e.At(d, func() { got = append(got, e.Now()) })
+		clock.At(e, d, func() { got = append(got, e.Now()) })
 	}
 	e.Run()
 	want := []Time{Millisecond, 3 * Millisecond, 5 * Millisecond}
@@ -31,7 +33,7 @@ func TestEngineFIFOAmongEqualTimestamps(t *testing.T) {
 	var order []int
 	for i := 0; i < 10; i++ {
 		i := i
-		e.At(Second, func() { order = append(order, i) })
+		clock.At(e, Second, func() { order = append(order, i) })
 	}
 	e.Run()
 	for i, v := range order {
@@ -44,8 +46,8 @@ func TestEngineFIFOAmongEqualTimestamps(t *testing.T) {
 func TestAfterSchedulesRelative(t *testing.T) {
 	e := NewEngine(1)
 	var at Time
-	e.At(2*Second, func() {
-		e.After(Second, func() { at = e.Now() })
+	clock.At(e, 2*Second, func() {
+		clock.After(e, Second, func() { at = e.Now() })
 	})
 	e.Run()
 	if at != 3*Second {
@@ -53,25 +55,11 @@ func TestAfterSchedulesRelative(t *testing.T) {
 	}
 }
 
-func TestCancelPreventsExecution(t *testing.T) {
-	e := NewEngine(1)
-	fired := false
-	ev := e.At(Second, func() { fired = true })
-	ev.Cancel()
-	e.Run()
-	if fired {
-		t.Fatal("cancelled event fired")
-	}
-	if !ev.Cancelled() {
-		t.Fatal("Cancelled() = false after Cancel")
-	}
-}
-
 func TestRunUntilLeavesLaterEventsPending(t *testing.T) {
 	e := NewEngine(1)
 	var ran []Time
-	e.At(Second, func() { ran = append(ran, e.Now()) })
-	e.At(3*Second, func() { ran = append(ran, e.Now()) })
+	clock.At(e, Second, func() { ran = append(ran, e.Now()) })
+	clock.At(e, 3*Second, func() { ran = append(ran, e.Now()) })
 	e.RunUntil(2 * Second)
 	if len(ran) != 1 || ran[0] != Second {
 		t.Fatalf("ran = %v, want [1s]", ran)
@@ -90,13 +78,13 @@ func TestRunUntilLeavesLaterEventsPending(t *testing.T) {
 
 func TestSchedulingInPastPanics(t *testing.T) {
 	e := NewEngine(1)
-	e.At(Second, func() {
+	clock.At(e, Second, func() {
 		defer func() {
 			if recover() == nil {
 				t.Error("scheduling in the past did not panic")
 			}
 		}()
-		e.At(0, func() {})
+		clock.At(e, 0, func() {})
 	})
 	e.Run()
 }
@@ -105,7 +93,7 @@ func TestStopHaltsRun(t *testing.T) {
 	e := NewEngine(1)
 	count := 0
 	for i := 1; i <= 10; i++ {
-		e.At(Time(i)*Second, func() {
+		clock.At(e, Time(i)*Second, func() {
 			count++
 			if count == 3 {
 				e.Stop()
@@ -121,8 +109,8 @@ func TestStopHaltsRun(t *testing.T) {
 func TestTickerPeriodicAndStops(t *testing.T) {
 	e := NewEngine(1)
 	var times []Time
-	var tk *Ticker
-	tk = Tick(e, 10*Millisecond, func() {
+	var tk clock.Ticker
+	tk = e.Tick(10*Millisecond, func() {
 		times = append(times, e.Now())
 		if len(times) == 5 {
 			tk.Stop()
@@ -142,8 +130,8 @@ func TestTickerPeriodicAndStops(t *testing.T) {
 
 func TestNegativeAfterClampsToNow(t *testing.T) {
 	e := NewEngine(1)
-	e.At(Second, func() {
-		e.After(-Second, func() {
+	clock.At(e, Second, func() {
+		clock.After(e, -Second, func() {
 			if e.Now() != Second {
 				t.Errorf("clamped event at %v, want 1s", e.Now())
 			}
@@ -184,7 +172,7 @@ func TestPropertyEventOrdering(t *testing.T) {
 		e := NewEngine(7)
 		var fired []Time
 		for _, d := range delays {
-			e.At(Time(d), func() { fired = append(fired, e.Now()) })
+			clock.At(e, Time(d), func() { fired = append(fired, e.Now()) })
 		}
 		e.Run()
 		if len(fired) != len(delays) {
@@ -204,7 +192,7 @@ func TestPropertyRunUntilHorizon(t *testing.T) {
 		e := NewEngine(9)
 		ok := true
 		for _, d := range delays {
-			e.At(Time(d), func() {
+			clock.At(e, Time(d), func() {
 				if e.Now() > Time(horizon) {
 					ok = false
 				}
@@ -216,27 +204,6 @@ func TestPropertyRunUntilHorizon(t *testing.T) {
 	cfg := &quick.Config{MaxCount: 200, Rand: rand.New(rand.NewSource(4))}
 	if err := quick.Check(f, cfg); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestEventPendingStates(t *testing.T) {
-	e := NewEngine(1)
-	var nilEv *Event
-	if nilEv.Pending() {
-		t.Fatal("nil event reports pending")
-	}
-	ev := e.At(Second, func() {})
-	if !ev.Pending() {
-		t.Fatal("scheduled event not pending")
-	}
-	ev.Cancel()
-	if ev.Pending() {
-		t.Fatal("cancelled event still pending")
-	}
-	ev2 := e.At(2*Second, func() {})
-	e.Run()
-	if ev2.Pending() {
-		t.Fatal("fired event still pending")
 	}
 }
 

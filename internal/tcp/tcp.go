@@ -16,7 +16,6 @@ package tcp
 
 import (
 	"fmt"
-	"sync"
 
 	"bundler/internal/clock"
 	"bundler/internal/netem"
@@ -42,21 +41,6 @@ const sackDupThresh = 3
 // the transport's vocabulary intact.
 type SACKBlock = pkt.SACKBlock
 
-// segment is the sender's scoreboard entry for one in-flight segment.
-// Segments are pooled: the scoreboard releases them as they are
-// cumulatively acknowledged (and in bulk on completion/abort).
-type segment struct {
-	seq      int64
-	length   int
-	sentAt   clock.Time
-	retx     bool // ever retransmitted (Karn: no RTT samples)
-	sacked   bool
-	lost     bool
-	inFlight bool
-}
-
-var segPool = sync.Pool{New: func() any { return new(segment) }}
-
 // Sender transmits Size payload bytes to Dst and consumes the ACK stream.
 // It implements netem.Receiver for incoming ACKs.
 type Sender struct {
@@ -69,11 +53,7 @@ type Sender struct {
 	cc     Congestion
 
 	sndUna    int64
-	sndNxt    int64
-	segs      []*segment // ordered scoreboard covering [sndUna, sndNxt)
-	pipeBytes int64      // running Σ length over inFlight && !sacked segments
-	highSack  int64      // highest SACKed extent ever seen (0 = none yet)
-	lostCount int        // segments currently marked lost (fast path: no scan when 0)
+	sb        scoreboard // the segments in [sndUna, sndNxt)
 	dupacks   int
 	recovery  bool
 	recoverPt int64
@@ -84,7 +64,7 @@ type Sender struct {
 
 	ipid       uint16
 	nextSendAt clock.Time
-	paceTimer  clock.Timer
+	paceTimer  clock.Timer // created on first use: only BBR paces
 	pool       *pkt.Pool
 
 	started    bool
@@ -108,10 +88,9 @@ func NewSender(eng clock.Clock, out netem.Receiver, src, dst pkt.Addr, flowID ui
 	}
 	s := &Sender{
 		eng: eng, out: out, src: src, dst: dst, flowID: flowID, size: size,
-		cc: cc, rto: initialRTO, onComplete: onComplete,
+		cc: cc, rto: initialRTO, onComplete: onComplete, sb: newScoreboard(size),
 	}
 	s.rtoTimer = eng.NewTimer(s.onRTO)
-	s.paceTimer = eng.NewTimer(s.trySend)
 	return s
 }
 
@@ -141,13 +120,6 @@ func (s *Sender) Acked() int64 { return s.sndUna }
 // Size reports the transfer size in bytes.
 func (s *Sender) Size() int64 { return s.size }
 
-// pipe estimates bytes currently in the network: transmitted, neither
-// SACKed nor declared lost (RFC 6675 pipe). It is maintained
-// incrementally at every segment state transition — trySend consults it
-// once per window-limit check, and a scoreboard scan there is quadratic
-// in the window.
-func (s *Sender) pipe() int64 { return s.pipeBytes }
-
 // trySend transmits retransmissions first, then new data, as the window
 // (and pacing rate) allows.
 func (s *Sender) trySend() {
@@ -155,23 +127,26 @@ func (s *Sender) trySend() {
 		return
 	}
 	for {
-		if float64(s.pipe())+1 > s.cc.CwndBytes() {
+		if float64(s.sb.pipe)+1 > s.cc.CwndBytes() {
 			return
 		}
 		if pr := s.cc.PacingRate(); pr > 0 {
 			now := s.eng.Now()
 			if now < s.nextSendAt {
+				if s.paceTimer == nil {
+					s.paceTimer = s.eng.NewTimer(s.trySend)
+				}
 				if !s.paceTimer.Pending() {
 					s.paceTimer.ArmAt(s.nextSendAt)
 				}
 				return
 			}
 		}
-		if sg := s.nextLost(); sg != nil {
-			s.retransmit(sg)
+		if k := s.sb.nextLost(); k >= 0 {
+			s.retransmit(k)
 			continue
 		}
-		if s.sndNxt < s.size {
+		if s.sb.sndNxt() < s.size {
 			s.sendNew()
 			continue
 		}
@@ -179,45 +154,23 @@ func (s *Sender) trySend() {
 	}
 }
 
-func (s *Sender) nextLost() *segment {
-	if s.lostCount == 0 {
-		return nil // loss-free fast path: trySend polls this per send
-	}
-	for _, sg := range s.segs {
-		if sg.lost && !sg.inFlight && !sg.sacked {
-			return sg
-		}
-	}
-	return nil
-}
-
 func (s *Sender) sendNew() {
-	length := int(min64(int64(pkt.MSS), s.size-s.sndNxt))
-	sg := segPool.Get().(*segment)
-	*sg = segment{seq: s.sndNxt, length: length}
-	s.segs = append(s.segs, sg)
-	s.sndNxt += int64(length)
-	s.emit(sg, false)
-}
-
-func (s *Sender) retransmit(sg *segment) {
-	sg.lost = false
-	s.lostCount--
-	sg.retx = true
-	s.Retransmits++
-	s.emit(sg, true)
-}
-
-// emit sends a segment. Every transmission — including retransmissions —
-// gets a fresh IP ID, the property Bundler's epoch hash relies on to avoid
-// spurious samples (§4.5).
-func (s *Sender) emit(sg *segment, retx bool) {
 	now := s.eng.Now()
-	sg.sentAt = now
-	if !sg.inFlight && !sg.sacked {
-		s.pipeBytes += int64(sg.length)
-	}
-	sg.inFlight = true
+	s.emit(s.sb.sendNew(now), false, now)
+}
+
+func (s *Sender) retransmit(k int64) {
+	now := s.eng.Now()
+	s.sb.retransmit(k, now)
+	s.Retransmits++
+	s.emit(k, true, now)
+}
+
+// emit puts segment k, just recorded on the scoreboard, on the wire.
+// Every transmission — including retransmissions — gets a fresh IP ID,
+// the property Bundler's epoch hash relies on to avoid spurious samples
+// (§4.5).
+func (s *Sender) emit(k int64, retx bool, now clock.Time) {
 	s.ipid++
 	s.DataSent++
 	p := s.pool.Get()
@@ -225,8 +178,8 @@ func (s *Sender) emit(sg *segment, retx bool) {
 	p.Src = s.src
 	p.Dst = s.dst
 	p.Proto = pkt.ProtoTCP
-	p.Size = sg.length + pkt.HeaderBytes
-	p.Seq = sg.seq
+	p.Size = int(s.sb.length(k)) + pkt.HeaderBytes
+	p.Seq = k * pkt.MSS
 	p.FlowID = s.flowID
 	p.Retransmit = retx
 	p.SentAt = now
@@ -244,7 +197,7 @@ func (s *Sender) emit(sg *segment, retx bool) {
 
 func (s *Sender) rearmRTO() {
 	s.rtoTimer.Stop()
-	if s.sndUna < s.sndNxt {
+	if s.sndUna < s.sb.sndNxt() {
 		s.rtoTimer.ArmAfter(s.rto)
 	}
 }
@@ -255,23 +208,10 @@ func (s *Sender) onRTO() {
 	}
 	s.Timeouts++
 	s.cc.OnTimeout(s.eng.Now())
-	// Everything unacknowledged is presumed lost and eligible for
-	// retransmission.
-	for _, sg := range s.segs {
-		if !sg.sacked {
-			if sg.inFlight {
-				s.pipeBytes -= int64(sg.length)
-			}
-			if !sg.lost {
-				s.lostCount++
-			}
-			sg.lost = true
-			sg.inFlight = false
-		}
-	}
+	s.sb.loseAll()
 	s.dupacks = 0
 	s.recovery = true
-	s.recoverPt = s.sndNxt
+	s.recoverPt = s.sb.sndNxt()
 	s.rto *= 2
 	if s.rto > maxRTO {
 		s.rto = maxRTO
@@ -293,7 +233,9 @@ func (s *Sender) Receive(p *pkt.Packet) {
 
 	cumAdvance := ack > s.sndUna
 	if cumAdvance {
-		s.popAcked(ack, now)
+		if sent, ok := s.sb.ackTo(ack); ok {
+			s.sampleRTT(now - sent)
+		}
 		newly := ack - s.sndUna
 		s.sndUna = ack
 		s.dupacks = 0
@@ -310,26 +252,21 @@ func (s *Sender) Receive(p *pkt.Packet) {
 	}
 
 	if len(blocks) > 0 {
-		s.applySACK(blocks)
+		s.sb.sack(blocks)
 	}
-	newLoss := s.markLost()
+	newLoss := s.sb.markLost()
 	if !cumAdvance {
 		s.dupacks++
 		// Fallback for SACK-less peers: third dupack implies the first
 		// outstanding segment was lost.
-		if s.dupacks >= sackDupThresh && len(s.segs) > 0 && !s.segs[0].sacked &&
-			!s.segs[0].lost && s.segs[0].inFlight && p.NSACK == 0 {
-			s.pipeBytes -= int64(s.segs[0].length)
-			s.segs[0].lost = true
-			s.lostCount++
-			s.segs[0].inFlight = false
+		if s.dupacks >= sackDupThresh && p.NSACK == 0 && s.sb.loseFirst() {
 			newLoss = true
 		}
 	}
 	pkt.Put(p)
 	if newLoss && !s.recovery {
 		s.recovery = true
-		s.recoverPt = s.sndNxt
+		s.recoverPt = s.sb.sndNxt()
 		s.cc.OnLoss(now)
 	}
 	s.trySend()
@@ -337,103 +274,8 @@ func (s *Sender) Receive(p *pkt.Packet) {
 
 var _ netem.Receiver = (*Sender)(nil)
 
-func (s *Sender) applySACK(blocks []SACKBlock) {
-	for _, sg := range s.segs {
-		if sg.sacked {
-			continue
-		}
-		end := sg.seq + int64(sg.length)
-		for _, b := range blocks {
-			if sg.seq >= b.Start && end <= b.End {
-				if sg.inFlight {
-					s.pipeBytes -= int64(sg.length)
-				}
-				if sg.lost {
-					s.lostCount--
-				}
-				sg.sacked = true
-				sg.lost = false
-				if end > s.highSack {
-					s.highSack = end
-				}
-				break
-			}
-		}
-	}
-}
-
-// markLost applies the RFC 6675 rule: a segment is lost once SACKed data
-// extends sackDupThresh segments beyond it. Retransmitted segments are
-// exempt (the RTO catches re-lost retransmissions). It reports whether any
-// segment was newly marked.
-func (s *Sender) markLost() bool {
-	// highSack is the monotone watermark applySACK maintains rather than
-	// a per-ACK scoreboard scan. It can exceed the highest extent still
-	// on the scoreboard only after the cumulative ACK passed it (popAcked
-	// removes whole segments, so every live segment ends above sndUna ≥
-	// that stale watermark) — and then no live segment can sit a full
-	// threshold below it, so the rule marks nothing, exactly as the
-	// rescan would.
-	highestSacked := s.highSack
-	if highestSacked == 0 {
-		return false
-	}
-	newLoss := false
-	threshold := int64(sackDupThresh * pkt.MSS)
-	for _, sg := range s.segs {
-		if sg.sacked || sg.lost || sg.retx {
-			continue
-		}
-		if sg.seq+int64(sg.length)+threshold <= highestSacked {
-			if sg.inFlight {
-				s.pipeBytes -= int64(sg.length)
-			}
-			sg.lost = true
-			s.lostCount++
-			sg.inFlight = false
-			newLoss = true
-		}
-	}
-	return newLoss
-}
-
-// popAcked removes cumulatively acknowledged segments from the front of
-// the scoreboard (releasing them to the pool) and feeds the RTT
-// estimator from the newest popped segment that was never retransmitted
-// (Karn's algorithm). The scoreboard is ordered by sequence, so this is
-// O(newly acked).
-func (s *Sender) popAcked(ack int64, now clock.Time) {
-	var bestSent clock.Time
-	haveBest := false
-	i := 0
-	for ; i < len(s.segs); i++ {
-		sg := s.segs[i]
-		if sg.seq+int64(sg.length) > ack {
-			break
-		}
-		if sg.inFlight && !sg.sacked {
-			s.pipeBytes -= int64(sg.length)
-		}
-		if sg.lost {
-			s.lostCount--
-		}
-		if !sg.retx {
-			bestSent = sg.sentAt
-			haveBest = true
-		}
-		segPool.Put(sg)
-	}
-	if i > 0 {
-		copy(s.segs, s.segs[i:])
-		for j := len(s.segs) - i; j < len(s.segs); j++ {
-			s.segs[j] = nil
-		}
-		s.segs = s.segs[:len(s.segs)-i]
-	}
-	if !haveBest {
-		return
-	}
-	rtt := now - bestSent
+// sampleRTT feeds one round-trip measurement to the RFC 6298 estimator.
+func (s *Sender) sampleRTT(rtt clock.Time) {
 	s.lastRTT = rtt
 	if s.srtt == 0 {
 		s.srtt = rtt
@@ -456,23 +298,11 @@ func (s *Sender) popAcked(ack int64, now clock.Time) {
 }
 
 func (s *Sender) complete(now clock.Time) {
-	s.done = true
+	s.Abort() // stop the timers, drop the scoreboard
 	s.DoneAt = now
-	s.rtoTimer.Stop()
-	s.paceTimer.Stop()
-	s.releaseScoreboard()
 	if s.onComplete != nil {
 		s.onComplete(now)
 	}
-}
-
-func (s *Sender) releaseScoreboard() {
-	for _, sg := range s.segs {
-		segPool.Put(sg)
-	}
-	s.segs = nil
-	s.pipeBytes = 0
-	s.lostCount = 0
 }
 
 // SRTT exposes the smoothed RTT estimate (for tests and the §7.5 proxy
@@ -485,8 +315,10 @@ func (s *Sender) SRTT() clock.Time { return s.srtt }
 func (s *Sender) Abort() {
 	s.done = true
 	s.rtoTimer.Stop()
-	s.paceTimer.Stop()
-	s.releaseScoreboard()
+	if s.paceTimer != nil {
+		s.paceTimer.Stop()
+	}
+	s.sb.release()
 }
 
 // Receiver consumes data packets, reassembles the byte stream, and emits
@@ -652,10 +484,3 @@ func (m *Mux) Receive(p *pkt.Packet) {
 
 // Dropped reports packets with no registered endpoint.
 func (m *Mux) Dropped() int { return m.dropped }
-
-func min64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
-}

@@ -85,21 +85,8 @@ type Config struct {
 	// Scheduler is the qdisc applied to the bundle's queue at the
 	// sendbox. Defaults to SFQ with 1024 buckets and a 4096-packet cap.
 	Scheduler qdisc.Qdisc
-	// EnablePulses turns on the Nimbus pulses + elasticity detector.
-	// Default true (the paper always runs Copa with Nimbus detection).
-	EnablePulses *bool
-	// EnableMultipathDetection turns on the §5.2 out-of-order heuristic.
-	// Default true.
-	EnableMultipathDetection *bool
 	// InitialEpochN is the initial epoch size in packets (power of two).
 	InitialEpochN uint64
-	// InitialRate seeds the pacer before the first measurement.
-	InitialRate float64
-	// ControlInterval is the CCP invocation cadence (§6.2). Default 10 ms.
-	ControlInterval clock.Time
-	// OOOThreshold is the out-of-order fraction above which multipath
-	// imbalance is declared (§7.6 determines 5 %).
-	OOOThreshold float64
 	// ExactEpochSize disables the power-of-two rounding of N (§4.5) for
 	// the ablation benchmark: without rounding, a delayed or lost
 	// epoch-size update leaves the two boxes sampling incomparable sets.
@@ -117,7 +104,7 @@ type Config struct {
 	// per-packet overhead and the loss of transparent fail-open.
 	TunnelMode bool
 	// DisableTelemetry stops the box from recording its trace series
-	// (RTTEstimates, RateEstimates, ModeTrace, RateTrace, QueueTrace).
+	// (RTTEstimates, RateEstimates, RateTrace).
 	// The traces grow by a few points per control tick for the whole
 	// run; scenarios that never read them — the N-site mesh runs
 	// thousands of boxes and reports only flow-level summaries — avoid
@@ -137,25 +124,8 @@ func (c *Config) fillDefaults() {
 		// RTTs by hundreds of milliseconds.
 		c.Scheduler = qdisc.NewSFQ(1024, 1000)
 	}
-	if c.EnablePulses == nil {
-		t := true
-		c.EnablePulses = &t
-	}
-	if c.EnableMultipathDetection == nil {
-		t := true
-		c.EnableMultipathDetection = &t
-	}
 	if c.InitialEpochN == 0 {
 		c.InitialEpochN = 16
-	}
-	if c.InitialRate == 0 {
-		c.InitialRate = 10e6
-	}
-	if c.ControlInterval == 0 {
-		c.ControlInterval = 10 * clock.Millisecond
-	}
-	if c.OOOThreshold == 0 {
-		c.OOOThreshold = 0.05
 	}
 	if c.MeasurementWindowRTTs == 0 {
 		c.MeasurementWindowRTTs = 1
@@ -188,9 +158,19 @@ type ackPoint struct {
 	bytes int64
 }
 
-// oooWindowSize is the sliding window (in congestion ACKs) over which the
-// out-of-order fraction is computed.
-const oooWindowSize = 256
+const (
+	// oooWindowSize is the sliding window (in congestion ACKs) over which
+	// the out-of-order fraction is computed.
+	oooWindowSize = 256
+	// oooThreshold is the out-of-order fraction above which multipath
+	// imbalance is declared (§7.6 determines 5 %).
+	oooThreshold float64 = 0.05
+	// initialRate seeds the pacer, and stands in for the capacity
+	// estimate, before the first measurement (bits/s).
+	initialRate float64 = 10e6
+	// controlInterval is the CCP invocation cadence (§6.2).
+	controlInterval clock.Time = 10 * clock.Millisecond
+)
 
 // Sendbox is the source-site Bundler box. It implements netem.Receiver:
 // feed it the site's egress packets (and the receivebox's control
@@ -258,9 +238,7 @@ type Sendbox struct {
 	// Telemetry for experiments.
 	RTTEstimates  stats.TimeSeries // milliseconds
 	RateEstimates stats.TimeSeries // receive rate, Mbit/s
-	ModeTrace     stats.TimeSeries // Mode as float
 	RateTrace     stats.TimeSeries // applied pacing rate, Mbit/s
-	QueueTrace    stats.TimeSeries // sendbox queue delay, ms
 	AcksMatched   int
 	AcksSpurious  int
 }
@@ -284,13 +262,13 @@ func NewSendbox(eng clock.Clock, cfg Config, downstream netem.Receiver, ctlAddr,
 		epochN:     cfg.InitialEpochN,
 		boundaries: make(map[uint64]*boundary),
 	}
-	s.detector = ccalg.NewDetector(s.pulser.Frequency(), 1/cfg.ControlInterval.Seconds())
+	s.detector = ccalg.NewDetector(s.pulser.Frequency(), 1/controlInterval.Seconds())
 	// The pacer is a link whose qdisc is the operator's scheduler; its
 	// rate is rewritten by the control loop, exactly like the patched TBF
 	// in the prototype (§6.1).
-	s.link = netem.NewLink(eng, "sendbox-pacer", cfg.InitialRate, 0, cfg.Scheduler, downstream)
+	s.link = netem.NewLink(eng, "sendbox-pacer", initialRate, 0, cfg.Scheduler, downstream)
 	s.link.OnTransmitted(s.onTransmitted)
-	s.ticker = eng.Tick(cfg.ControlInterval, s.controlTick)
+	s.ticker = eng.Tick(controlInterval, s.controlTick)
 	return s
 }
 
@@ -621,14 +599,14 @@ func (s *Sendbox) controlTick() {
 		s.dqEwma = 0.99*s.dqEwma + 0.01*dq
 		s.xcEwma = 0.99*s.xcEwma + 0.01*ccalg.CrossTrafficRate(m)
 	}
-	if *s.cfg.EnablePulses && s.AcksMatched > 0 {
+	if s.AcksMatched > 0 {
 		// Zero-order hold of the most recent per-epoch estimate.
 		s.detector.AddSample(s.lastEpochZ)
 	}
 	s.updateMode(ok, now)
 
 	// Smoothed bundle arrival rate (the endhosts' aggregate demand).
-	in := float64(s.bytesIn-s.lastBytesIn) * 8 / s.cfg.ControlInterval.Seconds()
+	in := float64(s.bytesIn-s.lastBytesIn) * 8 / controlInterval.Seconds()
 	s.lastBytesIn = s.bytesIn
 	s.arrivalEwma = 0.95*s.arrivalEwma + 0.05*in
 
@@ -654,7 +632,7 @@ func (s *Sendbox) controlTick() {
 	case ModeDisabled:
 		rate = 1e11 // effectively unlimited: status quo
 	}
-	if s.mode != ModeDisabled && *s.cfg.EnablePulses && s.pulsesActive() {
+	if s.mode != ModeDisabled && s.pulsesActive() {
 		rate += s.pulser.Offset(now, s.mu())
 	}
 	// Floor the pacing rate: a bundle must always retain enough rate to
@@ -669,8 +647,6 @@ func (s *Sendbox) controlTick() {
 	s.link.SetRate(rate)
 	if !s.cfg.DisableTelemetry {
 		s.RateTrace.Add(now, s.link.Rate()/1e6)
-		s.ModeTrace.Add(now, float64(s.mode))
-		s.QueueTrace.Add(now, s.QueueDelay().Millis())
 	}
 }
 
@@ -699,7 +675,7 @@ func (s *Sendbox) mu() float64 {
 		mu = s.muSmooth
 	}
 	if mu <= 0 {
-		mu = s.cfg.InitialRate
+		mu = initialRate
 	}
 	return mu
 }
@@ -716,14 +692,14 @@ func (s *Sendbox) decayMu() {
 // updateMode runs the §5 state machine: multipath imbalance dominates;
 // otherwise elasticity votes flip between delay control and pass-through.
 func (s *Sendbox) updateMode(haveMeas bool, now clock.Time) {
-	if *s.cfg.EnableMultipathDetection && s.oooTotal >= 32 {
+	if s.oooTotal >= 32 {
 		frac := s.OOOFraction()
-		if s.mode != ModeDisabled && frac > s.cfg.OOOThreshold {
+		if s.mode != ModeDisabled && frac > oooThreshold {
 			s.setMode(ModeDisabled, now)
 			return
 		}
 		if s.mode == ModeDisabled {
-			if frac < s.cfg.OOOThreshold/4 && now-s.modeChangedAt > 5*clock.Second {
+			if frac < oooThreshold/4 && now-s.modeChangedAt > 5*clock.Second {
 				s.setMode(ModeDelayControl, now)
 			}
 			return
@@ -732,7 +708,7 @@ func (s *Sendbox) updateMode(haveMeas bool, now clock.Time) {
 		return
 	}
 
-	if !*s.cfg.EnablePulses || !haveMeas {
+	if !haveMeas {
 		return
 	}
 	// Starvation fallback: when the delay controller is pinned at its
@@ -762,6 +738,10 @@ func (s *Sendbox) updateMode(haveMeas bool, now clock.Time) {
 		return
 	}
 	s.lastDetectAt = now
+	// Aggregate send rates swing more than a single Nimbus flow's, and
+	// pulses leak into the cross-traffic estimate whenever the bottleneck
+	// runs empty; requiring the window-mean cross traffic to reach 20 % of
+	// capacity rejects that self-signal.
 	gate := 0.2
 	if s.mode == ModePassThrough {
 		// Asymmetric gate: while competing fairly, the cross traffic's
@@ -828,9 +808,6 @@ func (s *Sendbox) QueueDelay() clock.Time {
 	mu := s.mu()
 	return clock.Time(float64(s.link.Queue().Bytes()*8) / mu * float64(clock.Second))
 }
-
-// QueueBytes reports the sendbox queue occupancy.
-func (s *Sendbox) QueueBytes() int { return s.link.Queue().Bytes() }
 
 // CurrentRate reports the applied pacing rate in bits/s.
 func (s *Sendbox) CurrentRate() float64 { return s.link.Rate() }

@@ -240,7 +240,7 @@ func TestMultipathImbalanceDisables(t *testing.T) {
 		delay := sim.Time(i*60+5) * sim.Millisecond
 		paths = append(paths, netem.NewLink(eng, "path", 24e6, delay, qdisc.NewFIFO(1<<22), demux))
 	}
-	lb := netem.NewLoadBalancer(eng, netem.BalanceFlowHash, paths...)
+	lb := netem.NewLoadBalancer(paths...)
 	sb := NewSendbox(eng, Config{}, lb, sbCtl, rbCtl)
 	muxA.Register(sbCtl, sb)
 	muxB.Register(rbCtl, rb)
@@ -334,7 +334,7 @@ func TestModeStringAndDefaults(t *testing.T) {
 	}
 	var cfg Config
 	cfg.fillDefaults()
-	if cfg.Algorithm != "copa" || cfg.InitialEpochN != 16 || !*cfg.EnablePulses {
+	if cfg.Algorithm != "copa" || cfg.InitialEpochN != 16 || cfg.Scheduler == nil || cfg.MeasurementWindowRTTs != 1 {
 		t.Fatalf("defaults wrong: %+v", cfg)
 	}
 }

@@ -441,9 +441,6 @@ type Detector struct {
 	// Threshold is the required ratio of pulse-bin power to comparison
 	// band power.
 	Threshold float64
-	// MinCrossFrac gates detection: with negligible cross traffic there
-	// is nothing to classify.
-	MinCrossFrac float64
 }
 
 // DetectorWindow is the FFT window size (power of two).
@@ -452,16 +449,7 @@ const DetectorWindow = 512
 // NewDetector builds a detector for a pulser at pulseHz sampled at
 // sampleHz (the 10 ms control tick → 100 Hz).
 func NewDetector(pulseHz, sampleHz float64) *Detector {
-	return &Detector{
-		pulseHz:   pulseHz,
-		sampleHz:  sampleHz,
-		Threshold: 3.0,
-		// Aggregate send rates swing more than a single Nimbus flow's, and
-		// pulses leak into the cross-traffic estimate whenever the
-		// bottleneck runs empty; requiring the window-mean cross traffic
-		// to reach 20 % of capacity rejects that self-signal.
-		MinCrossFrac: 0.2,
-	}
+	return &Detector{pulseHz: pulseHz, sampleHz: sampleHz, Threshold: 3.0}
 }
 
 // AddSample appends one cross-traffic rate estimate (bits/s), sampled at
@@ -512,11 +500,6 @@ func (d *Detector) WindowMean() float64 {
 		mean += v
 	}
 	return mean / float64(len(d.buf))
-}
-
-// Elastic classifies the current window with the default magnitude gate.
-func (d *Detector) Elastic(mu float64) bool {
-	return d.ElasticGated(mu, d.MinCrossFrac)
 }
 
 // ElasticGated classifies the current window. The gate requires the cross

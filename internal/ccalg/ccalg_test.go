@@ -164,7 +164,7 @@ func TestDetectorFlagsElasticResponse(t *testing.T) {
 	if !d.Ready() {
 		t.Fatal("detector not ready after full window")
 	}
-	if !d.Elastic(100e6) {
+	if !d.ElasticGated(100e6, 0.2) {
 		t.Fatal("elastic cross traffic not detected")
 	}
 }
@@ -177,7 +177,7 @@ func TestDetectorIgnoresInelasticCross(t *testing.T) {
 		z := 50e6 + 2e6*r.NormFloat64()
 		d.AddSample(z)
 	}
-	if d.Elastic(100e6) {
+	if d.ElasticGated(100e6, 0.2) {
 		t.Fatal("inelastic cross traffic misclassified as elastic")
 	}
 }
@@ -188,7 +188,7 @@ func TestDetectorGatesOnCrossMagnitude(t *testing.T) {
 		tt := float64(i) / 100
 		d.AddSample(1e6 * math.Sin(2*math.Pi*5*tt))
 	}
-	if d.Elastic(100e6) {
+	if d.ElasticGated(100e6, 0.2) {
 		t.Fatal("negligible cross traffic (1% of mu) must not classify as elastic")
 	}
 }
@@ -201,7 +201,7 @@ func TestDetectorNotReadyBeforeFullWindow(t *testing.T) {
 	if d.Ready() {
 		t.Fatal("ready before window filled")
 	}
-	if d.Elastic(100e6) {
+	if d.ElasticGated(100e6, 0.2) {
 		t.Fatal("classified before window filled")
 	}
 }

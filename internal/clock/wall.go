@@ -50,13 +50,12 @@ type Wall struct {
 	start time.Time
 	rng   *rand.Rand
 
-	mu      sync.Mutex
-	events  wallHeap
-	seq     uint64
-	kick    chan struct{}
-	closed  bool
-	done    chan struct{}
-	running bool // dispatcher is currently executing a callback
+	mu     sync.Mutex
+	events wallHeap
+	seq    uint64
+	kick   chan struct{}
+	closed bool
+	done   chan struct{}
 }
 
 type wallEvent struct {
@@ -244,12 +243,8 @@ func (w *Wall) dispatch() {
 			}
 			t.pending = false
 		}
-		w.running = true
 		w.mu.Unlock()
 		ev.run()
-		w.mu.Lock()
-		w.running = false
-		w.mu.Unlock()
 	}
 }
 

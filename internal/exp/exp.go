@@ -56,84 +56,71 @@ func (p Params) Clone() Params {
 // Binder parses Params into typed values, remembering the first parse
 // failure so experiments can check once after binding everything.
 type Binder struct {
-	p   Params
-	err error
+	decl []Param
+	p    Params
+	err  error
 }
 
-// Bind wraps p for typed access.
-func Bind(p Params) *Binder { return &Binder{p: p} }
+// Bind wraps p for typed access to the params decl declares. A key
+// absent from p reads as its declared Default, parsed like any supplied
+// value, so the default an experiment documents is the one it runs with;
+// an empty Default is the type's zero value. Reading a name decl does
+// not declare panics.
+func Bind(decl []Param, p Params) *Binder { return &Binder{decl: decl, p: p} }
 
 // Err reports the first parse failure, or nil.
 func (b *Binder) Err() error { return b.err }
 
-func (b *Binder) fail(name, val, kind string, err error) {
-	if b.err == nil {
-		b.err = fmt.Errorf("exp: param %s=%q: bad %s: %v", name, val, kind, err)
+// bind resolves name to its supplied or default string and parses it.
+func bind[T any](b *Binder, name, kind string, parse func(string) (T, error)) T {
+	var zero T
+	def := b.declared(name)
+	v, ok := b.p[name]
+	if !ok {
+		if def == "" {
+			return zero
+		}
+		v = def
 	}
+	out, err := parse(v)
+	if err != nil {
+		if b.err == nil {
+			b.err = fmt.Errorf("exp: param %s=%q: bad %s: %v", name, v, kind, err)
+		}
+		return zero
+	}
+	return out
 }
 
-// String returns the named param or def when absent.
-func (b *Binder) String(name, def string) string {
-	if v, ok := b.p[name]; ok {
-		return v
+// declared returns name's declared default.
+func (b *Binder) declared(name string) string {
+	for _, d := range b.decl {
+		if d.Name == name {
+			return d.Default
+		}
 	}
-	return def
+	panic(fmt.Sprintf("exp: param %q read but not declared", name))
+}
+
+// String returns the named param.
+func (b *Binder) String(name string) string {
+	return bind(b, name, "string", func(v string) (string, error) { return v, nil })
 }
 
 // Int parses the named param as an integer.
-func (b *Binder) Int(name string, def int) int {
-	v, ok := b.p[name]
-	if !ok {
-		return def
-	}
-	n, err := strconv.Atoi(v)
-	if err != nil {
-		b.fail(name, v, "int", err)
-		return def
-	}
-	return n
-}
+func (b *Binder) Int(name string) int { return bind(b, name, "int", strconv.Atoi) }
 
 // Float parses the named param as a float (so "96e6" works for rates).
-func (b *Binder) Float(name string, def float64) float64 {
-	v, ok := b.p[name]
-	if !ok {
-		return def
-	}
-	f, err := strconv.ParseFloat(v, 64)
-	if err != nil {
-		b.fail(name, v, "float", err)
-		return def
-	}
-	return f
+func (b *Binder) Float(name string) float64 {
+	return bind(b, name, "float", func(v string) (float64, error) { return strconv.ParseFloat(v, 64) })
 }
 
 // Bool parses the named param as a boolean.
-func (b *Binder) Bool(name string, def bool) bool {
-	v, ok := b.p[name]
-	if !ok {
-		return def
-	}
-	t, err := strconv.ParseBool(v)
-	if err != nil {
-		b.fail(name, v, "bool", err)
-		return def
-	}
-	return t
-}
+func (b *Binder) Bool(name string) bool { return bind(b, name, "bool", strconv.ParseBool) }
 
 // Duration parses the named param as a time.Duration ("50ms").
-func (b *Binder) Duration(name string, def time.Duration) time.Duration {
-	v, ok := b.p[name]
-	if !ok {
-		return def
-	}
-	d, err := time.ParseDuration(v)
-	if err != nil {
-		b.fail(name, v, "duration", err)
-		return def
-	}
-	return d
+func (b *Binder) Duration(name string) time.Duration {
+	return bind(b, name, "duration", time.ParseDuration)
 }
 
 // Metric is one named scalar an experiment reports.

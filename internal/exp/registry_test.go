@@ -25,8 +25,8 @@ func (f fakeExp) Run(seed int64, p Params) (Result, error) {
 			return Result{}, err
 		}
 	}
-	b := Bind(p)
-	x := b.Float("x", 1)
+	b := Bind(f.Params(), p)
+	x := b.Float("x")
 	if err := b.Err(); err != nil {
 		return Result{}, err
 	}
@@ -238,17 +238,27 @@ func TestEmitCSV(t *testing.T) {
 }
 
 func TestBinderErrors(t *testing.T) {
-	b := Bind(Params{"n": "nope", "f": "1.5"})
-	if got := b.Float("f", 0); got != 1.5 {
+	decl := []Param{{Name: "n"}, {Name: "f"}, {Name: "missing", Default: "7"}, {Name: "frac"}}
+	b := Bind(decl, Params{"n": "nope", "f": "1.5"})
+	if got := b.Float("f"); got != 1.5 {
 		t.Errorf("Float = %v", got)
 	}
-	if got := b.Int("missing", 7); got != 7 {
-		t.Errorf("missing default = %v", got)
+	if got := b.Int("missing"); got != 7 {
+		t.Errorf("absent key = %v, want the declared default 7", got)
 	}
-	_ = b.Int("n", 0)
+	if got := b.Float("frac"); got != 0 || b.Err() != nil {
+		t.Errorf("empty default = %v (err %v), want the zero value", got, b.Err())
+	}
+	_ = b.Int("n")
 	if b.Err() == nil {
 		t.Error("Binder swallowed a parse error")
 	}
+	defer func() {
+		if recover() == nil {
+			t.Error("reading an undeclared param did not panic")
+		}
+	}()
+	b.Int("undeclared")
 }
 
 func TestTryRegisterReportsDuplicates(t *testing.T) {

@@ -79,16 +79,17 @@ func TestFluidSharesWithForegroundPackets(t *testing.T) {
 func TestFluidLoadSlowsSerialization(t *testing.T) {
 	drain := func(fluidBps float64) sim.Time {
 		eng := sim.NewEngine(3)
-		link, sink := mklink(eng, 96e6)
 		var last sim.Time
-		link.OnDelivery(func(p *pkt.Packet) { last = eng.Now() })
+		delivered := 0
+		dst := netem.ReceiverFunc(func(p *pkt.Packet) { delivered++; last = eng.Now(); pkt.Put(p) })
+		link := netem.NewLink(eng, "l", 96e6, 5*sim.Millisecond, qdisc.NewFIFO(200*pkt.MTU), dst)
 		link.SetFluidLoad(fluidBps, 0)
 		for i := 0; i < 100; i++ {
 			link.Receive(&pkt.Packet{Size: pkt.MTU})
 		}
 		eng.RunUntil(10 * sim.Second)
-		if sink.Count != 100 {
-			t.Fatalf("delivered %d of 100", sink.Count)
+		if delivered != 100 {
+			t.Fatalf("delivered %d of 100", delivered)
 		}
 		return last
 	}

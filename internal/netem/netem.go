@@ -79,7 +79,6 @@ type Link struct {
 	rejected      int
 	onDequeue     func(p *pkt.Packet, qdelay clock.Time)
 	onTransmitted func(p *pkt.Packet)
-	onDelivery    func(p *pkt.Packet)
 }
 
 // MinRate floors SetRate so a paced link can never stall entirely.
@@ -155,9 +154,6 @@ func linkTransmitted(a0, a1 any) {
 	}
 	dst, delay := l.dst, l.delay
 	if delay == 0 {
-		if l.onDelivery != nil {
-			l.onDelivery(p)
-		}
 		// Continue draining before delivering so the link never
 		// re-enters itself via synchronous feedback loops.
 		l.transmitNext()
@@ -170,11 +166,7 @@ func linkTransmitted(a0, a1 any) {
 
 // linkDeliver runs when a packet finishes propagating.
 func linkDeliver(a0, a1 any) {
-	l, p := a0.(*Link), a1.(*pkt.Packet)
-	if l.onDelivery != nil {
-		l.onDelivery(p)
-	}
-	l.dst.Receive(p)
+	a0.(*Link).dst.Receive(a1.(*pkt.Packet))
 }
 
 // SetRate changes the drain rate, clamped to MinRate. The packet currently
@@ -268,11 +260,6 @@ func (l *Link) OnDequeue(fn func(p *pkt.Packet, qdelay clock.Time)) { l.onDequeu
 // own serialization time — enormous at low pacing rates — into the
 // measured RTT and read as phantom queueing.
 func (l *Link) OnTransmitted(fn func(p *pkt.Packet)) { l.onTransmitted = fn }
-
-// OnDelivery registers a hook called as each packet finishes the link
-// (after propagation). Experiments use it to measure ground-truth receive
-// rate at the bottleneck.
-func (l *Link) OnDelivery(fn func(p *pkt.Packet)) { l.onDelivery = fn }
 
 // RateStep is one point of a piecewise-constant rate schedule: at virtual
 // time At (relative to when the schedule starts), the link's drain rate
@@ -476,46 +463,27 @@ func jitterDeliver(a0, a1 any) {
 	j.dst.Receive(p)
 }
 
-// BalanceMode selects how the load balancer spreads packets.
-type BalanceMode int
-
-// Load-balancing modes.
-const (
-	// BalanceFlowHash picks a path per flow (ECMP-style), the common case
-	// the paper's Scamper study observed at 26 % of IP hops.
-	BalanceFlowHash BalanceMode = iota
-	// BalancePacketRandom sprays packets uniformly, the most adversarial
-	// case for Bundler's measurements.
-	BalancePacketRandom
-)
-
-// LoadBalancer splits traffic across parallel paths. Each path is the head
-// of an independent chain (typically a Link with its own delay/queue) that
-// eventually converges on the same downstream receiver.
+// LoadBalancer splits traffic across parallel paths, picking one per flow
+// by hash (ECMP-style, the common case the paper's Scamper study observed
+// at 26 % of IP hops). Each path is the head of an independent chain
+// (typically a Link with its own delay/queue) that eventually converges
+// on the same downstream receiver.
 type LoadBalancer struct {
-	eng   clock.Clock
 	paths []Receiver
-	mode  BalanceMode
 	sent  []int
 }
 
 // NewLoadBalancer builds a balancer over the given paths.
-func NewLoadBalancer(eng clock.Clock, mode BalanceMode, paths ...Receiver) *LoadBalancer {
+func NewLoadBalancer(paths ...Receiver) *LoadBalancer {
 	if len(paths) == 0 {
 		panic("netem: load balancer needs at least one path")
 	}
-	return &LoadBalancer{eng: eng, paths: paths, mode: mode, sent: make([]int, len(paths))}
+	return &LoadBalancer{paths: paths, sent: make([]int, len(paths))}
 }
 
 // Receive implements Receiver.
 func (lb *LoadBalancer) Receive(p *pkt.Packet) {
-	var i int
-	switch lb.mode {
-	case BalancePacketRandom:
-		i = lb.eng.Rand().Intn(len(lb.paths))
-	default:
-		i = int(pkt.FlowHash(p, 0x9E3779B97F4A7C15) % uint64(len(lb.paths)))
-	}
+	i := int(pkt.FlowHash(p, 0x9E3779B97F4A7C15) % uint64(len(lb.paths)))
 	lb.sent[i]++
 	lb.paths[i].Receive(p)
 }

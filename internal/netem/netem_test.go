@@ -122,9 +122,9 @@ func TestLinkHooksFire(t *testing.T) {
 	eng := sim.NewEngine(1)
 	var deq, del int
 	var lastQDelay sim.Time
-	l := NewLink(eng, "l", 12e6, sim.Millisecond, qdisc.NewFIFO(1<<20), &Sink{})
+	dst := ReceiverFunc(func(p *pkt.Packet) { del++; pkt.Put(p) })
+	l := NewLink(eng, "l", 12e6, sim.Millisecond, qdisc.NewFIFO(1<<20), dst)
 	l.OnDequeue(func(p *pkt.Packet, qd sim.Time) { deq++; lastQDelay = qd })
-	l.OnDelivery(func(p *pkt.Packet) { del++ })
 	l.Receive(newpkt(1500))
 	l.Receive(newpkt(1500))
 	eng.Run()
@@ -201,7 +201,7 @@ func TestTapObservesAndForwards(t *testing.T) {
 func TestLoadBalancerFlowHashIsSticky(t *testing.T) {
 	eng := sim.NewEngine(1)
 	recs := []*recorder{{eng: eng}, {eng: eng}, {eng: eng}, {eng: eng}}
-	lb := NewLoadBalancer(eng, BalanceFlowHash, recs[0], recs[1], recs[2], recs[3])
+	lb := NewLoadBalancer(recs[0], recs[1], recs[2], recs[3])
 	// All packets of one flow must take the same path.
 	for i := 0; i < 50; i++ {
 		p := newpkt(100)
@@ -226,7 +226,7 @@ func TestLoadBalancerFlowHashIsSticky(t *testing.T) {
 func TestLoadBalancerSpreadsManyFlows(t *testing.T) {
 	eng := sim.NewEngine(1)
 	recs := []*recorder{{eng: eng}, {eng: eng}, {eng: eng}, {eng: eng}}
-	lb := NewLoadBalancer(eng, BalanceFlowHash, recs[0], recs[1], recs[2], recs[3])
+	lb := NewLoadBalancer(recs[0], recs[1], recs[2], recs[3])
 	for f := 0; f < 400; f++ {
 		p := newpkt(100)
 		p.Src = pkt.Addr{Host: 1, Port: uint16(f)}
@@ -236,22 +236,6 @@ func TestLoadBalancerSpreadsManyFlows(t *testing.T) {
 		if n < 50 || n > 150 {
 			t.Fatalf("path %d got %d of 400 flows, want ≈100", i, n)
 		}
-	}
-}
-
-func TestLoadBalancerRandomMode(t *testing.T) {
-	eng := sim.NewEngine(7)
-	recs := []*recorder{{eng: eng}, {eng: eng}}
-	lb := NewLoadBalancer(eng, BalancePacketRandom, recs[0], recs[1])
-	p := pkt.Addr{Host: 1, Port: 1}
-	for i := 0; i < 1000; i++ {
-		pp := newpkt(100)
-		pp.Src = p // same flow: random mode must still split it
-		lb.Receive(pp)
-	}
-	per := lb.SentPerPath()
-	if per[0] < 400 || per[0] > 600 {
-		t.Fatalf("random split %v, want ≈500/500", per)
 	}
 }
 

@@ -71,9 +71,9 @@ type SACKBlock struct{ Start, End int64 }
 //
 // Enqueue returning false does NOT drop: the packet was never accepted,
 // so it still belongs to the caller. Taps and hooks (netem.Tap,
-// OnDequeue/OnTransmitted/OnDelivery, Receivebox.Observe) borrow the
-// packet for the duration of the call and must not retain or release
-// it. Double release panics.
+// OnDequeue/OnTransmitted, Receivebox.Observe) borrow the packet for the
+// duration of the call and must not retain or release it. Double release
+// panics.
 type Packet struct {
 	// Header subset used by Bundler's epoch hash.
 	IPID uint16

@@ -46,6 +46,44 @@ func TestCoDelDropsPersistentQueue(t *testing.T) {
 	}
 }
 
+// The RFC 8289 form of the law, which CoDel shares with every FQCoDel
+// flow: the head behind the first drop of a dropping episode is evaluated
+// too, so when it is under target the interval clock restarts and the
+// episode ends with the next forwarded packet instead of resuming one
+// dropNext later.
+func TestCoDelFirstDropReevaluatesHead(t *testing.T) {
+	eng := sim.NewEngine(1)
+	c := NewCoDel(eng, 1000)
+	at := func(ms int) { eng.RunUntil(sim.Time(ms) * sim.Millisecond) }
+	enq := func(n int) (last *pkt.Packet) {
+		for i := 0; i < n; i++ {
+			last = mkpkt(0, pkt.MTU)
+			c.Enqueue(last)
+		}
+		return last
+	}
+	enq(2)
+	at(6)
+	c.Dequeue() // over target with a backlog: the interval clock starts
+	at(204)
+	fresh := enq(1)
+	at(205)
+	enq(2)
+	at(207)
+	if got := c.Dequeue(); got != fresh || c.Drops() != 1 {
+		t.Fatalf("two intervals over target: got %p with %d drops, want the fresh packet behind one drop", got, c.Drops())
+	}
+	at(215)
+	c.Dequeue()
+	at(216)
+	enq(2)
+	at(310) // past the first drop's dropNext (307 ms)
+	c.Dequeue()
+	if c.Drops() != 1 {
+		t.Fatalf("%d drops: the episode resumed although the head fell under target right after its first drop", c.Drops())
+	}
+}
+
 func TestCoDelHardLimit(t *testing.T) {
 	eng := sim.NewEngine(1)
 	c := NewCoDel(eng, 5)

@@ -41,14 +41,6 @@ const (
 	fqOld
 )
 
-type codelState struct {
-	firstAboveTime clock.Time
-	dropNext       clock.Time
-	dropCount      int
-	lastDropCount  int
-	dropping       bool
-}
-
 // NewFQCoDel returns an FQ-CoDel instance with RFC 8290 defaults.
 func NewFQCoDel(eng clock.Clock, nflows, limitPackets int) *FQCoDel {
 	if nflows <= 0 || limitPackets <= 0 {
@@ -138,7 +130,7 @@ func (f *FQCoDel) Dequeue() *pkt.Packet {
 			f.oldFlows = append(f.oldFlows, fi)
 			continue
 		}
-		p := f.codelDequeue(fl)
+		p := fl.codel.dequeue(&fl.pktQueue, f.eng.Now(), f.target, f.interval, f.drop)
 		if p == nil {
 			// Flow went empty: a new flow leaves the lists entirely; an
 			// old flow is removed (RFC 8290 would keep it briefly, a
@@ -154,91 +146,95 @@ func (f *FQCoDel) Dequeue() *pkt.Packet {
 	}
 }
 
-// codelDequeue runs the CoDel state machine for one flow, returning the
-// next packet to forward (dropping sojourn-time violators), or nil if the
-// flow has no packets left.
-func (f *FQCoDel) codelDequeue(fl *fqFlow) *pkt.Packet {
-	now := f.eng.Now()
-	c := &fl.codel
-	p, ok := f.codelShouldDrop(fl, now)
-	if !ok { // queue empty
+// drop releases a packet a flow's control law discarded (the queue owned
+// it) and updates the aggregate counters.
+func (f *FQCoDel) drop(p *pkt.Packet) {
+	f.count--
+	f.bytes -= p.Size
+	f.drops++
+	pkt.Put(p)
+}
+
+// codelState is the control law's state for one queue.
+type codelState struct {
+	firstAboveTime clock.Time
+	dropNext       clock.Time
+	dropCount      int
+	lastDropCount  int
+	dropping       bool
+}
+
+// dequeue runs the CoDel control law (RFC 8289 §5) over q, handing every
+// packet it discards to drop, and returns the next packet to forward or
+// nil if q has none left. It is the only implementation: CoDel runs it
+// over its single queue, FQCoDel over each flow's.
+func (c *codelState) dequeue(q *pktQueue, now, target, interval clock.Time, drop func(*pkt.Packet)) *pkt.Packet {
+	over, nonEmpty := c.okToDrop(q, now, target, interval)
+	if !nonEmpty {
 		c.dropping = false
 		return nil
 	}
 	if c.dropping {
-		if p == nil {
+		if !over {
 			c.dropping = false
-			return fl.pop()
+			return q.pop()
 		}
-		for now >= c.dropNext && c.dropping {
-			f.dropPacket(fl)
+		for now >= c.dropNext {
+			drop(q.pop())
 			c.dropCount++
-			p, ok = f.codelShouldDrop(fl, now)
-			if !ok {
+			over, nonEmpty = c.okToDrop(q, now, target, interval)
+			if !nonEmpty {
 				c.dropping = false
 				return nil
 			}
-			if p == nil {
+			if !over {
 				c.dropping = false
-				return fl.pop()
+				return q.pop()
 			}
-			c.dropNext = controlLaw(c.dropNext, f.interval, c.dropCount)
+			c.dropNext = controlLaw(c.dropNext, interval, c.dropCount)
 		}
-		return fl.pop()
+		return q.pop()
 	}
-	if p != nil && (now-c.dropNext < f.interval || now-c.firstAboveTime >= f.interval) {
+	if over && (now-c.dropNext < interval || now-c.firstAboveTime >= interval) {
 		// Enter dropping state.
-		f.dropPacket(fl)
+		drop(q.pop())
 		c.dropping = true
-		if now-c.dropNext < f.interval {
+		if now-c.dropNext < interval {
 			c.dropCount = max(c.dropCount-c.lastDropCount, 1)
 		} else {
 			c.dropCount = 1
 		}
-		c.dropNext = controlLaw(now, f.interval, c.dropCount)
+		c.dropNext = controlLaw(now, interval, c.dropCount)
 		c.lastDropCount = c.dropCount
-		np, ok := f.codelShouldDrop(fl, now)
-		if !ok {
+		// The head behind the first drop is evaluated too, so an emptied
+		// queue leaves the dropping state at once and firstAboveTime
+		// tracks the packet actually forwarded.
+		if _, nonEmpty = c.okToDrop(q, now, target, interval); !nonEmpty {
 			c.dropping = false
 			return nil
 		}
-		_ = np
-		return fl.pop()
 	}
-	return fl.pop()
+	return q.pop()
 }
 
-// dropPacket drops the flow head and updates aggregate counters.
-func (f *FQCoDel) dropPacket(fl *fqFlow) {
-	p := fl.pop()
-	f.count--
-	f.bytes -= p.Size
-	f.drops++
-	pkt.Put(p) // internal drop: the queue owned it
-}
-
-// codelShouldDrop evaluates the head packet's sojourn time. It returns
-// (head, true) when the head is above target long enough to be a drop
-// candidate, (nil, true) when below target, and (nil, false) when empty.
-func (f *FQCoDel) codelShouldDrop(fl *fqFlow, now clock.Time) (*pkt.Packet, bool) {
-	head := fl.peek()
+// okToDrop evaluates the head packet's sojourn time. over reports that
+// the head has been above target long enough to be a drop candidate;
+// nonEmpty is false when q holds nothing.
+func (c *codelState) okToDrop(q *pktQueue, now, target, interval clock.Time) (over, nonEmpty bool) {
+	head := q.peek()
 	if head == nil {
-		fl.codel.firstAboveTime = 0
-		return nil, false
+		c.firstAboveTime = 0
+		return false, false
 	}
-	sojourn := now - head.EnqueuedAt
-	if sojourn < f.target || fl.bytes <= pkt.MTU {
-		fl.codel.firstAboveTime = 0
-		return nil, true
+	if now-head.EnqueuedAt < target || q.bytes <= pkt.MTU {
+		c.firstAboveTime = 0
+		return false, true
 	}
-	if fl.codel.firstAboveTime == 0 {
-		fl.codel.firstAboveTime = now + f.interval
-		return nil, true
+	if c.firstAboveTime == 0 {
+		c.firstAboveTime = now + interval
+		return false, true
 	}
-	if now < fl.codel.firstAboveTime {
-		return nil, true
-	}
-	return head, true
+	return now >= c.firstAboveTime, true
 }
 
 func controlLaw(t, interval clock.Time, count int) clock.Time {

@@ -5,10 +5,11 @@
 //
 // The interface mirrors the Linux qdisc contract the paper's prototype
 // patches into tc: enqueue (possibly dropping), dequeue, and occupancy
-// introspection. Queues that make time-based decisions (CoDel) receive the
-// simulation engine at construction. Capacity limits are bytes for FIFO,
-// RED, and Prio, packets for the flow-queueing disciplines — each
-// constructor documents which.
+// introspection. Queues that make time-based decisions receive the
+// simulation engine at construction; CoDel's control law exists once
+// (codelState.dequeue), run by CoDel over its queue and by FQCoDel over
+// each flow's. Capacity limits are bytes for FIFO, RED, and Prio, packets
+// for the flow-queueing disciplines — each constructor documents which.
 package qdisc
 
 import "bundler/internal/pkt"
@@ -64,6 +65,3 @@ func (f *FIFO) Bytes() int { return f.bytes }
 
 // Drops implements Qdisc.
 func (f *FIFO) Drops() int { return f.drops }
-
-// Limit reports the byte limit.
-func (f *FIFO) Limit() int { return f.limit }

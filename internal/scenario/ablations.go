@@ -137,9 +137,9 @@ func tunnelAblation(seed int64, tunnel bool) (matched, goodputMbps float64) {
 	return matchedFrac(site.SB), float64(snd.Acked()) * 8 / ablationDur.Seconds() / 1e6
 }
 
-func (ablationsExp) Run(seed int64, p exp.Params) (exp.Result, error) {
-	b := exp.Bind(p)
-	requests := b.Int("requests", 15000)
+func (e ablationsExp) Run(seed int64, p exp.Params) (exp.Result, error) {
+	b := exp.Bind(e.Params(), p)
+	requests := b.Int("requests")
 	if err := b.Err(); err != nil {
 		return exp.Result{}, err
 	}

@@ -3,7 +3,6 @@ package scenario
 import (
 	"fmt"
 	"strings"
-	"time"
 
 	"bundler/internal/exp"
 	"bundler/internal/pkt"
@@ -114,9 +113,9 @@ func (fig56Exp) Params() []exp.Param {
 	return []exp.Param{{Name: "dur", Default: "20s", Help: "virtual time per (delay, rate) config"}}
 }
 
-func (fig56Exp) Run(seed int64, p exp.Params) (exp.Result, error) {
-	b := exp.Bind(p)
-	dur := sim.FromSeconds(b.Duration("dur", 20*time.Second).Seconds())
+func (e fig56Exp) Run(seed int64, p exp.Params) (exp.Result, error) {
+	b := exp.Bind(e.Params(), p)
+	dur := sim.FromSeconds(b.Duration("dur").Seconds())
 	if err := b.Err(); err != nil {
 		return exp.Result{}, err
 	}

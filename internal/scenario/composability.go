@@ -3,7 +3,6 @@ package scenario
 import (
 	"fmt"
 	"strings"
-	"time"
 
 	"bundler/internal/bundle"
 	"bundler/internal/exp"
@@ -158,9 +157,9 @@ func (hierExp) Params() []exp.Param {
 	return []exp.Param{{Name: "dur", Default: "30s", Help: "run duration (virtual time)"}}
 }
 
-func (hierExp) Run(seed int64, p exp.Params) (exp.Result, error) {
-	b := exp.Bind(p)
-	dur := sim.FromSeconds(b.Duration("dur", 30*time.Second).Seconds())
+func (e hierExp) Run(seed int64, p exp.Params) (exp.Result, error) {
+	b := exp.Bind(e.Params(), p)
+	dur := sim.FromSeconds(b.Duration("dur").Seconds())
 	if err := b.Err(); err != nil {
 		return exp.Result{}, err
 	}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"time"
 
 	"bundler/internal/bundle"
 	"bundler/internal/exp"
@@ -390,19 +389,19 @@ func (fctExp) Metadata() map[string]string {
 	return map[string]string{"paper": "§7.1", "figure": "9 (single point)"}
 }
 
-func (fctExp) Run(seed int64, p exp.Params) (exp.Result, error) {
-	b := exp.Bind(p)
+func (e fctExp) Run(seed int64, p exp.Params) (exp.Result, error) {
+	b := exp.Bind(e.Params(), p)
 	var (
-		mode     = b.String("mode", "bundler")
-		alg      = b.String("alg", "copa")
-		sched    = b.String("sched", "sfq")
-		endhost  = b.String("endhost", "cubic")
-		rate     = b.Float("rate", 96e6)
-		rtt      = b.Duration("rtt", 50*time.Millisecond)
-		load     = b.Float("load", 84e6)
-		loadfrac = b.Float("loadfrac", 0)
-		requests = b.Int("requests", 10000)
-		tunnel   = b.Bool("tunnel", false)
+		mode     = b.String("mode")
+		alg      = b.String("alg")
+		sched    = b.String("sched")
+		endhost  = b.String("endhost")
+		rate     = b.Float("rate")
+		rtt      = b.Duration("rtt")
+		load     = b.Float("load")
+		loadfrac = b.Float("loadfrac")
+		requests = b.Int("requests")
+		tunnel   = b.Bool("tunnel")
 	)
 	if err := b.Err(); err != nil {
 		return exp.Result{}, err
@@ -459,9 +458,9 @@ func (fig9Exp) Metadata() map[string]string {
 	return map[string]string{"paper": "§7.1", "figure": "9"}
 }
 
-func (fig9Exp) Run(seed int64, p exp.Params) (exp.Result, error) {
-	b := exp.Bind(p)
-	requests := b.Int("requests", 15000)
+func (e fig9Exp) Run(seed int64, p exp.Params) (exp.Result, error) {
+	b := exp.Bind(e.Params(), p)
+	requests := b.Int("requests")
 	if err := b.Err(); err != nil {
 		return exp.Result{}, err
 	}
@@ -483,9 +482,9 @@ func (fig11Exp) Desc() string {
 }
 func (fig11Exp) Params() []exp.Param { return []exp.Param{requestsParam("15000")} }
 
-func (fig11Exp) Run(seed int64, p exp.Params) (exp.Result, error) {
-	b := exp.Bind(p)
-	requests := b.Int("requests", 15000)
+func (e fig11Exp) Run(seed int64, p exp.Params) (exp.Result, error) {
+	b := exp.Bind(e.Params(), p)
+	requests := b.Int("requests")
 	if err := b.Err(); err != nil {
 		return exp.Result{}, err
 	}
@@ -542,9 +541,9 @@ func (fig13Exp) Desc() string {
 }
 func (fig13Exp) Params() []exp.Param { return []exp.Param{requestsParam("15000")} }
 
-func (fig13Exp) Run(seed int64, p exp.Params) (exp.Result, error) {
-	b := exp.Bind(p)
-	requests := b.Int("requests", 15000)
+func (e fig13Exp) Run(seed int64, p exp.Params) (exp.Result, error) {
+	b := exp.Bind(e.Params(), p)
+	requests := b.Int("requests")
 	if err := b.Err(); err != nil {
 		return exp.Result{}, err
 	}
@@ -573,9 +572,9 @@ func (fig14Exp) Desc() string {
 }
 func (fig14Exp) Params() []exp.Param { return []exp.Param{requestsParam("15000")} }
 
-func (fig14Exp) Run(seed int64, p exp.Params) (exp.Result, error) {
-	b := exp.Bind(p)
-	requests := b.Int("requests", 15000)
+func (e fig14Exp) Run(seed int64, p exp.Params) (exp.Result, error) {
+	b := exp.Bind(e.Params(), p)
+	requests := b.Int("requests")
 	if err := b.Err(); err != nil {
 		return exp.Result{}, err
 	}
@@ -597,9 +596,9 @@ func (fig15Exp) Desc() string {
 }
 func (fig15Exp) Params() []exp.Param { return []exp.Param{requestsParam("15000")} }
 
-func (fig15Exp) Run(seed int64, p exp.Params) (exp.Result, error) {
-	b := exp.Bind(p)
-	requests := b.Int("requests", 15000)
+func (e fig15Exp) Run(seed int64, p exp.Params) (exp.Result, error) {
+	b := exp.Bind(e.Params(), p)
+	requests := b.Int("requests")
 	if err := b.Err(); err != nil {
 		return exp.Result{}, err
 	}
@@ -621,9 +620,9 @@ func (sec74Exp) Desc() string {
 }
 func (sec74Exp) Params() []exp.Param { return []exp.Param{requestsParam("15000")} }
 
-func (sec74Exp) Run(seed int64, p exp.Params) (exp.Result, error) {
-	b := exp.Bind(p)
-	requests := b.Int("requests", 15000)
+func (e sec74Exp) Run(seed int64, p exp.Params) (exp.Result, error) {
+	b := exp.Bind(e.Params(), p)
+	requests := b.Int("requests")
 	if err := b.Err(); err != nil {
 		return exp.Result{}, err
 	}

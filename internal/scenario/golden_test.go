@@ -40,6 +40,16 @@ var goldenCases = []struct {
 	// rehash-on-perturbation behavior byte for byte.
 	{name: "mesh2", exp: "mesh", seed: 1, params: exp.Params{
 		"sites": "2", "requests": "400", "perturb": "250ms"}},
+	// Multipath detection (ends disabled at 73 % out-of-order) and the
+	// load balancer in front of a Sendbox.
+	{name: "fig7", exp: "fig7", seed: 1, params: exp.Params{"dur": "10s"}},
+	{name: "sec76", exp: "sec76", seed: 1, params: exp.Params{"dur": "3s"}},
+	{name: "sec72", exp: "sec72", seed: 1, params: exp.Params{
+		"requests": "4000", "dur": "10s"}},
+	// Large enough that the Sendbox's CoDel and FQ-CoDel each drop
+	// hundreds of packets (Drops() 661 and 726; at 1 200 requests CoDel
+	// drops 8), so the one CoDel law both run is pinned while dropping.
+	{name: "policies", exp: "policies", seed: 1, params: exp.Params{"requests": "6000"}},
 }
 
 // TestGolden asserts that experiment output is byte-identical to the

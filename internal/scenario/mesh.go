@@ -3,7 +3,6 @@ package scenario
 import (
 	"fmt"
 	"strings"
-	"time"
 
 	"bundler/internal/bundle"
 	"bundler/internal/clock"
@@ -554,19 +553,19 @@ func (meshExp) Metadata() map[string]string {
 	return map[string]string{"paper": "§9", "figure": "mesh scale-out (extension)"}
 }
 
-func (meshExp) Run(seed int64, p exp.Params) (exp.Result, error) {
-	b := exp.Bind(p)
+func (e meshExp) Run(seed int64, p exp.Params) (exp.Result, error) {
+	b := exp.Bind(e.Params(), p)
 	var (
-		sites    = b.Int("sites", 4)
-		mode     = b.String("mode", "hub")
-		requests = b.Int("requests", 300)
-		rate     = b.Float("rate", 96e6)
-		load     = b.Float("load", 0)
-		perturb  = b.Duration("perturb", 2*time.Second)
-		jitter   = b.Duration("jitter", 0)
-		ordered  = b.Bool("jitterordered", true)
-		users    = b.Int("users", 0)
-		sketch   = b.String("sketch", "auto")
+		sites    = b.Int("sites")
+		mode     = b.String("mode")
+		requests = b.Int("requests")
+		rate     = b.Float("rate")
+		load     = b.Float("load")
+		perturb  = b.Duration("perturb")
+		jitter   = b.Duration("jitter")
+		ordered  = b.Bool("jitterordered")
+		users    = b.Int("users")
+		sketch   = b.String("sketch")
 	)
 	if err := b.Err(); err != nil {
 		return exp.Result{}, err

@@ -3,7 +3,6 @@ package scenario
 import (
 	"fmt"
 	"strings"
-	"time"
 
 	"bundler/internal/bundle"
 	"bundler/internal/exp"
@@ -17,22 +16,12 @@ import (
 
 // MultipathNet is a dumbbell whose bottleneck is a set of load-balanced
 // parallel paths with (optionally) imbalanced delays — the §5.2 / §7.6
-// topology.
+// topology: a Fabric whose one bundled Site forwards into the balancer.
 type MultipathNet struct {
-	Eng     *sim.Engine
-	MuxA    *tcp.Mux
-	MuxB    *tcp.Mux
-	Demux   *netem.Demux
-	Reverse *netem.Link
-	LB      *netem.LoadBalancer
-	Paths   []*netem.Link
-	SB      *bundle.Sendbox
-	RB      *bundle.Receivebox
-
-	linkRate float64
-	rtt      sim.Time
-	nextHost uint32
-	flowID   uint64
+	Fabric
+	*Site
+	LB    *netem.LoadBalancer
+	Paths []*netem.Link
 }
 
 // NewMultipathNet builds the topology: totalRate is split evenly across
@@ -40,18 +29,11 @@ type MultipathNet struct {
 // With skew 0 the paths are balanced.
 func NewMultipathNet(seed int64, totalRate float64, rtt sim.Time, nPaths int, skew sim.Time, bcfg *bundle.Config) *MultipathNet {
 	eng := sim.NewEngine(seed)
-	m := &MultipathNet{
-		Eng: eng, MuxA: tcp.NewMux(), MuxB: tcp.NewMux(), Demux: netem.NewDemux(),
-		linkRate: totalRate, rtt: rtt, nextHost: 1 << 16,
-	}
+	m := &MultipathNet{Fabric: *NewFabric(eng)}
 	m.Reverse = netem.NewLink(eng, "reverse", 10e9, rtt/2, qdisc.NewFIFO(1<<26), m.MuxA)
 	if bcfg == nil {
 		bcfg = DefaultBundleConfig()
 	}
-	sbCtl := pkt.Addr{Host: 1 << 30, Port: 1}
-	rbCtl := pkt.Addr{Host: 1 << 30, Port: 2}
-	m.RB = bundle.NewReceivebox(eng, m.Reverse, rbCtl, sbCtl, bcfg.InitialEpochN)
-	m.Demux.Default = netem.NewTap(m.RB.Observe, m.MuxB)
 	perPath := totalRate / float64(nPaths)
 	buf := 2 * int(perPath/8*rtt.Seconds())
 	if buf < 40*pkt.MTU {
@@ -64,26 +46,9 @@ func NewMultipathNet(seed int64, totalRate float64, rtt sim.Time, nPaths int, sk
 		m.Paths = append(m.Paths, l)
 		heads = append(heads, l)
 	}
-	m.LB = netem.NewLoadBalancer(eng, netem.BalanceFlowHash, heads...)
-	m.SB = bundle.NewSendbox(eng, *bcfg, m.LB, sbCtl, rbCtl)
-	m.MuxA.Register(sbCtl, m.SB)
-	m.MuxB.Register(rbCtl, m.RB)
+	m.LB = netem.NewLoadBalancer(heads...)
+	m.Site = m.AddSiteAt(m.LB, bcfg)
 	return m
-}
-
-// AddFlow starts a bundled transfer across the multipath bottleneck.
-func (m *MultipathNet) AddFlow(size int64, cc tcp.Congestion) *tcp.Sender {
-	src := pkt.Addr{Host: m.nextHost, Port: 5000}
-	m.nextHost++
-	dst := pkt.Addr{Host: m.nextHost, Port: 80}
-	m.nextHost++
-	m.flowID++
-	snd := tcp.NewSender(m.Eng, m.SB, src, dst, m.flowID, size, cc, nil)
-	rcv := tcp.NewReceiver(m.Eng, m.Reverse, dst, src, m.flowID, size, nil)
-	m.MuxA.Register(src, snd)
-	m.MuxB.Register(dst, rcv)
-	snd.Start()
-	return snd
 }
 
 // Fig7Result holds the multipath-visibility timeline: per-path true RTTs
@@ -107,7 +72,7 @@ type Fig7Result struct {
 func RunFig7(seed int64, dur sim.Time) Fig7Result {
 	m := NewMultipathNet(seed, 96e6, 10*sim.Millisecond, 4, 60*sim.Millisecond, nil)
 	for i := 0; i < 40; i++ {
-		m.AddFlow(1<<40, tcp.NewCubic())
+		m.AddFlow(1<<40, tcp.NewCubic(), nil)
 	}
 	res := Fig7Result{PathRTTms: make([]stats.TimeSeries, len(m.Paths))}
 	m.Eng.Tick(100*sim.Millisecond, func() {
@@ -151,7 +116,7 @@ func RunSec76(seed int64, dur sim.Time) []Sec76Point {
 				}
 				m := NewMultipathNet(seed, rate, rtt, paths, skew, nil)
 				for i := 0; i < 40; i++ {
-					m.AddFlow(1<<40, tcp.NewCubic())
+					m.AddFlow(1<<40, tcp.NewCubic(), nil)
 				}
 				m.Eng.RunUntil(dur)
 				m.SB.Stop()
@@ -181,9 +146,9 @@ func (fig7Exp) Params() []exp.Param {
 	return []exp.Param{{Name: "dur", Default: "20s", Help: "run duration (virtual time)"}}
 }
 
-func (fig7Exp) Run(seed int64, p exp.Params) (exp.Result, error) {
-	b := exp.Bind(p)
-	dur := sim.FromSeconds(b.Duration("dur", 20*time.Second).Seconds())
+func (e fig7Exp) Run(seed int64, p exp.Params) (exp.Result, error) {
+	b := exp.Bind(e.Params(), p)
+	dur := sim.FromSeconds(b.Duration("dur").Seconds())
 	if err := b.Err(); err != nil {
 		return exp.Result{}, err
 	}
@@ -215,9 +180,9 @@ func (sec76Exp) Params() []exp.Param {
 	return []exp.Param{{Name: "dur", Default: "10s", Help: "virtual time per configuration"}}
 }
 
-func (sec76Exp) Run(seed int64, p exp.Params) (exp.Result, error) {
-	b := exp.Bind(p)
-	dur := sim.FromSeconds(b.Duration("dur", 10*time.Second).Seconds())
+func (e sec76Exp) Run(seed int64, p exp.Params) (exp.Result, error) {
+	b := exp.Bind(e.Params(), p)
+	dur := sim.FromSeconds(b.Duration("dur").Seconds())
 	if err := b.Err(); err != nil {
 		return exp.Result{}, err
 	}

@@ -3,7 +3,6 @@ package scenario
 import (
 	"fmt"
 	"strings"
-	"time"
 
 	"bundler/internal/bundle"
 	"bundler/internal/exp"
@@ -117,10 +116,10 @@ func (sec72Exp) Params() []exp.Param {
 	}
 }
 
-func (sec72Exp) Run(seed int64, p exp.Params) (exp.Result, error) {
-	b := exp.Bind(p)
-	requests := b.Int("requests", 15000)
-	dur := sim.FromSeconds(b.Duration("dur", 20*time.Second).Seconds())
+func (e sec72Exp) Run(seed int64, p exp.Params) (exp.Result, error) {
+	b := exp.Bind(e.Params(), p)
+	requests := b.Int("requests")
+	dur := sim.FromSeconds(b.Duration("dur").Seconds())
 	if err := b.Err(); err != nil {
 		return exp.Result{}, err
 	}

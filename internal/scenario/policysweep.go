@@ -43,7 +43,7 @@ func RunPolicySweep(seed int64, requests int) []PolicyRow {
 		}
 		rec := site.RunOpenLoop(Traffic{OfferedBps: 84e6, Requests: requests,
 			Warmup: 2 * sim.Second})
-		horizon := n.RunUntilDone(600*sim.Second, func() bool {
+		n.RunUntilDone(600*sim.Second, func() bool {
 			return rec.Completed >= requests
 		})
 		site.SB.Stop()
@@ -55,7 +55,6 @@ func RunPolicySweep(seed int64, requests int) []PolicyRow {
 				}
 			}
 		}
-		_ = horizon
 		out = append(out, PolicyRow{
 			Policy:         pol,
 			MedianSlowdown: rec.Slowdowns.Median(),
@@ -78,9 +77,9 @@ func (policiesExp) Desc() string {
 }
 func (policiesExp) Params() []exp.Param { return []exp.Param{requestsParam("15000")} }
 
-func (policiesExp) Run(seed int64, p exp.Params) (exp.Result, error) {
-	b := exp.Bind(p)
-	requests := b.Int("requests", 15000)
+func (e policiesExp) Run(seed int64, p exp.Params) (exp.Result, error) {
+	b := exp.Bind(e.Params(), p)
+	requests := b.Int("requests")
 	if err := b.Err(); err != nil {
 		return exp.Result{}, err
 	}

@@ -2,11 +2,13 @@ package scenario
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"bundler/internal/bundle"
 	"bundler/internal/exp"
 	"bundler/internal/sim"
+	"bundler/internal/stats"
 	"bundler/internal/tcp"
 	"bundler/internal/workload"
 )
@@ -256,7 +258,7 @@ func TestSec76Separation(t *testing.T) {
 		}
 		m := NewMultipathNet(1, 48e6, 100*sim.Millisecond, paths, skew, nil)
 		for i := 0; i < 40; i++ {
-			m.AddFlow(1<<40, tcp.NewCubic())
+			m.AddFlow(1<<40, tcp.NewCubic(), nil)
 		}
 		m.Eng.RunUntil(15 * sim.Second)
 		m.SB.Stop()
@@ -433,5 +435,36 @@ func TestAblationsExperiment(t *testing.T) {
 	}
 	if len(res.Metrics) != 13 {
 		t.Errorf("%d metrics reported, want 13", len(res.Metrics))
+	}
+}
+
+func TestWriteTimeSeries(t *testing.T) {
+	var a, b stats.TimeSeries
+	a.Add(sim.Second, 1)
+	a.Add(2*sim.Second, 2)
+	b.Add(500*sim.Millisecond, 9)
+	var out strings.Builder
+	if err := writeTimeSeries(&out, []string{"queue", "rate"}, []*stats.TimeSeries{&a, &b}); err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimSpace(out.String()), "\n")
+	if len(lines) != 3 {
+		t.Fatalf("got %d lines, want header + 2 rows:\n%s", len(lines), out.String())
+	}
+	if lines[0] != "queue_t,queue_v,rate_t,rate_v" {
+		t.Fatalf("header = %q", lines[0])
+	}
+	if !strings.HasPrefix(lines[1], "1.000000,1.000000,0.500000,9.000000") {
+		t.Fatalf("row 1 = %q", lines[1])
+	}
+	if !strings.HasSuffix(lines[2], ",,") {
+		t.Fatalf("short series not padded: %q", lines[2])
+	}
+}
+
+func TestWriteTimeSeriesLengthMismatch(t *testing.T) {
+	var out strings.Builder
+	if err := writeTimeSeries(&out, []string{"a"}, nil); err == nil {
+		t.Fatal("no error for mismatched names/series")
 	}
 }

@@ -2,15 +2,14 @@ package scenario
 
 import (
 	"fmt"
+	"io"
 	"strings"
-	"time"
 
 	"bundler/internal/clock"
 	"bundler/internal/exp"
 	"bundler/internal/sim"
 	"bundler/internal/stats"
 	"bundler/internal/tcp"
-	"bundler/internal/trace"
 	"bundler/internal/workload"
 )
 
@@ -190,10 +189,10 @@ func (fig2Exp) Params() []exp.Param {
 	}
 }
 
-func (fig2Exp) Run(seed int64, p exp.Params) (exp.Result, error) {
-	b := exp.Bind(p)
-	dur := sim.FromSeconds(b.Duration("dur", 30*time.Second).Seconds())
-	artifacts := b.Bool("artifacts", false)
+func (e fig2Exp) Run(seed int64, p exp.Params) (exp.Result, error) {
+	b := exp.Bind(e.Params(), p)
+	dur := sim.FromSeconds(b.Duration("dur").Seconds())
+	artifacts := b.Bool("artifacts")
 	if err := b.Err(); err != nil {
 		return exp.Result{}, err
 	}
@@ -220,7 +219,7 @@ func (fig2Exp) Run(seed int64, p exp.Params) (exp.Result, error) {
 
 	if artifacts {
 		var csv strings.Builder
-		if err := trace.WriteTimeSeries(&csv,
+		if err := writeTimeSeries(&csv,
 			[]string{"statusquo_bottleneck_ms", "bundler_bottleneck_ms", "bundler_sendbox_ms"},
 			[]*stats.TimeSeries{&res.StatusQuoBottleneck, &res.BundlerBottleneck, &res.BundlerSendbox}); err != nil {
 			return exp.Result{}, err
@@ -239,9 +238,9 @@ func (fig10Exp) Desc() string {
 }
 func (fig10Exp) Params() []exp.Param { return []exp.Param{artifactsParam()} }
 
-func (fig10Exp) Run(seed int64, p exp.Params) (exp.Result, error) {
-	b := exp.Bind(p)
-	artifacts := b.Bool("artifacts", false)
+func (e fig10Exp) Run(seed int64, p exp.Params) (exp.Result, error) {
+	b := exp.Bind(e.Params(), p)
+	artifacts := b.Bool("artifacts")
 	if err := b.Err(); err != nil {
 		return exp.Result{}, err
 	}
@@ -265,7 +264,7 @@ func (fig10Exp) Run(seed int64, p exp.Params) (exp.Result, error) {
 
 	if artifacts {
 		var csv strings.Builder
-		if err := trace.WriteTimeSeries(&csv,
+		if err := writeTimeSeries(&csv,
 			[]string{"bundle_mbps", "cross_mbps", "queue_ms", "mode"},
 			[]*stats.TimeSeries{&res.BundleTput, &res.CrossTput, &res.QueueMs, &res.Mode}); err != nil {
 			return exp.Result{}, err
@@ -273,4 +272,41 @@ func (fig10Exp) Run(seed int64, p exp.Params) (exp.Result, error) {
 		out.Artifacts = append(out.Artifacts, exp.Artifact{Name: "fig10_timeline.csv", Data: csv.String()})
 	}
 	return out, nil
+}
+
+// writeTimeSeries writes one or more aligned-by-row time series as CSV
+// for external plotting: a time column (seconds of virtual time) per
+// series followed by its values. Series may have different lengths;
+// short columns are left empty.
+func writeTimeSeries(w io.Writer, names []string, series []*stats.TimeSeries) error {
+	if len(names) != len(series) {
+		return fmt.Errorf("scenario: %d names for %d series", len(names), len(series))
+	}
+	header := make([]string, 0, 2*len(names))
+	rows := 0
+	for i, n := range names {
+		header = append(header, n+"_t", n+"_v")
+		if series[i].N() > rows {
+			rows = series[i].N()
+		}
+	}
+	if _, err := fmt.Fprintln(w, strings.Join(header, ",")); err != nil {
+		return err
+	}
+	for r := 0; r < rows; r++ {
+		cells := make([]string, 0, 2*len(series))
+		for _, s := range series {
+			if r < s.N() {
+				cells = append(cells,
+					fmt.Sprintf("%.6f", s.T[r].Seconds()),
+					fmt.Sprintf("%.6f", s.V[r]))
+			} else {
+				cells = append(cells, "", "")
+			}
+		}
+		if _, err := fmt.Fprintln(w, strings.Join(cells, ",")); err != nil {
+			return err
+		}
+	}
+	return nil
 }

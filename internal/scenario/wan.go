@@ -3,7 +3,6 @@ package scenario
 import (
 	"fmt"
 	"strings"
-	"time"
 
 	"bundler/internal/exp"
 	"bundler/internal/sim"
@@ -130,9 +129,9 @@ func (fig16Exp) Params() []exp.Param {
 	return []exp.Param{{Name: "dur", Default: "15s", Help: "virtual time per path and configuration"}}
 }
 
-func (fig16Exp) Run(seed int64, p exp.Params) (exp.Result, error) {
-	b := exp.Bind(p)
-	dur := sim.FromSeconds(b.Duration("dur", 15*time.Second).Seconds())
+func (e fig16Exp) Run(seed int64, p exp.Params) (exp.Result, error) {
+	b := exp.Bind(e.Params(), p)
+	dur := sim.FromSeconds(b.Duration("dur").Seconds())
 	if err := b.Err(); err != nil {
 		return exp.Result{}, err
 	}

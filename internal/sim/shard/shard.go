@@ -143,9 +143,6 @@ func (w *World) AddPart(seed int64) *Part {
 	return pa
 }
 
-// Parts returns the number of partitions.
-func (w *World) Parts() int { return len(w.parts) }
-
 // SetShards sets how many worker goroutines drive the partitions
 // (partition i runs on worker i mod shards). Values are clamped to
 // [1, partitions]. The shard count affects scheduling only — never

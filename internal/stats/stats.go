@@ -297,65 +297,6 @@ func (s Summary) String() string {
 		s.N, s.Mean, s.P10, s.P50, s.P90, s.P99)
 }
 
-// Histogram buckets observations into fixed-width bins over [lo, hi);
-// out-of-range values land in the edge bins.
-type Histogram struct {
-	lo, hi float64
-	bins   []int
-	n      int
-}
-
-// NewHistogram builds a histogram with nbins bins spanning [lo, hi).
-func NewHistogram(lo, hi float64, nbins int) *Histogram {
-	if hi <= lo || nbins <= 0 {
-		panic("stats: invalid histogram bounds")
-	}
-	return &Histogram{lo: lo, hi: hi, bins: make([]int, nbins)}
-}
-
-// Add records v.
-func (h *Histogram) Add(v float64) {
-	i := int((v - h.lo) / (h.hi - h.lo) * float64(len(h.bins)))
-	if i < 0 {
-		i = 0
-	}
-	if i >= len(h.bins) {
-		i = len(h.bins) - 1
-	}
-	h.bins[i]++
-	h.n++
-}
-
-// PDF returns the normalized density per bin (sums to 1 over all bins).
-func (h *Histogram) PDF() []float64 {
-	out := make([]float64, len(h.bins))
-	if h.n == 0 {
-		return out
-	}
-	for i, c := range h.bins {
-		out[i] = float64(c) / float64(h.n)
-	}
-	return out
-}
-
-// Reset zeroes all bins, keeping the configuration, for reuse across
-// runs.
-func (h *Histogram) Reset() {
-	for i := range h.bins {
-		h.bins[i] = 0
-	}
-	h.n = 0
-}
-
-// BinCenter returns the midpoint value of bin i.
-func (h *Histogram) BinCenter(i int) float64 {
-	w := (h.hi - h.lo) / float64(len(h.bins))
-	return h.lo + w*(float64(i)+0.5)
-}
-
-// N reports total observations.
-func (h *Histogram) N() int { return h.n }
-
 // TimeSeries records (virtual time, value) pairs.
 type TimeSeries struct {
 	T []sim.Time
@@ -366,27 +307,6 @@ type TimeSeries struct {
 func (ts *TimeSeries) Add(t sim.Time, v float64) {
 	ts.T = append(ts.T, t)
 	ts.V = append(ts.V, v)
-}
-
-// Reserve grows both columns to hold at least n points (see
-// Sample.Reserve).
-func (ts *TimeSeries) Reserve(n int) {
-	if cap(ts.T) < n {
-		t := make([]sim.Time, len(ts.T), n)
-		copy(t, ts.T)
-		ts.T = t
-	}
-	if cap(ts.V) < n {
-		v := make([]float64, len(ts.V), n)
-		copy(v, ts.V)
-		ts.V = v
-	}
-}
-
-// Reset discards all points but keeps the buffers for reuse.
-func (ts *TimeSeries) Reset() {
-	ts.T = ts.T[:0]
-	ts.V = ts.V[:0]
 }
 
 // N reports the number of points.
@@ -405,22 +325,6 @@ func (ts *TimeSeries) MeanOver(from, to sim.Time) float64 {
 		return math.NaN()
 	}
 	return sum / float64(n)
-}
-
-// MaxOver returns the maximum over [from, to), or NaN if none.
-func (ts *TimeSeries) MaxOver(from, to sim.Time) float64 {
-	best, any := 0.0, false
-	for i, t := range ts.T {
-		if t >= from && t < to {
-			if !any || ts.V[i] > best {
-				best, any = ts.V[i], true
-			}
-		}
-	}
-	if !any {
-		return math.NaN()
-	}
-	return best
 }
 
 // RateCounter converts cumulative byte counts into a windowed throughput

@@ -145,37 +145,6 @@ func TestPropertyMedianMatchesSort(t *testing.T) {
 	}
 }
 
-func TestHistogramPDFSumsToOne(t *testing.T) {
-	h := NewHistogram(-10, 10, 20)
-	r := rand.New(rand.NewSource(1))
-	for i := 0; i < 10000; i++ {
-		h.Add(r.NormFloat64() * 3)
-	}
-	sum := 0.0
-	for _, p := range h.PDF() {
-		sum += p
-	}
-	if math.Abs(sum-1) > 1e-9 {
-		t.Fatalf("PDF sums to %v", sum)
-	}
-	if h.N() != 10000 {
-		t.Fatalf("N = %d", h.N())
-	}
-}
-
-func TestHistogramEdgeClamping(t *testing.T) {
-	h := NewHistogram(0, 10, 10)
-	h.Add(-5)
-	h.Add(50)
-	pdf := h.PDF()
-	if pdf[0] != 0.5 || pdf[9] != 0.5 {
-		t.Fatalf("edge bins %v, want 0.5 at both ends", pdf)
-	}
-	if got := h.BinCenter(0); got != 0.5 {
-		t.Fatalf("BinCenter(0) = %v, want 0.5", got)
-	}
-}
-
 func TestTimeSeriesWindows(t *testing.T) {
 	var ts TimeSeries
 	for i := 0; i < 10; i++ {
@@ -183,9 +152,6 @@ func TestTimeSeriesWindows(t *testing.T) {
 	}
 	if got := ts.MeanOver(2*sim.Second, 5*sim.Second); got != 3 {
 		t.Fatalf("MeanOver = %v, want 3", got)
-	}
-	if got := ts.MaxOver(0, 10*sim.Second); got != 9 {
-		t.Fatalf("MaxOver = %v, want 9", got)
 	}
 	if !math.IsNaN(ts.MeanOver(100*sim.Second, 200*sim.Second)) {
 		t.Fatal("empty window should be NaN")

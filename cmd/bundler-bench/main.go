@@ -387,7 +387,7 @@ func printParams(e exp.Experiment) {
 func aliasHelp() string {
 	var parts []string
 	aliases := exp.Aliases()
-	for _, a := range exp.AliasNames() {
+	for _, a := range sortedKeys(aliases) {
 		parts = append(parts, a+"→"+aliases[a])
 	}
 	return strings.Join(parts, ",")

@@ -22,6 +22,7 @@ package bundle
 
 import (
 	"math"
+	"math/bits"
 
 	"bundler/internal/ccalg"
 	"bundler/internal/clock"
@@ -219,7 +220,10 @@ type Sendbox struct {
 	oooCount int
 	oooTotal int
 
-	elasticVotes  []bool
+	// The last 20 elasticity votes (2 s of them), newest in bit 0, and
+	// how many have been cast since the last mode change, up to 20.
+	elasticVotes  uint32
+	nVotes        int
 	lastDetectAt  clock.Time
 	modeChangedAt clock.Time
 	dqEwma        float64 // smoothed in-network queueing delay, seconds
@@ -750,20 +754,12 @@ func (s *Sendbox) updateMode(haveMeas bool, now clock.Time) {
 		gate = 0.05
 	}
 	elastic := s.detector.ElasticGated(s.mu(), gate)
-	s.elasticVotes = append(s.elasticVotes, elastic)
-	if len(s.elasticVotes) > 20 {
-		s.elasticVotes = s.elasticVotes[1:]
+	s.elasticVotes = s.elasticVotes << 1 & (1<<20 - 1)
+	if elastic {
+		s.elasticVotes |= 1
 	}
-	recent := s.elasticVotes
-	if len(recent) > 5 {
-		recent = recent[len(recent)-5:]
-	}
-	yes := 0
-	for _, v := range recent {
-		if v {
-			yes++
-		}
-	}
+	s.nVotes = min(s.nVotes+1, 20)
+	yes := bits.OnesCount32(s.elasticVotes & 0x1f) // of the last five
 	switch s.mode {
 	case ModeDelayControl:
 		if yes >= 3 {
@@ -771,12 +767,6 @@ func (s *Sendbox) updateMode(haveMeas bool, now clock.Time) {
 			s.setMode(ModePassThrough, now)
 		}
 	case ModePassThrough:
-		all := 0
-		for _, v := range s.elasticVotes {
-			if v {
-				all++
-			}
-		}
 		// Re-engage once two seconds of votes come back clean AND it is
 		// safe to do so (§3's litmus test): either the in-network queue
 		// has calmed, or whatever queue remains is mostly self-inflicted
@@ -786,7 +776,7 @@ func (s *Sendbox) updateMode(haveMeas bool, now clock.Time) {
 		// re-collapse the delay controller.
 		queueCalm := s.dqEwma < math.Max(0.25*s.minRTT.Seconds(), 0.005)
 		selfInflicted := s.xcEwma < 0.3*s.mu()
-		if len(s.elasticVotes) >= 20 && all == 0 && (queueCalm || selfInflicted) &&
+		if s.nVotes == 20 && s.elasticVotes == 0 && (queueCalm || selfInflicted) &&
 			now-s.modeChangedAt > 2*clock.Second {
 			s.setMode(ModeDelayControl, now)
 		}
@@ -796,7 +786,7 @@ func (s *Sendbox) updateMode(haveMeas bool, now clock.Time) {
 func (s *Sendbox) setMode(m Mode, now clock.Time) {
 	s.mode = m
 	s.modeChangedAt = now
-	s.elasticVotes = s.elasticVotes[:0]
+	s.elasticVotes, s.nVotes = 0, 0
 }
 
 // Mode reports the current operating mode.

@@ -437,10 +437,6 @@ type Detector struct {
 	buf      []float64
 	next     int
 	filled   bool
-
-	// Threshold is the required ratio of pulse-bin power to comparison
-	// band power.
-	Threshold float64
 }
 
 // DetectorWindow is the FFT window size (power of two).
@@ -449,7 +445,7 @@ const DetectorWindow = 512
 // NewDetector builds a detector for a pulser at pulseHz sampled at
 // sampleHz (the 10 ms control tick → 100 Hz).
 func NewDetector(pulseHz, sampleHz float64) *Detector {
-	return &Detector{pulseHz: pulseHz, sampleHz: sampleHz, Threshold: 3.0}
+	return &Detector{pulseHz: pulseHz, sampleHz: sampleHz}
 }
 
 // AddSample appends one cross-traffic rate estimate (bits/s), sampled at
@@ -502,6 +498,10 @@ func (d *Detector) WindowMean() float64 {
 	return mean / float64(len(d.buf))
 }
 
+// elasticThreshold is the ratio of pulse-bin power to comparison-band
+// power above which ElasticGated calls the cross traffic elastic.
+const elasticThreshold = 3.0
+
 // ElasticGated classifies the current window. The gate requires the cross
 // traffic to average minFrac of capacity over the whole window —
 // instantaneous estimates spike whenever the bundle's own rate transients
@@ -525,7 +525,7 @@ func (d *Detector) ElasticGated(mu, minFrac float64) bool {
 	window := make([]float64, len(d.buf))
 	copy(window, d.buf[d.next:])
 	copy(window[len(d.buf)-d.next:], d.buf[:d.next])
-	return ElasticSpectrum(window, d.pulseHz, d.sampleHz, d.Threshold)
+	return ElasticSpectrum(window, d.pulseHz, d.sampleHz, elasticThreshold)
 }
 
 // ElasticSpectrum applies the Nimbus criterion to one window of

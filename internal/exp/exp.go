@@ -4,19 +4,24 @@
 // goroutines — one deterministic sim.Engine per run — collecting
 // structured Results with JSON/CSV emitters built on internal/stats.
 //
-// Registering a new experiment makes it runnable from cmd/bundler-bench
-// (and sweepable) with no CLI changes:
+// An experiment is a value, not a type: a Def names it, declares its
+// params and carries the body that runs it, and New puts the one
+// concrete Experiment behind it. Registering one makes it runnable from
+// cmd/bundler-bench (and sweepable) with no CLI changes; in
+// internal/scenario that is one row of the table in experiments.go:
 //
-//	type myExp struct{}
-//	func (myExp) Name() string { return "myexp" }
-//	func (myExp) Desc() string { return "what it measures" }
-//	func (myExp) Params() []exp.Param { ... }
-//	func (myExp) Run(seed int64, p exp.Params) (exp.Result, error) { ... }
-//	func init() { exp.Register(myExp{}) }
+//	{Name: "myexp", Desc: "what it measures",
+//		Params: []exp.Param{{Name: "dur", Default: "30s", Help: "run duration"}},
+//		Run: func(r *exp.Run) error {
+//			dur := r.Duration("dur")            // dur=abc ends the run here, as its error
+//			fmt.Fprintf(r, "ran for %s\n", dur) // r is the report
+//			r.AddMetric("answer", 42, "")       // and the Result: Experiment, Seed, Params set
+//			return nil
+//		}},
 //
 // Experiments also arrive at run time: internal/topo registers
-// declarative config files through TryRegister / RegisterOrReplace, so
-// a loaded config is indistinguishable from a compiled-in experiment.
+// declarative config files through RegisterOrReplace, so a loaded
+// config is indistinguishable from a compiled-in experiment.
 // Params are strings in the repository's unit conventions (rates in
 // bits/s float syntax, durations as Go strings like "50ms").
 package exp
@@ -26,6 +31,7 @@ import (
 	"fmt"
 	"math"
 	"strconv"
+	"strings"
 	"time"
 
 	"bundler/internal/stats"
@@ -40,8 +46,8 @@ type Param struct {
 }
 
 // Params carries the parameter values for one run as name → string;
-// experiments parse them through a Binder. Missing keys mean "use the
-// declared default".
+// a Def's body parses them through its Run's getters. Missing keys mean
+// "use the declared default".
 type Params map[string]string
 
 // Clone returns an independent copy.
@@ -53,48 +59,48 @@ func (p Params) Clone() Params {
 	return out
 }
 
-// Binder parses Params into typed values, remembering the first parse
-// failure so experiments can check once after binding everything.
-type Binder struct {
-	decl []Param
-	p    Params
-	err  error
+// Run is one execution of a Def, as its body sees it: the Result under
+// construction (Experiment, Seed and Params already set), typed getters
+// for the declared params, and — as an io.Writer — the text report.
+type Run struct {
+	Result
+	decl   []Param
+	report strings.Builder
 }
 
-// Bind wraps p for typed access to the params decl declares. A key
-// absent from p reads as its declared Default, parsed like any supplied
-// value, so the default an experiment documents is the one it runs with;
-// an empty Default is the type's zero value. Reading a name decl does
-// not declare panics.
-func Bind(decl []Param, p Params) *Binder { return &Binder{decl: decl, p: p} }
+// Write appends to the report.
+func (r *Run) Write(p []byte) (int, error) { return r.report.Write(p) }
 
-// Err reports the first parse failure, or nil.
-func (b *Binder) Err() error { return b.err }
+// badParam carries a getter's parse failure up to the wrapper's Run.
+type badParam struct{ err error }
 
-// bind resolves name to its supplied or default string and parses it.
-func bind[T any](b *Binder, name, kind string, parse func(string) (T, error)) T {
-	var zero T
-	def := b.declared(name)
-	v, ok := b.p[name]
+// param resolves name to its supplied or default string and parses it.
+// A key absent from Params reads as its declared Default, parsed like
+// any supplied value, so the default an experiment documents is the one
+// it runs with; an empty Default is the type's zero value. A value that
+// does not parse ends the run: the body never computes on a zero it did
+// not ask for, and the wrapper returns the failure as Run's error.
+// Reading a name the Def does not declare panics.
+func param[T any](r *Run, name, kind string, parse func(string) (T, error)) T {
+	def := r.declared(name)
+	v, ok := r.Params[name]
 	if !ok {
 		if def == "" {
+			var zero T
 			return zero
 		}
 		v = def
 	}
 	out, err := parse(v)
 	if err != nil {
-		if b.err == nil {
-			b.err = fmt.Errorf("exp: param %s=%q: bad %s: %v", name, v, kind, err)
-		}
-		return zero
+		panic(badParam{fmt.Errorf("exp: param %s=%q: bad %s: %v", name, v, kind, err)})
 	}
 	return out
 }
 
 // declared returns name's declared default.
-func (b *Binder) declared(name string) string {
-	for _, d := range b.decl {
+func (r *Run) declared(name string) string {
+	for _, d := range r.decl {
 		if d.Name == name {
 			return d.Default
 		}
@@ -103,24 +109,24 @@ func (b *Binder) declared(name string) string {
 }
 
 // String returns the named param.
-func (b *Binder) String(name string) string {
-	return bind(b, name, "string", func(v string) (string, error) { return v, nil })
+func (r *Run) String(name string) string {
+	return param(r, name, "string", func(v string) (string, error) { return v, nil })
 }
 
 // Int parses the named param as an integer.
-func (b *Binder) Int(name string) int { return bind(b, name, "int", strconv.Atoi) }
+func (r *Run) Int(name string) int { return param(r, name, "int", strconv.Atoi) }
 
 // Float parses the named param as a float (so "96e6" works for rates).
-func (b *Binder) Float(name string) float64 {
-	return bind(b, name, "float", func(v string) (float64, error) { return strconv.ParseFloat(v, 64) })
+func (r *Run) Float(name string) float64 {
+	return param(r, name, "float", func(v string) (float64, error) { return strconv.ParseFloat(v, 64) })
 }
 
 // Bool parses the named param as a boolean.
-func (b *Binder) Bool(name string) bool { return bind(b, name, "bool", strconv.ParseBool) }
+func (r *Run) Bool(name string) bool { return param(r, name, "bool", strconv.ParseBool) }
 
 // Duration parses the named param as a time.Duration ("50ms").
-func (b *Binder) Duration(name string) time.Duration {
-	return bind(b, name, "duration", time.ParseDuration)
+func (r *Run) Duration(name string) time.Duration {
+	return param(r, name, "duration", time.ParseDuration)
 }
 
 // Metric is one named scalar an experiment reports.
@@ -219,6 +225,63 @@ type Experiment interface {
 	Desc() string
 	Params() []Param
 	Run(seed int64, p Params) (Result, error)
+}
+
+// Def is an experiment written as a value: what the registry, the CLIs
+// and the run store need to know about it, plus the body that runs it.
+// The interface above stays (a struct cannot have a field and a method
+// of one name); New puts the value behind it.
+type Def struct {
+	Name, Desc string
+	Params     []Param
+	// Meta is extra key/value context (paper section, figure) recorded
+	// into run-store manifests — see Metadater.
+	Meta map[string]string
+	// Hidden keeps the experiment out of All, Names and the CLIs' "all"
+	// mode: a building block (like the single-point "fct" run) that is
+	// looked up by name or swept.
+	Hidden bool
+	// Aliases are further names Lookup resolves to this experiment (the
+	// paper plots the one accuracy run as Figures 5 and 6, so "fig5" and
+	// "fig6" both name "fig56").
+	Aliases []string
+	// Run is the body: it reads its params through r's getters, writes
+	// the report to r and adds metrics, summaries and artifacts to
+	// r.Result.
+	Run func(r *Run) error
+}
+
+// defExp is the one concrete Experiment outside internal/topo.
+type defExp struct{ d Def }
+
+// New returns the Experiment d describes. Its Run does once what every
+// body would otherwise repeat: it hands the body a *Run with
+// Result.Experiment, Seed and Params filled in, returns the first param
+// that failed to parse as the error, and stores what the body wrote as
+// Result.Report.
+func New(d Def) Experiment { return &defExp{d} }
+
+func (e *defExp) Name() string                { return e.d.Name }
+func (e *defExp) Desc() string                { return e.d.Desc }
+func (e *defExp) Params() []Param             { return e.d.Params }
+func (e *defExp) Metadata() map[string]string { return e.d.Meta }
+
+func (e *defExp) Run(seed int64, p Params) (res Result, err error) {
+	r := &Run{Result: Result{Experiment: e.d.Name, Seed: seed, Params: p}, decl: e.d.Params}
+	defer func() {
+		switch x := recover().(type) {
+		case nil:
+		case badParam:
+			res, err = Result{}, x.err
+		default:
+			panic(x)
+		}
+	}()
+	if err := e.d.Run(r); err != nil {
+		return Result{}, err
+	}
+	r.Report = r.report.String()
+	return r.Result, nil
 }
 
 // SourceHasher is an optional Experiment extension: a stable content

@@ -2,9 +2,18 @@ package exp
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 )
+
+// slot is one registry position: the experiment occupying it and the
+// attributes of the Def that opened it. They belong to the position, so
+// a loaded config that shadows a built-in keeps its place in the
+// canonical order, its visibility and its aliases.
+type slot struct {
+	e       Experiment
+	hidden  bool
+	aliases []string
+}
 
 // registry holds every known experiment. Canonical ordering is the
 // registration order, which internal/scenario fixes in one place
@@ -12,112 +21,74 @@ import (
 // from it instead of maintaining their own lists.
 type registry struct {
 	mu      sync.RWMutex
-	ordered []Experiment
-	byName  map[string]Experiment
-	hidden  map[string]bool
-	aliases map[string]string
+	ordered []*slot
+	byName  map[string]*slot // canonical names and aliases
 }
 
-var reg = &registry{
-	byName:  map[string]Experiment{},
-	hidden:  map[string]bool{},
-	aliases: map[string]string{},
-}
+var reg = &registry{byName: map[string]*slot{}}
 
-// Register adds e to the registry in canonical (call) order. It panics
-// on a duplicate name: two experiments claiming one name is a
-// programming error that silent last-wins resolution would hide.
+// Register adds e to the registry in canonical (call) order, under its
+// name and — for a Def's experiment — its aliases. It panics on a
+// duplicate name: two experiments claiming one name is a programming
+// error that silent last-wins resolution would hide.
 func Register(e Experiment) {
-	if err := TryRegister(e); err != nil {
+	if _, err := reg.add(e, false); err != nil {
 		panic("exp: " + err.Error())
 	}
 }
 
-// TryRegister is Register returning an error instead of panicking — the
-// entry point for experiments loaded from user-supplied config files,
-// where a name collision is bad input rather than a programming error.
-func TryRegister(e Experiment) error {
-	reg.mu.Lock()
-	defer reg.mu.Unlock()
-	name := e.Name()
-	if _, dup := reg.byName[name]; dup {
-		return fmt.Errorf("duplicate experiment %q", name)
-	}
-	if c, isAlias := reg.aliases[name]; isAlias {
-		// Lookup resolves aliases first, so this experiment would be
-		// silently unreachable.
-		return fmt.Errorf("experiment %q collides with alias of %q", name, c)
-	}
-	reg.byName[name] = e
-	reg.ordered = append(reg.ordered, e)
-	return nil
+// RegisterOrReplace registers e, replacing any existing experiment of
+// the same name in place (canonical order, hidden status and aliases
+// preserved). It reports whether a replacement happened. Loaded topology
+// configs use it to shadow a built-in experiment with a declarative
+// re-expression of the same scenario; their name collisions are bad
+// input, not programming errors, hence the error return.
+func RegisterOrReplace(e Experiment) (replaced bool, err error) {
+	return reg.add(e, true)
 }
 
-// RegisterOrReplace registers e, replacing any existing experiment of
-// the same name in place (canonical order and hidden status preserved).
-// It reports whether a replacement happened. Loaded topology configs use
-// it to shadow a built-in experiment with a declarative re-expression of
-// the same scenario.
-func RegisterOrReplace(e Experiment) (replaced bool, err error) {
-	reg.mu.Lock()
-	defer reg.mu.Unlock()
+func (r *registry) add(e Experiment, replace bool) (replaced bool, err error) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
 	name := e.Name()
-	if c, isAlias := reg.aliases[name]; isAlias {
-		return false, fmt.Errorf("experiment %q collides with alias of %q", name, c)
-	}
-	if _, dup := reg.byName[name]; dup {
-		for i, old := range reg.ordered {
-			if old.Name() == name {
-				reg.ordered[i] = e
-				break
-			}
+	if s, taken := r.byName[name]; taken {
+		if c := s.e.Name(); c != name {
+			// Lookup resolves the alias, so this experiment would be
+			// silently unreachable.
+			return false, fmt.Errorf("experiment %q collides with alias of %q", name, c)
 		}
-		reg.byName[name] = e
+		if !replace {
+			return false, fmt.Errorf("duplicate experiment %q", name)
+		}
+		s.e = e
 		return true, nil
 	}
-	reg.byName[name] = e
-	reg.ordered = append(reg.ordered, e)
+	s := &slot{e: e}
+	if v, ok := e.(*defExp); ok {
+		s.hidden, s.aliases = v.d.Hidden, v.d.Aliases
+	}
+	for _, a := range s.aliases {
+		if t, taken := r.byName[a]; taken {
+			return false, fmt.Errorf("alias %q of %q collides with experiment %q", a, name, t.e.Name())
+		}
+	}
+	r.byName[name] = s
+	for _, a := range s.aliases {
+		r.byName[a] = s
+	}
+	r.ordered = append(r.ordered, s)
 	return false, nil
-}
-
-// RegisterHidden registers e but keeps it out of Names() and the CLIs'
-// "all" mode — for building-block experiments (like the single-point
-// "fct" run) that are looked up explicitly or swept.
-func RegisterHidden(e Experiment) {
-	Register(e)
-	reg.mu.Lock()
-	reg.hidden[e.Name()] = true
-	reg.mu.Unlock()
-}
-
-// RegisterAlias makes alias resolve to the canonical experiment (the
-// paper presents Figures 5 and 6 as one accuracy run, so "fig5" and
-// "fig6" both alias "fig56"). Panics if canonical is unknown or alias
-// collides with an existing name.
-func RegisterAlias(alias, canonical string) {
-	reg.mu.Lock()
-	defer reg.mu.Unlock()
-	if _, ok := reg.byName[canonical]; !ok {
-		panic(fmt.Sprintf("exp: alias %q for unknown experiment %q", alias, canonical))
-	}
-	if _, dup := reg.byName[alias]; dup {
-		panic(fmt.Sprintf("exp: alias %q collides with experiment %q", alias, alias))
-	}
-	if _, dup := reg.aliases[alias]; dup {
-		panic(fmt.Sprintf("exp: duplicate alias %q", alias))
-	}
-	reg.aliases[alias] = canonical
 }
 
 // Lookup resolves a name or alias to its experiment.
 func Lookup(name string) (Experiment, bool) {
 	reg.mu.RLock()
 	defer reg.mu.RUnlock()
-	if c, ok := reg.aliases[name]; ok {
-		name = c
+	s, ok := reg.byName[name]
+	if !ok {
+		return nil, false
 	}
-	e, ok := reg.byName[name]
-	return e, ok
+	return s.e, true
 }
 
 // All returns the non-hidden experiments in canonical order.
@@ -125,9 +96,9 @@ func All() []Experiment {
 	reg.mu.RLock()
 	defer reg.mu.RUnlock()
 	out := make([]Experiment, 0, len(reg.ordered))
-	for _, e := range reg.ordered {
-		if !reg.hidden[e.Name()] {
-			out = append(out, e)
+	for _, s := range reg.ordered {
+		if !s.hidden {
+			out = append(out, s.e)
 		}
 	}
 	return out
@@ -143,25 +114,15 @@ func Names() []string {
 	return out
 }
 
-// Aliases returns the alias → canonical map, sorted keys.
+// Aliases returns the alias → canonical name map.
 func Aliases() map[string]string {
 	reg.mu.RLock()
 	defer reg.mu.RUnlock()
-	out := make(map[string]string, len(reg.aliases))
-	for k, v := range reg.aliases {
-		out[k] = v
+	out := map[string]string{}
+	for _, s := range reg.ordered {
+		for _, a := range s.aliases {
+			out[a] = s.e.Name()
+		}
 	}
-	return out
-}
-
-// AliasNames returns the registered aliases, sorted.
-func AliasNames() []string {
-	reg.mu.RLock()
-	defer reg.mu.RUnlock()
-	out := make([]string, 0, len(reg.aliases))
-	for a := range reg.aliases {
-		out = append(out, a)
-	}
-	sort.Strings(out)
 	return out
 }

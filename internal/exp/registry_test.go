@@ -2,8 +2,10 @@ package exp
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 	"testing"
+	"time"
 )
 
 // fakeExp is a deterministic stand-in experiment: its result is a pure
@@ -25,10 +27,12 @@ func (f fakeExp) Run(seed int64, p Params) (Result, error) {
 			return Result{}, err
 		}
 	}
-	b := Bind(f.Params(), p)
-	x := b.Float("x")
-	if err := b.Err(); err != nil {
-		return Result{}, err
+	x := 1.0
+	if v, ok := p["x"]; ok {
+		var err error
+		if x, err = strconv.ParseFloat(v, 64); err != nil {
+			return Result{}, err
+		}
 	}
 	res := Result{Experiment: f.name, Seed: seed, Params: p}
 	res.AddMetric("y", x*float64(seed), "")
@@ -46,8 +50,7 @@ func TestRegisterDuplicatePanics(t *testing.T) {
 }
 
 func TestLookupAndAliases(t *testing.T) {
-	Register(fakeExp{name: "lookup-test"})
-	RegisterAlias("lookup-alias", "lookup-test")
+	Register(New(Def{Name: "lookup-test", Aliases: []string{"lookup-alias"}}))
 
 	e, ok := Lookup("lookup-test")
 	if !ok || e.Name() != "lookup-test" {
@@ -60,17 +63,23 @@ func TestLookupAndAliases(t *testing.T) {
 	if _, ok := Lookup("no-such-experiment"); ok {
 		t.Fatal("Lookup of unknown name succeeded")
 	}
+	if got := Aliases()["lookup-alias"]; got != "lookup-test" {
+		t.Fatalf("Aliases()[lookup-alias] = %q, want lookup-test", got)
+	}
 
 	defer func() {
 		if recover() == nil {
-			t.Fatal("alias to unknown canonical did not panic")
+			t.Fatal("an alias naming an existing experiment did not panic")
+		}
+		if _, ok := Lookup("bad-alias-exp"); ok {
+			t.Fatal("an experiment whose alias collided was registered anyway")
 		}
 	}()
-	RegisterAlias("bad-alias", "no-such-experiment")
+	Register(New(Def{Name: "bad-alias-exp", Aliases: []string{"lookup-test"}}))
 }
 
 func TestHiddenExcludedFromNames(t *testing.T) {
-	RegisterHidden(fakeExp{name: "hidden-test"})
+	Register(New(Def{Name: "hidden-test", Hidden: true}))
 	for _, n := range Names() {
 		if n == "hidden-test" {
 			t.Fatal("hidden experiment appears in Names()")
@@ -175,8 +184,7 @@ func TestSweepRejectsUndeclaredAxis(t *testing.T) {
 }
 
 func TestRegisterCollidingWithAliasPanics(t *testing.T) {
-	Register(fakeExp{name: "alias-collide-canonical"})
-	RegisterAlias("alias-collide", "alias-collide-canonical")
+	Register(New(Def{Name: "alias-collide-canonical", Aliases: []string{"alias-collide"}}))
 	defer func() {
 		if recover() == nil {
 			t.Fatal("Register over an existing alias did not panic")
@@ -237,47 +245,73 @@ func TestEmitCSV(t *testing.T) {
 	}
 }
 
-func TestBinderErrors(t *testing.T) {
-	decl := []Param{{Name: "n"}, {Name: "f"}, {Name: "missing", Default: "7"}, {Name: "frac"}}
-	b := Bind(decl, Params{"n": "nope", "f": "1.5"})
-	if got := b.Float("f"); got != 1.5 {
-		t.Errorf("Float = %v", got)
+// TestDefRun pins what New's wrapper does for every body: Experiment,
+// Seed and Params pre-filled, typed getters with declared defaults, the
+// report collected from what the body wrote, and a value that does not
+// parse ending the run with an error before the body goes on.
+func TestDefRun(t *testing.T) {
+	reached := false
+	e := New(Def{
+		Name: "def-run",
+		Params: []Param{{Name: "n"}, {Name: "f"}, {Name: "missing", Default: "7"}, {Name: "frac"},
+			{Name: "on", Default: "true"}, {Name: "d", Default: "50ms"}, {Name: "s", Default: "auto"}},
+		Meta: map[string]string{"paper": "test"},
+		Run: func(r *Run) error {
+			if got := r.Float("f"); got != 1.5 {
+				t.Errorf("Float = %v", got)
+			}
+			if got := r.Int("missing"); got != 7 {
+				t.Errorf("absent key = %v, want the declared default 7", got)
+			}
+			if got := r.Float("frac"); got != 0 {
+				t.Errorf("empty default = %v, want the zero value", got)
+			}
+			if !r.Bool("on") || r.Duration("d") != 50*time.Millisecond || r.String("s") != "auto" {
+				t.Error("bool/duration/string defaults misread")
+			}
+			fmt.Fprintf(r, "n=%d\n", r.Int("n"))
+			reached = true
+			r.AddMetric("m", 1, "")
+			return nil
+		},
+	})
+	res, err := e.Run(3, Params{"n": "4", "f": "1.5"})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if got := b.Int("missing"); got != 7 {
-		t.Errorf("absent key = %v, want the declared default 7", got)
+	if res.Experiment != "def-run" || res.Seed != 3 || res.Params["n"] != "4" || res.Report != "n=4\n" || res.Metric("m") != 1 {
+		t.Errorf("wrapper did not fill the result: %+v", res)
 	}
-	if got := b.Float("frac"); got != 0 || b.Err() != nil {
-		t.Errorf("empty default = %v (err %v), want the zero value", got, b.Err())
+	if md, ok := e.(Metadater); !ok || md.Metadata()["paper"] != "test" {
+		t.Error("Def.Meta not served through Metadater")
 	}
-	_ = b.Int("n")
-	if b.Err() == nil {
-		t.Error("Binder swallowed a parse error")
+
+	reached = false
+	res, err = e.Run(3, Params{"n": "nope", "f": "1.5"})
+	if err == nil || !strings.Contains(err.Error(), `n="nope"`) {
+		t.Errorf("bad int: err = %v, want it to name the param", err)
 	}
+	if reached || res.Report != "" {
+		t.Error("the body ran on past a param that did not parse")
+	}
+
+	bodyErr := New(Def{Name: "def-err", Run: func(*Run) error { return fmt.Errorf("body failed") }})
+	if _, err := bodyErr.Run(1, nil); err == nil || err.Error() != "body failed" {
+		t.Errorf("body error = %v, want it returned as is", err)
+	}
+
 	defer func() {
 		if recover() == nil {
 			t.Error("reading an undeclared param did not panic")
 		}
 	}()
-	b.Int("undeclared")
-}
-
-func TestTryRegisterReportsDuplicates(t *testing.T) {
-	Register(fakeExp{name: "try-dup"})
-	if err := TryRegister(fakeExp{name: "try-dup"}); err == nil {
-		t.Fatal("TryRegister of a duplicate should error")
-	}
-	if err := TryRegister(fakeExp{name: "try-fresh"}); err != nil {
-		t.Fatalf("TryRegister of a fresh name: %v", err)
-	}
-	if _, ok := Lookup("try-fresh"); !ok {
-		t.Fatal("try-fresh not registered")
-	}
+	New(Def{Name: "def-undeclared", Run: func(r *Run) error { r.Int("undeclared"); return nil }}).Run(1, nil)
 }
 
 // TestRegisterOrReplace pins the config-shadowing semantics: replacement
 // keeps the canonical position, and alias names stay off limits.
 func TestRegisterOrReplace(t *testing.T) {
-	Register(fakeExp{name: "ror-a"})
+	Register(New(Def{Name: "ror-a", Aliases: []string{"ror-alias"}}))
 	Register(fakeExp{name: "ror-b"})
 	replaced, err := RegisterOrReplace(fakeExp{name: "ror-a", fail: func(Params) error {
 		return fmt.Errorf("replacement marker")
@@ -309,8 +343,13 @@ func TestRegisterOrReplace(t *testing.T) {
 	if err != nil || replaced {
 		t.Fatalf("RegisterOrReplace fresh: replaced=%v err=%v", replaced, err)
 	}
-	RegisterAlias("ror-alias", "ror-a")
 	if _, err := RegisterOrReplace(fakeExp{name: "ror-alias"}); err == nil {
 		t.Fatal("RegisterOrReplace onto an alias should error")
+	}
+	// The alias belongs to the slot: it now reaches the replacement.
+	if e, ok := Lookup("ror-alias"); !ok {
+		t.Fatal("ror-alias vanished with the experiment it named")
+	} else if _, rerr := e.Run(1, nil); rerr == nil || !strings.Contains(rerr.Error(), "replacement marker") {
+		t.Fatalf("alias did not follow the replacement: %v", rerr)
 	}
 }

@@ -12,18 +12,6 @@ import (
 	"bundler/internal/tcp"
 )
 
-// ablationsExp switches off, one at a time, the design choices §4–§5
-// call out and reports what each one buys. No paper figure plots these,
-// so the experiment is registered hidden: looked up by name, not part of
-// "all".
-type ablationsExp struct{}
-
-func (ablationsExp) Name() string { return "ablations" }
-func (ablationsExp) Desc() string {
-	return "ablations of the design's called-out choices: epoch rounding, measurement window, PI gains, SFQ buckets, tunnel mode"
-}
-func (ablationsExp) Params() []exp.Param { return []exp.Param{requestsParam("15000")} }
-
 // ablationDur is how long the fixed-duration ablations run; the rate
 // variance is taken after ablationSettle, once the rate has converged.
 const (
@@ -137,19 +125,15 @@ func tunnelAblation(seed int64, tunnel bool) (matched, goodputMbps float64) {
 	return matchedFrac(site.SB), float64(snd.Acked()) * 8 / ablationDur.Seconds() / 1e6
 }
 
-func (e ablationsExp) Run(seed int64, p exp.Params) (exp.Result, error) {
-	b := exp.Bind(e.Params(), p)
-	requests := b.Int("requests")
-	if err := b.Err(); err != nil {
-		return exp.Result{}, err
-	}
-	res := exp.Result{Experiment: "ablations", Seed: seed, Params: p}
-	var w strings.Builder
-	ReportHeader(&w, "Ablations: one design choice switched off at a time")
-	section := func(title string) { fmt.Fprintln(&w, title) }
+// ablations switches off, one at a time, the design choices §4–§5 call
+// out and reports what each one buys.
+func ablations(r *exp.Run) error {
+	seed, requests := r.Seed, r.Int("requests")
+	ReportHeader(r, "Ablations: one design choice switched off at a time")
+	section := func(title string) { fmt.Fprintln(r, title) }
 	add := func(name string, v float64, unit string) {
-		res.AddMetric(name, v, unit)
-		fmt.Fprintln(&w, strings.TrimRight(fmt.Sprintf("  %-26s %10.4g %s", name, v, unit), " "))
+		r.AddMetric(name, v, unit)
+		fmt.Fprintln(r, strings.TrimRight(fmt.Sprintf("  %-26s %10.4g %s", name, v, unit), " "))
 	}
 
 	section("Epoch size rounding (§4.5): power-of-two vs exact")
@@ -178,7 +162,5 @@ func (e ablationsExp) Run(seed int64, p exp.Params) (exp.Result, error) {
 		add(m.label+"-matched-frac", matched, "")
 		add(m.label+"-goodput-Mbps", goodput, "Mbps")
 	}
-
-	res.Report = w.String()
-	return res, nil
+	return nil
 }

@@ -2,7 +2,6 @@ package scenario
 
 import (
 	"fmt"
-	"strings"
 
 	"bundler/internal/exp"
 	"bundler/internal/pkt"
@@ -99,37 +98,19 @@ func collectAccuracy(seed int64, rate float64, rtt, dur sim.Time, res *AccuracyR
 	}
 }
 
-// --- experiment adapter ---
+// --- experiment body (the table is in experiments.go) ---
 
-// fig56Exp is the §4.5 measurement-accuracy microbenchmark; the paper
-// plots it as Figures 5 and 6, so "fig5" and "fig6" alias this.
-type fig56Exp struct{}
-
-func (fig56Exp) Name() string { return "fig56" }
-func (fig56Exp) Desc() string {
-	return "Figures 5+6: RTT and receive-rate estimate accuracy vs bottleneck ground truth"
-}
-func (fig56Exp) Params() []exp.Param {
-	return []exp.Param{{Name: "dur", Default: "20s", Help: "virtual time per (delay, rate) config"}}
-}
-
-func (e fig56Exp) Run(seed int64, p exp.Params) (exp.Result, error) {
-	b := exp.Bind(e.Params(), p)
-	dur := sim.FromSeconds(b.Duration("dur").Seconds())
-	if err := b.Err(); err != nil {
-		return exp.Result{}, err
-	}
-	res := RunMeasurementAccuracy(seed, dur)
-	var w strings.Builder
-	ReportHeader(&w, "Figures 5+6: measurement accuracy (9 configs: {20,50,100 ms} × {24,48,96 Mbit/s})")
-	fmt.Fprintf(&w, "RTT estimate error:  p10=%+.2fms p50=%+.2fms p90=%+.2fms  within ±1.2ms: %.0f%% (paper: 80%%)\n",
+// fig56 is the §4.5 measurement-accuracy microbenchmark.
+func fig56(r *exp.Run) error {
+	res := RunMeasurementAccuracy(r.Seed, simDuration(r, "dur"))
+	ReportHeader(r, "Figures 5+6: measurement accuracy (9 configs: {20,50,100 ms} × {24,48,96 Mbit/s})")
+	fmt.Fprintf(r, "RTT estimate error:  p10=%+.2fms p50=%+.2fms p90=%+.2fms  within ±1.2ms: %.0f%% (paper: 80%%)\n",
 		res.RTTErrMs.Quantile(0.1), res.RTTErrMs.Quantile(0.5), res.RTTErrMs.Quantile(0.9), res.WithinRTT*100)
-	fmt.Fprintf(&w, "rate estimate error: p10=%+.2fMbps p50=%+.2fMbps p90=%+.2fMbps  within ±4Mbps: %.0f%% (paper: 80%%)\n",
+	fmt.Fprintf(r, "rate estimate error: p10=%+.2fMbps p50=%+.2fMbps p90=%+.2fMbps  within ±4Mbps: %.0f%% (paper: 80%%)\n",
 		res.RateErrMbps.Quantile(0.1), res.RateErrMbps.Quantile(0.5), res.RateErrMbps.Quantile(0.9), res.WithinRate*100)
-	out := exp.Result{Experiment: "fig56", Seed: seed, Params: p, Report: w.String()}
-	out.AddMetric("rtt-err-p50", res.RTTErrMs.Quantile(0.5), "ms")
-	out.AddMetric("rtt-within-1.2ms-frac", res.WithinRTT, "")
-	out.AddMetric("rate-err-p50", res.RateErrMbps.Quantile(0.5), "Mbps")
-	out.AddMetric("rate-within-4Mbps-frac", res.WithinRate, "")
-	return out, nil
+	r.AddMetric("rtt-err-p50", res.RTTErrMs.Quantile(0.5), "ms")
+	r.AddMetric("rtt-within-1.2ms-frac", res.WithinRTT, "")
+	r.AddMetric("rate-err-p50", res.RateErrMbps.Quantile(0.5), "Mbps")
+	r.AddMetric("rate-within-4Mbps-frac", res.WithinRate, "")
+	return nil
 }

@@ -2,7 +2,6 @@ package scenario
 
 import (
 	"fmt"
-	"strings"
 
 	"bundler/internal/bundle"
 	"bundler/internal/exp"
@@ -143,39 +142,21 @@ func RunHierarchical(seed int64, dur sim.Time) HierarchicalResult {
 	return res
 }
 
-// --- experiment adapter ---
+// --- experiment body (the table is in experiments.go) ---
 
-// hierExp is the §9 composability experiment: nested Bundler pairs. The
-// seed CLI never exposed it; the registry makes it runnable for free.
-type hierExp struct{}
-
-func (hierExp) Name() string { return "hier" }
-func (hierExp) Desc() string {
-	return "§9: hierarchical bundles — two department pairs nested in an institute pair"
-}
-func (hierExp) Params() []exp.Param {
-	return []exp.Param{{Name: "dur", Default: "30s", Help: "run duration (virtual time)"}}
-}
-
-func (e hierExp) Run(seed int64, p exp.Params) (exp.Result, error) {
-	b := exp.Bind(e.Params(), p)
-	dur := sim.FromSeconds(b.Duration("dur").Seconds())
-	if err := b.Err(); err != nil {
-		return exp.Result{}, err
-	}
-	res := RunHierarchical(seed, dur)
-	var w strings.Builder
-	ReportHeader(&w, "§9: hierarchical bundles (two departments nested in an institute)")
-	fmt.Fprintf(&w, "matched congestion ACKs: parent=%d dept-A=%d dept-B=%d\n",
+// hier is the §9 composability experiment: nested Bundler pairs.
+func hier(r *exp.Run) error {
+	res := RunHierarchical(r.Seed, simDuration(r, "dur"))
+	ReportHeader(r, "§9: hierarchical bundles (two departments nested in an institute)")
+	fmt.Fprintf(r, "matched congestion ACKs: parent=%d dept-A=%d dept-B=%d\n",
 		res.ParentMatched, res.SubAMatched, res.SubBMatched)
-	fmt.Fprintf(&w, "goodput: dept-A %.1f Mb/s, dept-B %.1f Mb/s\n", res.SubAMbps, res.SubBMbps)
-	fmt.Fprintf(&w, "queues: bottleneck %.1f ms, parent sendbox %.1f ms, dept-A sendbox %.1f ms\n",
+	fmt.Fprintf(r, "goodput: dept-A %.1f Mb/s, dept-B %.1f Mb/s\n", res.SubAMbps, res.SubBMbps)
+	fmt.Fprintf(r, "queues: bottleneck %.1f ms, parent sendbox %.1f ms, dept-A sendbox %.1f ms\n",
 		res.BottleneckQueueMs, res.ParentQueueMs, res.SubAQueueMs)
-	out := exp.Result{Experiment: "hier", Seed: seed, Params: p, Report: w.String()}
-	out.AddMetric("parent-matched", float64(res.ParentMatched), "acks")
-	out.AddMetric("deptA-Mbps", res.SubAMbps, "Mbps")
-	out.AddMetric("deptB-Mbps", res.SubBMbps, "Mbps")
-	out.AddMetric("bottleneck-queue", res.BottleneckQueueMs, "ms")
-	out.AddMetric("parent-queue", res.ParentQueueMs, "ms")
-	return out, nil
+	r.AddMetric("parent-matched", float64(res.ParentMatched), "acks")
+	r.AddMetric("deptA-Mbps", res.SubAMbps, "Mbps")
+	r.AddMetric("deptB-Mbps", res.SubBMbps, "Mbps")
+	r.AddMetric("bottleneck-queue", res.BottleneckQueueMs, "ms")
+	r.AddMetric("parent-queue", res.ParentQueueMs, "ms")
+	return nil
 }

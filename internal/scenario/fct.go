@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"cmp"
 	"fmt"
 	"sort"
 	"strings"
@@ -33,7 +34,7 @@ type FCTOptions struct {
 	EndhostCC string
 	// FixedCwnd pins endhost windows (the §7.5 proxy emulation).
 	FixedCwnd int
-	// SendboxQueuePackets overrides the sendbox scheduler depth.
+	// SendboxQueuePackets is the sendbox scheduler depth (default 1000).
 	SendboxQueuePackets int
 	// TunnelMode switches epoch identification to the §4.5 encapsulation
 	// variant.
@@ -57,6 +58,12 @@ func (o *FCTOptions) fill() {
 	}
 	if o.Mode == "" {
 		o.Mode = "bundler"
+	}
+	if o.InnerAlg == "" {
+		o.InnerAlg = "copa"
+	}
+	if o.SendboxQueuePackets == 0 {
+		o.SendboxQueuePackets = 1000
 	}
 	if o.Horizon == 0 {
 		o.Horizon = 10 * sim.Time(o.Requests) * sim.Millisecond // ≈ load-scaled
@@ -82,18 +89,12 @@ func RunFCT(o FCTOptions) *workload.Recorder {
 	}
 	n := NewNet(cfg)
 
-	var site *Site
+	var bcfg *bundle.Config
 	if o.Mode == "bundler" {
-		bcfg := &bundle.Config{Algorithm: o.InnerAlg, TunnelMode: o.TunnelMode}
-		depth := o.SendboxQueuePackets
-		if depth == 0 {
-			depth = 1000
-		}
-		bcfg.Scheduler = SchedulerByName(n.Eng, o.Scheduler, depth)
-		site = n.AddSite(bcfg)
-	} else {
-		site = n.AddSite(nil)
+		bcfg = n.bundleConfig(o.InnerAlg, o.Scheduler, o.SendboxQueuePackets)
+		bcfg.TunnelMode = o.TunnelMode
 	}
+	site := n.AddSite(bcfg)
 
 	rec := site.RunOpenLoop(Traffic{
 		OfferedBps:    o.OfferedBps,
@@ -102,9 +103,7 @@ func RunFCT(o FCTOptions) *workload.Recorder {
 		FixedCwndSegs: o.FixedCwnd,
 	})
 	n.RunUntilDone(o.Horizon, func() bool { return rec.Completed >= o.Requests })
-	if site.SB != nil {
-		site.SB.Stop()
-	}
+	site.Stop()
 	return rec
 }
 
@@ -235,6 +234,15 @@ func RunFig13(seed int64, requests int) []Fig13Result {
 	return out
 }
 
+// crossVariants are the configurations Figures 11 and 12 set against
+// cross traffic: no Bundler (alg ""), and Bundler with each delay-based
+// inner loop.
+var crossVariants = []struct{ label, alg string }{
+	{"statusquo", ""},
+	{"bundler-copa", "copa"},
+	{"bundler-nimbus", "basicdelay"},
+}
+
 // Fig11Point is one x-position of the short-flow cross-traffic sweep.
 type Fig11Point struct {
 	CrossBps float64
@@ -247,18 +255,9 @@ func RunFig11(seed int64, requestsPerPoint int) []Fig11Point {
 	var out []Fig11Point
 	for cross := 6e6; cross <= 42e6; cross += 12e6 {
 		point := Fig11Point{CrossBps: cross, Median: map[string]float64{}}
-		for _, mode := range []struct{ label, m, alg string }{
-			{"statusquo", "statusquo", ""},
-			{"bundler-copa", "bundler", "copa"},
-			{"bundler-nimbus", "bundler", "basicdelay"},
-		} {
+		for _, mode := range crossVariants {
 			n := NewNet(NetConfig{Seed: seed})
-			var site *Site
-			if mode.m == "bundler" {
-				site = n.AddSite(&bundle.Config{Algorithm: mode.alg})
-			} else {
-				site = n.AddSite(nil)
-			}
+			site := n.AddSite(n.bundleConfig(mode.alg, "sfq", 1000))
 			crossSite := n.AddSite(nil)
 			rec := site.RunOpenLoop(Traffic{OfferedBps: 48e6, Requests: requestsPerPoint,
 				Warmup: 5 * sim.Second})
@@ -274,9 +273,7 @@ func RunFig11(seed int64, requestsPerPoint int) []Fig11Point {
 			n.RunUntilDone(600*sim.Second, func() bool {
 				return rec.Completed >= requestsPerPoint && crossRec.Completed >= crossReqs
 			})
-			if site.SB != nil {
-				site.SB.Stop()
-			}
+			site.Stop()
 			point.Median[mode.label] = rec.Slowdowns.Median()
 		}
 		out = append(out, point)
@@ -301,21 +298,9 @@ func RunFig12(seed int64) []Fig12Point {
 	var out []Fig12Point
 	for _, crossN := range []int{10, 30, 50} {
 		point := Fig12Point{CrossFlows: crossN, Throughput: map[string]float64{}}
-		for _, mode := range []struct {
-			label string
-			alg   string // "" = status quo
-		}{
-			{"statusquo", ""},
-			{"bundler-copa", "copa"},
-			{"bundler-nimbus", "basicdelay"},
-		} {
+		for _, mode := range crossVariants {
 			n := NewNet(NetConfig{Seed: seed})
-			var site *Site
-			if mode.alg != "" {
-				site = n.AddSite(&bundle.Config{Algorithm: mode.alg})
-			} else {
-				site = n.AddSite(nil)
-			}
+			site := n.AddSite(n.bundleConfig(mode.alg, "sfq", 1000))
 			crossSite := n.AddSite(nil)
 			var bundleSenders []*tcp.Sender
 			for i := 0; i < 20; i++ {
@@ -324,20 +309,8 @@ func RunFig12(seed int64) []Fig12Point {
 			for i := 0; i < crossN; i++ {
 				crossSite.AddFlow(1<<40, tcp.NewCubic(), nil)
 			}
-			n.Eng.RunUntil(warmup)
-			var at20 int64
-			for _, s := range bundleSenders {
-				at20 += s.Acked()
-			}
-			n.Eng.RunUntil(dur)
-			var acked int64
-			for _, s := range bundleSenders {
-				acked += s.Acked()
-			}
-			if site.SB != nil {
-				site.SB.Stop()
-			}
-			point.Throughput[mode.label] = float64(acked-at20) * 8 / (dur - warmup).Seconds() / 1e6
+			point.Throughput[mode.label] = goodputMbps(n.Eng, bundleSenders, warmup, dur)
+			site.Stop()
 		}
 		out = append(out, point)
 	}
@@ -356,63 +329,50 @@ func SchedulerByName(eng *sim.Engine, name string, packets int) qdisc.Qdisc {
 	return q
 }
 
-// --- experiment adapters ---
+// --- experiment bodies (the table is in experiments.go) ---
 
-// fctExp is the single-point FCT run: the unit of work the sweep engine
-// fans out, and one interactive run as bundler-bench -experiment fct.
-// Registered hidden — it is looked up or swept, not part of "all".
-type fctExp struct{}
-
-func (fctExp) Name() string { return "fct" }
-func (fctExp) Desc() string {
-	return "single-point FCT run (the §7.1 setup): rate × RTT × load × scheduler × CC"
-}
-
-func (fctExp) Params() []exp.Param {
-	return []exp.Param{
-		{Name: "mode", Default: "bundler", Help: `"statusquo", "bundler", or "innetwork"`},
-		{Name: "alg", Default: "copa", Help: `inner-loop algorithm: "copa", "basicdelay", "bbr"`},
-		{Name: "sched", Default: "sfq", Help: `sendbox scheduler: "sfq", "fifo", "fqcodel", "prio:<port>", "sp:<p1>/<p2>", "wfq:<p1>=<w1>/<p2>=<w2>", ...`},
-		{Name: "endhost", Default: "cubic", Help: `endhost congestion control: "cubic", "reno", "bbr"`},
-		{Name: "rate", Default: "96e6", Help: "bottleneck rate, bits/s"},
-		{Name: "rtt", Default: "50ms", Help: "path round-trip propagation delay"},
-		{Name: "load", Default: "84e6", Help: "offered load, bits/s"},
-		{Name: "loadfrac", Default: "", Help: "offered load as a fraction of rate (overrides load)"},
-		{Name: "requests", Default: "10000", Help: "number of requests to complete"},
-		{Name: "tunnel", Default: "false", Help: "encapsulation-based epoch marking (§4.5 tunnel mode)"},
+// oneOf rejects a name-valued param outside its vocabulary.
+func oneOf(param, v string, allowed ...string) error {
+	for _, a := range allowed {
+		if v == a {
+			return nil
+		}
 	}
+	return fmt.Errorf("%s=%q (want %s)", param, v, strings.Join(allowed, ", "))
 }
 
-// Metadata implements exp.Metadater: run-store manifests for swept fct
-// cells record which part of the paper the cell reproduces.
-func (fctExp) Metadata() map[string]string {
-	return map[string]string{"paper": "§7.1", "figure": "9 (single point)"}
-}
-
-func (e fctExp) Run(seed int64, p exp.Params) (exp.Result, error) {
-	b := exp.Bind(e.Params(), p)
+// fct is the single-point FCT run.
+func fct(r *exp.Run) error {
 	var (
-		mode     = b.String("mode")
-		alg      = b.String("alg")
-		sched    = b.String("sched")
-		endhost  = b.String("endhost")
-		rate     = b.Float("rate")
-		rtt      = b.Duration("rtt")
-		load     = b.Float("load")
-		loadfrac = b.Float("loadfrac")
-		requests = b.Int("requests")
-		tunnel   = b.Bool("tunnel")
+		mode     = r.String("mode")
+		alg      = r.String("alg")
+		sched    = r.String("sched")
+		endhost  = r.String("endhost")
+		rate     = r.Float("rate")
+		rtt      = r.Duration("rtt") // as typed, for the report line
+		load     = r.Float("load")
+		loadfrac = r.Float("loadfrac")
+		requests = r.Int("requests")
+		tunnel   = r.Bool("tunnel")
 	)
-	if err := b.Err(); err != nil {
-		return exp.Result{}, err
+	// RunFCT and the constructors under it panic on a name they do not
+	// know — right for the figures' literals, wrong for a -set value.
+	_, schedErr := qdisc.Parse(sim.NewEngine(0), sched, 1000, nil) // a scratch clock: PIE ticks on it
+	if err := cmp.Or(
+		oneOf("mode", mode, "statusquo", "bundler", "innetwork"),
+		oneOf("alg", alg, "copa", "basicdelay", "bbr"),
+		oneOf("endhost", endhost, "cubic", "reno", "bbr"),
+		schedErr,
+	); err != nil {
+		return err
 	}
 	if loadfrac > 0 {
 		load = loadfrac * rate
 	}
 	rec := RunFCT(FCTOptions{
-		Seed:       seed,
+		Seed:       r.Seed,
 		LinkRate:   rate,
-		RTT:        sim.FromSeconds(rtt.Seconds()),
+		RTT:        simDuration(r, "rtt"),
 		Requests:   requests,
 		OfferedBps: load,
 		Mode:       mode,
@@ -423,225 +383,87 @@ func (e fctExp) Run(seed int64, p exp.Params) (exp.Result, error) {
 	})
 
 	s := rec.Slowdowns.Summarize()
-	var w strings.Builder
-	fmt.Fprintf(&w, "mode=%s alg=%s sched=%s endhost=%s rate=%.0fMbps rtt=%s load=%.0fMbps\n",
+	fmt.Fprintf(r, "mode=%s alg=%s sched=%s endhost=%s rate=%.0fMbps rtt=%s load=%.0fMbps\n",
 		mode, alg, sched, endhost, rate/1e6, rtt, load/1e6)
-	fmt.Fprintf(&w, "completed %d requests, %.1f MB total\n", rec.Completed, float64(rec.Bytes)/1e6)
-	fmt.Fprintf(&w, "slowdown: p10=%.2f p50=%.2f p90=%.2f p99=%.2f mean=%.2f\n",
+	fmt.Fprintf(r, "completed %d requests, %.1f MB total\n", rec.Completed, float64(rec.Bytes)/1e6)
+	fmt.Fprintf(r, "slowdown: p10=%.2f p50=%.2f p90=%.2f p99=%.2f mean=%.2f\n",
 		s.P10, s.P50, s.P90, s.P99, s.Mean)
 	for c := workload.ClassSmall; c <= workload.ClassLarge; c++ {
 		cs := rec.ByClass[c].Summarize()
-		fmt.Fprintf(&w, "  %-12s n=%-6d p50=%.2f p90=%.2f p99=%.2f\n", c, cs.N, cs.P50, cs.P90, cs.P99)
+		fmt.Fprintf(r, "  %-12s n=%-6d p50=%.2f p90=%.2f p99=%.2f\n", c, cs.N, cs.P50, cs.P90, cs.P99)
 	}
-	fmt.Fprintf(&w, "FCT: p50=%.1fms p99=%.1fms\n", rec.FCTms.Quantile(0.5), rec.FCTms.Quantile(0.99))
+	fmt.Fprintf(r, "FCT: p50=%.1fms p99=%.1fms\n", rec.FCTms.Quantile(0.5), rec.FCTms.Quantile(0.99))
 
-	res := exp.Result{Experiment: "fct", Seed: seed, Params: p, Report: w.String(),
-		Summaries: map[string]stats.Summary{"slowdown": s}}
-	res.AddMetric("completed", float64(rec.Completed), "requests")
-	res.AddMetric("bytes", float64(rec.Bytes), "B")
-	res.AddMetric("fct-p50", rec.FCTms.Quantile(0.5), "ms")
-	res.AddMetric("fct-p99", rec.FCTms.Quantile(0.99), "ms")
-	return res, nil
+	r.Summaries = map[string]stats.Summary{"slowdown": s}
+	r.AddMetric("completed", float64(rec.Completed), "requests")
+	r.AddMetric("bytes", float64(rec.Bytes), "B")
+	r.AddMetric("fct-p50", rec.FCTms.Quantile(0.5), "ms")
+	r.AddMetric("fct-p99", rec.FCTms.Quantile(0.99), "ms")
+	return nil
 }
 
-// fig9Exp is the headline comparison (Figure 9).
-type fig9Exp struct{}
-
-func (fig9Exp) Name() string { return "fig9" }
-func (fig9Exp) Desc() string {
-	return "Figure 9: FCT slowdowns — status quo vs Bundler (SFQ/FIFO) vs in-network FQ"
-}
-func (fig9Exp) Params() []exp.Param { return []exp.Param{requestsParam("15000")} }
-
-// Metadata implements exp.Metadater for run-store manifests.
-func (fig9Exp) Metadata() map[string]string {
-	return map[string]string{"paper": "§7.1", "figure": "9"}
-}
-
-func (e fig9Exp) Run(seed int64, p exp.Params) (exp.Result, error) {
-	b := exp.Bind(e.Params(), p)
-	requests := b.Int("requests")
-	if err := b.Err(); err != nil {
-		return exp.Result{}, err
-	}
-	rows := RunFig9(seed, requests)
-	var w strings.Builder
-	ReportHeader(&w, fmt.Sprintf("Figure 9: FCT slowdowns (%d requests; paper: 1M, medians 1.76 → 1.26)", requests))
-	WriteFCTRows(&w, rows)
-	res := exp.Result{Experiment: "fig9", Seed: seed, Params: p, Report: w.String()}
-	AddFCTRowMetrics(&res, rows)
-	return res, nil
-}
-
-// fig11Exp sweeps short-flow cross traffic (Figure 11).
-type fig11Exp struct{}
-
-func (fig11Exp) Name() string { return "fig11" }
-func (fig11Exp) Desc() string {
-	return "Figure 11: short-flow cross traffic sweep against a fixed 48 Mbit/s bundle"
-}
-func (fig11Exp) Params() []exp.Param { return []exp.Param{requestsParam("15000")} }
-
-func (e fig11Exp) Run(seed int64, p exp.Params) (exp.Result, error) {
-	b := exp.Bind(e.Params(), p)
-	requests := b.Int("requests")
-	if err := b.Err(); err != nil {
-		return exp.Result{}, err
-	}
-	points := RunFig11(seed, requests/2)
-	var w strings.Builder
-	ReportHeader(&w, "Figure 11: short-flow cross traffic sweep (bundle fixed at 48 Mbit/s)")
-	fmt.Fprintf(&w, "%-12s %12s %14s %16s\n", "cross Mb/s", "status quo", "bundler-copa", "bundler-nimbus")
-	res := exp.Result{Experiment: "fig11", Seed: seed, Params: p}
+// fig11 sweeps short-flow cross traffic (Figure 11).
+func fig11(r *exp.Run) error {
+	points := RunFig11(r.Seed, r.Int("requests")/2)
+	ReportHeader(r, "Figure 11: short-flow cross traffic sweep (bundle fixed at 48 Mbit/s)")
+	fmt.Fprintf(r, "%-12s %12s %14s %16s\n", "cross Mb/s", "status quo", "bundler-copa", "bundler-nimbus")
 	for _, pt := range points {
-		fmt.Fprintf(&w, "%-12.0f %12.2f %14.2f %16.2f\n",
+		fmt.Fprintf(r, "%-12.0f %12.2f %14.2f %16.2f\n",
 			pt.CrossBps/1e6, pt.Median["statusquo"], pt.Median["bundler-copa"], pt.Median["bundler-nimbus"])
 		prefix := fmt.Sprintf("cross%.0fM/", pt.CrossBps/1e6)
-		for _, label := range []string{"statusquo", "bundler-copa", "bundler-nimbus"} {
-			res.AddMetric(prefix+label+"/median-slowdown", pt.Median[label], "")
+		for _, v := range crossVariants {
+			r.AddMetric(prefix+v.label+"/median-slowdown", pt.Median[v.label], "")
 		}
 	}
-	res.Report = w.String()
-	return res, nil
+	return nil
 }
 
-// fig12Exp measures persistent elastic cross flows (Figure 12).
-type fig12Exp struct{}
-
-func (fig12Exp) Name() string { return "fig12" }
-func (fig12Exp) Desc() string {
-	return "Figure 12: bundle throughput against persistent elastic (Cubic) cross flows"
-}
-func (fig12Exp) Params() []exp.Param { return nil }
-
-func (fig12Exp) Run(seed int64, p exp.Params) (exp.Result, error) {
-	points := RunFig12(seed)
-	var w strings.Builder
-	ReportHeader(&w, "Figure 12: persistent elastic cross flows (paper: 12-22% bundle throughput loss)")
-	fmt.Fprintf(&w, "%-12s %12s %14s %16s\n", "cross flows", "status quo", "bundler-copa", "bundler-nimbus")
-	res := exp.Result{Experiment: "fig12", Seed: seed, Params: p}
+// fig12 measures persistent elastic cross flows (Figure 12).
+func fig12(r *exp.Run) error {
+	points := RunFig12(r.Seed)
+	ReportHeader(r, "Figure 12: persistent elastic cross flows (paper: 12-22% bundle throughput loss)")
+	fmt.Fprintf(r, "%-12s %12s %14s %16s\n", "cross flows", "status quo", "bundler-copa", "bundler-nimbus")
 	for _, pt := range points {
-		fmt.Fprintf(&w, "%-12d %9.1f Mb/s %11.1f Mb/s %13.1f Mb/s\n",
+		fmt.Fprintf(r, "%-12d %9.1f Mb/s %11.1f Mb/s %13.1f Mb/s\n",
 			pt.CrossFlows, pt.Throughput["statusquo"], pt.Throughput["bundler-copa"], pt.Throughput["bundler-nimbus"])
 		prefix := fmt.Sprintf("cross%d/", pt.CrossFlows)
-		for _, label := range []string{"statusquo", "bundler-copa", "bundler-nimbus"} {
-			res.AddMetric(prefix+label+"/Mbps", pt.Throughput[label], "Mbps")
+		for _, v := range crossVariants {
+			r.AddMetric(prefix+v.label+"/Mbps", pt.Throughput[v.label], "Mbps")
 		}
 	}
-	res.Report = w.String()
-	return res, nil
+	return nil
 }
 
-// fig13Exp runs competing bundles (Figure 13).
-type fig13Exp struct{}
-
-func (fig13Exp) Name() string { return "fig13" }
-func (fig13Exp) Desc() string {
-	return "Figure 13: two bundles sharing the bottleneck at 1:1 and 2:1 load splits"
-}
-func (fig13Exp) Params() []exp.Param { return []exp.Param{requestsParam("15000")} }
-
-func (e fig13Exp) Run(seed int64, p exp.Params) (exp.Result, error) {
-	b := exp.Bind(e.Params(), p)
-	requests := b.Int("requests")
-	if err := b.Err(); err != nil {
-		return exp.Result{}, err
-	}
-	rows := RunFig13(seed, requests)
-	var w strings.Builder
-	ReportHeader(&w, "Figure 13: competing bundles (aggregate 84 Mbit/s)")
-	res := exp.Result{Experiment: "fig13", Seed: seed, Params: p}
-	for _, r := range rows {
+// fig13 runs competing bundles (Figure 13).
+func fig13(r *exp.Run) error {
+	rows := RunFig13(r.Seed, r.Int("requests"))
+	ReportHeader(r, "Figure 13: competing bundles (aggregate 84 Mbit/s)")
+	for _, row := range rows {
 		var parts []string
-		for i, m := range r.Medians {
+		for i, m := range row.Medians {
 			parts = append(parts, fmt.Sprintf("bundle%d p50=%.2f", i+1, m))
-			res.AddMetric(strings.ReplaceAll(r.Label, " ", "_")+fmt.Sprintf("/bundle%d-median", i+1), m, "")
+			r.AddMetric(strings.ReplaceAll(row.Label, " ", "_")+fmt.Sprintf("/bundle%d-median", i+1), m, "")
 		}
-		fmt.Fprintf(&w, "%-24s %s\n", r.Label, strings.Join(parts, "  "))
+		fmt.Fprintf(r, "%-24s %s\n", row.Label, strings.Join(parts, "  "))
 	}
-	res.Report = w.String()
-	return res, nil
+	return nil
 }
 
-// fig14Exp compares inner-loop algorithms (Figure 14).
-type fig14Exp struct{}
-
-func (fig14Exp) Name() string { return "fig14" }
-func (fig14Exp) Desc() string {
-	return "Figure 14: inner-loop congestion control comparison (Copa vs BasicDelay vs BBR)"
-}
-func (fig14Exp) Params() []exp.Param { return []exp.Param{requestsParam("15000")} }
-
-func (e fig14Exp) Run(seed int64, p exp.Params) (exp.Result, error) {
-	b := exp.Bind(e.Params(), p)
-	requests := b.Int("requests")
-	if err := b.Err(); err != nil {
-		return exp.Result{}, err
-	}
-	rows := RunFig14(seed, requests)
-	var w strings.Builder
-	ReportHeader(&w, "Figure 14: inner-loop congestion control comparison")
-	WriteFCTRows(&w, rows)
-	res := exp.Result{Experiment: "fig14", Seed: seed, Params: p, Report: w.String()}
-	AddFCTRowMetrics(&res, rows)
-	return res, nil
-}
-
-// fig15Exp runs the idealized TCP proxy comparison (Figure 15).
-type fig15Exp struct{}
-
-func (fig15Exp) Name() string { return "fig15" }
-func (fig15Exp) Desc() string {
-	return "Figure 15: idealized TCP proxy (fixed endhost windows) vs normal Bundler"
-}
-func (fig15Exp) Params() []exp.Param { return []exp.Param{requestsParam("15000")} }
-
-func (e fig15Exp) Run(seed int64, p exp.Params) (exp.Result, error) {
-	b := exp.Bind(e.Params(), p)
-	requests := b.Int("requests")
-	if err := b.Err(); err != nil {
-		return exp.Result{}, err
-	}
-	rows := RunFig15(seed, requests)
-	var w strings.Builder
-	ReportHeader(&w, "Figure 15: idealized TCP proxy (fixed 450-packet endhost windows)")
-	WriteFCTRows(&w, rows)
-	res := exp.Result{Experiment: "fig15", Seed: seed, Params: p, Report: w.String()}
-	AddFCTRowMetrics(&res, rows)
-	return res, nil
-}
-
-// sec74Exp varies the endhost congestion control (§7.4).
-type sec74Exp struct{}
-
-func (sec74Exp) Name() string { return "sec74" }
-func (sec74Exp) Desc() string {
-	return "§7.4: Bundler's benefit with Cubic, Reno, and BBR endhosts"
-}
-func (sec74Exp) Params() []exp.Param { return []exp.Param{requestsParam("15000")} }
-
-func (e sec74Exp) Run(seed int64, p exp.Params) (exp.Result, error) {
-	b := exp.Bind(e.Params(), p)
-	requests := b.Int("requests")
-	if err := b.Err(); err != nil {
-		return exp.Result{}, err
-	}
-	pairs := RunSec74(seed, requests)
+// sec74 varies the endhost congestion control (§7.4).
+func sec74(r *exp.Run) error {
+	pairs := RunSec74(r.Seed, r.Int("requests"))
 	var ccs []string
 	for cc := range pairs {
 		ccs = append(ccs, cc)
 	}
 	sort.Strings(ccs)
-	var w strings.Builder
-	ReportHeader(&w, "§7.4: endhost congestion control")
-	res := exp.Result{Experiment: "sec74", Seed: seed, Params: p}
+	ReportHeader(r, "§7.4: endhost congestion control")
 	for _, cc := range ccs {
 		pair := pairs[cc]
-		fmt.Fprintf(&w, "endhost %-6s status quo p50=%.2f | bundler p50=%.2f (%.0f%% lower)\n",
+		fmt.Fprintf(r, "endhost %-6s status quo p50=%.2f | bundler p50=%.2f (%.0f%% lower)\n",
 			cc, pair[0].Median, pair[1].Median, (1-pair[1].Median/pair[0].Median)*100)
-		res.AddMetric(cc+"/statusquo-median", pair[0].Median, "")
-		res.AddMetric(cc+"/bundler-median", pair[1].Median, "")
+		r.AddMetric(cc+"/statusquo-median", pair[0].Median, "")
+		r.AddMetric(cc+"/bundler-median", pair[1].Median, "")
 	}
-	res.Report = w.String()
-	return res, nil
+	return nil
 }

@@ -50,6 +50,15 @@ var goldenCases = []struct {
 	// hundreds of packets (Drops() 661 and 726; at 1 200 requests CoDel
 	// drops 8), so the one CoDel law both run is pinned while dropping.
 	{name: "policies", exp: "policies", seed: 1, params: exp.Params{"requests": "6000"}},
+	// The three below were generated at the commit before the experiment
+	// adapters became table rows, and committed with that change
+	// unregenerated: nested control loops (the only experiment that
+	// builds its topology by hand), the hidden single-point run every
+	// sweep fans out, and the with/without-Bundler scaffold at its
+	// simplest.
+	{name: "hier", exp: "hier", seed: 1, params: exp.Params{"dur": "10s"}},
+	{name: "fct", exp: "fct", seed: 1, params: exp.Params{"requests": "500"}},
+	{name: "fig2", exp: "fig2", seed: 1, params: exp.Params{"dur": "10s"}},
 }
 
 // TestGolden asserts that experiment output is byte-identical to the

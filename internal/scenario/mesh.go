@@ -422,9 +422,7 @@ func (m *Mesh) RunUntil(horizon sim.Time) sim.Time {
 				continue
 			}
 			done[i] = true
-			if pr.Site.SB != nil {
-				pr.Site.SB.Stop()
-			}
+			pr.Site.Stop()
 		}
 		return all
 	})
@@ -435,9 +433,7 @@ func (m *Mesh) RunUntil(horizon sim.Time) sim.Time {
 // Stop halts every bundle's control loop and the perturbation tickers.
 func (m *Mesh) Stop() {
 	for _, pr := range m.Pairs {
-		if pr.Site.SB != nil {
-			pr.Site.SB.Stop()
-		}
+		pr.Site.Stop()
 	}
 	for _, t := range m.perturbs {
 		t.Stop()
@@ -524,61 +520,30 @@ func RunMesh(o MeshOptions) ([]Fig9Result, []MeshBg) {
 	return rows, bgs
 }
 
-// meshExp is the registered mesh experiment: the scale-out scenario
-// family (2..N sites), sweepable over site count, mode and load.
-type meshExp struct{}
-
-func (meshExp) Name() string { return "mesh" }
-func (meshExp) Desc() string {
-	return "N-site mesh (§9 scale-out): per-pair bundles behind shared access bottlenecks, status quo vs Bundler"
-}
-
-func (meshExp) Params() []exp.Param {
-	return []exp.Param{
-		{Name: "sites", Default: "4", Help: "site count N (N·(N-1) ordered pairs, one bundle each)"},
-		{Name: "mode", Default: "hub", Help: `"hub" (shared core link) or "pairwise" (access links only)`},
-		{Name: "requests", Default: "300", Help: "web requests per ordered site pair"},
-		{Name: "rate", Default: "96e6", Help: "per-site access link rate, bits/s"},
-		{Name: "load", Default: "0", Help: "per-pair offered load, bits/s (0 = 70% of access rate split across destinations)"},
-		{Name: "perturb", Default: "2s", Help: "sendbox SFQ re-key period (0s disables)"},
-		{Name: "jitter", Default: "0s", Help: "in-path delay variation bound after each access link"},
-		{Name: "jitterordered", Default: "true", Help: "order-preserving jitter (false fakes multipath reordering)"},
-		{Name: "users", Default: "0", Help: "emulated background users per site, modeled as a fluid AIMD aggregate on each access link (0 disables; >0 also switches stats to sketch mode)"},
-		{Name: "sketch", Default: "auto", Help: `bounded quantile sketches for FCT stats: "auto" (on when users > 0), "true", or "false"`},
-	}
-}
-
-// Metadata implements exp.Metadater for run-store manifests.
-func (meshExp) Metadata() map[string]string {
-	return map[string]string{"paper": "§9", "figure": "mesh scale-out (extension)"}
-}
-
-func (e meshExp) Run(seed int64, p exp.Params) (exp.Result, error) {
-	b := exp.Bind(e.Params(), p)
+// mesh is the body of the registered mesh experiment (the table is in
+// experiments.go).
+func mesh(r *exp.Run) error {
 	var (
-		sites    = b.Int("sites")
-		mode     = b.String("mode")
-		requests = b.Int("requests")
-		rate     = b.Float("rate")
-		load     = b.Float("load")
-		perturb  = b.Duration("perturb")
-		jitter   = b.Duration("jitter")
-		ordered  = b.Bool("jitterordered")
-		users    = b.Int("users")
-		sketch   = b.String("sketch")
+		sites    = r.Int("sites")
+		mode     = r.String("mode")
+		requests = r.Int("requests")
+		rate     = r.Float("rate")
+		load     = r.Float("load")
+		perturb  = simDuration(r, "perturb")
+		jitter   = simDuration(r, "jitter")
+		ordered  = r.Bool("jitterordered")
+		users    = r.Int("users")
+		sketch   = r.String("sketch")
 	)
-	if err := b.Err(); err != nil {
-		return exp.Result{}, err
-	}
 	o := MeshOptions{
-		Seed:           seed,
+		Seed:           r.Seed,
 		Sites:          sites,
 		Mode:           mode,
 		AccessRate:     rate,
 		Requests:       requests,
 		OfferedBps:     load,
-		PerturbPeriod:  sim.FromSeconds(perturb.Seconds()),
-		JitterMax:      sim.FromSeconds(jitter.Seconds()),
+		PerturbPeriod:  perturb,
+		JitterMax:      jitter,
 		JitterOrdered:  ordered,
 		BgUsersPerSite: users,
 	}
@@ -589,37 +554,32 @@ func (e meshExp) Run(seed int64, p exp.Params) (exp.Result, error) {
 		o.Sketch = true
 	case "false":
 		if users > 0 {
-			return exp.Result{}, fmt.Errorf("mesh: sketch=false is incompatible with users=%d (emulated-user runs need bounded stats)", users)
+			return fmt.Errorf("mesh: sketch=false is incompatible with users=%d (emulated-user runs need bounded stats)", users)
 		}
 	default:
-		return exp.Result{}, fmt.Errorf("mesh: sketch=%q (want auto, true, or false)", sketch)
+		return fmt.Errorf("mesh: sketch=%q (want auto, true, or false)", sketch)
 	}
 	if err := o.Validate(); err != nil {
-		return exp.Result{}, err
+		return err
 	}
 	rows, bgs := RunMesh(o)
-	var w strings.Builder
 	hdr := fmt.Sprintf("Mesh: %d sites (%d bundles, %s), %d requests/pair",
 		sites, sites*(sites-1), mode, requests)
 	if users > 0 {
 		hdr += fmt.Sprintf(", %d background users/site", users)
 	}
-	ReportHeader(&w, hdr)
-	WriteFCTRows(&w, rows)
-	res := exp.Result{Experiment: "mesh", Seed: seed, Params: p, Report: w.String()}
-	AddFCTRowMetrics(&res, rows)
-	for i, r := range rows {
-		label := strings.ReplaceAll(r.Label, " ", "_")
-		res.AddMetric(label+"/completed", float64(r.Rec.Completed), "requests")
+	ReportHeader(r, hdr)
+	WriteFCTRows(r, rows)
+	AddFCTRowMetrics(&r.Result, rows)
+	for i, row := range rows {
+		label := strings.ReplaceAll(row.Label, " ", "_")
+		r.AddMetric(label+"/completed", float64(row.Rec.Completed), "requests")
 		if users > 0 {
-			fmt.Fprintf(&w, "%-22s background delivered %.1f MB, lost %.1f MB\n",
+			fmt.Fprintf(r, "%-22s background delivered %.1f MB, lost %.1f MB\n",
 				bgs[i].Label, bgs[i].DeliveredBytes/1e6, bgs[i].LostBytes/1e6)
-			res.AddMetric(label+"/bg-delivered", bgs[i].DeliveredBytes, "bytes")
-			res.AddMetric(label+"/bg-lost", bgs[i].LostBytes, "bytes")
+			r.AddMetric(label+"/bg-delivered", bgs[i].DeliveredBytes, "bytes")
+			r.AddMetric(label+"/bg-lost", bgs[i].LostBytes, "bytes")
 		}
 	}
-	if users > 0 {
-		res.Report = w.String()
-	}
-	return res, nil
+	return nil
 }

@@ -2,7 +2,6 @@ package scenario
 
 import (
 	"fmt"
-	"strings"
 
 	"bundler/internal/bundle"
 	"bundler/internal/exp"
@@ -133,77 +132,40 @@ func RunSec76(seed int64, dur sim.Time) []Sec76Point {
 	return out
 }
 
-// --- experiment adapters ---
+// --- experiment bodies (the table is in experiments.go) ---
 
-// fig7Exp shows multipath visibility through the OOO fraction.
-type fig7Exp struct{}
-
-func (fig7Exp) Name() string { return "fig7" }
-func (fig7Exp) Desc() string {
-	return "Figure 7: imbalanced multipath detection via out-of-order congestion ACKs"
-}
-func (fig7Exp) Params() []exp.Param {
-	return []exp.Param{{Name: "dur", Default: "20s", Help: "run duration (virtual time)"}}
-}
-
-func (e fig7Exp) Run(seed int64, p exp.Params) (exp.Result, error) {
-	b := exp.Bind(e.Params(), p)
-	dur := sim.FromSeconds(b.Duration("dur").Seconds())
-	if err := b.Err(); err != nil {
-		return exp.Result{}, err
-	}
-	res := RunFig7(seed, dur)
-	var w strings.Builder
-	ReportHeader(&w, "Figure 7: imbalanced multipath visibility (4 paths)")
-	out := exp.Result{Experiment: "fig7", Seed: seed, Params: p}
+// fig7 shows multipath visibility through the OOO fraction.
+func fig7(r *exp.Run) error {
+	dur := simDuration(r, "dur")
+	res := RunFig7(r.Seed, dur)
+	ReportHeader(r, "Figure 7: imbalanced multipath visibility (4 paths)")
 	for i, ts := range res.PathRTTms {
 		mean := ts.MeanOver(0, dur)
-		fmt.Fprintf(&w, "path %d true RTT: %.1f ms (mean)\n", i+1, mean)
-		out.AddMetric(fmt.Sprintf("path%d-rtt", i+1), mean, "ms")
+		fmt.Fprintf(r, "path %d true RTT: %.1f ms (mean)\n", i+1, mean)
+		r.AddMetric(fmt.Sprintf("path%d-rtt", i+1), mean, "ms")
 	}
-	fmt.Fprintf(&w, "out-of-order congestion-ACK fraction: %.1f%% (threshold 5%%)\n", res.OOOFraction*100)
-	fmt.Fprintf(&w, "sendbox mode: %v\n", res.Mode)
-	out.AddMetric("ooo-fraction", res.OOOFraction, "")
-	out.AddMetric("mode", float64(res.Mode), "")
-	out.Report = w.String()
-	return out, nil
+	fmt.Fprintf(r, "out-of-order congestion-ACK fraction: %.1f%% (threshold 5%%)\n", res.OOOFraction*100)
+	fmt.Fprintf(r, "sendbox mode: %v\n", res.Mode)
+	r.AddMetric("ooo-fraction", res.OOOFraction, "")
+	r.AddMetric("mode", float64(res.Mode), "")
+	return nil
 }
 
-// sec76Exp is the multipath-detection robustness sweep.
-type sec76Exp struct{}
-
-func (sec76Exp) Name() string { return "sec76" }
-func (sec76Exp) Desc() string {
-	return "§7.6: multipath detection across bandwidths, RTTs, and path counts"
-}
-func (sec76Exp) Params() []exp.Param {
-	return []exp.Param{{Name: "dur", Default: "10s", Help: "virtual time per configuration"}}
-}
-
-func (e sec76Exp) Run(seed int64, p exp.Params) (exp.Result, error) {
-	b := exp.Bind(e.Params(), p)
-	dur := sim.FromSeconds(b.Duration("dur").Seconds())
-	if err := b.Err(); err != nil {
-		return exp.Result{}, err
-	}
-	points := RunSec76(seed, dur)
-	var w strings.Builder
-	ReportHeader(&w, "§7.6: multipath detection sweep (paper: ≤0.4% single path, ≥20% multipath)")
-	fmt.Fprintf(&w, "%-10s %-8s %-8s %-10s %-8s\n", "rate Mb/s", "RTT ms", "paths", "OOO frac", "disabled")
-	out := exp.Result{Experiment: "sec76", Seed: seed, Params: p}
+// sec76 is the multipath-detection robustness sweep.
+func sec76(r *exp.Run) error {
+	points := RunSec76(r.Seed, simDuration(r, "dur"))
+	ReportHeader(r, "§7.6: multipath detection sweep (paper: ≤0.4% single path, ≥20% multipath)")
+	fmt.Fprintf(r, "%-10s %-8s %-8s %-10s %-8s\n", "rate Mb/s", "RTT ms", "paths", "OOO frac", "disabled")
 	maxSingle, minMulti := 0.0, 1.0
 	for _, pt := range points {
-		fmt.Fprintf(&w, "%-10.0f %-8.0f %-8d %-10.4f %-8v\n", pt.RateMbps, pt.RTTms, pt.Paths, pt.OOOFrac, pt.Disabled)
+		fmt.Fprintf(r, "%-10.0f %-8.0f %-8d %-10.4f %-8v\n", pt.RateMbps, pt.RTTms, pt.Paths, pt.OOOFrac, pt.Disabled)
 		if pt.Paths == 1 {
-			if pt.OOOFrac > maxSingle {
-				maxSingle = pt.OOOFrac
-			}
-		} else if pt.OOOFrac < minMulti {
-			minMulti = pt.OOOFrac
+			maxSingle = max(maxSingle, pt.OOOFrac)
+		} else {
+			minMulti = min(minMulti, pt.OOOFrac)
 		}
 	}
-	out.AddMetric("max-single-path-ooo", maxSingle, "")
-	out.AddMetric("min-multi-path-ooo", minMulti, "")
-	out.Report = w.String()
-	return out, nil
+	r.AddMetric("max-single-path-ooo", maxSingle, "")
+	r.AddMetric("min-multi-path-ooo", minMulti, "")
+	return nil
 }

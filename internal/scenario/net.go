@@ -18,6 +18,7 @@ import (
 	"bundler/internal/pkt"
 	"bundler/internal/qdisc"
 	"bundler/internal/sim"
+	"bundler/internal/stats"
 	"bundler/internal/tcp"
 	"bundler/internal/udpapp"
 	"bundler/internal/workload"
@@ -172,6 +173,24 @@ func (f *Fabric) AddSiteAt(egress netem.Receiver, bcfg *bundle.Config) *Site {
 	return s
 }
 
+// bundleConfig is the Sendbox configuration for inner-loop algorithm alg
+// behind the scheduler sched names (qdisc.Parse's grammar), depth packets
+// deep. Alg "" is no Bundler at all — the nil that AddSite reads as
+// status quo — so a with/without comparison is a loop over alg values.
+func (n *Net) bundleConfig(alg, sched string, depth int) *bundle.Config {
+	if alg == "" {
+		return nil
+	}
+	return &bundle.Config{Algorithm: alg, Scheduler: SchedulerByName(n.Eng, sched, depth)}
+}
+
+// Stop halts the site's Bundler control loop, if it has one.
+func (s *Site) Stop() {
+	if s.SB != nil {
+		s.SB.Stop()
+	}
+}
+
 // addrs allocates a fresh (source, destination) address pair and routes
 // the destination host into the site's ingress.
 func (s *Site) addrs(dstPort uint16) (src, dst pkt.Addr) {
@@ -239,6 +258,43 @@ func (s *Site) AddPing() *udpapp.PingClient {
 	s.MuxB.Register(dst, server)
 	client.Start()
 	return client
+}
+
+// AddPings starts n latency probes through the site.
+func (s *Site) AddPings(n int) []*udpapp.PingClient {
+	pings := make([]*udpapp.PingClient, n)
+	for i := range pings {
+		pings[i] = s.AddPing()
+	}
+	return pings
+}
+
+// probeSamples pools the RTTs (ms) the probes measured after warmup.
+func probeSamples(pings []*udpapp.PingClient, warmup sim.Time) *stats.Sample {
+	all := &stats.Sample{}
+	for _, pc := range pings {
+		for i, at := range pc.Series.T {
+			if at > warmup {
+				all.Add(pc.Series.V[i])
+			}
+		}
+	}
+	return all
+}
+
+// goodputMbps runs eng to from and then to to, and returns what the
+// senders had acknowledged in between, in Mbit/s.
+func goodputMbps(eng *sim.Engine, senders []*tcp.Sender, from, to sim.Time) float64 {
+	acked := func() (sum int64) {
+		for _, s := range senders {
+			sum += s.Acked()
+		}
+		return sum
+	}
+	eng.RunUntil(from)
+	before := acked()
+	eng.RunUntil(to)
+	return float64(acked()-before) * 8 / (to - from).Seconds() / 1e6
 }
 
 // AddCBR starts a paced constant-bit-rate UDP stream through the site —

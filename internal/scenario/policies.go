@@ -2,13 +2,9 @@ package scenario
 
 import (
 	"fmt"
-	"strings"
 
-	"bundler/internal/bundle"
 	"bundler/internal/exp"
 	"bundler/internal/sim"
-	"bundler/internal/stats"
-	"bundler/internal/udpapp"
 )
 
 // Sec72CoDelResult is the §7.2 FQ-CoDel highlight: end-to-end RTTs for
@@ -23,38 +19,19 @@ type Sec72CoDelResult struct {
 // The paper reports ~97 % lower median and ~89 % lower 99th-percentile
 // RTTs.
 func RunSec72CoDel(seed int64, dur sim.Time) Sec72CoDelResult {
-	run := func(withBundler bool) (med, p99 float64) {
+	run := func(alg string) (med, p99 float64) {
 		n := NewNet(NetConfig{Seed: seed})
-		var site *Site
-		if withBundler {
-			cfg := &bundle.Config{Algorithm: "copa"}
-			cfg.Scheduler = SchedulerByName(n.Eng, "fqcodel", 1000)
-			site = n.AddSite(cfg)
-		} else {
-			site = n.AddSite(nil)
-		}
-		var pings []*udpapp.PingClient
-		for i := 0; i < 10; i++ {
-			pings = append(pings, site.AddPing())
-		}
+		site := n.AddSite(n.bundleConfig(alg, "fqcodel", 1000))
+		pings := site.AddPings(10)
 		site.RunOpenLoop(Traffic{OfferedBps: 84e6, Requests: 1 << 30})
 		n.Eng.RunUntil(dur)
-		if site.SB != nil {
-			site.SB.Stop()
-		}
-		var all stats.Sample
-		for _, pc := range pings {
-			for i, at := range pc.Series.T {
-				if at > dur/4 {
-					all.Add(pc.Series.V[i])
-				}
-			}
-		}
+		site.Stop()
+		all := probeSamples(pings, dur/4)
 		return all.Median(), all.Quantile(0.99)
 	}
 	var res Sec72CoDelResult
-	res.StatusQuoMedianMs, res.StatusQuoP99Ms = run(false)
-	res.BundlerMedianMs, res.BundlerP99Ms = run(true)
+	res.StatusQuoMedianMs, res.StatusQuoP99Ms = run("")
+	res.BundlerMedianMs, res.BundlerP99Ms = run("copa")
 	return res
 }
 
@@ -71,16 +48,9 @@ type Sec72PrioResult struct {
 // FCTs for the favored class.
 func RunSec72Prio(seed int64, requests int) Sec72PrioResult {
 	const highPort, lowPort = 8443, 80
-	run := func(withBundler bool) (hi, lo float64) {
+	run := func(alg string) (hi, lo float64) {
 		n := NewNet(NetConfig{Seed: seed})
-		var site *Site
-		if withBundler {
-			cfg := &bundle.Config{Algorithm: "copa"}
-			cfg.Scheduler = SchedulerByName(n.Eng, "prio:8443", 1000)
-			site = n.AddSite(cfg)
-		} else {
-			site = n.AddSite(nil)
-		}
+		site := n.AddSite(n.bundleConfig(alg, "prio:8443", 1000))
 		// A latency-sensitive quarter of the load is favored over bulk
 		// three quarters, the §7.2 setup's spirit.
 		hiRec := site.RunOpenLoop(Traffic{OfferedBps: 21e6, Requests: requests / 4, DstPort: highPort})
@@ -88,53 +58,32 @@ func RunSec72Prio(seed int64, requests int) Sec72PrioResult {
 		n.RunUntilDone(600*sim.Second, func() bool {
 			return hiRec.Completed >= requests/4 && loRec.Completed >= requests*3/4
 		})
-		if site.SB != nil {
-			site.SB.Stop()
-		}
+		site.Stop()
 		return hiRec.Slowdowns.Median(), loRec.Slowdowns.Median()
 	}
 	var res Sec72PrioResult
-	res.StatusQuoHigh, res.StatusQuoLow = run(false)
-	res.BundlerHigh, res.BundlerLow = run(true)
+	res.StatusQuoHigh, res.StatusQuoLow = run("")
+	res.BundlerHigh, res.BundlerLow = run("copa")
 	return res
 }
 
-// --- experiment adapter ---
+// --- experiment body (the table is in experiments.go) ---
 
-// sec72Exp runs both §7.2 highlights: FQ-CoDel latency probes and strict
+// sec72 runs both §7.2 highlights: FQ-CoDel latency probes and strict
 // priority.
-type sec72Exp struct{}
-
-func (sec72Exp) Name() string { return "sec72" }
-func (sec72Exp) Desc() string {
-	return "§7.2: other sendbox policies — FQ-CoDel probe RTTs and strict priority"
-}
-func (sec72Exp) Params() []exp.Param {
-	return []exp.Param{
-		requestsParam("15000"),
-		{Name: "dur", Default: "20s", Help: "virtual time for the FQ-CoDel probe run"},
-	}
-}
-
-func (e sec72Exp) Run(seed int64, p exp.Params) (exp.Result, error) {
-	b := exp.Bind(e.Params(), p)
-	requests := b.Int("requests")
-	dur := sim.FromSeconds(b.Duration("dur").Seconds())
-	if err := b.Err(); err != nil {
-		return exp.Result{}, err
-	}
-	var w strings.Builder
-	ReportHeader(&w, "§7.2: other sendbox policies")
-	c := RunSec72CoDel(seed, dur)
-	fmt.Fprintf(&w, "FQ-CoDel probe RTTs: status quo p50=%.1fms p99=%.1fms | bundler p50=%.1fms p99=%.1fms\n",
+func sec72(r *exp.Run) error {
+	requests := r.Int("requests")
+	dur := simDuration(r, "dur")
+	ReportHeader(r, "§7.2: other sendbox policies")
+	c := RunSec72CoDel(r.Seed, dur)
+	fmt.Fprintf(r, "FQ-CoDel probe RTTs: status quo p50=%.1fms p99=%.1fms | bundler p50=%.1fms p99=%.1fms\n",
 		c.StatusQuoMedianMs, c.StatusQuoP99Ms, c.BundlerMedianMs, c.BundlerP99Ms)
-	pr := RunSec72Prio(seed, requests)
-	fmt.Fprintf(&w, "strict priority: favored class p50 %.2f (status quo %.2f); other class p50 %.2f (status quo %.2f)\n",
+	pr := RunSec72Prio(r.Seed, requests)
+	fmt.Fprintf(r, "strict priority: favored class p50 %.2f (status quo %.2f); other class p50 %.2f (status quo %.2f)\n",
 		pr.BundlerHigh, pr.StatusQuoHigh, pr.BundlerLow, pr.StatusQuoLow)
-	out := exp.Result{Experiment: "sec72", Seed: seed, Params: p, Report: w.String()}
-	out.AddMetric("fqcodel/statusquo-probe-p50", c.StatusQuoMedianMs, "ms")
-	out.AddMetric("fqcodel/bundler-probe-p50", c.BundlerMedianMs, "ms")
-	out.AddMetric("prio/bundler-high-median", pr.BundlerHigh, "")
-	out.AddMetric("prio/statusquo-high-median", pr.StatusQuoHigh, "")
-	return out, nil
+	r.AddMetric("fqcodel/statusquo-probe-p50", c.StatusQuoMedianMs, "ms")
+	r.AddMetric("fqcodel/bundler-probe-p50", c.BundlerMedianMs, "ms")
+	r.AddMetric("prio/bundler-high-median", pr.BundlerHigh, "")
+	r.AddMetric("prio/statusquo-high-median", pr.StatusQuoHigh, "")
+	return nil
 }

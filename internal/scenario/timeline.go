@@ -34,14 +34,9 @@ type QueueShiftResult struct {
 // sendbox; throughput is preserved.
 func RunQueueShift(seed int64, dur sim.Time) QueueShiftResult {
 	var res QueueShiftResult
-	run := func(withBundler bool, bn, edge *stats.TimeSeries) float64 {
+	run := func(alg string, bn, edge *stats.TimeSeries) float64 {
 		n := NewNet(NetConfig{Seed: seed})
-		var site *Site
-		if withBundler {
-			site = n.AddSite(DefaultBundleConfig())
-		} else {
-			site = n.AddSite(nil)
-		}
+		site := n.AddSite(n.bundleConfig(alg, "sfq", 1000))
 		snd := site.AddFlow(1<<40, tcp.NewCubic(), nil)
 		n.Eng.Tick(100*sim.Millisecond, func() {
 			bn.Add(n.Eng.Now(), n.Bottleneck.QueueDelay().Millis())
@@ -52,13 +47,11 @@ func RunQueueShift(seed int64, dur sim.Time) QueueShiftResult {
 			}
 		})
 		n.Eng.RunUntil(dur)
-		if site.SB != nil {
-			site.SB.Stop()
-		}
+		site.Stop()
 		return float64(snd.Acked()) * 8 / dur.Seconds() / 1e6
 	}
-	res.StatusQuoThroughput = run(false, &res.StatusQuoBottleneck, &res.StatusQuoEdge)
-	res.BundlerThroughput = run(true, &res.BundlerBottleneck, &res.BundlerSendbox)
+	res.StatusQuoThroughput = run("", &res.StatusQuoBottleneck, &res.StatusQuoEdge)
+	res.BundlerThroughput = run("copa", &res.BundlerBottleneck, &res.BundlerSendbox)
 	return res
 }
 
@@ -173,105 +166,72 @@ func RunFig10(seed int64) Fig10Result {
 	return res
 }
 
-// --- experiment adapters ---
+// --- experiment bodies (the table is in experiments.go) ---
 
-// fig2Exp shows the queue moving from the bottleneck to the sendbox.
-type fig2Exp struct{}
-
-func (fig2Exp) Name() string { return "fig2" }
-func (fig2Exp) Desc() string {
-	return "Figure 2: queue shifting — delay moves from the bottleneck to the sendbox"
-}
-func (fig2Exp) Params() []exp.Param {
-	return []exp.Param{
-		{Name: "dur", Default: "30s", Help: "run duration (virtual time)"},
-		artifactsParam(),
+// timelineArtifact attaches the series as one CSV artifact.
+func timelineArtifact(r *exp.Run, file string, names []string, series []*stats.TimeSeries) error {
+	var csv strings.Builder
+	if err := writeTimeSeries(&csv, names, series); err != nil {
+		return err
 	}
+	r.Artifacts = append(r.Artifacts, exp.Artifact{Name: file, Data: csv.String()})
+	return nil
 }
 
-func (e fig2Exp) Run(seed int64, p exp.Params) (exp.Result, error) {
-	b := exp.Bind(e.Params(), p)
-	dur := sim.FromSeconds(b.Duration("dur").Seconds())
-	artifacts := b.Bool("artifacts")
-	if err := b.Err(); err != nil {
-		return exp.Result{}, err
-	}
-	res := RunQueueShift(seed, dur)
+// fig2 shows the queue moving from the bottleneck to the sendbox.
+func fig2(r *exp.Run) error {
+	dur := simDuration(r, "dur")
+	artifacts := r.Bool("artifacts")
+	res := RunQueueShift(r.Seed, dur)
 	sqBn := res.StatusQuoBottleneck.MeanOver(dur/6, dur)
 	sqEdge := res.StatusQuoEdge.MeanOver(dur/6, dur)
 	bdBn := res.BundlerBottleneck.MeanOver(dur/6, dur)
 	bdEdge := res.BundlerSendbox.MeanOver(dur/6, dur)
 
-	var w strings.Builder
-	ReportHeader(&w, "Figure 2: queue shifting (single flow, 96 Mbit/s, 50 ms RTT)")
-	fmt.Fprintf(&w, "%-28s %-22s %-20s\n", "", "bottleneck queue (ms)", "edge/sendbox queue (ms)")
-	fmt.Fprintf(&w, "%-28s %-22.1f %-20.1f\n", "Status Quo", sqBn, sqEdge)
-	fmt.Fprintf(&w, "%-28s %-22.1f %-20.1f\n", "With Bundler", bdBn, bdEdge)
-	fmt.Fprintf(&w, "throughput: status quo %.1f Mbit/s, bundler %.1f Mbit/s\n",
+	ReportHeader(r, "Figure 2: queue shifting (single flow, 96 Mbit/s, 50 ms RTT)")
+	fmt.Fprintf(r, "%-28s %-22s %-20s\n", "", "bottleneck queue (ms)", "edge/sendbox queue (ms)")
+	fmt.Fprintf(r, "%-28s %-22.1f %-20.1f\n", "Status Quo", sqBn, sqEdge)
+	fmt.Fprintf(r, "%-28s %-22.1f %-20.1f\n", "With Bundler", bdBn, bdEdge)
+	fmt.Fprintf(r, "throughput: status quo %.1f Mbit/s, bundler %.1f Mbit/s\n",
 		res.StatusQuoThroughput, res.BundlerThroughput)
 
-	out := exp.Result{Experiment: "fig2", Seed: seed, Params: p, Report: w.String()}
-	out.AddMetric("statusquo/bottleneck-queue", sqBn, "ms")
-	out.AddMetric("bundler/bottleneck-queue", bdBn, "ms")
-	out.AddMetric("bundler/sendbox-queue", bdEdge, "ms")
-	out.AddMetric("statusquo/throughput", res.StatusQuoThroughput, "Mbps")
-	out.AddMetric("bundler/throughput", res.BundlerThroughput, "Mbps")
+	r.AddMetric("statusquo/bottleneck-queue", sqBn, "ms")
+	r.AddMetric("bundler/bottleneck-queue", bdBn, "ms")
+	r.AddMetric("bundler/sendbox-queue", bdEdge, "ms")
+	r.AddMetric("statusquo/throughput", res.StatusQuoThroughput, "Mbps")
+	r.AddMetric("bundler/throughput", res.BundlerThroughput, "Mbps")
 
-	if artifacts {
-		var csv strings.Builder
-		if err := writeTimeSeries(&csv,
-			[]string{"statusquo_bottleneck_ms", "bundler_bottleneck_ms", "bundler_sendbox_ms"},
-			[]*stats.TimeSeries{&res.StatusQuoBottleneck, &res.BundlerBottleneck, &res.BundlerSendbox}); err != nil {
-			return exp.Result{}, err
-		}
-		out.Artifacts = append(out.Artifacts, exp.Artifact{Name: "fig2_queues.csv", Data: csv.String()})
+	if !artifacts {
+		return nil
 	}
-	return out, nil
+	return timelineArtifact(r, "fig2_queues.csv",
+		[]string{"statusquo_bottleneck_ms", "bundler_bottleneck_ms", "bundler_sendbox_ms"},
+		[]*stats.TimeSeries{&res.StatusQuoBottleneck, &res.BundlerBottleneck, &res.BundlerSendbox})
 }
 
-// fig10Exp runs the time-varying cross-traffic timeline.
-type fig10Exp struct{}
-
-func (fig10Exp) Name() string { return "fig10" }
-func (fig10Exp) Desc() string {
-	return "Figure 10: reaction to buffer-filling and web-like cross traffic over time"
-}
-func (fig10Exp) Params() []exp.Param { return []exp.Param{artifactsParam()} }
-
-func (e fig10Exp) Run(seed int64, p exp.Params) (exp.Result, error) {
-	b := exp.Bind(e.Params(), p)
-	artifacts := b.Bool("artifacts")
-	if err := b.Err(); err != nil {
-		return exp.Result{}, err
-	}
-	res := RunFig10(seed)
-	var w strings.Builder
-	ReportHeader(&w, "Figure 10: time-varying cross traffic (3 × 60 s phases)")
-	fmt.Fprintf(&w, "%-28s %12s %12s %10s %12s %14s\n",
+// fig10 runs the time-varying cross-traffic timeline.
+func fig10(r *exp.Run) error {
+	artifacts := r.Bool("artifacts")
+	res := RunFig10(r.Seed)
+	ReportHeader(r, "Figure 10: time-varying cross traffic (3 × 60 s phases)")
+	fmt.Fprintf(r, "%-28s %12s %12s %10s %12s %14s\n",
 		"phase", "bundle Mb/s", "cross Mb/s", "queue ms", "pass-through", "short-flow p50")
-	out := exp.Result{Experiment: "fig10", Seed: seed, Params: p}
 	for _, ph := range res.Phases {
-		fmt.Fprintf(&w, "%-28s %12.1f %12.1f %10.1f %11.0f%% %14.2f\n",
+		fmt.Fprintf(r, "%-28s %12.1f %12.1f %10.1f %11.0f%% %14.2f\n",
 			ph.Label, ph.BundleMbps, ph.CrossMbps, ph.MeanQueueMs, ph.PassThroughFrac*100, ph.ShortFlowSlowdowns.P50)
 		prefix := strings.ReplaceAll(ph.Label, " ", "_") + "/"
-		out.AddMetric(prefix+"bundle", ph.BundleMbps, "Mbps")
-		out.AddMetric(prefix+"cross", ph.CrossMbps, "Mbps")
-		out.AddMetric(prefix+"queue", ph.MeanQueueMs, "ms")
-		out.AddMetric(prefix+"passthrough-frac", ph.PassThroughFrac, "")
-		out.AddMetric(prefix+"short-p50-slowdown", ph.ShortFlowSlowdowns.P50, "")
+		r.AddMetric(prefix+"bundle", ph.BundleMbps, "Mbps")
+		r.AddMetric(prefix+"cross", ph.CrossMbps, "Mbps")
+		r.AddMetric(prefix+"queue", ph.MeanQueueMs, "ms")
+		r.AddMetric(prefix+"passthrough-frac", ph.PassThroughFrac, "")
+		r.AddMetric(prefix+"short-p50-slowdown", ph.ShortFlowSlowdowns.P50, "")
 	}
-	out.Report = w.String()
-
-	if artifacts {
-		var csv strings.Builder
-		if err := writeTimeSeries(&csv,
-			[]string{"bundle_mbps", "cross_mbps", "queue_ms", "mode"},
-			[]*stats.TimeSeries{&res.BundleTput, &res.CrossTput, &res.QueueMs, &res.Mode}); err != nil {
-			return exp.Result{}, err
-		}
-		out.Artifacts = append(out.Artifacts, exp.Artifact{Name: "fig10_timeline.csv", Data: csv.String()})
+	if !artifacts {
+		return nil
 	}
-	return out, nil
+	return timelineArtifact(r, "fig10_timeline.csv",
+		[]string{"bundle_mbps", "cross_mbps", "queue_ms", "mode"},
+		[]*stats.TimeSeries{&res.BundleTput, &res.CrossTput, &res.QueueMs, &res.Mode})
 }
 
 // writeTimeSeries writes one or more aligned-by-row time series as CSV

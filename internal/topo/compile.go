@@ -18,9 +18,8 @@ import (
 	"bundler/internal/workload"
 )
 
-// binder parses expanded config strings into typed values, remembering
-// the first failure (the exp.Binder pattern, but over "$param"-expanded
-// config fields rather than Params maps).
+// binder parses "$param"-expanded config strings into typed values,
+// remembering the first failure.
 type binder struct {
 	pv  map[string]string
 	err error

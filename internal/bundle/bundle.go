@@ -80,11 +80,11 @@ func (m Mode) String() string {
 
 // Config parameterizes a Sendbox.
 type Config struct {
-	// Algorithm names the inner-loop controller: "copa" (default),
-	// "basicdelay", or "bbr".
+	// Algorithm names the inner-loop controller, one of ccalg.Names;
+	// "" is Copa.
 	Algorithm string
 	// Scheduler is the qdisc applied to the bundle's queue at the
-	// sendbox. Defaults to SFQ with 1024 buckets and a 4096-packet cap.
+	// sendbox. Defaults to SFQ with 1024 buckets and a 1000-packet cap.
 	Scheduler qdisc.Qdisc
 	// InitialEpochN is the initial epoch size in packets (power of two).
 	InitialEpochN uint64
@@ -115,9 +115,6 @@ type Config struct {
 }
 
 func (c *Config) fillDefaults() {
-	if c.Algorithm == "" {
-		c.Algorithm = "copa"
-	}
 	if c.Scheduler == nil {
 		// Linux SFQ defaults to a 127-packet limit; the prototype's TBF
 		// inner qdisc is similarly shallow. A modestly larger default
@@ -211,7 +208,7 @@ type Sendbox struct {
 	window     []epochMeasurement
 	minRTT     clock.Time
 	latestRTT  clock.Time
-	muFilter   muMaxFilter
+	muFilter   stats.MaxFilter
 	muSmooth   float64
 	lastEpochZ float64
 
@@ -440,7 +437,7 @@ func (s *Sendbox) onCtlAck(ack *CtlAck) {
 				first, last := s.ackHistory[0], s.ackHistory[n-1]
 				if last.at > first.at {
 					muSample := float64(last.bytes-first.bytes) * 8 / (last.at - first.at).Seconds()
-					s.muFilter.update(now, muSample, 10*clock.Second)
+					s.muFilter.Update(now, muSample, 10*clock.Second)
 				}
 			}
 			// Instantaneous cross-traffic estimate from this epoch pair.
@@ -674,7 +671,7 @@ func (s *Sendbox) pulsesActive() bool {
 // own (reduced) receive rate, and a bare max-filter would let the capacity
 // estimate chase it downward — a self-reinforcing collapse.
 func (s *Sendbox) mu() float64 {
-	mu := s.muFilter.get()
+	mu := s.muFilter.Get()
 	if s.muSmooth > mu {
 		mu = s.muSmooth
 	}
@@ -686,7 +683,7 @@ func (s *Sendbox) mu() float64 {
 
 // decayMu advances the envelope once per control tick (≈5 %/second).
 func (s *Sendbox) decayMu() {
-	if v := s.muFilter.get(); v > s.muSmooth {
+	if v := s.muFilter.Get(); v > s.muSmooth {
 		s.muSmooth = v
 	} else {
 		s.muSmooth *= 0.9995
@@ -814,35 +811,6 @@ func (s *Sendbox) Measurement() (ccalg.Measurement, bool) { return s.currentMeas
 
 // Stop halts the control loop (end of experiment).
 func (s *Sendbox) Stop() { s.ticker.Stop() }
-
-// muMaxFilter is a time-windowed maximum for the capacity estimate.
-type muMaxFilter struct {
-	samples []muSample
-}
-
-type muSample struct {
-	at clock.Time
-	v  float64
-}
-
-func (m *muMaxFilter) update(now clock.Time, v float64, window clock.Time) {
-	cut := 0
-	for cut < len(m.samples) && now-m.samples[cut].at > window {
-		cut++
-	}
-	m.samples = m.samples[cut:]
-	for len(m.samples) > 0 && m.samples[len(m.samples)-1].v <= v {
-		m.samples = m.samples[:len(m.samples)-1]
-	}
-	m.samples = append(m.samples, muSample{now, v})
-}
-
-func (m *muMaxFilter) get() float64 {
-	if len(m.samples) == 0 {
-		return 0
-	}
-	return m.samples[0].v
-}
 
 // Receivebox is the destination-site box: a passive tap plus a
 // control-message endpoint. Wire Observe into a netem.Tap on the site's

@@ -334,7 +334,7 @@ func TestModeStringAndDefaults(t *testing.T) {
 	}
 	var cfg Config
 	cfg.fillDefaults()
-	if cfg.Algorithm != "copa" || cfg.InitialEpochN != 16 || cfg.Scheduler == nil || cfg.MeasurementWindowRTTs != 1 {
+	if ccalg.New(cfg.Algorithm).Name() != "copa" || cfg.InitialEpochN != 16 || cfg.Scheduler == nil || cfg.MeasurementWindowRTTs != 1 {
 		t.Fatalf("defaults wrong: %+v", cfg)
 	}
 }

@@ -43,7 +43,7 @@ type Alg interface {
 	Rate(now clock.Time) float64
 }
 
-// minRatePkts floors internal windows so algorithms can always probe.
+// minCwndPkts floors internal windows so algorithms can always probe.
 const minCwndPkts = 4
 
 // Copa implements Copa (Arun & Balakrishnan, NSDI 2018) adapted to
@@ -193,21 +193,20 @@ func (c *Copa) Rate(clock.Time) float64 {
 // at the estimated available capacity (total minus cross traffic),
 // modulated to hold queueing delay at a small target.
 type BasicDelay struct {
-	// QueueTargetFrac expresses the queueing-delay target as a fraction
-	// of the minimum RTT (Nimbus holds a small standing queue; 1/8 works
-	// well across the evaluation's RTT range).
-	QueueTargetFrac float64
-	// Gain scales the corrective term.
-	Gain float64
-
 	rate float64
 }
 
-// NewBasicDelay returns the controller with the defaults used in the
-// evaluation.
-func NewBasicDelay() *BasicDelay {
-	return &BasicDelay{QueueTargetFrac: 0.125, Gain: 0.8}
-}
+const (
+	// queueTargetFrac expresses BasicDelay's queueing-delay target as a
+	// fraction of the minimum RTT (Nimbus holds a small standing queue;
+	// 1/8 works well across the evaluation's RTT range).
+	queueTargetFrac = 0.125
+	// basicDelayGain scales BasicDelay's corrective term.
+	basicDelayGain = 0.8
+)
+
+// NewBasicDelay returns the controller the evaluation runs.
+func NewBasicDelay() *BasicDelay { return &BasicDelay{} }
 
 // Name implements Alg.
 func (b *BasicDelay) Name() string { return "basicdelay" }
@@ -223,14 +222,14 @@ func (b *BasicDelay) OnMeasurement(m Measurement, now clock.Time) {
 		avail = 0.05 * m.Mu
 	}
 	dq := (m.RTT - m.MinRTT).Seconds()
-	dt := b.QueueTargetFrac * m.MinRTT.Seconds()
+	dt := queueTargetFrac * m.MinRTT.Seconds()
 	if dt <= 0 {
 		dt = 0.005
 	}
 	// The corrective multiplier is clamped: a deep queue spike (often
 	// caused by cross traffic, already subtracted via avail) must slow us
 	// down, not starve the bundle until someone else's queue drains.
-	mult := 1 + b.Gain*(dt-dq)/dt
+	mult := 1 + basicDelayGain*(dt-dq)/dt
 	if mult < 0.3 {
 		mult = 0.3
 	}
@@ -374,11 +373,15 @@ func queueBusyThreshold(minRTT clock.Time) clock.Time {
 	return th
 }
 
-// New builds an inner-loop algorithm by name: "copa", "basicdelay", or
-// "bbr". Unknown names panic.
+// Names names the inner-loop algorithms New builds, in the order the
+// evaluation compares them (Figure 14).
+var Names = []string{"copa", "basicdelay", "bbr"}
+
+// New builds an inner-loop algorithm by name, one of Names; "" is Copa,
+// the evaluation's default. Unknown names panic.
 func New(name string) Alg {
 	switch name {
-	case "copa":
+	case "", "copa":
 		return NewCopa()
 	case "basicdelay":
 		return NewBasicDelay()
@@ -394,17 +397,17 @@ func New(name string) Alg {
 // balanced by a shallow A/3 down-pulse over the remaining three quarters,
 // so the mean added rate is zero. The paper uses T = 0.2 s and
 // A = μ/4 (§5.1).
-type Pulser struct {
-	// Period is the pulse period T.
-	Period clock.Time
-	// AmplitudeFrac is A as a fraction of the capacity estimate μ.
-	AmplitudeFrac float64
-}
+type Pulser struct{}
 
-// NewPulser returns the paper's pulser configuration.
-func NewPulser() *Pulser {
-	return &Pulser{Period: 200 * clock.Millisecond, AmplitudeFrac: 0.25}
-}
+const (
+	// pulsePeriod is the pulse period T.
+	pulsePeriod = 200 * clock.Millisecond
+	// pulseAmplitudeFrac is A as a fraction of the capacity estimate μ.
+	pulseAmplitudeFrac = 0.25
+)
+
+// NewPulser returns the paper's pulser.
+func NewPulser() *Pulser { return &Pulser{} }
 
 // Offset returns the rate offset at time now for capacity estimate mu.
 // The amplitude is μ/4 regardless of the base rate: detection matters most
@@ -416,8 +419,8 @@ func (p *Pulser) Offset(now clock.Time, mu float64) float64 {
 	if mu <= 0 {
 		return 0
 	}
-	amp := p.AmplitudeFrac * mu
-	t := float64(now%p.Period) / float64(p.Period) // phase in [0,1)
+	amp := pulseAmplitudeFrac * mu
+	t := float64(now%pulsePeriod) / float64(pulsePeriod) // phase in [0,1)
 	if t < 0.25 {
 		return amp * math.Sin(math.Pi*t/0.25)
 	}
@@ -425,7 +428,7 @@ func (p *Pulser) Offset(now clock.Time, mu float64) float64 {
 }
 
 // Frequency returns the pulse frequency in Hz.
-func (p *Pulser) Frequency() float64 { return 1 / p.Period.Seconds() }
+func (p *Pulser) Frequency() float64 { return 1 / pulsePeriod.Seconds() }
 
 // Detector decides whether buffer-filling (elastic) cross traffic shares
 // the bottleneck, by looking for the pulser's frequency in the

@@ -111,7 +111,7 @@ func TestPulserZeroMean(t *testing.T) {
 	const steps = 20000
 	sum := 0.0
 	for i := 0; i < steps; i++ {
-		now := clock.Time(i) * p.Period / steps
+		now := clock.Time(i) * pulsePeriod / steps
 		sum += p.Offset(now, 100e6)
 	}
 	mean := sum / steps
@@ -126,20 +126,20 @@ func TestPulserUpPulseAreaMatchesPaper(t *testing.T) {
 	// integrate and compare.
 	p := NewPulser()
 	mu := 96e6
-	amp := p.AmplitudeFrac * mu
+	amp := pulseAmplitudeFrac * mu
 	const steps = 100000
-	dt := p.Period.Seconds() / steps
+	dt := pulsePeriod.Seconds() / steps
 	area := 0.0
 	for i := 0; i < steps; i++ {
-		now := clock.Time(i) * p.Period / steps
+		now := clock.Time(i) * pulsePeriod / steps
 		if off := p.Offset(now, mu); off > 0 {
 			area += off * dt
 		}
 	}
-	want := amp * p.Period.Seconds() / (2 * math.Pi) * 2 // ∫sin over half period = 2/π · A · L
+	want := amp * pulsePeriod.Seconds() / (2 * math.Pi) * 2 // ∫sin over half period = 2/π · A · L
 	// ∫_0^{T/4} A sin(π t/(T/4)) dt = 2A(T/4)/π = A·T/(2π) · ... just
 	// compare against the closed form directly:
-	want = 2 * amp * (p.Period.Seconds() / 4) / math.Pi
+	want = 2 * amp * (pulsePeriod.Seconds() / 4) / math.Pi
 	if math.Abs(area-want)/want > 0.01 {
 		t.Fatalf("up-pulse area %.4f, want %.4f", area, want)
 	}
@@ -252,10 +252,13 @@ func TestPIControllerRateBounds(t *testing.T) {
 }
 
 func TestNewByName(t *testing.T) {
-	for _, name := range []string{"copa", "basicdelay", "bbr"} {
+	for _, name := range Names {
 		if got := New(name).Name(); got != name {
 			t.Fatalf("New(%q).Name() = %q", name, got)
 		}
+	}
+	if got := New("").Name(); got != "copa" {
+		t.Fatalf(`New("").Name() = %q, want the copa default`, got)
 	}
 	defer func() {
 		if recover() == nil {

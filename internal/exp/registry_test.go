@@ -153,7 +153,7 @@ func TestSweepOrderIndependentOfParallelism(t *testing.T) {
 		Seeds: []int64{3, 7},
 	}
 	run := func(parallel int) string {
-		results, err := Sweep(e, g, parallel, nil)
+		results, _, err := SweepOpts(e, g, Options{Parallel: parallel})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -174,11 +174,11 @@ func TestSweepOrderIndependentOfParallelism(t *testing.T) {
 func TestSweepRejectsUndeclaredAxis(t *testing.T) {
 	e := fakeExp{name: "sweep-validate-test"}
 	g := Grid{Axes: []Axis{{Name: "bogus", Values: []string{"1"}}}}
-	if _, err := Sweep(e, g, 1, nil); err == nil {
+	if _, _, err := SweepOpts(e, g, Options{Parallel: 1}); err == nil {
 		t.Fatal("Sweep accepted an axis the experiment does not declare")
 	}
 	g = Grid{Axes: []Axis{{Name: "x", Values: []string{"1"}}}}
-	if _, err := Sweep(e, g, 1, nil); err != nil {
+	if _, _, err := SweepOpts(e, g, Options{Parallel: 1}); err != nil {
 		t.Fatalf("Sweep rejected a declared axis: %v", err)
 	}
 }
@@ -204,7 +204,7 @@ func TestSweepRecordsPerPointErrors(t *testing.T) {
 		return nil
 	}}
 	g := Grid{Axes: []Axis{{Name: "x", Values: []string{"1", "2", "3"}}}}
-	results, err := Sweep(e, g, 2, nil)
+	results, _, err := SweepOpts(e, g, Options{Parallel: 2})
 	if err == nil {
 		t.Fatal("Sweep did not report the failing point")
 	}
@@ -225,7 +225,7 @@ func TestSweepRecordsPerPointErrors(t *testing.T) {
 func TestEmitCSV(t *testing.T) {
 	e := fakeExp{name: "csv-test"}
 	g := Grid{Axes: []Axis{{Name: "x", Values: []string{"2", "4"}}}, Seeds: []int64{5}}
-	results, err := Sweep(e, g, 1, nil)
+	results, _, err := SweepOpts(e, g, Options{Parallel: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -163,24 +163,14 @@ type Stats struct {
 	Executed int // actually simulated this run
 }
 
-// Sweep runs e at every grid point, fanning points across a pool of
-// `parallel` worker goroutines. Each Run builds its own sim.Engine, so
+// SweepOpts runs e at every grid point, fanning points across a pool of
+// opt.Parallel worker goroutines. Each Run builds its own sim.Engine, so
 // points are independent and the returned slice — ordered by Point.Index
 // — is identical for any parallelism. A failing point gets its error
 // recorded in Result.Err and the sweep continues; the first error is
-// also returned after all points finish. progress (optional) is called
-// after each completed point.
-func Sweep(e Experiment, g Grid, parallel int, progress func(done, total int)) ([]Result, error) {
-	var p func(done, total, cached int)
-	if progress != nil {
-		p = func(done, total, _ int) { progress(done, total) }
-	}
-	results, _, err := SweepOpts(e, g, Options{Parallel: parallel, Progress: p})
-	return results, err
-}
-
-// SweepOpts is Sweep with store-backed caching and resume. With
-// opt.Resume and a warm opt.Cache, completed cells load instead of
+// also returned after all points finish.
+//
+// With opt.Resume and a warm opt.Cache, completed cells load instead of
 // executing — interrupting a 1000-cell grid loses only the cells in
 // flight, and an unchanged re-run simulates nothing. Cached and fresh
 // cells are indistinguishable in the returned slice, so the emitted

@@ -57,7 +57,7 @@ func TestSweepDeterminism(t *testing.T) {
 		t.Fatalf("grid size = %d, want 8", g.Size())
 	}
 	run := func(parallel int) string {
-		results, err := exp.Sweep(fct, g, parallel, nil)
+		results, _, err := exp.SweepOpts(fct, g, exp.Options{Parallel: parallel})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -75,7 +75,7 @@ func TestSweepDeterminism(t *testing.T) {
 	}
 	// And the runs did real work: every point completed its requests.
 	var results []exp.Result
-	results, _ = exp.Sweep(fct, g, 8, nil)
+	results, _, _ = exp.SweepOpts(fct, g, exp.Options{Parallel: 8})
 	for _, r := range results {
 		if r.Err != "" {
 			t.Errorf("point %v failed: %s", r.Params, r.Err)

@@ -96,6 +96,20 @@ func NewLink(eng clock.Clock, name string, rate float64, delay clock.Time, q qdi
 	return &Link{eng: eng, name: name, rate: rate, delay: delay, q: q, dst: dst}
 }
 
+// NewReverseLink builds the testbed's uncongested reverse path (§7.1):
+// ACKs and Bundler control messages return to dst over a 10 Gbit/s link
+// with a 64 MiB FIFO and rtt/2 of propagation, so nothing an experiment
+// measures ever queues on the way back.
+func NewReverseLink(eng clock.Clock, rtt clock.Time, dst Receiver) *Link {
+	return NewLink(eng, "reverse", 10e9, rtt/2, qdisc.NewFIFO(1<<26), dst)
+}
+
+// BDPBuffer is the testbed's default droptail buffer in bytes: two
+// bandwidth-delay products of a rate-bits/s path with round trip rtt.
+func BDPBuffer(rate float64, rtt clock.Time) int {
+	return 2 * int(rate/8*rtt.Seconds())
+}
+
 // Receive implements Receiver: enqueue and start transmitting if idle.
 // A packet the qdisc refuses is dropped here (the link owns it once
 // Receive is called).

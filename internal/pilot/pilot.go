@@ -30,13 +30,6 @@ var (
 // hostBase is where per-flow endpoint addresses start.
 const hostBase = 1 << 16
 
-// reverseRate / reverseBuf describe the uncongested reverse path, same
-// values as the simulator's scenario fabric.
-const (
-	reverseRate = 10e9
-	reverseBuf  = 1 << 26
-)
-
 // warmup delays the first arrival past process start-up so both clock
 // domains are settled; the simulated twin applies the identical offset,
 // so it cancels out of every FCT.
@@ -85,7 +78,7 @@ func (c *Config) fill() {
 		c.RTT = 40 * clock.Millisecond
 	}
 	if c.BufBytes == 0 {
-		c.BufBytes = 2 * int(c.Rate/8*c.RTT.Seconds())
+		c.BufBytes = netem.BDPBuffer(c.Rate, c.RTT)
 	}
 	if c.Requests == 0 {
 		c.Requests = 60
@@ -171,52 +164,92 @@ func buildResult(cfg Config, rec *workload.Recorder) exp.Result {
 	return res
 }
 
-// RunSend is process A: endhost senders behind a Sendbox whose paced
-// output drains through the emulated bottleneck link into the UDP
-// socket. It blocks until every flow completes (returning the pilot's
-// result) or the horizon expires (an error). conn is the local bound
-// socket; peer is process B's address.
+// sendSide is process A's half of the topology, as wireSend built it.
+type sendSide struct {
+	// in takes everything arriving from the receive side: endhost ACKs
+	// and the Receivebox's congestion ACKs.
+	in        *tcp.Mux
+	rec       *workload.Recorder
+	remaining int // of cfg.Requests flows, those not yet completed
+}
+
+// wireSend builds the send side on c: endhost senders, each started at
+// its FlowSpec arrival, behind a Sendbox whose paced output drains
+// through the emulated bottleneck into toB, the hop to the receive side.
+// FCTs are measured at the sender. lastDone, if set, runs when the last
+// flow completes.
+func wireSend(c clock.Clock, cfg Config, toB netem.Receiver, lastDone func()) *sendSide {
+	a := &sendSide{in: tcp.NewMux(), rec: workload.NewRecorder(cfg.Rate, cfg.RTT), remaining: cfg.Requests}
+	bottleneck := netem.NewLink(c, "bottleneck", cfg.Rate, cfg.RTT/2, qdisc.NewFIFO(cfg.BufBytes), toB)
+	sb := bundle.NewSendbox(c, cfg.bundleConfig(), bottleneck, sbCtl, rbCtl)
+	a.in.Register(sbCtl, sb)
+	for _, f := range Flows(cfg) {
+		clock.At(c, f.At, func() {
+			var snd *tcp.Sender
+			snd = tcp.NewSender(c, sb, f.Src, f.Dst, f.ID, f.Size, tcp.NewEndhostCC("cubic"), func(now clock.Time) {
+				a.in.Unregister(f.Src)
+				a.rec.Record(f.Size, now-snd.StartedAt)
+				a.remaining--
+				if a.remaining == 0 && lastDone != nil {
+					lastDone()
+				}
+			})
+			a.in.Register(f.Src, snd)
+			snd.Start()
+		})
+	}
+	return a
+}
+
+// wireRecv builds the receive side on c: control messages routed around
+// the Receivebox's data tap, receivers for the whole (deterministic)
+// workload registered up front — passive until data arrives — and the
+// reverse link carrying every ACK into toA, the hop to the send side.
+// It returns where traffic from the send side enters.
+func wireRecv(c clock.Clock, cfg Config, toA netem.Receiver) netem.Receiver {
+	mux := tcp.NewMux()
+	reverse := netem.NewReverseLink(c, cfg.RTT, toA)
+	rb := bundle.NewReceivebox(c, reverse, rbCtl, sbCtl, cfg.bundleConfig().InitialEpochN)
+	mux.Register(rbCtl, rb)
+	for _, f := range Flows(cfg) {
+		mux.Register(f.Dst, tcp.NewReceiver(c, reverse, f.Dst, f.Src, f.ID, f.Size, nil))
+	}
+	tap := netem.NewTap(rb.Observe, mux)
+	return netem.ReceiverFunc(func(p *pkt.Packet) {
+		// Control messages go straight to the box — the data tap must not
+		// observe them (same routing as the scenario fabric's demux).
+		if p.Dst.Host == ctlHost {
+			mux.Receive(p)
+			return
+		}
+		tap.Receive(p)
+	})
+}
+
+// RunSend is process A: the send side on a wall clock, its bottleneck
+// draining into the UDP socket. It blocks until every flow completes
+// (returning the pilot's result) or the horizon expires (an error). conn
+// is the local bound socket; peer is process B's address.
 func RunSend(cfg Config, conn *net.UDPConn, peer *net.UDPAddr) (exp.Result, error) {
 	cfg.fill()
 	w := clock.NewWall(cfg.Seed)
 	defer w.Close()
 
-	muxA := tcp.NewMux()
 	tr := &transport{w: w, conn: conn, peer: peer}
-	bottleneck := netem.NewLink(w, "bottleneck", cfg.Rate, cfg.RTT/2, qdisc.NewFIFO(cfg.BufBytes), tr)
-	sb := bundle.NewSendbox(w, cfg.bundleConfig(), bottleneck, sbCtl, rbCtl)
-	muxA.Register(sbCtl, sb)
-
-	flows := Flows(cfg)
-	rec := workload.NewRecorder(cfg.Rate, cfg.RTT)
-	remaining := len(flows)
 	done := make(chan struct{})
-	for i := range flows {
-		f := flows[i]
-		clock.At(w, f.At, func() {
-			var snd *tcp.Sender
-			snd = tcp.NewSender(w, sb, f.Src, f.Dst, f.ID, f.Size, tcp.NewEndhostCC("cubic"), func(now clock.Time) {
-				muxA.Unregister(f.Src)
-				rec.Record(f.Size, now-snd.StartedAt)
-				remaining--
-				if remaining == 0 {
-					// Workload drained: tell B it can exit. The DONE
-					// datagram is repeated in case the socket drops it.
-					tr.SendDone()
-					clock.After(w, 50*clock.Millisecond, tr.SendDone)
-					clock.After(w, 100*clock.Millisecond, func() {
-						tr.SendDone()
-						close(done)
-					})
-				}
-			})
-			muxA.Register(f.Src, snd)
-			snd.Start()
+	a := wireSend(w, cfg, tr, func() {
+		// Workload drained: tell B it can exit. The DONE datagram is
+		// repeated in case the socket drops it.
+		tr.SendDone()
+		clock.After(w, 50*clock.Millisecond, tr.SendDone)
+		clock.After(w, 100*clock.Millisecond, func() {
+			tr.SendDone()
+			close(done)
 		})
-	}
+	})
 	// Everything is wired; open the inbound floodgate last so the reader
 	// goroutine observes fully-initialized state.
-	tr.deliver = muxA
+	tr.deliver = a.in
 	go tr.readLoop()
 
 	// The horizon fallback runs on the pilot's own wall clock rather
@@ -229,22 +262,20 @@ func RunSend(cfg Config, conn *net.UDPConn, peer *net.UDPAddr) (exp.Result, erro
 	case <-expired:
 		w.Close()
 		return exp.Result{}, fmt.Errorf("pilot: send horizon %v expired with %d/%d flows incomplete",
-			cfg.Horizon, remaining, len(flows))
+			cfg.Horizon, a.remaining, cfg.Requests)
 	}
-	// Close stops the clock goroutine; after it returns, rec and sendErr
+	// Close stops the clock goroutine; after it returns, a and sendErr
 	// are safe to read from here.
 	w.Close()
 	if tr.sendErr != nil {
 		return exp.Result{}, fmt.Errorf("pilot: socket send: %w", tr.sendErr)
 	}
-	return buildResult(cfg, rec), nil
+	return buildResult(cfg, a.rec), nil
 }
 
-// RunRecv is process B: the Receivebox tapping the inbound datagrams,
-// endhost receivers ACKing through the emulated reverse link back into
-// the socket. Receivers for the whole (deterministic) workload are
-// registered up front — they are passive until data arrives. Blocks
-// until A signals DONE or the horizon expires.
+// RunRecv is process B: the receive side on a wall clock, its reverse
+// link draining into the UDP socket. Blocks until A signals DONE or the
+// horizon expires.
 func RunRecv(cfg Config, conn *net.UDPConn, peer *net.UDPAddr) error {
 	cfg.fill()
 	// Seed differs from A's on purpose: nothing on the pilot path may
@@ -253,25 +284,8 @@ func RunRecv(cfg Config, conn *net.UDPConn, peer *net.UDPAddr) error {
 	defer w.Close()
 
 	tr := &transport{w: w, conn: conn, peer: peer}
-	muxB := tcp.NewMux()
-	reverse := netem.NewLink(w, "reverse", reverseRate, cfg.RTT/2, qdisc.NewFIFO(reverseBuf), tr)
-	rb := bundle.NewReceivebox(w, reverse, rbCtl, sbCtl, cfg.bundleConfig().InitialEpochN)
-	muxB.Register(rbCtl, rb)
-	for _, f := range Flows(cfg) {
-		muxB.Register(f.Dst, tcp.NewReceiver(w, reverse, f.Dst, f.Src, f.ID, f.Size, nil))
-	}
-	ingress := netem.NewTap(rb.Observe, muxB)
-
+	tr.deliver = wireRecv(w, cfg, tr)
 	done := make(chan struct{})
-	tr.deliver = netem.ReceiverFunc(func(p *pkt.Packet) {
-		// Control messages go straight to the box — the data tap must not
-		// observe them (same routing as the scenario fabric's demux).
-		if p.Dst.Host == ctlHost {
-			muxB.Receive(p)
-			return
-		}
-		ingress.Receive(p)
-	})
 	tr.onDone = func() { close(done) }
 	go tr.readLoop()
 

@@ -3,76 +3,36 @@ package pilot
 import (
 	"fmt"
 
-	"bundler/internal/bundle"
 	"bundler/internal/clock"
 	"bundler/internal/exp"
 	"bundler/internal/netem"
 	"bundler/internal/pkt"
-	"bundler/internal/qdisc"
 	"bundler/internal/sim"
-	"bundler/internal/tcp"
-	"bundler/internal/workload"
 )
 
 // RunTwin runs the pilot's exact topology and workload on the simulator:
-// the same Sendbox/Receivebox pair, bottleneck and reverse links, flow
-// list, and sender-side FCT measurement — only the UDP hop is replaced
-// by a direct hand-off. Its result carries the same cell identity
-// (experiment, seed, params) as RunSend's, so bundler-report diffs the
-// two within a tolerance. This is the cross-validation closing the
-// sim-to-deployment gap: if the pilot and the twin diverge beyond
-// real-clock jitter, one of them is wrong.
+// the same two sides RunSend and RunRecv wire, on one virtual clock, with
+// the UDP hop replaced by a direct hand-off. Its result carries the same
+// cell identity (experiment, seed, params) as RunSend's, so
+// bundler-report diffs the two within a tolerance. This is the
+// cross-validation closing the sim-to-deployment gap: if the pilot and
+// the twin diverge beyond real-clock jitter, one of them is wrong.
 func RunTwin(cfg Config) (exp.Result, error) {
 	cfg.fill()
 	eng := sim.NewEngine(cfg.Seed)
-	muxA, muxB := tcp.NewMux(), tcp.NewMux()
-
-	// B side: reverse link feeds A's mux directly (the UDP hop in the
-	// pilot), receivebox and pre-registered receivers behind the tap.
-	reverse := netem.NewLink(eng, "reverse", reverseRate, cfg.RTT/2, qdisc.NewFIFO(reverseBuf), muxA)
-	rb := bundle.NewReceivebox(eng, reverse, rbCtl, sbCtl, cfg.bundleConfig().InitialEpochN)
-	muxB.Register(rbCtl, rb)
-	flows := Flows(cfg)
-	for _, f := range flows {
-		muxB.Register(f.Dst, tcp.NewReceiver(eng, reverse, f.Dst, f.Src, f.ID, f.Size, nil))
-	}
-	ingress := netem.NewTap(rb.Observe, muxB)
-	inboundB := netem.ReceiverFunc(func(p *pkt.Packet) {
-		if p.Dst.Host == ctlHost {
-			muxB.Receive(p)
-			return
-		}
-		ingress.Receive(p)
-	})
-
-	// A side: senders → sendbox → bottleneck → B.
-	bottleneck := netem.NewLink(eng, "bottleneck", cfg.Rate, cfg.RTT/2, qdisc.NewFIFO(cfg.BufBytes), inboundB)
-	sb := bundle.NewSendbox(eng, cfg.bundleConfig(), bottleneck, sbCtl, rbCtl)
-	muxA.Register(sbCtl, sb)
-
-	rec := workload.NewRecorder(cfg.Rate, cfg.RTT)
-	remaining := len(flows)
-	for i := range flows {
-		f := flows[i]
-		clock.At(eng, f.At, func() {
-			var snd *tcp.Sender
-			snd = tcp.NewSender(eng, sb, f.Src, f.Dst, f.ID, f.Size, tcp.NewEndhostCC("cubic"), func(now clock.Time) {
-				muxA.Unregister(f.Src)
-				rec.Record(f.Size, now-snd.StartedAt)
-				remaining--
-			})
-			muxA.Register(f.Src, snd)
-			snd.Start()
-		})
-	}
+	// The receive side's ACKs enter the send side, which is wired second:
+	// its input is bound by the time the first packet moves.
+	var a *sendSide
+	toB := wireRecv(eng, cfg, netem.ReceiverFunc(func(p *pkt.Packet) { a.in.Receive(p) }))
+	a = wireSend(eng, cfg, toB, nil)
 
 	horizon := clock.Time(cfg.Horizon)
-	for eng.Now() < horizon && remaining > 0 {
+	for eng.Now() < horizon && a.remaining > 0 {
 		eng.RunUntil(eng.Now() + 100*clock.Millisecond)
 	}
-	if remaining > 0 {
+	if a.remaining > 0 {
 		return exp.Result{}, fmt.Errorf("pilot: twin horizon %v expired with %d/%d flows incomplete",
-			cfg.Horizon, remaining, len(flows))
+			cfg.Horizon, a.remaining, cfg.Requests)
 	}
-	return buildResult(cfg, rec), nil
+	return buildResult(cfg, a.rec), nil
 }

@@ -42,9 +42,8 @@ func RunHierarchical(seed int64, dur sim.Time) HierarchicalResult {
 	muxA, muxB := tcp.NewMux(), tcp.NewMux()
 	const rate, rtt = 96e6, 50 * sim.Millisecond
 	demux := netem.NewDemux()
-	bottleneck := netem.NewLink(eng, "bottleneck", rate, rtt/2,
-		qdisc.NewFIFO(2*int(rate/8*rtt.Seconds())), demux)
-	reverse := netem.NewLink(eng, "reverse", 10e9, rtt/2, qdisc.NewFIFO(1<<26), muxA)
+	bottleneck := netem.NewLink(eng, "bottleneck", rate, rtt/2, qdisc.NewFIFO(netem.BDPBuffer(rate, rtt)), demux)
+	reverse := netem.NewReverseLink(eng, rtt, muxA)
 
 	ctl := func(host uint32, port uint16) pkt.Addr { return pkt.Addr{Host: host, Port: port} }
 

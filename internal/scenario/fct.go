@@ -7,6 +7,7 @@ import (
 	"strings"
 
 	"bundler/internal/bundle"
+	"bundler/internal/ccalg"
 	"bundler/internal/exp"
 	"bundler/internal/pkt"
 	"bundler/internal/qdisc"
@@ -66,11 +67,15 @@ func (o *FCTOptions) fill() {
 		o.SendboxQueuePackets = 1000
 	}
 	if o.Horizon == 0 {
-		o.Horizon = 10 * sim.Time(o.Requests) * sim.Millisecond // ≈ load-scaled
-		if o.Horizon < 120*sim.Second {
-			o.Horizon = 120 * sim.Second
-		}
+		o.Horizon = LoadHorizon(o.Requests)
 	}
+}
+
+// LoadHorizon is the web experiments' load-scaled run bound for a
+// workload of requests flows: 10 ms of virtual time per request, never
+// under 120 s.
+func LoadHorizon(requests int) sim.Time {
+	return max(10*sim.Time(requests)*sim.Millisecond, 120*sim.Second)
 }
 
 // RunFCT executes one FCT scenario and returns the workload recorder.
@@ -149,7 +154,7 @@ func RunFig14(seed int64, requests int) []Fig9Result {
 	var out []Fig9Result
 	out = append(out, SummarizeFCT("Status Quo",
 		RunFCT(FCTOptions{Seed: seed, Requests: requests, Mode: "statusquo"})))
-	for _, alg := range []string{"copa", "basicdelay", "bbr"} {
+	for _, alg := range ccalg.Names {
 		rec := RunFCT(FCTOptions{Seed: seed, Requests: requests, Mode: "bundler", InnerAlg: alg})
 		out = append(out, SummarizeFCT("Bundler ("+alg+")", rec))
 	}
@@ -160,7 +165,7 @@ func RunFig14(seed int64, requests int) []Fig9Result {
 // persists when endhosts run Reno or BBR instead of Cubic.
 func RunSec74(seed int64, requests int) map[string][2]Fig9Result {
 	out := make(map[string][2]Fig9Result)
-	for _, cc := range []string{"cubic", "reno", "bbr"} {
+	for _, cc := range tcp.EndhostCCs {
 		sq := RunFCT(FCTOptions{Seed: seed, Requests: requests, Mode: "statusquo", EndhostCC: cc})
 		bd := RunFCT(FCTOptions{Seed: seed, Requests: requests, Mode: "bundler", EndhostCC: cc})
 		out[cc] = [2]Fig9Result{SummarizeFCT("Status Quo", sq), SummarizeFCT("Bundler", bd)}
@@ -360,8 +365,8 @@ func fct(r *exp.Run) error {
 	_, schedErr := qdisc.Parse(sim.NewEngine(0), sched, 1000, nil) // a scratch clock: PIE ticks on it
 	if err := cmp.Or(
 		oneOf("mode", mode, "statusquo", "bundler", "innetwork"),
-		oneOf("alg", alg, "copa", "basicdelay", "bbr"),
-		oneOf("endhost", endhost, "cubic", "reno", "bbr"),
+		oneOf("alg", alg, ccalg.Names...),
+		oneOf("endhost", endhost, tcp.EndhostCCs...),
 		schedErr,
 	); err != nil {
 		return err

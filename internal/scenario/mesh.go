@@ -144,12 +144,27 @@ func (o *MeshOptions) fill() {
 		o.OfferedBps = 0.7 * share / float64(o.Sites-1)
 	}
 	if o.Horizon == 0 {
-		total := o.Requests * o.Sites * (o.Sites - 1)
-		o.Horizon = 10 * sim.Time(total) * sim.Millisecond
-		if o.Horizon < 120*sim.Second {
-			o.Horizon = 120 * sim.Second
-		}
+		o.Horizon = LoadHorizon(o.Requests * o.Sites * (o.Sites - 1))
 	}
+}
+
+// SetSketch applies a user's sketch choice: "auto" (or "") leaves it to
+// the defaults, which turn sketches on with background users; "true"
+// forces them on; "false" keeps exact stats and is refused once
+// BgUsersPerSite is set, since emulated-user runs need bounded stats.
+func (o *MeshOptions) SetSketch(choice string) error {
+	switch choice {
+	case "", "auto":
+	case "true":
+		o.Sketch = true
+	case "false":
+		if o.BgUsersPerSite > 0 {
+			return fmt.Errorf("sketch=false is incompatible with users=%d (emulated-user runs need bounded stats)", o.BgUsersPerSite)
+		}
+	default:
+		return fmt.Errorf("sketch=%q (want auto, true, or false)", choice)
+	}
+	return nil
 }
 
 // Validate reports whether the options (after defaulting) describe a
@@ -264,8 +279,7 @@ func NewMesh(o MeshOptions) *Mesh {
 			}
 			inPorts[site].Receive(p)
 		})
-		coreBuf := 2 * int(o.CoreRate/8*o.RTT.Seconds())
-		m.Core = netem.NewLink(core.Eng, "core", o.CoreRate, 0, qdisc.NewFIFO(coreBuf), router)
+		m.Core = netem.NewLink(core.Eng, "core", o.CoreRate, 0, qdisc.NewFIFO(netem.BDPBuffer(o.CoreRate, o.RTT)), router)
 	}
 
 	// Per-site fabric, access link, and (hub) cross-partition ports.
@@ -273,15 +287,13 @@ func NewMesh(o MeshOptions) *Mesh {
 	// the local access link; in a hub the access and core links carry no
 	// delay of their own and each crossing (access→core, core→site) pays
 	// RTT/4 as its port's latency.
-	accessBuf := 2 * int(o.AccessRate/8*o.RTT.Seconds())
+	accessBuf := netem.BDPBuffer(o.AccessRate, o.RTT)
 	for i := 0; i < o.Sites; i++ {
 		pa := parts[i]
-		fab := NewFabric(pa.Eng)
+		fab := NewFabric(pa.Eng, o.RTT)
 		fab.Pool = pa.Pool
 		hostBase, ctlBase, flowBase := meshHostBase(i)
 		fab.SetIDSpace(hostBase, ctlBase, flowBase)
-		fab.Reverse = netem.NewLink(pa.Eng, fmt.Sprintf("reverse%d", i), 10e9, o.RTT/2, qdisc.NewFIFO(1<<26), fab.MuxA)
-		fab.OracleRTT = o.RTT
 		fab.OracleRate = m.oracleRate
 		m.Fabs = append(m.Fabs, fab)
 
@@ -547,17 +559,8 @@ func mesh(r *exp.Run) error {
 		JitterOrdered:  ordered,
 		BgUsersPerSite: users,
 	}
-	switch sketch {
-	case "auto":
-		// fill() turns sketches on with the background users.
-	case "true":
-		o.Sketch = true
-	case "false":
-		if users > 0 {
-			return fmt.Errorf("mesh: sketch=false is incompatible with users=%d (emulated-user runs need bounded stats)", users)
-		}
-	default:
-		return fmt.Errorf("mesh: sketch=%q (want auto, true, or false)", sketch)
+	if err := o.SetSketch(sketch); err != nil {
+		return fmt.Errorf("mesh: %w", err)
 	}
 	if err := o.Validate(); err != nil {
 		return err

@@ -99,7 +99,7 @@ func TestMeshSweepDeterminism(t *testing.T) {
 		t.Fatal(err)
 	}
 	run := func(parallel int) []byte {
-		results, err := exp.Sweep(mesh, g, parallel, nil)
+		results, _, err := exp.SweepOpts(mesh, g, exp.Options{Parallel: parallel})
 		if err != nil {
 			t.Fatalf("parallel %d: %v", parallel, err)
 		}

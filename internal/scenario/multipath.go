@@ -28,16 +28,12 @@ type MultipathNet struct {
 // With skew 0 the paths are balanced.
 func NewMultipathNet(seed int64, totalRate float64, rtt sim.Time, nPaths int, skew sim.Time, bcfg *bundle.Config) *MultipathNet {
 	eng := sim.NewEngine(seed)
-	m := &MultipathNet{Fabric: *NewFabric(eng)}
-	m.Reverse = netem.NewLink(eng, "reverse", 10e9, rtt/2, qdisc.NewFIFO(1<<26), m.MuxA)
+	m := &MultipathNet{Fabric: *NewFabric(eng, rtt)}
 	if bcfg == nil {
 		bcfg = DefaultBundleConfig()
 	}
 	perPath := totalRate / float64(nPaths)
-	buf := 2 * int(perPath/8*rtt.Seconds())
-	if buf < 40*pkt.MTU {
-		buf = 40 * pkt.MTU
-	}
+	buf := max(netem.BDPBuffer(perPath, rtt), 40*pkt.MTU)
 	var heads []netem.Receiver
 	for i := 0; i < nPaths; i++ {
 		delay := rtt/2 + sim.Time(i)*skew

@@ -41,7 +41,7 @@ func (c *NetConfig) fill() {
 		c.RTT = 50 * sim.Millisecond
 	}
 	if c.BufBytes == 0 {
-		c.BufBytes = 2 * int(c.LinkRate/8*c.RTT.Seconds())
+		c.BufBytes = netem.BDPBuffer(c.LinkRate, c.RTT)
 	}
 	if c.Bottleneck == nil {
 		c.Bottleneck = qdisc.NewFIFO(c.BufBytes)
@@ -80,10 +80,13 @@ type Fabric struct {
 	flowID    uint64
 }
 
-// NewFabric builds the shared endpoint machinery on eng. The caller must
-// set Reverse (and the oracle parameters) before adding sites.
-func NewFabric(eng *sim.Engine) *Fabric {
-	return &Fabric{Eng: eng, MuxA: tcp.NewMux(), Demux: netem.NewDemux(),
+// NewFabric builds the shared endpoint machinery on eng for a path of
+// round trip rtt, reverse path included; OracleRTT starts at rtt. The
+// caller sets OracleRate before adding sites that record slowdowns.
+func NewFabric(eng *sim.Engine, rtt sim.Time) *Fabric {
+	muxA := tcp.NewMux()
+	return &Fabric{Eng: eng, MuxA: muxA, Demux: netem.NewDemux(),
+		Reverse: netem.NewReverseLink(eng, rtt, muxA), OracleRTT: rtt,
 		nextHost: 1 << 16, nextCtl: 1 << 30}
 }
 
@@ -115,10 +118,9 @@ type Net struct {
 func NewNet(cfg NetConfig) *Net {
 	cfg.fill()
 	eng := sim.NewEngine(cfg.Seed)
-	n := &Net{Fabric: *NewFabric(eng), Cfg: cfg}
-	n.OracleRate, n.OracleRTT = cfg.LinkRate, cfg.RTT
+	n := &Net{Fabric: *NewFabric(eng, cfg.RTT), Cfg: cfg}
+	n.OracleRate = cfg.LinkRate
 	n.Bottleneck = netem.NewLink(eng, "bottleneck", cfg.LinkRate, cfg.RTT/2, cfg.Bottleneck, n.Demux)
-	n.Reverse = netem.NewLink(eng, "reverse", 10e9, cfg.RTT/2, qdisc.NewFIFO(1<<26), n.MuxA)
 	return n
 }
 
@@ -318,13 +320,13 @@ type Traffic struct {
 	Dist       *workload.SizeDist
 	OfferedBps float64
 	Requests   int
-	// CC names the endhost congestion control ("cubic" default).
+	// CC names the endhost congestion control (tcp.NewEndhostCC's names).
 	CC string
 	// FixedCwndSegs, when positive, pins every endhost window (the §7.5
 	// idealized proxy).
 	FixedCwndSegs int
-	// DstPortBase overrides the flows' destination port (the §7.2
-	// priority experiment classifies on it).
+	// DstPort overrides the flows' destination port (the §7.2 priority
+	// experiment classifies on it).
 	DstPort uint16
 	// Warmup excludes flows arriving before this virtual time from the
 	// statistics (they still load the network). Short runs are otherwise
@@ -347,11 +349,7 @@ func (t *Traffic) cc() tcp.Congestion {
 	if t.FixedCwndSegs > 0 {
 		return tcp.NewFixedCwnd(t.FixedCwndSegs)
 	}
-	name := t.CC
-	if name == "" {
-		name = "cubic"
-	}
-	return tcp.NewEndhostCC(name)
+	return tcp.NewEndhostCC(t.CC)
 }
 
 // RunOpenLoop schedules tr.Requests Poisson arrivals through the site and

@@ -135,7 +135,7 @@ func TestShardBudgetUnderSweep(t *testing.T) {
 	const workers = 3
 	probe := budgetProbe{budgets: make(chan int, workers), shards: make(chan int, workers)}
 	g := exp.Grid{Seeds: []int64{1, 2, 3}}
-	if _, err := exp.Sweep(probe, g, workers, nil); err != nil {
+	if _, _, err := exp.SweepOpts(probe, g, exp.Options{Parallel: workers}); err != nil {
 		t.Fatal(err)
 	}
 	close(probe.budgets)

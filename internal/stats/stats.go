@@ -1,6 +1,7 @@
 // Package stats provides the measurement plumbing the evaluation harness
-// uses: exact quantiles, summaries, histograms/PDFs of estimate errors
-// (the paper's Figs 5–6), and virtual-time series (Figs 2, 7, 10).
+// uses: exact or sketched quantiles and summaries (the estimate errors of
+// the paper's Figs 5–6 among them), virtual-time series (Figs 2, 7, 10),
+// and the windowed maximum filter the control loops estimate capacity with.
 // Values are unitless float64s — the producer picks the unit (slowdowns,
 // milliseconds, Mbit/s) — and time series are indexed by sim.Time.
 package stats
@@ -325,6 +326,41 @@ func (ts *TimeSeries) MeanOver(from, to sim.Time) float64 {
 		return math.NaN()
 	}
 	return sum / float64(n)
+}
+
+// MaxFilter is a time-windowed maximum — BBR's bottleneck-bandwidth
+// filter and the Sendbox's capacity estimate — kept as a monotone
+// decreasing deque whose front is always the window maximum.
+type MaxFilter struct {
+	samples []maxSample
+}
+
+type maxSample struct {
+	at sim.Time
+	v  float64
+}
+
+// Update adds sample v at now and forgets samples older than window.
+func (m *MaxFilter) Update(now sim.Time, v float64, window sim.Time) {
+	// Expire from the front.
+	cut := 0
+	for cut < len(m.samples) && now-m.samples[cut].at > window {
+		cut++
+	}
+	m.samples = m.samples[cut:]
+	// Dominated samples at the back can never become the maximum.
+	for len(m.samples) > 0 && m.samples[len(m.samples)-1].v <= v {
+		m.samples = m.samples[:len(m.samples)-1]
+	}
+	m.samples = append(m.samples, maxSample{now, v})
+}
+
+// Get returns the window maximum, or 0 before the first sample.
+func (m *MaxFilter) Get() float64 {
+	if len(m.samples) == 0 {
+		return 0
+	}
+	return m.samples[0].v
 }
 
 // RateCounter converts cumulative byte counts into a windowed throughput

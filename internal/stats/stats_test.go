@@ -176,3 +176,17 @@ func TestRateCounter(t *testing.T) {
 		t.Fatal("zero-length window should report 0")
 	}
 }
+
+func TestMaxFilterWindowAndMonotonicity(t *testing.T) {
+	var m MaxFilter
+	m.Update(0, 5, 10)
+	m.Update(1, 3, 10)
+	m.Update(2, 4, 10)
+	if m.Get() != 5 {
+		t.Fatalf("max = %v, want 5", m.Get())
+	}
+	m.Update(15, 1, 10) // expires everything older than t=5
+	if m.Get() != 1 {
+		t.Fatalf("max after expiry = %v, want 1", m.Get())
+	}
+}

@@ -5,6 +5,7 @@ import (
 
 	"bundler/internal/clock"
 	"bundler/internal/pkt"
+	"bundler/internal/stats"
 )
 
 // Congestion is the endhost congestion-control plug-in interface. All
@@ -149,10 +150,10 @@ func (c *Cubic) PacingRate() float64 { return 0 }
 // RTT estimation, startup/drain, and the 8-phase ProbeBW pacing-gain
 // cycle. PROBE_RTT is omitted (flows in the evaluation are either short or
 // share the bottleneck with enough churn that min-RTT samples recur); the
-// simplification is recorded in DESIGN.md.
+// simplification is recorded in docs/ARCHITECTURE.md.
 type BBR struct {
 	state      bbrState
-	btlBw      maxFilter
+	btlBw      stats.MaxFilter
 	minRTT     clock.Time
 	minRTTAt   clock.Time
 	cycleIdx   int
@@ -193,14 +194,14 @@ func (b *BBR) OnAck(acked int, rtt, now clock.Time) {
 	// ACK per packet this recovers the bottleneck rate (ack clocking).
 	if b.lastAckAt != 0 && now > b.lastAckAt {
 		rate := float64(acked) * 8 / (now - b.lastAckAt).Seconds()
-		b.btlBw.update(now, rate, 10*b.rtprop())
+		b.btlBw.Update(now, rate, 10*b.rtprop())
 	}
 	b.lastAckAt = now
 	b.delivered += int64(acked)
 
 	switch b.state {
 	case bbrStartup:
-		bw := b.btlBw.get()
+		bw := b.btlBw.Get()
 		if bw > b.fullBw*1.25 {
 			b.fullBw = bw
 			b.fullBwCnt = 0
@@ -243,7 +244,7 @@ func (b *BBR) OnLoss(clock.Time) {}
 func (b *BBR) OnTimeout(clock.Time) {}
 
 func (b *BBR) bdp() float64 {
-	bw := b.btlBw.get()
+	bw := b.btlBw.Get()
 	if bw == 0 {
 		return InitialCwnd * mssF
 	}
@@ -261,45 +262,13 @@ func (b *BBR) CwndBytes() float64 {
 
 // PacingRate implements Congestion.
 func (b *BBR) PacingRate() float64 {
-	bw := b.btlBw.get()
+	bw := b.btlBw.Get()
 	if bw == 0 {
 		// Until the first bandwidth sample, pace at initial window per
 		// assumed RTT.
 		return InitialCwnd * mssF * 8 / b.rtprop().Seconds() * b.pacingGain
 	}
 	return b.pacingGain * bw
-}
-
-// maxFilter is a time-windowed maximum implemented as a monotone
-// decreasing deque: the front is always the window maximum.
-type maxFilter struct {
-	samples []maxSample
-}
-
-type maxSample struct {
-	at clock.Time
-	v  float64
-}
-
-func (m *maxFilter) update(now clock.Time, v float64, window clock.Time) {
-	// Expire from the front.
-	cut := 0
-	for cut < len(m.samples) && now-m.samples[cut].at > window {
-		cut++
-	}
-	m.samples = m.samples[cut:]
-	// Dominated samples at the back can never become the maximum.
-	for len(m.samples) > 0 && m.samples[len(m.samples)-1].v <= v {
-		m.samples = m.samples[:len(m.samples)-1]
-	}
-	m.samples = append(m.samples, maxSample{now, v})
-}
-
-func (m *maxFilter) get() float64 {
-	if len(m.samples) == 0 {
-		return 0
-	}
-	return m.samples[0].v
 }
 
 // FixedCwnd holds the congestion window constant: the paper's §7.5
@@ -325,11 +294,14 @@ func (f *FixedCwnd) CwndBytes() float64 { return f.w }
 // PacingRate implements Congestion.
 func (f *FixedCwnd) PacingRate() float64 { return 0 }
 
-// NewEndhostCC builds an endhost controller by name: "cubic", "reno",
-// "bbr", or "fixed:N". Unknown names panic.
+// EndhostCCs names the endhost controllers NewEndhostCC builds.
+var EndhostCCs = []string{"cubic", "reno", "bbr"}
+
+// NewEndhostCC builds an endhost controller by name, one of EndhostCCs;
+// "" is Cubic, the paper's default. Unknown names panic.
 func NewEndhostCC(name string) Congestion {
 	switch name {
-	case "cubic":
+	case "", "cubic":
 		return NewCubic()
 	case "reno":
 		return NewReno()

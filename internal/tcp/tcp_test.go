@@ -305,23 +305,9 @@ func TestBBRConvergesNearBottleneckRate(t *testing.T) {
 	if !s.Done() {
 		t.Fatal("BBR flow incomplete")
 	}
-	bw := cc.btlBw.get()
+	bw := cc.btlBw.Get()
 	if bw < 0.7*48e6 || bw > 1.4*48e6 {
 		t.Fatalf("BBR bandwidth estimate %.1f Mbit/s, want ≈ 48", bw/1e6)
-	}
-}
-
-func TestMaxFilterWindowAndMonotonicity(t *testing.T) {
-	var m maxFilter
-	m.update(0, 5, 10)
-	m.update(1, 3, 10)
-	m.update(2, 4, 10)
-	if m.get() != 5 {
-		t.Fatalf("max = %v, want 5", m.get())
-	}
-	m.update(15, 1, 10) // expires everything older than t=5
-	if m.get() != 1 {
-		t.Fatalf("max after expiry = %v, want 1", m.get())
 	}
 }
 
@@ -350,6 +336,15 @@ func TestCubicReducesBy30PercentOnLoss(t *testing.T) {
 	c.OnLoss(0)
 	if got := c.CwndBytes(); math.Abs(got-before*0.7) > 1 {
 		t.Fatalf("cwnd after loss = %v, want %v", got, before*0.7)
+	}
+}
+
+func TestEndhostCCByName(t *testing.T) {
+	for _, name := range EndhostCCs {
+		NewEndhostCC(name) // every listed name builds
+	}
+	if _, ok := NewEndhostCC("").(*Cubic); !ok {
+		t.Fatal(`NewEndhostCC("") is not the Cubic default`)
 	}
 }
 

@@ -3,10 +3,13 @@ package topo
 import (
 	"fmt"
 	"math"
+	"slices"
 	"strconv"
+	"strings"
 	"time"
 
 	"bundler/internal/bundle"
+	"bundler/internal/ccalg"
 	"bundler/internal/fluid"
 	"bundler/internal/netem"
 	"bundler/internal/pkt"
@@ -201,24 +204,26 @@ type compiled struct {
 	meters []meterOut
 }
 
-var innerAlgs = map[string]bool{"": true, "copa": true, "basicdelay": true, "bbr": true}
-var endhostCCs = map[string]bool{"": true, "cubic": true, "reno": true, "bbr": true}
-
 // compile instantiates sc on a fresh engine seeded with seed. It returns
 // an error — never panics — on invalid input: every name, rate, and
 // reference in a config is user input.
 func compile(sc Scenario, seed int64, pv map[string]string) (*compiled, error) {
 	b := &binder{pv: pv}
 	rtt := b.dur("rtt", sc.RTT, 50*sim.Millisecond)
+	// The run bound: explicit, or (0 here) the load-scaled rule.
+	horizon := b.dur("horizon", sc.Horizon, 0)
 	if b.err != nil {
 		return nil, b.err
+	}
+	if sc.Horizon != "" && horizon <= 0 {
+		return nil, fmt.Errorf("horizon must be positive")
 	}
 
 	if sc.Mesh != nil {
 		if len(sc.Links) > 0 || len(sc.Hosts) > 0 || len(sc.Bundles) > 0 || len(sc.Workloads) > 0 || len(sc.Classes) > 0 {
 			return nil, fmt.Errorf("a mesh scenario generates its own links/hosts/bundles/workloads; remove the explicit sections")
 		}
-		return compileMesh(sc, seed, b, rtt)
+		return compileMesh(sc, seed, b, rtt, horizon)
 	}
 
 	classes, classPort, err := compileClasses(b, sc.Classes)
@@ -254,7 +259,7 @@ func compile(sc Scenario, seed int64, pv map[string]string) (*compiled, error) {
 	}
 
 	eng := sim.NewEngine(seed)
-	fab := scenario.NewFabric(eng)
+	fab := scenario.NewFabric(eng, rtt)
 
 	// Build links downstream-first so each has its destination receiver.
 	// A pass over the declarations that makes no progress means the
@@ -295,8 +300,6 @@ func compile(sc Scenario, seed int64, pv map[string]string) (*compiled, error) {
 		}
 	}
 
-	fab.Reverse = netem.NewLink(eng, "reverse", 10e9, rtt/2, qdisc.NewFIFO(1<<26), fab.MuxA)
-	fab.OracleRTT = rtt
 	fab.OracleRate = minRateOverall(b, decl)
 
 	// Time-varying links: schedule their rate traces.
@@ -306,7 +309,7 @@ func compile(sc Scenario, seed int64, pv map[string]string) (*compiled, error) {
 		}
 	}
 
-	c := &compiled{fab: fab, links: links}
+	c := &compiled{fab: fab, links: links, horizon: horizon}
 
 	// Hosts, with their Bundler pairs, in declaration order.
 	bundleFor := make(map[string]Bundle, len(sc.Bundles))
@@ -346,8 +349,8 @@ func compile(sc Scenario, seed int64, pv map[string]string) (*compiled, error) {
 		var bcfg *bundle.Config
 		if bd, ok := bundleFor[h.Name]; ok {
 			alg := b.str("bundle alg", bd.Alg)
-			if !innerAlgs[alg] {
-				return nil, fmt.Errorf("bundle on %q: unknown inner algorithm %q (want copa, basicdelay, or bbr)", h.Name, alg)
+			if err := knownName("inner algorithm", alg, ccalg.Names); err != nil {
+				return nil, fmt.Errorf("bundle on %q: %w", h.Name, err)
 			}
 			queue := b.count("bundle queue", bd.Queue, 1000)
 			schedName := b.str("bundle sched", bd.Sched)
@@ -404,8 +407,8 @@ func compile(sc Scenario, seed int64, pv map[string]string) (*compiled, error) {
 				return nil, fmt.Errorf("web workload on %q: %w", w.Host, err)
 			}
 			cc := b.str("web cc", w.CC)
-			if !endhostCCs[cc] {
-				return nil, fmt.Errorf("web workload on %q: unknown endhost cc %q (want cubic, reno, or bbr)", w.Host, cc)
+			if err := knownName("endhost cc", cc, tcp.EndhostCCs); err != nil {
+				return nil, fmt.Errorf("web workload on %q: %w", w.Host, err)
 			}
 			dstPort := b.count("web dstport", w.DstPort, 0)
 			if dstPort > 65535 {
@@ -436,7 +439,6 @@ func compile(sc Scenario, seed int64, pv map[string]string) (*compiled, error) {
 				return nil, b.err
 			}
 			rec := site.RunOpenLoop(tr)
-			rec.Class = w.Class
 			c.webs = append(c.webs, webOut{Host: w.Host, Class: w.Class, Requests: requests, Rec: rec})
 			if requests > maxRequests {
 				maxRequests = requests
@@ -445,11 +447,8 @@ func compile(sc Scenario, seed int64, pv map[string]string) (*compiled, error) {
 			flows := b.count("bulk flows", w.Flows, 1)
 			size := b.bytes("bulk size", w.Size, 1e12)
 			cc := b.str("bulk cc", w.CC)
-			if !endhostCCs[cc] {
-				return nil, fmt.Errorf("bulk workload on %q: unknown endhost cc %q (want cubic, reno, or bbr)", w.Host, cc)
-			}
-			if cc == "" {
-				cc = "cubic"
+			if err := knownName("endhost cc", cc, tcp.EndhostCCs); err != nil {
+				return nil, fmt.Errorf("bulk workload on %q: %w", w.Host, err)
 			}
 			if b.err != nil {
 				return nil, b.err
@@ -496,23 +495,11 @@ func compile(sc Scenario, seed int64, pv map[string]string) (*compiled, error) {
 		return nil, b.err
 	}
 
-	// Horizon: explicit, or the FCT experiments' load-scaled rule.
-	if sc.Horizon != "" {
-		c.horizon = b.dur("horizon", sc.Horizon, 0)
-		if b.err != nil {
-			return nil, b.err
-		}
-		if c.horizon <= 0 {
-			return nil, fmt.Errorf("horizon must be positive")
-		}
-	} else {
+	if c.horizon == 0 {
 		if maxRequests == 0 {
 			return nil, fmt.Errorf("an explicit horizon is required when no web workload gates completion")
 		}
-		c.horizon = 10 * sim.Time(maxRequests) * sim.Millisecond
-		if c.horizon < 120*sim.Second {
-			c.horizon = 120 * sim.Second
-		}
+		c.horizon = scenario.LoadHorizon(maxRequests)
 	}
 	return c, nil
 }
@@ -521,7 +508,7 @@ func compile(sc Scenario, seed int64, pv map[string]string) (*compiled, error) {
 // the same fabric the registered mesh experiment drives — and adapts its
 // per-pair recorders into the compiled form the report renderers expect
 // (one web workload named "s<i>-s<j>" per ordered site pair).
-func compileMesh(sc Scenario, seed int64, b *binder, rtt sim.Time) (*compiled, error) {
+func compileMesh(sc Scenario, seed int64, b *binder, rtt, horizon sim.Time) (*compiled, error) {
 	d := sc.Mesh
 	sites := b.count("mesh sites", d.Sites, 0)
 	mode := b.str("mesh mode", d.Mode)
@@ -557,18 +544,10 @@ func compileMesh(sc Scenario, seed int64, b *binder, rtt sim.Time) (*compiled, e
 		Requests:            requests,
 		OfferedBps:          load,
 		BgUsersPerSite:      users,
+		Horizon:             horizon,
 	}
-	switch sketch {
-	case "", "auto":
-		// MeshOptions turns sketches on with the background users.
-	case "true":
-		opt.Sketch = true
-	case "false":
-		if users > 0 {
-			return nil, fmt.Errorf("mesh sketch=false is incompatible with users=%d (emulated-user runs need bounded stats)", users)
-		}
-	default:
-		return nil, fmt.Errorf("mesh sketch %q: want auto, true, or false", sketch)
+	if err := opt.SetSketch(sketch); err != nil {
+		return nil, fmt.Errorf("mesh %w", err)
 	}
 	if err := opt.Validate(); err != nil {
 		return nil, err
@@ -581,15 +560,6 @@ func compileMesh(sc Scenario, seed int64, b *binder, rtt sim.Time) (*compiled, e
 	}
 	for i, a := range m.Fluids {
 		c.fluids = append(c.fluids, fluidOut{Host: fmt.Sprintf("s%d", i), Users: a.Users(), Agg: a})
-	}
-	if sc.Horizon != "" {
-		c.horizon = b.dur("horizon", sc.Horizon, 0)
-		if b.err != nil {
-			return nil, b.err
-		}
-		if c.horizon <= 0 {
-			return nil, fmt.Errorf("horizon must be positive")
-		}
 	}
 	return c, nil
 }
@@ -632,6 +602,15 @@ func compileClasses(b *binder, decls []ClassDecl) ([]qdisc.Class, map[string]uin
 	return classes, byName, nil
 }
 
+// knownName rejects a name outside a package's vocabulary; "" is that
+// package's default and always allowed.
+func knownName(kind, name string, names []string) error {
+	if name == "" || slices.Contains(names, name) {
+		return nil
+	}
+	return fmt.Errorf("unknown %s %q (want %s)", kind, name, strings.Join(names, ", "))
+}
+
 // linkTo resolves a link's downstream name ("dst" default).
 func linkTo(l Link) string {
 	if l.To == "" {
@@ -651,8 +630,7 @@ func buildLink(b *binder, eng *sim.Engine, l Link, rtt sim.Time, dst netem.Recei
 	if rate < netem.MinRate {
 		return nil, nil, fmt.Errorf("link %q rate %.0f below the %.0f bits/s minimum", l.Name, rate, netem.MinRate)
 	}
-	// Default buffer: 2×BDP, the NetConfig rule.
-	bufBytes := b.bytes("link "+l.Name+" buffer", l.Buffer, int64(2*int(rate/8*rtt.Seconds())))
+	bufBytes := b.bytes("link "+l.Name+" buffer", l.Buffer, int64(netem.BDPBuffer(rate, rtt)))
 	if b.err != nil {
 		return nil, nil, b.err
 	}

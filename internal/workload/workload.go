@@ -184,12 +184,6 @@ type Recorder struct {
 	linkRate float64
 	rtt      clock.Time
 
-	// Class tags the recorder with the scheduler traffic class its flows
-	// belong to ("" when the scenario declares no classes). The topo
-	// layer sets it when a workload is class-assigned, so per-class
-	// application goodput can sit next to the scheduler-level fairness
-	// figures in reports.
-	Class string
 	// Slowdowns holds FCT/oracle per completed flow.
 	Slowdowns stats.Sample
 	// FCTms holds raw completion times in milliseconds.

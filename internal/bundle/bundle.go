@@ -86,8 +86,6 @@ type Config struct {
 	// Scheduler is the qdisc applied to the bundle's queue at the
 	// sendbox. Defaults to SFQ with 1024 buckets and a 1000-packet cap.
 	Scheduler qdisc.Qdisc
-	// InitialEpochN is the initial epoch size in packets (power of two).
-	InitialEpochN uint64
 	// ExactEpochSize disables the power-of-two rounding of N (§4.5) for
 	// the ablation benchmark: without rounding, a delayed or lost
 	// epoch-size update leaves the two boxes sampling incomparable sets.
@@ -121,9 +119,6 @@ func (c *Config) fillDefaults() {
 		// keeps per-flow scheduling headroom without inflating endhost
 		// RTTs by hundreds of milliseconds.
 		c.Scheduler = qdisc.NewSFQ(1024, 1000)
-	}
-	if c.InitialEpochN == 0 {
-		c.InitialEpochN = 16
 	}
 	if c.MeasurementWindowRTTs == 0 {
 		c.MeasurementWindowRTTs = 1
@@ -168,6 +163,9 @@ const (
 	initialRate float64 = 10e6
 	// controlInterval is the CCP invocation cadence (§6.2).
 	controlInterval clock.Time = 10 * clock.Millisecond
+	// initialEpochN is the epoch size, in packets (a power of two), both
+	// boxes start from before the first epoch-size update.
+	initialEpochN uint64 = 16
 )
 
 // Sendbox is the source-site Bundler box. It implements netem.Receiver:
@@ -260,7 +258,7 @@ func NewSendbox(eng clock.Clock, cfg Config, downstream netem.Receiver, ctlAddr,
 		alg:        ccalg.New(cfg.Algorithm),
 		pulser:     ccalg.NewPulser(),
 		pi:         ccalg.NewPIController(),
-		epochN:     cfg.InitialEpochN,
+		epochN:     initialEpochN,
 		boundaries: make(map[uint64]*boundary),
 	}
 	s.detector = ccalg.NewDetector(s.pulser.Frequency(), 1/controlInterval.Seconds())
@@ -835,12 +833,13 @@ type Receivebox struct {
 }
 
 // NewReceivebox builds the destination-site box. out carries congestion
-// ACKs back toward the sendbox (they are addressed to peerCtl).
-func NewReceivebox(eng clock.Clock, out netem.Receiver, addr, peerCtl pkt.Addr, initialEpochN uint64) *Receivebox {
-	if initialEpochN == 0 {
-		initialEpochN = 16
+// ACKs back toward the sendbox (they are addressed to peerCtl). epochN
+// is the starting epoch size; 0 means the Sendbox's initial one.
+func NewReceivebox(eng clock.Clock, out netem.Receiver, addr, peerCtl pkt.Addr, epochN uint64) *Receivebox {
+	if epochN == 0 {
+		epochN = initialEpochN
 	}
-	return &Receivebox{eng: eng, out: out, addr: addr, peerCtl: peerCtl, epochN: initialEpochN}
+	return &Receivebox{eng: eng, out: out, addr: addr, peerCtl: peerCtl, epochN: epochN}
 }
 
 // SetPool makes the box mint congestion ACKs from a partition-local

@@ -46,7 +46,7 @@ func newTopo(t *testing.T, withBundler bool, rate float64, rtt sim.Time, bufByte
 	rbCtl := pkt.Addr{Host: ctlHostRecv, Port: 1}
 	if withBundler {
 		tp.sb = NewSendbox(eng, cfg, tp.bottleneck, sbCtl, rbCtl)
-		tp.rb = NewReceivebox(eng, tp.reverse, rbCtl, sbCtl, cfg.InitialEpochN)
+		tp.rb = NewReceivebox(eng, tp.reverse, rbCtl, sbCtl, 0)
 		tp.muxA.Register(sbCtl, tp.sb)
 		tp.muxB.Register(rbCtl, tp.rb)
 		tp.demux.Default = netem.NewTap(tp.rb.Observe, tp.muxB)
@@ -208,10 +208,10 @@ func TestRTTEstimateAccuracy(t *testing.T) {
 // when the receivebox holds a smaller (stale) epoch size, its ACKs are a
 // superset and the sendbox simply ignores the extras.
 func TestEpochSubsetResilience(t *testing.T) {
-	cfg := Config{InitialEpochN: 64}
-	tp := newTopo(t, true, 96e6, 50*sim.Millisecond, 1<<22, cfg)
-	// Force the receivebox to a smaller epoch (superset sampling) and cut
-	// off epoch updates by pre-seeding: recreate receivebox with N=8.
+	tp := newTopo(t, true, 96e6, 50*sim.Millisecond, 1<<22, Config{})
+	// Start the sendbox at N=64 and force the receivebox to a smaller
+	// epoch (superset sampling) before any epoch update can arrive.
+	tp.sb.epochN = 64
 	tp.rb.epochN = 8
 	s, _ := tp.addFlow(30_000_000, tcp.NewCubic())
 	s.Start()
@@ -334,7 +334,7 @@ func TestModeStringAndDefaults(t *testing.T) {
 	}
 	var cfg Config
 	cfg.fillDefaults()
-	if ccalg.New(cfg.Algorithm).Name() != "copa" || cfg.InitialEpochN != 16 || cfg.Scheduler == nil || cfg.MeasurementWindowRTTs != 1 {
+	if ccalg.New(cfg.Algorithm).Name() != "copa" || cfg.Scheduler == nil || cfg.MeasurementWindowRTTs != 1 {
 		t.Fatalf("defaults wrong: %+v", cfg)
 	}
 }

@@ -114,7 +114,7 @@ func TestExactEpochSizingDegradesUnderUpdateLoss(t *testing.T) {
 	tp.rb = NewReceivebox(eng, tp.reverse, rbCtl, sbCtl, 17) // deliberately co-prime-ish
 	drop := netem.NewLossy(eng, 1.0, tp.bottleneck)
 	drop.Filter = func(p *pkt.Packet) bool { return p.Proto == pkt.ProtoCtl }
-	tp.sb = NewSendbox(eng, Config{ExactEpochSize: true, InitialEpochN: 16}, drop, sbCtl, rbCtl)
+	tp.sb = NewSendbox(eng, Config{ExactEpochSize: true}, drop, sbCtl, rbCtl)
 	tp.muxA.Register(sbCtl, tp.sb)
 	tp.muxB.Register(rbCtl, tp.rb)
 	tp.demux.Default = netem.NewTap(tp.rb.Observe, tp.muxB)

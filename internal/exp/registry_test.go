@@ -6,6 +6,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"bundler/internal/stats"
 )
 
 // fakeExp is a deterministic stand-in experiment: its result is a pure
@@ -242,6 +244,23 @@ func TestEmitCSV(t *testing.T) {
 	}
 	if lines[1] != "csv-test,5,2,10," {
 		t.Errorf("row = %q", lines[1])
+	}
+
+	// Six params and seven metric/summary columns: a header written in
+	// map order instead of sorted order cannot match this by luck.
+	wide := Result{Experiment: "wide", Seed: 1,
+		Params:    Params{"sched": "sfq", "rtt": "20ms", "rate": "48e6", "mode": "bundler", "load": "0.8", "alg": "copa"},
+		Summaries: map[string]stats.Summary{"fct": {N: 100, Mean: 12.5, P50: 10, P90: 20, P99: 40}}}
+	wide.AddMetric("util", 0.9, "")
+	wide.AddMetric("drops", 3, "")
+	w.Reset()
+	if err := WriteCSV(&w, []Result{wide}); err != nil {
+		t.Fatal(err)
+	}
+	want := "experiment,seed,alg,load,mode,rate,rtt,sched,drops,fct.mean,fct.n,fct.p50,fct.p90,fct.p99,util,err\n" +
+		"wide,1,copa,0.8,bundler,48e6,20ms,sfq,3,12.5,100,10,20,40,0.9,\n"
+	if w.String() != want {
+		t.Errorf("wide CSV =\n%s\nwant\n%s", w.String(), want)
 	}
 }
 

@@ -209,7 +209,7 @@ func wireSend(c clock.Clock, cfg Config, toB netem.Receiver, lastDone func()) *s
 func wireRecv(c clock.Clock, cfg Config, toA netem.Receiver) netem.Receiver {
 	mux := tcp.NewMux()
 	reverse := netem.NewReverseLink(c, cfg.RTT, toA)
-	rb := bundle.NewReceivebox(c, reverse, rbCtl, sbCtl, cfg.bundleConfig().InitialEpochN)
+	rb := bundle.NewReceivebox(c, reverse, rbCtl, sbCtl, 0)
 	mux.Register(rbCtl, rb)
 	for _, f := range Flows(cfg) {
 		mux.Register(f.Dst, tcp.NewReceiver(c, reverse, f.Dst, f.Src, f.ID, f.Size, nil))
@@ -253,8 +253,8 @@ func RunSend(cfg Config, conn *net.UDPConn, peer *net.UDPAddr) (exp.Result, erro
 	go tr.readLoop()
 
 	// The horizon fallback runs on the pilot's own wall clock rather
-	// than time.After: one time source for the whole datapath (and the
-	// clockcheck analyzer holds this package to it).
+	// than time.After: one time source for the whole datapath (and
+	// clock's TestNoWallClockInSimPackages holds this package to it).
 	expired := make(chan struct{})
 	clock.After(w, clock.Time(cfg.Horizon), func() { close(expired) })
 	select {

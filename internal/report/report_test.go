@@ -71,12 +71,19 @@ func TestResultsGoldenTableDrift(t *testing.T) {
 
 func TestResultsMissingCellAndNaNMismatch(t *testing.T) {
 	old := []exp.Result{
-		cell("fct", 1, exp.Params{"rate": "24e6"}, map[string]float64{"completed": 1}, ""),
+		cell("fct", 1, exp.Params{"sched": "sfq", "rtt": "20ms", "rate": "24e6", "mode": "bundler", "load": "0.8", "alg": "copa"},
+			map[string]float64{"completed": 1}, ""),
 		cell("fct", 1, exp.Params{"rate": "48e6"}, map[string]float64{"nan-probe": math.NaN()}, ""),
 	}
 	missing := []exp.Result{old[1]}
-	if r := DiffResults(old, missing, Options{}); r.OK {
+	r := DiffResults(old, missing, Options{})
+	if r.OK {
 		t.Fatal("missing cell passed")
+	}
+	// The cell is named with its params in sorted order, whatever order
+	// the map yields them in.
+	if want := "fct seed=1 alg=copa load=0.8 mode=bundler rate=24e6 rtt=20ms sched=sfq"; r.Findings[0].Cell != want {
+		t.Errorf("missing cell named %q, want %q", r.Findings[0].Cell, want)
 	}
 	nanGone := []exp.Result{
 		old[0],

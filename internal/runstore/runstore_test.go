@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -79,7 +80,7 @@ func TestKeyHashNoDelimiterCollision(t *testing.T) {
 // store must round-trip: NaN metrics, NaN summaries, artifacts.
 type fakeExp struct {
 	name string
-	runs *int // counts Run invocations when non-nil
+	runs *atomic.Int64 // counts Run invocations, from every sweep worker, when non-nil
 	fail bool
 }
 
@@ -91,7 +92,7 @@ func (f fakeExp) Params() []exp.Param {
 func (f fakeExp) Metadata() map[string]string { return map[string]string{"paper": "test"} }
 func (f fakeExp) Run(seed int64, p exp.Params) (exp.Result, error) {
 	if f.runs != nil {
-		*f.runs++
+		f.runs.Add(1)
 	}
 	if f.fail {
 		return exp.Result{}, fmt.Errorf("deliberate failure")
@@ -137,12 +138,12 @@ func TestResumeByteIdentical(t *testing.T) {
 	}
 	g := grid(t)
 
-	var freshRuns int
+	var freshRuns atomic.Int64
 	fresh, st, err := exp.SweepOpts(fakeExp{name: "rt", runs: &freshRuns}, g, exp.Options{Parallel: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Executed != g.Size() || freshRuns != g.Size() {
+	if st.Executed != g.Size() || freshRuns.Load() != int64(g.Size()) {
 		t.Fatalf("fresh sweep: executed %d of %d", st.Executed, g.Size())
 	}
 	want := emit(t, fresh)
@@ -154,7 +155,7 @@ func TestResumeByteIdentical(t *testing.T) {
 		s.Save(fakeExp{name: "rt"}, pt, res, time.Millisecond)
 	}
 
-	var resumedRuns int
+	var resumedRuns atomic.Int64
 	resumed, st2, err := exp.SweepOpts(fakeExp{name: "rt", runs: &resumedRuns}, g,
 		exp.Options{Parallel: 4, Cache: s, Resume: true})
 	if err != nil {
@@ -163,22 +164,22 @@ func TestResumeByteIdentical(t *testing.T) {
 	if st2.Cached != len(half) || st2.Executed != g.Size()-len(half) {
 		t.Fatalf("resume stats: %+v, want %d cached %d executed", st2, len(half), g.Size()-len(half))
 	}
-	if resumedRuns != g.Size()-len(half) {
-		t.Fatalf("resume executed %d cells, want %d", resumedRuns, g.Size()-len(half))
+	if resumedRuns.Load() != int64(g.Size()-len(half)) {
+		t.Fatalf("resume executed %d cells, want %d", resumedRuns.Load(), g.Size()-len(half))
 	}
 	if got := emit(t, resumed); !bytes.Equal(got, want) {
 		t.Fatalf("resumed output differs from uninterrupted run:\nfresh:\n%s\nresumed:\n%s", want, got)
 	}
 
 	// Cache-warm re-run: zero simulation cells.
-	var warmRuns int
+	var warmRuns atomic.Int64
 	warm, st3, err := exp.SweepOpts(fakeExp{name: "rt", runs: &warmRuns}, g,
 		exp.Options{Parallel: 4, Cache: s, Resume: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st3.Executed != 0 || st3.Cached != g.Size() || warmRuns != 0 {
-		t.Fatalf("warm re-run simulated cells: %+v (%d Run calls)", st3, warmRuns)
+	if st3.Executed != 0 || st3.Cached != g.Size() || warmRuns.Load() != 0 {
+		t.Fatalf("warm re-run simulated cells: %+v (%d Run calls)", st3, warmRuns.Load())
 	}
 	if got := emit(t, warm); !bytes.Equal(got, want) {
 		t.Fatal("cache-warm output differs from uninterrupted run")

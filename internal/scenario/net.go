@@ -165,7 +165,7 @@ func (f *Fabric) AddSiteAt(egress netem.Receiver, bcfg *bundle.Config) *Site {
 	}
 	s.SB = bundle.NewSendbox(f.Eng, *bcfg, egress, sbCtl, rbCtl)
 	s.SB.SetPool(f.Pool)
-	s.RB = bundle.NewReceivebox(f.Eng, f.Reverse, rbCtl, sbCtl, bcfg.InitialEpochN)
+	s.RB = bundle.NewReceivebox(f.Eng, f.Reverse, rbCtl, sbCtl, 0)
 	s.RB.SetPool(f.Pool)
 	f.MuxA.Register(sbCtl, s.SB)
 	s.MuxB.Register(rbCtl, s.RB)

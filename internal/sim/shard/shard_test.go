@@ -1,6 +1,7 @@
 package shard
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -88,21 +89,41 @@ func TestShardCountInvariant(t *testing.T) {
 }
 
 // TestWindowBound checks messages are delivered exactly one latency
-// after emission, i.e. windowing adds no artificial delay.
+// after emission, i.e. windowing adds no artificial delay, and that
+// messages arriving at the same instant are delivered in (source
+// partition, emission) order.
 func TestWindowBound(t *testing.T) {
 	w := NewWorld()
 	a := w.AddPart(1)
 	b := w.AddPart(2)
-	var arrived sim.Time
-	port := w.NewPort(a, b, netem.ReceiverFunc(func(p *pkt.Packet) {
-		arrived = b.Eng.Now()
+	c := w.AddPart(3)
+	var arrived []sim.Time
+	var flows []uint64
+	sink := netem.ReceiverFunc(func(p *pkt.Packet) {
+		arrived = append(arrived, b.Eng.Now())
+		flows = append(flows, p.FlowID)
 		pkt.Put(p)
-	}), 25*sim.Millisecond)
+	})
 	const emit = 40 * sim.Millisecond
-	clock.At(a.Eng, emit, func() { port.Receive(a.Pool.Get()) })
+	send := func(pa *Part, port *Port, ids ...uint64) {
+		clock.At(pa.Eng, emit, func() {
+			for _, id := range ids {
+				p := pa.Pool.Get()
+				p.FlowID = id
+				port.Receive(p)
+			}
+		})
+	}
+	send(c, w.NewPort(c, b, sink, 25*sim.Millisecond), 3, 4)
+	send(a, w.NewPort(a, b, sink, 25*sim.Millisecond), 1, 2)
 	w.Run(sim.Second, nil)
-	if want := emit + 25*sim.Millisecond; arrived != want {
-		t.Fatalf("arrival at %v, want %v", arrived, want)
+	for _, at := range arrived {
+		if want := emit + 25*sim.Millisecond; at != want {
+			t.Fatalf("arrival at %v, want %v", at, want)
+		}
+	}
+	if got := fmt.Sprint(flows); got != "[1 2 3 4]" {
+		t.Fatalf("same-instant delivery order %s, want [1 2 3 4]", got)
 	}
 	if la := w.Lookahead(); la != 25*sim.Millisecond {
 		t.Fatalf("lookahead %v, want 25ms", la)

@@ -11,10 +11,10 @@ import (
 )
 
 // experiments is every figure as a row: name, description, declared
-// params and the body that answers it — the bodies live next to the Run*
-// entry points they call (fct.go, timeline.go, ...). The registry
-// preserves this order, and both CLIs derive their experiment lists,
-// help text, and "all"-mode sequence from it.
+// params and the body that answers it — the bodies live in fct.go,
+// timeline.go, ..., beside the Run* entry points some of them call. The
+// registry preserves this order, and both CLIs derive their experiment
+// lists, help text, and "all"-mode sequence from it.
 var experiments = []exp.Def{
 	{Name: "fig2", Run: fig2,
 		Desc:   "Figure 2: queue shifting — delay moves from the bottleneck to the sendbox",
@@ -42,7 +42,7 @@ var experiments = []exp.Def{
 		Desc:   "Figure 13: two bundles sharing the bottleneck at 1:1 and 2:1 load splits",
 		Params: requestsOnly},
 	{Name: "fig14",
-		Run:    fctTable("Figure 14: inner-loop congestion control comparison", RunFig14),
+		Run:    fctTable("Figure 14: inner-loop congestion control comparison", runFig14),
 		Desc:   "Figure 14: inner-loop congestion control comparison (Copa vs BasicDelay vs BBR)",
 		Params: requestsOnly},
 	{Name: "fig15",

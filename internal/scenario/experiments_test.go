@@ -7,14 +7,10 @@ import (
 	"bundler/internal/pkt"
 )
 
-// tinyScale shrinks every scale knob an experiment may declare, so the
-// whole table runs in a few seconds.
-var tinyScale = exp.Params{"requests": "40", "dur": "1s", "sites": "2"}
-
 // TestExperimentTable walks every row of the table, hidden ones
-// included: the row is registered under its name and aliases, a run
-// reports under that name, and a value that does not parse is rejected
-// for each declared param before a single packet is minted.
+// included: the row is registered under its name and aliases, a value
+// that does not parse is rejected for each declared param before a
+// single packet is minted, and each of its runs reports under its name.
 func TestExperimentTable(t *testing.T) {
 	for _, d := range experiments {
 		t.Run(d.Name, func(t *testing.T) {
@@ -45,22 +41,20 @@ func TestExperimentTable(t *testing.T) {
 				}
 			}
 
-			p := exp.Params{}
-			for _, pd := range d.Params {
-				if v, ok := tinyScale[pd.Name]; ok {
-					p[pd.Name] = v
+			n := 0
+			for _, row := range runs {
+				if row.exp != d.Name {
+					continue
+				}
+				n++
+				res := shared(t, row.exp, row.params)
+				if res.Experiment != d.Name || res.Seed != 1 || res.Report == "" || len(res.Metrics) == 0 {
+					t.Errorf("%v: result not filled in: experiment %q seed %d, %d report bytes, %d metrics",
+						row.params, res.Experiment, res.Seed, len(res.Report), len(res.Metrics))
 				}
 			}
-			if len(p) == 0 && testing.Short() {
-				t.Skip("no scale knob (fig10, fig12): seconds per run")
-			}
-			res, err := e.Run(1, p)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if res.Experiment != d.Name || res.Seed != 1 || res.Report == "" || len(res.Metrics) == 0 {
-				t.Errorf("result not filled in: experiment %q seed %d, %d report bytes, %d metrics",
-					res.Experiment, res.Seed, len(res.Report), len(res.Metrics))
+			if n == 0 {
+				t.Error("no row in runs: tier-1 never simulates it")
 			}
 		})
 	}
@@ -85,7 +79,5 @@ func TestFCTRejectsUnknownNames(t *testing.T) {
 	}
 	// Every scheduler qdisc.Parse knows stays reachable, including the
 	// one whose constructor needs a clock.
-	if _, err := e.Run(1, exp.Params{"sched": "pie", "requests": "50"}); err != nil {
-		t.Errorf("sched=pie: %v", err)
-	}
+	shared(t, "fct", exp.Params{"sched": "pie", "requests": "50"})
 }

@@ -3,7 +3,7 @@ package scenario
 import (
 	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 
 	"bundler/internal/bundle"
@@ -148,27 +148,15 @@ func SummarizeFCT(label string, rec *workload.Recorder) Fig9Result {
 	return r
 }
 
-// RunFig14 reproduces Figure 14: the inner-loop algorithm comparison
+// runFig14 reproduces Figure 14: the inner-loop algorithm comparison
 // (Copa vs BasicDelay vs BBR) plus the status-quo baseline.
-func RunFig14(seed int64, requests int) []Fig9Result {
+func runFig14(seed int64, requests int) []Fig9Result {
 	var out []Fig9Result
 	out = append(out, SummarizeFCT("Status Quo",
 		RunFCT(FCTOptions{Seed: seed, Requests: requests, Mode: "statusquo"})))
 	for _, alg := range ccalg.Names {
 		rec := RunFCT(FCTOptions{Seed: seed, Requests: requests, Mode: "bundler", InnerAlg: alg})
 		out = append(out, SummarizeFCT("Bundler ("+alg+")", rec))
-	}
-	return out
-}
-
-// RunSec74 reproduces the §7.4 endhost-CC result: Bundler's benefit
-// persists when endhosts run Reno or BBR instead of Cubic.
-func RunSec74(seed int64, requests int) map[string][2]Fig9Result {
-	out := make(map[string][2]Fig9Result)
-	for _, cc := range tcp.EndhostCCs {
-		sq := RunFCT(FCTOptions{Seed: seed, Requests: requests, Mode: "statusquo", EndhostCC: cc})
-		bd := RunFCT(FCTOptions{Seed: seed, Requests: requests, Mode: "bundler", EndhostCC: cc})
-		out[cc] = [2]Fig9Result{SummarizeFCT("Status Quo", sq), SummarizeFCT("Bundler", bd)}
 	}
 	return out
 }
@@ -187,58 +175,6 @@ func RunFig15(seed int64, requests int) []Fig9Result {
 	}
 }
 
-// Fig13Result reports one bundle's outcome in the competing-bundles
-// experiment.
-type Fig13Result struct {
-	Label   string
-	Medians []float64 // median slowdown per bundle
-}
-
-// RunFig13 reproduces Figure 13: two bundles sharing the bottleneck at 1:1
-// and 2:1 offered-load splits, against the status-quo baseline at the same
-// aggregate 84 Mbit/s.
-func RunFig13(seed int64, requests int) []Fig13Result {
-	splits := []struct {
-		label  string
-		shares []float64
-	}{
-		{"Status Quo (aggregate)", nil},
-		{"1:1", []float64{0.5, 0.5}},
-		{"2:1", []float64{2.0 / 3, 1.0 / 3}},
-	}
-	var out []Fig13Result
-	for _, sp := range splits {
-		if sp.shares == nil {
-			rec := RunFCT(FCTOptions{Seed: seed, Requests: requests, Mode: "statusquo"})
-			out = append(out, Fig13Result{Label: sp.label, Medians: []float64{rec.Slowdowns.Median()}})
-			continue
-		}
-		n := NewNet(NetConfig{Seed: seed})
-		var recs []*workload.Recorder
-		for _, share := range sp.shares {
-			site := n.AddSite(DefaultBundleConfig())
-			recs = append(recs, site.RunOpenLoop(Traffic{
-				OfferedBps: 84e6 * share,
-				Requests:   int(float64(requests) * share),
-			}))
-		}
-		n.RunUntilDone(600*sim.Second, func() bool {
-			for i, r := range recs {
-				if r.Completed < int(float64(requests)*sp.shares[i]) {
-					return false
-				}
-			}
-			return true
-		})
-		res := Fig13Result{Label: sp.label}
-		for _, r := range recs {
-			res.Medians = append(res.Medians, r.Slowdowns.Median())
-		}
-		out = append(out, res)
-	}
-	return out
-}
-
 // crossVariants are the configurations Figures 11 and 12 set against
 // cross traffic: no Bundler (alg ""), and Bundler with each delay-based
 // inner loop.
@@ -246,80 +182,6 @@ var crossVariants = []struct{ label, alg string }{
 	{"statusquo", ""},
 	{"bundler-copa", "copa"},
 	{"bundler-nimbus", "basicdelay"},
-}
-
-// Fig11Point is one x-position of the short-flow cross-traffic sweep.
-type Fig11Point struct {
-	CrossBps float64
-	Median   map[string]float64 // config label -> median slowdown of bundle flows
-}
-
-// RunFig11 reproduces Figure 11: the bundle offers a fixed 48 Mbit/s while
-// un-bundled short-flow cross traffic sweeps from 6 to 42 Mbit/s.
-func RunFig11(seed int64, requestsPerPoint int) []Fig11Point {
-	var out []Fig11Point
-	for cross := 6e6; cross <= 42e6; cross += 12e6 {
-		point := Fig11Point{CrossBps: cross, Median: map[string]float64{}}
-		for _, mode := range crossVariants {
-			n := NewNet(NetConfig{Seed: seed})
-			site := n.AddSite(n.bundleConfig(mode.alg, "sfq", 1000))
-			crossSite := n.AddSite(nil)
-			rec := site.RunOpenLoop(Traffic{OfferedBps: 48e6, Requests: requestsPerPoint,
-				Warmup: 5 * sim.Second})
-			// Scale the cross generator's request count to its offered
-			// load so both workloads span the same virtual time (the
-			// point measures competition, not a tail of unopposed cross
-			// traffic).
-			crossReqs := int(float64(requestsPerPoint) * cross / 48e6)
-			if crossReqs < 100 {
-				crossReqs = 100
-			}
-			crossRec := crossSite.RunOpenLoop(Traffic{OfferedBps: cross, Requests: crossReqs})
-			n.RunUntilDone(600*sim.Second, func() bool {
-				return rec.Completed >= requestsPerPoint && crossRec.Completed >= crossReqs
-			})
-			site.Stop()
-			point.Median[mode.label] = rec.Slowdowns.Median()
-		}
-		out = append(out, point)
-	}
-	return out
-}
-
-// Fig12Point reports bundle throughput against N persistent elastic cross
-// flows.
-type Fig12Point struct {
-	CrossFlows int
-	Throughput map[string]float64 // config label -> bundle Mbit/s
-}
-
-// RunFig12 reproduces Figure 12: 20 backlogged bundled flows compete with
-// a varying number of persistent elastic (Cubic) cross flows. Throughput
-// is measured after a warmup (detection and mode convergence take several
-// seconds).
-func RunFig12(seed int64) []Fig12Point {
-	const warmup = 20 * sim.Second
-	const dur = 80 * sim.Second
-	var out []Fig12Point
-	for _, crossN := range []int{10, 30, 50} {
-		point := Fig12Point{CrossFlows: crossN, Throughput: map[string]float64{}}
-		for _, mode := range crossVariants {
-			n := NewNet(NetConfig{Seed: seed})
-			site := n.AddSite(n.bundleConfig(mode.alg, "sfq", 1000))
-			crossSite := n.AddSite(nil)
-			var bundleSenders []*tcp.Sender
-			for i := 0; i < 20; i++ {
-				bundleSenders = append(bundleSenders, site.AddFlow(1<<40, tcp.NewCubic(), nil))
-			}
-			for i := 0; i < crossN; i++ {
-				crossSite.AddFlow(1<<40, tcp.NewCubic(), nil)
-			}
-			point.Throughput[mode.label] = goodputMbps(n.Eng, bundleSenders, warmup, dur)
-			site.Stop()
-		}
-		out = append(out, point)
-	}
-	return out
 }
 
 // SchedulerByName builds the sendbox scheduler a spec names (the
@@ -407,68 +269,137 @@ func fct(r *exp.Run) error {
 	return nil
 }
 
-// fig11 sweeps short-flow cross traffic (Figure 11).
+// fig11 reproduces Figure 11: the bundle offers a fixed 48 Mbit/s while
+// un-bundled short-flow cross traffic sweeps from 6 to 42 Mbit/s.
 func fig11(r *exp.Run) error {
-	points := RunFig11(r.Seed, r.Int("requests")/2)
+	requests := r.Int("requests") / 2 // per point
 	ReportHeader(r, "Figure 11: short-flow cross traffic sweep (bundle fixed at 48 Mbit/s)")
 	fmt.Fprintf(r, "%-12s %12s %14s %16s\n", "cross Mb/s", "status quo", "bundler-copa", "bundler-nimbus")
-	for _, pt := range points {
-		fmt.Fprintf(r, "%-12.0f %12.2f %14.2f %16.2f\n",
-			pt.CrossBps/1e6, pt.Median["statusquo"], pt.Median["bundler-copa"], pt.Median["bundler-nimbus"])
-		prefix := fmt.Sprintf("cross%.0fM/", pt.CrossBps/1e6)
-		for _, v := range crossVariants {
-			r.AddMetric(prefix+v.label+"/median-slowdown", pt.Median[v.label], "")
+	for cross := 6e6; cross <= 42e6; cross += 12e6 {
+		var median []float64 // median slowdown of bundle flows, per cross variant
+		for _, mode := range crossVariants {
+			n := NewNet(NetConfig{Seed: r.Seed})
+			site := n.AddSite(n.bundleConfig(mode.alg, "sfq", 1000))
+			crossSite := n.AddSite(nil)
+			rec := site.RunOpenLoop(Traffic{OfferedBps: 48e6, Requests: requests,
+				Warmup: 5 * sim.Second})
+			// Scale the cross generator's request count to its offered
+			// load so both workloads span the same virtual time (the
+			// point measures competition, not a tail of unopposed cross
+			// traffic).
+			crossReqs := int(float64(requests) * cross / 48e6)
+			if crossReqs < 100 {
+				crossReqs = 100
+			}
+			crossRec := crossSite.RunOpenLoop(Traffic{OfferedBps: cross, Requests: crossReqs})
+			n.RunUntilDone(600*sim.Second, func() bool {
+				return rec.Completed >= requests && crossRec.Completed >= crossReqs
+			})
+			site.Stop()
+			median = append(median, rec.Slowdowns.Median())
+		}
+		fmt.Fprintf(r, "%-12.0f %12.2f %14.2f %16.2f\n", cross/1e6, median[0], median[1], median[2])
+		prefix := fmt.Sprintf("cross%.0fM/", cross/1e6)
+		for i, v := range crossVariants {
+			r.AddMetric(prefix+v.label+"/median-slowdown", median[i], "")
 		}
 	}
 	return nil
 }
 
-// fig12 measures persistent elastic cross flows (Figure 12).
+// fig12 reproduces Figure 12: 20 backlogged bundled flows compete with a
+// varying number of persistent elastic (Cubic) cross flows. Throughput is
+// measured after a warmup (detection and mode convergence take several
+// seconds).
 func fig12(r *exp.Run) error {
-	points := RunFig12(r.Seed)
+	const warmup = 20 * sim.Second
+	const dur = 80 * sim.Second
 	ReportHeader(r, "Figure 12: persistent elastic cross flows (paper: 12-22% bundle throughput loss)")
 	fmt.Fprintf(r, "%-12s %12s %14s %16s\n", "cross flows", "status quo", "bundler-copa", "bundler-nimbus")
-	for _, pt := range points {
-		fmt.Fprintf(r, "%-12d %9.1f Mb/s %11.1f Mb/s %13.1f Mb/s\n",
-			pt.CrossFlows, pt.Throughput["statusquo"], pt.Throughput["bundler-copa"], pt.Throughput["bundler-nimbus"])
-		prefix := fmt.Sprintf("cross%d/", pt.CrossFlows)
-		for _, v := range crossVariants {
-			r.AddMetric(prefix+v.label+"/Mbps", pt.Throughput[v.label], "Mbps")
+	for _, crossN := range []int{10, 30, 50} {
+		var mbps []float64 // bundle throughput, per cross variant
+		for _, mode := range crossVariants {
+			n := NewNet(NetConfig{Seed: r.Seed})
+			site := n.AddSite(n.bundleConfig(mode.alg, "sfq", 1000))
+			crossSite := n.AddSite(nil)
+			var bundleSenders []*tcp.Sender
+			for i := 0; i < 20; i++ {
+				bundleSenders = append(bundleSenders, site.AddFlow(1<<40, tcp.NewCubic(), nil))
+			}
+			for i := 0; i < crossN; i++ {
+				crossSite.AddFlow(1<<40, tcp.NewCubic(), nil)
+			}
+			mbps = append(mbps, goodputMbps(n.Eng, bundleSenders, warmup, dur))
+			site.Stop()
+		}
+		fmt.Fprintf(r, "%-12d %9.1f Mb/s %11.1f Mb/s %13.1f Mb/s\n", crossN, mbps[0], mbps[1], mbps[2])
+		prefix := fmt.Sprintf("cross%d/", crossN)
+		for i, v := range crossVariants {
+			r.AddMetric(prefix+v.label+"/Mbps", mbps[i], "Mbps")
 		}
 	}
 	return nil
 }
 
-// fig13 runs competing bundles (Figure 13).
+// fig13 reproduces Figure 13: two bundles sharing the bottleneck at 1:1
+// and 2:1 offered-load splits, against the status-quo baseline at the
+// same aggregate 84 Mbit/s.
 func fig13(r *exp.Run) error {
-	rows := RunFig13(r.Seed, r.Int("requests"))
+	requests := r.Int("requests")
 	ReportHeader(r, "Figure 13: competing bundles (aggregate 84 Mbit/s)")
-	for _, row := range rows {
-		var parts []string
-		for i, m := range row.Medians {
-			parts = append(parts, fmt.Sprintf("bundle%d p50=%.2f", i+1, m))
-			r.AddMetric(strings.ReplaceAll(row.Label, " ", "_")+fmt.Sprintf("/bundle%d-median", i+1), m, "")
+	for _, sp := range []struct {
+		label  string
+		shares []float64
+	}{
+		{"Status Quo (aggregate)", nil},
+		{"1:1", []float64{0.5, 0.5}},
+		{"2:1", []float64{2.0 / 3, 1.0 / 3}},
+	} {
+		var recs []*workload.Recorder
+		if sp.shares == nil {
+			recs = append(recs, RunFCT(FCTOptions{Seed: r.Seed, Requests: requests, Mode: "statusquo"}))
+		} else {
+			n := NewNet(NetConfig{Seed: r.Seed})
+			for _, share := range sp.shares {
+				site := n.AddSite(DefaultBundleConfig())
+				recs = append(recs, site.RunOpenLoop(Traffic{
+					OfferedBps: 84e6 * share,
+					Requests:   int(float64(requests) * share),
+				}))
+			}
+			n.RunUntilDone(600*sim.Second, func() bool {
+				for i, rec := range recs {
+					if rec.Completed < int(float64(requests)*sp.shares[i]) {
+						return false
+					}
+				}
+				return true
+			})
 		}
-		fmt.Fprintf(r, "%-24s %s\n", row.Label, strings.Join(parts, "  "))
+		var parts []string
+		for i, rec := range recs {
+			m := rec.Slowdowns.Median()
+			parts = append(parts, fmt.Sprintf("bundle%d p50=%.2f", i+1, m))
+			r.AddMetric(strings.ReplaceAll(sp.label, " ", "_")+fmt.Sprintf("/bundle%d-median", i+1), m, "")
+		}
+		fmt.Fprintf(r, "%-24s %s\n", sp.label, strings.Join(parts, "  "))
 	}
 	return nil
 }
 
-// sec74 varies the endhost congestion control (§7.4).
+// sec74 reproduces the §7.4 endhost-CC result: Bundler's benefit
+// persists when endhosts run Reno or BBR instead of Cubic. Rows come in
+// name order.
 func sec74(r *exp.Run) error {
-	pairs := RunSec74(r.Seed, r.Int("requests"))
-	var ccs []string
-	for cc := range pairs {
-		ccs = append(ccs, cc)
-	}
-	sort.Strings(ccs)
+	requests := r.Int("requests")
 	ReportHeader(r, "§7.4: endhost congestion control")
-	for _, cc := range ccs {
-		pair := pairs[cc]
+	for _, cc := range slices.Sorted(slices.Values(tcp.EndhostCCs)) {
+		sq := RunFCT(FCTOptions{Seed: r.Seed, Requests: requests, Mode: "statusquo", EndhostCC: cc}).Slowdowns.Median()
+		bd := RunFCT(FCTOptions{Seed: r.Seed, Requests: requests, Mode: "bundler", EndhostCC: cc}).Slowdowns.Median()
 		fmt.Fprintf(r, "endhost %-6s status quo p50=%.2f | bundler p50=%.2f (%.0f%% lower)\n",
-			cc, pair[0].Median, pair[1].Median, (1-pair[1].Median/pair[0].Median)*100)
-		r.AddMetric(cc+"/statusquo-median", pair[0].Median, "")
-		r.AddMetric(cc+"/bundler-median", pair[1].Median, "")
+			cc, sq, bd, (1-bd/sq)*100)
+		r.AddMetric(cc+"/statusquo-median", sq, "")
+		r.AddMetric(cc+"/bundler-median", bd, "")
 	}
 	return nil
 }

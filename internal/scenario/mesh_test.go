@@ -1,4 +1,4 @@
-package scenario_test
+package scenario
 
 import (
 	"bytes"
@@ -6,7 +6,6 @@ import (
 
 	"bundler/internal/exp"
 	"bundler/internal/pkt"
-	"bundler/internal/scenario"
 	"bundler/internal/sim"
 )
 
@@ -19,15 +18,15 @@ import (
 func TestMeshInvariants(t *testing.T) {
 	cases := []struct {
 		name string
-		opt  scenario.MeshOptions
+		opt  MeshOptions
 	}{
-		{"2-site hub bundled", scenario.MeshOptions{
+		{"2-site hub bundled", MeshOptions{
 			Sites: 2, Bundled: true, Requests: 60, PerturbPeriod: 300 * sim.Millisecond}},
-		{"4-site hub bundled perturb+jitter", scenario.MeshOptions{
+		{"4-site hub bundled perturb+jitter", MeshOptions{
 			Sites: 4, Bundled: true, Requests: 40, PerturbPeriod: 250 * sim.Millisecond,
 			JitterMax: 2 * sim.Millisecond, JitterOrdered: true}},
-		{"4-site hub status quo", scenario.MeshOptions{Sites: 4, Requests: 40}},
-		{"8-site pairwise bundled", scenario.MeshOptions{
+		{"4-site hub status quo", MeshOptions{Sites: 4, Requests: 40}},
+		{"8-site pairwise bundled", MeshOptions{
 			Sites: 8, Mode: "pairwise", Bundled: true, Requests: 50,
 			PerturbPeriod: 200 * sim.Millisecond}},
 	}
@@ -35,7 +34,7 @@ func TestMeshInvariants(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			tc.opt.Seed = 1
 			liveBefore := pkt.Live()
-			m := scenario.NewMesh(tc.opt)
+			m := NewMesh(tc.opt)
 			m.Run()
 
 			if got := m.Misrouted(); got != 0 {
@@ -74,7 +73,6 @@ func TestMeshInvariants(t *testing.T) {
 			if delta < 0 {
 				t.Errorf("live packet count fell by %d: something released packets it did not own", -delta)
 			}
-			const inFlightBound = 200_000
 			if delta > inFlightBound {
 				t.Errorf("live packet count grew by %d (> %d): release paths are leaking", delta, inFlightBound)
 			}

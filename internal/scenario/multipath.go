@@ -85,49 +85,6 @@ func RunFig7(seed int64, dur sim.Time) Fig7Result {
 	return res
 }
 
-// Sec76Point is one configuration of the §7.6 sweep.
-type Sec76Point struct {
-	RateMbps float64
-	RTTms    float64
-	Paths    int
-	OOOFrac  float64
-	Disabled bool
-}
-
-// RunSec76 reproduces the §7.6 robustness sweep: bandwidths 12–96 Mbit/s,
-// RTTs 10–300 ms, and 1–32 load-balanced paths. Single-path runs must
-// show near-zero out-of-order fractions; imbalanced multi-path runs must
-// sit far above the 5 % threshold.
-func RunSec76(seed int64, dur sim.Time) []Sec76Point {
-	var out []Sec76Point
-	for _, rate := range []float64{12e6, 48e6, 96e6} {
-		for _, rtt := range []sim.Time{10 * sim.Millisecond, 100 * sim.Millisecond, 300 * sim.Millisecond} {
-			for _, paths := range []int{1, 2, 8, 32} {
-				skew := sim.Time(0)
-				if paths > 1 {
-					// Imbalance: spread one-way delays across ±50 % of
-					// the base RTT.
-					skew = rtt / sim.Time(paths)
-				}
-				m := NewMultipathNet(seed, rate, rtt, paths, skew, nil)
-				for i := 0; i < 40; i++ {
-					m.AddFlow(1<<40, tcp.NewCubic(), nil)
-				}
-				m.Eng.RunUntil(dur)
-				m.SB.Stop()
-				out = append(out, Sec76Point{
-					RateMbps: rate / 1e6,
-					RTTms:    rtt.Millis(),
-					Paths:    paths,
-					OOOFrac:  m.SB.OOOFraction(),
-					Disabled: m.SB.Mode() == bundle.ModeDisabled,
-				})
-			}
-		}
-	}
-	return out
-}
-
 // --- experiment bodies (the table is in experiments.go) ---
 
 // fig7 shows multipath visibility through the OOO fraction.
@@ -147,18 +104,39 @@ func fig7(r *exp.Run) error {
 	return nil
 }
 
-// sec76 is the multipath-detection robustness sweep.
+// sec76 reproduces the §7.6 robustness sweep: bandwidths 12–96 Mbit/s,
+// RTTs 10–300 ms, and 1–32 load-balanced paths. Single-path runs must
+// show near-zero out-of-order fractions; imbalanced multi-path runs must
+// sit far above the 5 % threshold.
 func sec76(r *exp.Run) error {
-	points := RunSec76(r.Seed, simDuration(r, "dur"))
+	dur := simDuration(r, "dur")
 	ReportHeader(r, "§7.6: multipath detection sweep (paper: ≤0.4% single path, ≥20% multipath)")
 	fmt.Fprintf(r, "%-10s %-8s %-8s %-10s %-8s\n", "rate Mb/s", "RTT ms", "paths", "OOO frac", "disabled")
 	maxSingle, minMulti := 0.0, 1.0
-	for _, pt := range points {
-		fmt.Fprintf(r, "%-10.0f %-8.0f %-8d %-10.4f %-8v\n", pt.RateMbps, pt.RTTms, pt.Paths, pt.OOOFrac, pt.Disabled)
-		if pt.Paths == 1 {
-			maxSingle = max(maxSingle, pt.OOOFrac)
-		} else {
-			minMulti = min(minMulti, pt.OOOFrac)
+	for _, rate := range []float64{12e6, 48e6, 96e6} {
+		for _, rtt := range []sim.Time{10 * sim.Millisecond, 100 * sim.Millisecond, 300 * sim.Millisecond} {
+			for _, paths := range []int{1, 2, 8, 32} {
+				skew := sim.Time(0)
+				if paths > 1 {
+					// Imbalance: spread one-way delays across ±50 % of
+					// the base RTT.
+					skew = rtt / sim.Time(paths)
+				}
+				m := NewMultipathNet(r.Seed, rate, rtt, paths, skew, nil)
+				for i := 0; i < 40; i++ {
+					m.AddFlow(1<<40, tcp.NewCubic(), nil)
+				}
+				m.Eng.RunUntil(dur)
+				m.SB.Stop()
+				ooo := m.SB.OOOFraction()
+				fmt.Fprintf(r, "%-10.0f %-8.0f %-8d %-10.4f %-8v\n",
+					rate/1e6, rtt.Millis(), paths, ooo, m.SB.Mode() == bundle.ModeDisabled)
+				if paths == 1 {
+					maxSingle = max(maxSingle, ooo)
+				} else {
+					minMulti = min(minMulti, ooo)
+				}
+			}
 		}
 	}
 	r.AddMetric("max-single-path-ooo", maxSingle, "")

@@ -1,7 +1,7 @@
 package scenario
 
 import (
-	"math"
+	"slices"
 	"strings"
 	"testing"
 
@@ -53,33 +53,39 @@ func TestFig9Shape(t *testing.T) {
 }
 
 func TestFig14InnerCCOrdering(t *testing.T) {
-	res := RunFig14(1, testRequests)
-	byLabel := map[string]Fig9Result{}
-	for _, r := range res {
-		byLabel[r.Label] = r
-	}
-	copa := byLabel["Bundler (copa)"]
-	basic := byLabel["Bundler (basicdelay)"]
-	sq := byLabel["Status Quo"]
+	run := shared(t, "fig14", exp.Params{"requests": "15000"})
+	copa := run.metric(t, "Bundler_(copa)/median-slowdown")
+	basic := run.metric(t, "Bundler_(basicdelay)/median-slowdown")
+	sq := run.metric(t, "Status_Quo/median-slowdown")
 	// Copa and BasicDelay both beat the status quo (paper: similar
 	// benefits); BBR is no better than status quo.
-	if copa.Median > 0.85*sq.Median || basic.Median > 0.85*sq.Median {
-		t.Errorf("delay controllers should beat status quo: copa=%.2f basic=%.2f sq=%.2f",
-			copa.Median, basic.Median, sq.Median)
+	if copa > 0.85*sq || basic > 0.85*sq {
+		t.Errorf("delay controllers should beat status quo: copa=%.2f basic=%.2f sq=%.2f", copa, basic, sq)
 	}
-	bbr := byLabel["Bundler (bbr)"]
-	if bbr.Median < copa.Median {
-		t.Errorf("BBR median %.2f should not beat Copa %.2f (it keeps an in-network queue)", bbr.Median, copa.Median)
+	if bbr := run.metric(t, "Bundler_(bbr)/median-slowdown"); bbr < copa {
+		t.Errorf("BBR median %.2f should not beat Copa %.2f (it keeps an in-network queue)", bbr, copa)
 	}
 }
 
+// TestSec74EndhostCC also pins the report's row order: one pair of
+// metrics per endhost algorithm, in name order.
 func TestSec74EndhostCC(t *testing.T) {
-	res := RunSec74(1, testRequests)
-	for cc, pair := range res {
-		sq, bd := pair[0], pair[1]
-		if bd.Median > 0.8*sq.Median {
-			t.Errorf("endhost %s: bundler median %.2f vs status quo %.2f, want ≥ 20%% improvement",
-				cc, bd.Median, sq.Median)
+	run := shared(t, "sec74", exp.Params{"requests": "15000"})
+	var names []string
+	for _, m := range run.Metrics {
+		names = append(names, m.Name)
+	}
+	if want := []string{
+		"bbr/statusquo-median", "bbr/bundler-median",
+		"cubic/statusquo-median", "cubic/bundler-median",
+		"reno/statusquo-median", "reno/bundler-median",
+	}; !slices.Equal(names, want) {
+		t.Fatalf("metrics %v, want %v", names, want)
+	}
+	for _, cc := range tcp.EndhostCCs {
+		sq, bd := run.metric(t, cc+"/statusquo-median"), run.metric(t, cc+"/bundler-median")
+		if bd > 0.8*sq {
+			t.Errorf("endhost %s: bundler median %.2f vs status quo %.2f, want ≥ 20%% improvement", cc, bd, sq)
 		}
 	}
 }
@@ -103,75 +109,60 @@ func TestFig15ProxyHelpsMidFlows(t *testing.T) {
 }
 
 func TestFig13CompetingBundles(t *testing.T) {
-	res := RunFig13(1, testRequests)
-	var sqMedian float64
-	for _, r := range res {
-		if r.Label == "Status Quo (aggregate)" {
-			sqMedian = r.Medians[0]
-		}
-	}
-	for _, r := range res {
-		if r.Label == "Status Quo (aggregate)" {
-			continue
-		}
-		for i, m := range r.Medians {
-			if m > 0.9*sqMedian {
-				t.Errorf("split %s bundle %d median %.2f vs status quo %.2f: no improvement",
-					r.Label, i, m, sqMedian)
-			}
+	run := shared(t, "fig13", exp.Params{"requests": "15000"})
+	sq := run.metric(t, "Status_Quo_(aggregate)/bundle1-median")
+	for _, name := range []string{"1:1/bundle1", "1:1/bundle2", "2:1/bundle1", "2:1/bundle2"} {
+		if m := run.metric(t, name+"-median"); m > 0.9*sq {
+			t.Errorf("split %s median %.2f vs status quo %.2f: no improvement", name, m, sq)
 		}
 	}
 }
 
 func TestFig11ShortCrossSweep(t *testing.T) {
-	points := RunFig11(1, 15000)
-	for _, p := range points {
-		sq := p.Median["statusquo"]
+	run := shared(t, "fig11", exp.Params{"requests": "30000"})
+	crossMbps := []string{"6", "18", "30", "42"}
+	for _, cross := range crossMbps {
+		sq := run.metric(t, "cross"+cross+"M/statusquo/median-slowdown")
 		for _, label := range []string{"bundler-copa", "bundler-nimbus"} {
 			// The paper notes Bundler's delay controller can briefly cede
 			// throughput when short-flow cross traffic builds transient
 			// queues. Near-idle baselines (sq ≈ 1.0) make pure ratio
 			// checks degenerate, so the bound is the larger of a 35 %
 			// ratio and a small absolute penalty; a collapse still fails.
-			limit := sq * 1.35
-			if limit < 1.6 {
-				limit = 1.6
-			}
-			if p.Median[label] > limit {
-				t.Errorf("cross=%.0fMbps %s median %.2f much worse than status quo %.2f",
-					p.CrossBps/1e6, label, p.Median[label], sq)
+			limit := max(sq*1.35, 1.6)
+			if m := run.metric(t, "cross"+cross+"M/"+label+"/median-slowdown"); m > limit {
+				t.Errorf("cross=%sMbps %s median %.2f much worse than status quo %.2f", cross, label, m, sq)
 			}
 		}
 	}
 	// Status quo FCTs grow with cross load (aggregate queueing effect).
-	first := points[0].Median["statusquo"]
-	last := points[len(points)-1].Median["statusquo"]
+	first := run.metric(t, "cross"+crossMbps[0]+"M/statusquo/median-slowdown")
+	last := run.metric(t, "cross"+crossMbps[len(crossMbps)-1]+"M/statusquo/median-slowdown")
 	if last < first {
 		t.Errorf("status quo medians did not grow with cross load: %.2f -> %.2f", first, last)
 	}
 }
 
 func TestFig12ElasticCrossThroughput(t *testing.T) {
-	points := RunFig12(1)
-	for _, p := range points {
-		sq := p.Throughput["statusquo"]
+	run := shared(t, "fig12", nil)
+	for _, crossFlows := range []string{"10", "30", "50"} {
+		sq := run.metric(t, "cross"+crossFlows+"/statusquo/Mbps")
 		for _, label := range []string{"bundler-copa", "bundler-nimbus"} {
-			got := p.Throughput[label]
 			// Paper: 12–22 % average throughput loss across 10–50 cross
 			// flows. Allow up to 45 % before flagging.
-			if got < 0.55*sq {
-				t.Errorf("%d cross flows: %s bundle throughput %.1f vs status quo %.1f (> 45%% loss)",
-					p.CrossFlows, label, got, sq)
+			if got := run.metric(t, "cross"+crossFlows+"/"+label+"/Mbps"); got < 0.55*sq {
+				t.Errorf("%s cross flows: %s bundle throughput %.1f vs status quo %.1f (> 45%% loss)",
+					crossFlows, label, got, sq)
 			}
 		}
 	}
 }
 
 func TestFig2QueueShift(t *testing.T) {
-	res := RunQueueShift(1, 30*sim.Second)
-	sqBn := res.StatusQuoBottleneck.MeanOver(5*sim.Second, 30*sim.Second)
-	bdBn := res.BundlerBottleneck.MeanOver(5*sim.Second, 30*sim.Second)
-	bdSB := res.BundlerSendbox.MeanOver(5*sim.Second, 30*sim.Second)
+	run := shared(t, "fig2", exp.Params{"dur": "10s"})
+	sqBn := run.metric(t, "statusquo/bottleneck-queue")
+	bdBn := run.metric(t, "bundler/bottleneck-queue")
+	bdSB := run.metric(t, "bundler/sendbox-queue")
 	if sqBn < 20 {
 		t.Fatalf("status quo bottleneck queue %.1fms: no bufferbloat to shift", sqBn)
 	}
@@ -181,9 +172,9 @@ func TestFig2QueueShift(t *testing.T) {
 	if bdSB < bdBn {
 		t.Errorf("sendbox queue %.1fms < bottleneck %.1fms: queue did not shift", bdSB, bdBn)
 	}
-	if res.BundlerThroughput < 0.85*res.StatusQuoThroughput {
-		t.Errorf("throughput %.1f vs %.1f Mbit/s: shifting the queue cost too much",
-			res.BundlerThroughput, res.StatusQuoThroughput)
+	sqTput, bdTput := run.metric(t, "statusquo/throughput"), run.metric(t, "bundler/throughput")
+	if bdTput < 0.85*sqTput {
+		t.Errorf("throughput %.1f vs %.1f Mbit/s: shifting the queue cost too much", bdTput, sqTput)
 	}
 }
 
@@ -203,72 +194,61 @@ func TestFig56MeasurementAccuracy(t *testing.T) {
 }
 
 func TestFig10Phases(t *testing.T) {
-	res := RunFig10(1)
-	p1, p2, p3 := res.Phases[0], res.Phases[1], res.Phases[2]
+	run := shared(t, "fig10", nil)
+	p1 := func(m string) float64 { return run.metric(t, "no_cross_traffic/"+m) }
+	p2 := func(m string) float64 { return run.metric(t, "buffer-filling_cross/"+m) }
+	p3 := func(m string) float64 { return run.metric(t, "non-buffer-filling_cross/"+m) }
 	// Phase 1: pure delay control, full utilization, tiny queue.
-	if p1.PassThroughFrac > 0.05 {
-		t.Errorf("phase 1 spent %.0f%% outside delay control with no cross traffic", p1.PassThroughFrac*100)
+	if f := p1("passthrough-frac"); f > 0.05 {
+		t.Errorf("phase 1 spent %.0f%% outside delay control with no cross traffic", f*100)
 	}
-	if p1.BundleMbps < 75 {
-		t.Errorf("phase 1 bundle throughput %.1f Mbit/s, want ≈ 84", p1.BundleMbps)
+	if mbps := p1("bundle"); mbps < 75 {
+		t.Errorf("phase 1 bundle throughput %.1f Mbit/s, want ≈ 84", mbps)
 	}
-	if p1.MeanQueueMs > 10 {
-		t.Errorf("phase 1 mean in-network queue %.1fms, want small", p1.MeanQueueMs)
+	if q := p1("queue"); q > 10 {
+		t.Errorf("phase 1 mean in-network queue %.1fms, want small", q)
 	}
 	// Phase 2: the buffer-filler takes a meaningful share; Bundler cedes
 	// control (pass-through engages at least part of the phase).
 	// With many bundle flows against one cross flow, per-flow fairness
 	// gives the cross flow a small-but-alive share.
-	if p2.CrossMbps < 2 {
-		t.Errorf("phase 2 cross throughput %.1f Mbit/s: buffer-filler starved entirely", p2.CrossMbps)
+	if mbps := p2("cross"); mbps < 2 {
+		t.Errorf("phase 2 cross throughput %.1f Mbit/s: buffer-filler starved entirely", mbps)
 	}
-	if p2.PassThroughFrac < 0.05 {
-		t.Errorf("phase 2 never entered pass-through (%.2f)", p2.PassThroughFrac)
+	if f := p2("passthrough-frac"); f < 0.05 {
+		t.Errorf("phase 2 never entered pass-through (%.2f)", f)
 	}
 	// Phase 3: scheduling benefits return; cross web traffic flows.
-	if p3.PassThroughFrac > p2.PassThroughFrac+0.2 {
-		t.Errorf("phase 3 pass-through %.2f did not subside vs phase 2 %.2f",
-			p3.PassThroughFrac, p2.PassThroughFrac)
+	if f2, f3 := p2("passthrough-frac"), p3("passthrough-frac"); f3 > f2+0.2 {
+		t.Errorf("phase 3 pass-through %.2f did not subside vs phase 2 %.2f", f3, f2)
 	}
-	if p3.ShortFlowSlowdowns.P50 > 4 {
-		t.Errorf("phase 3 short-flow median slowdown %.2f: benefits did not return", p3.ShortFlowSlowdowns.P50)
+	if p50 := p3("short-p50-slowdown"); p50 > 4 {
+		t.Errorf("phase 3 short-flow median slowdown %.2f: benefits did not return", p50)
 	}
 }
 
+// TestFig7MultipathVisibility: every out-of-order sample is taken from a
+// matched congestion ACK, which also records an RTT estimate, so a
+// nonzero fraction says the estimates were recorded too.
 func TestFig7MultipathVisibility(t *testing.T) {
-	res := RunFig7(1, 20*sim.Second)
-	if res.OOOFraction < 0.2 {
-		t.Errorf("OOO fraction %.3f across 4 imbalanced paths, want ≫ 5%%", res.OOOFraction)
+	run := shared(t, "fig7", exp.Params{"dur": "10s"})
+	if ooo := run.metric(t, "ooo-fraction"); ooo < 0.2 {
+		t.Errorf("OOO fraction %.3f across 4 imbalanced paths, want ≫ 5%%", ooo)
 	}
-	if res.Mode != bundle.ModeDisabled {
-		t.Errorf("mode = %v, want disabled", res.Mode)
-	}
-	if res.EstimateRTTms.N() == 0 {
-		t.Error("no RTT estimates recorded")
+	if mode := bundle.Mode(run.metric(t, "mode")); mode != bundle.ModeDisabled {
+		t.Errorf("mode = %v, want disabled", mode)
 	}
 }
 
+// TestSec76Separation checks the paper's sweep-wide claim over all 36
+// (rate, RTT, paths) cells.
 func TestSec76Separation(t *testing.T) {
-	// Subset of the sweep for test time; the bench runs it all.
-	pts := []Sec76Point{}
-	for _, paths := range []int{1, 4} {
-		skew := sim.Time(0)
-		if paths > 1 {
-			skew = 25 * sim.Millisecond
-		}
-		m := NewMultipathNet(1, 48e6, 100*sim.Millisecond, paths, skew, nil)
-		for i := 0; i < 40; i++ {
-			m.AddFlow(1<<40, tcp.NewCubic(), nil)
-		}
-		m.Eng.RunUntil(15 * sim.Second)
-		m.SB.Stop()
-		pts = append(pts, Sec76Point{Paths: paths, OOOFrac: m.SB.OOOFraction()})
+	run := shared(t, "sec76", exp.Params{"dur": "3s"})
+	if ooo := run.metric(t, "max-single-path-ooo"); ooo > 0.01 {
+		t.Errorf("single path OOO %.4f, want ≈ 0 (paper max 0.4%%)", ooo)
 	}
-	if pts[0].OOOFrac > 0.01 {
-		t.Errorf("single path OOO %.4f, want ≈ 0 (paper max 0.4%%)", pts[0].OOOFrac)
-	}
-	if pts[1].OOOFrac < 0.2 {
-		t.Errorf("4-path OOO %.3f, want ≥ 20%% (paper min 20%%)", pts[1].OOOFrac)
+	if ooo := run.metric(t, "min-multi-path-ooo"); ooo < 0.2 {
+		t.Errorf("multipath OOO %.3f, want ≥ 20%% (paper min 20%%)", ooo)
 	}
 }
 
@@ -359,23 +339,22 @@ func TestSec9HierarchicalBundles(t *testing.T) {
 }
 
 func TestPolicySweepOrdering(t *testing.T) {
-	rows := RunPolicySweep(1, 8000)
-	byName := map[string]PolicyRow{}
-	for _, r := range rows {
-		byName[r.Policy] = r
-	}
+	run := shared(t, "policies", exp.Params{"requests": "16000"})
+	fifo := run.metric(t, "fifo/median-slowdown")
 	// Fair-queueing disciplines protect short flows better than FIFO.
 	for _, fq := range []string{"sfq", "drr", "fqcodel"} {
-		if byName[fq].MedianSlowdown > byName["fifo"].MedianSlowdown {
-			t.Errorf("%s median %.2f worse than fifo %.2f", fq,
-				byName[fq].MedianSlowdown, byName["fifo"].MedianSlowdown)
+		if m := run.metric(t, fq+"/median-slowdown"); m > fifo {
+			t.Errorf("%s median %.2f worse than fifo %.2f", fq, m, fifo)
 		}
 	}
-	// AQMs bound probe latency versus plain FIFO.
-	for _, aqm := range []string{"codel", "fqcodel", "pie"} {
-		if byName[aqm].ProbeP99Ms > byName["fifo"].ProbeP99Ms*1.1 {
-			t.Errorf("%s probe p99 %.1fms no better than fifo %.1fms", aqm,
-				byName[aqm].ProbeP99Ms, byName["fifo"].ProbeP99Ms)
+	// AQMs bound probe latency versus plain FIFO. Not fqcodel: its probe
+	// RTTs are NaN at every scale tried. udpapp.PingClient never re-sends
+	// a lost request, and the five probes are phase-locked, so one loss
+	// episode stalls all of them for the rest of the run.
+	fifoP99 := run.metric(t, "fifo/probe-p99")
+	for _, aqm := range []string{"codel", "pie"} {
+		if p99 := run.metric(t, aqm+"/probe-p99"); p99 > fifoP99*1.1 {
+			t.Errorf("%s probe p99 %.1fms no better than fifo %.1fms", aqm, p99, fifoP99)
 		}
 	}
 }
@@ -402,23 +381,12 @@ func TestExperimentsAreDeterministic(t *testing.T) {
 // TestAblationsExperiment: the hidden ablations experiment reports every
 // label `go test -bench Ablation .` used to, and stays out of "all".
 func TestAblationsExperiment(t *testing.T) {
-	e, ok := exp.Lookup("ablations")
-	if !ok {
-		t.Fatal("ablations experiment not registered")
-	}
 	for _, listed := range exp.All() {
 		if listed.Name() == "ablations" {
-			t.Fatal("ablations must stay hidden: it would lengthen -experiment all and the invariant table")
+			t.Fatal("ablations must stay hidden: it would lengthen -experiment all")
 		}
 	}
-	res, err := e.Run(1, exp.Params{"requests": "600"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := map[string]float64{}
-	for _, m := range res.Metrics {
-		got[m.Name] = m.Value
-	}
+	run := shared(t, "ablations", exp.Params{"requests": "600"})
 	for _, name := range []string{
 		"rounded-matched-frac", "exact-matched-frac",
 		"window-1rtt-rate-var", "window-quarter-rate-var",
@@ -426,15 +394,10 @@ func TestAblationsExperiment(t *testing.T) {
 		"sfq1024-median", "sfq16-median",
 		"hash-matched-frac", "hash-goodput-Mbps", "tunnel-matched-frac", "tunnel-goodput-Mbps",
 	} {
-		v, ok := got[name]
-		if !ok {
-			t.Errorf("metric %q missing", name)
-		} else if math.IsNaN(v) {
-			t.Errorf("metric %q is NaN", name)
-		}
+		run.metric(t, name)
 	}
-	if len(res.Metrics) != 13 {
-		t.Errorf("%d metrics reported, want 13", len(res.Metrics))
+	if len(run.Metrics) != 13 {
+		t.Errorf("%d metrics reported, want 13", len(run.Metrics))
 	}
 }
 

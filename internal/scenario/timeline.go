@@ -13,48 +13,6 @@ import (
 	"bundler/internal/workload"
 )
 
-// QueueShiftResult holds the Figure 2 traces: where queueing delay lives
-// over time, with and without Bundler.
-type QueueShiftResult struct {
-	// StatusQuoBottleneck is the bottleneck queueing delay (ms) without
-	// Bundler.
-	StatusQuoBottleneck stats.TimeSeries
-	// StatusQuoEdge is the (empty) edge queue without Bundler.
-	StatusQuoEdge stats.TimeSeries
-	// BundlerBottleneck is the bottleneck queueing delay with Bundler.
-	BundlerBottleneck stats.TimeSeries
-	// BundlerSendbox is the sendbox queueing delay with Bundler.
-	BundlerSendbox stats.TimeSeries
-	// Throughputs in Mbit/s over the run.
-	StatusQuoThroughput, BundlerThroughput float64
-}
-
-// RunQueueShift reproduces Figure 2: a single long-running flow, measured
-// with and without Bundler. The queue moves from the bottleneck to the
-// sendbox; throughput is preserved.
-func RunQueueShift(seed int64, dur sim.Time) QueueShiftResult {
-	var res QueueShiftResult
-	run := func(alg string, bn, edge *stats.TimeSeries) float64 {
-		n := NewNet(NetConfig{Seed: seed})
-		site := n.AddSite(n.bundleConfig(alg, "sfq", 1000))
-		snd := site.AddFlow(1<<40, tcp.NewCubic(), nil)
-		n.Eng.Tick(100*sim.Millisecond, func() {
-			bn.Add(n.Eng.Now(), n.Bottleneck.QueueDelay().Millis())
-			if site.SB != nil {
-				edge.Add(n.Eng.Now(), site.SB.QueueDelay().Millis())
-			} else {
-				edge.Add(n.Eng.Now(), 0)
-			}
-		})
-		n.Eng.RunUntil(dur)
-		site.Stop()
-		return float64(snd.Acked()) * 8 / dur.Seconds() / 1e6
-	}
-	res.StatusQuoThroughput = run("", &res.StatusQuoBottleneck, &res.StatusQuoEdge)
-	res.BundlerThroughput = run("copa", &res.BundlerBottleneck, &res.BundlerSendbox)
-	return res
-}
-
 // Fig10Phase summarizes one third of the Figure 10 timeline.
 type Fig10Phase struct {
 	Label string
@@ -178,35 +136,56 @@ func timelineArtifact(r *exp.Run, file string, names []string, series []*stats.T
 	return nil
 }
 
-// fig2 shows the queue moving from the bottleneck to the sendbox.
+// fig2 reproduces Figure 2: a single long-running flow, measured with
+// and without Bundler. The queue moves from the bottleneck to the
+// sendbox; throughput is preserved.
 func fig2(r *exp.Run) error {
 	dur := simDuration(r, "dur")
 	artifacts := r.Bool("artifacts")
-	res := RunQueueShift(r.Seed, dur)
-	sqBn := res.StatusQuoBottleneck.MeanOver(dur/6, dur)
-	sqEdge := res.StatusQuoEdge.MeanOver(dur/6, dur)
-	bdBn := res.BundlerBottleneck.MeanOver(dur/6, dur)
-	bdEdge := res.BundlerSendbox.MeanOver(dur/6, dur)
+	// run samples the bottleneck and edge (sendbox) queueing delay in ms
+	// every 100 ms, and returns the flow's throughput in Mbit/s.
+	run := func(alg string, bn, edge *stats.TimeSeries) float64 {
+		n := NewNet(NetConfig{Seed: r.Seed})
+		site := n.AddSite(n.bundleConfig(alg, "sfq", 1000))
+		snd := site.AddFlow(1<<40, tcp.NewCubic(), nil)
+		n.Eng.Tick(100*sim.Millisecond, func() {
+			bn.Add(n.Eng.Now(), n.Bottleneck.QueueDelay().Millis())
+			if site.SB != nil {
+				edge.Add(n.Eng.Now(), site.SB.QueueDelay().Millis())
+			} else {
+				edge.Add(n.Eng.Now(), 0)
+			}
+		})
+		n.Eng.RunUntil(dur)
+		site.Stop()
+		return float64(snd.Acked()) * 8 / dur.Seconds() / 1e6
+	}
+	var sqBnTS, sqEdgeTS, bdBnTS, bdSBTS stats.TimeSeries
+	sqTput := run("", &sqBnTS, &sqEdgeTS)
+	bdTput := run("copa", &bdBnTS, &bdSBTS)
+	sqBn := sqBnTS.MeanOver(dur/6, dur)
+	sqEdge := sqEdgeTS.MeanOver(dur/6, dur)
+	bdBn := bdBnTS.MeanOver(dur/6, dur)
+	bdEdge := bdSBTS.MeanOver(dur/6, dur)
 
 	ReportHeader(r, "Figure 2: queue shifting (single flow, 96 Mbit/s, 50 ms RTT)")
 	fmt.Fprintf(r, "%-28s %-22s %-20s\n", "", "bottleneck queue (ms)", "edge/sendbox queue (ms)")
 	fmt.Fprintf(r, "%-28s %-22.1f %-20.1f\n", "Status Quo", sqBn, sqEdge)
 	fmt.Fprintf(r, "%-28s %-22.1f %-20.1f\n", "With Bundler", bdBn, bdEdge)
-	fmt.Fprintf(r, "throughput: status quo %.1f Mbit/s, bundler %.1f Mbit/s\n",
-		res.StatusQuoThroughput, res.BundlerThroughput)
+	fmt.Fprintf(r, "throughput: status quo %.1f Mbit/s, bundler %.1f Mbit/s\n", sqTput, bdTput)
 
 	r.AddMetric("statusquo/bottleneck-queue", sqBn, "ms")
 	r.AddMetric("bundler/bottleneck-queue", bdBn, "ms")
 	r.AddMetric("bundler/sendbox-queue", bdEdge, "ms")
-	r.AddMetric("statusquo/throughput", res.StatusQuoThroughput, "Mbps")
-	r.AddMetric("bundler/throughput", res.BundlerThroughput, "Mbps")
+	r.AddMetric("statusquo/throughput", sqTput, "Mbps")
+	r.AddMetric("bundler/throughput", bdTput, "Mbps")
 
 	if !artifacts {
 		return nil
 	}
 	return timelineArtifact(r, "fig2_queues.csv",
 		[]string{"statusquo_bottleneck_ms", "bundler_bottleneck_ms", "bundler_sendbox_ms"},
-		[]*stats.TimeSeries{&res.StatusQuoBottleneck, &res.BundlerBottleneck, &res.BundlerSendbox})
+		[]*stats.TimeSeries{&sqBnTS, &bdBnTS, &bdSBTS})
 }
 
 // fig10 runs the time-varying cross-traffic timeline.

@@ -1,14 +1,16 @@
 // Package scenario wires complete experiments: the emulated dumbbell (and
 // multipath / WAN variants), the Bundler boxes, endhost traffic, and the
 // measurement probes each figure of the paper's evaluation (§7–§9) needs.
-// Every evaluation figure has a Run* entry point here, wrapped as a
-// registered exp.Experiment, invoked by cmd/bundler-bench and by the
+// Every evaluation figure is one row of the experiment table
+// (experiments.go) whose body sits beside its scenario code; the
+// registered experiments are invoked by cmd/bundler-bench and by the
 // benchmark under bench/.
 //
 // The reusable endpoint machinery — sender mux, destination demux,
-// reverse path, address allocation — lives in Fabric; Net adds the
-// paper's single-bottleneck dumbbell on top, and internal/topo compiles
-// declarative configs into arbitrary link graphs over the same Fabric.
+// reverse path, address allocation, nested sites — lives in Fabric; Net
+// adds the paper's single-bottleneck dumbbell on top, and internal/topo
+// compiles declarative configs into arbitrary link graphs over the same
+// Fabric.
 // Rates are bits/second, times sim.Time, buffers bytes.
 package scenario
 
@@ -54,7 +56,9 @@ func (c *NetConfig) fill() {
 // flow-ID allocators. The forward path between them — one bottleneck,
 // a chain, load-balanced parallel links — is the caller's to wire;
 // Net wires the paper's dumbbell, and internal/topo compiles declarative
-// configs into arbitrary link graphs over the same fabric.
+// configs into arbitrary link graphs over the same fabric. Bundles nest
+// (§9) without a second builder: AddSiteIn hangs a site inside another
+// site's Bundler pair.
 type Fabric struct {
 	Eng     *sim.Engine
 	MuxA    *tcp.Mux
@@ -134,6 +138,7 @@ type Site struct {
 	MuxB    *tcp.Mux
 	ingress netem.Receiver
 	egress  netem.Receiver
+	parent  *Site // the enclosing site of a nested one (AddSiteIn)
 	// onNewDst observes every destination host allocated for this site's
 	// flows. The mesh fabric uses it to teach each source site's
 	// MultiSendbox classifier which bundle a destination belongs to.
@@ -172,6 +177,24 @@ func (f *Fabric) AddSiteAt(egress netem.Receiver, bcfg *bundle.Config) *Site {
 	f.Demux.Route(rbCtl.Host, s.MuxB) // epoch updates reach the receivebox
 	s.ingress = netem.NewTap(s.RB.Observe, s.MuxB)
 	s.egress = s.SB
+	return s
+}
+
+// AddSiteIn nests a site inside parent, which must have a Bundler pair
+// (§9: department bundles inside an institute bundle). The new site
+// forwards into parent's sendbox, and every enclosing receivebox, the
+// outermost first, observes its traffic before its own receivebox does.
+// Membership is the demux route its flows install, as for any site;
+// control addresses bypass the taps. bcfg nil nests a plain member host.
+func (f *Fabric) AddSiteIn(parent *Site, bcfg *bundle.Config) *Site {
+	if parent.RB == nil {
+		panic("scenario: AddSiteIn needs a parent with a Bundler pair")
+	}
+	s := f.AddSiteAt(parent.egress, bcfg)
+	s.parent = parent
+	for p := parent; p != nil; p = p.parent {
+		s.ingress = netem.NewTap(p.RB.Observe, s.ingress)
+	}
 	return s
 }
 

@@ -46,8 +46,8 @@ var runs = []runRow{
 	{exp: "policies", params: exp.Params{"requests": "6000"}, golden: "policies"},
 	// The fair-queueing ordering needs 8 000 requests per policy.
 	{exp: "policies", params: exp.Params{"requests": "16000"}, slow: true},
-	// Nested control loops: the only experiment that builds its topology
-	// by hand.
+	// Nested control loops: department bundles inside an institute
+	// bundle.
 	{exp: "hier", params: exp.Params{"dur": "10s"}, golden: "hier"},
 	// The smallest mesh, with SFQ re-keying fast enough to fire several
 	// times during the run: pins the multibundle fan-out and the

@@ -317,24 +317,48 @@ func TestSchedulerByNameVariants(t *testing.T) {
 }
 
 func TestSec9HierarchicalBundles(t *testing.T) {
-	res := RunHierarchical(1, 30*sim.Second)
-	if res.ParentMatched < 100 || res.SubAMatched < 100 || res.SubBMatched < 100 {
-		t.Fatalf("control loops starved: parent=%d subA=%d subB=%d",
-			res.ParentMatched, res.SubAMatched, res.SubBMatched)
+	run := shared(t, "hier", exp.Params{"dur": "10s"})
+	// Every control loop operates: each matches congestion ACKs.
+	for _, loop := range []string{"parent", "deptA", "deptB"} {
+		if m := run.metric(t, loop+"-matched"); m < 100 {
+			t.Errorf("%s loop matched %.0f congestion ACKs, want ≥ 100", loop, m)
+		}
 	}
-	total := res.SubAMbps + res.SubBMbps
-	if total < 0.7*96 {
+	a, b := run.metric(t, "deptA-Mbps"), run.metric(t, "deptB-Mbps")
+	if total := a + b; total < 0.7*96 {
 		t.Errorf("aggregate goodput %.1f Mbit/s through nested bundlers, want ≥ 70%% of 96", total)
 	}
-	// The departments share roughly fairly (the parent schedules across
+	// Each department keeps its share (the parent schedules across
 	// sub-bundles with SFQ).
-	ratio := res.SubAMbps / res.SubBMbps
-	if ratio < 0.5 || ratio > 2 {
-		t.Errorf("department split %.1f / %.1f Mbit/s is unfair", res.SubAMbps, res.SubBMbps)
+	if ratio := a / b; ratio < 0.5 || ratio > 2 {
+		t.Errorf("department split %.1f / %.1f Mbit/s is unfair", a, b)
 	}
-	// The in-network queue still shifts to the edge boxes.
-	if res.BottleneckQueueMs > 20 {
-		t.Errorf("bottleneck queue %.1fms with nested bundlers, want small", res.BottleneckQueueMs)
+	// The in-network queue still shifts to the edge: small at the
+	// bottleneck, and below the parent sendbox's.
+	bn, parent := run.metric(t, "bottleneck-queue"), run.metric(t, "parent-queue")
+	if bn > 20 || bn >= parent {
+		t.Errorf("bottleneck queue %.1fms (parent sendbox %.1fms) with nested bundlers, want ≤ 20ms and below the parent's", bn, parent)
+	}
+}
+
+// TestAddSiteInTwoDeep: every enclosing receivebox observes a nested
+// site's traffic, so each loop of a three-level hierarchy closes even
+// when all the traffic comes from the innermost site.
+func TestAddSiteInTwoDeep(t *testing.T) {
+	n := NewNet(NetConfig{Seed: 1})
+	sites := []*Site{n.AddSite(&bundle.Config{})}
+	for range 2 {
+		sites = append(sites, n.AddSiteIn(sites[len(sites)-1], &bundle.Config{}))
+	}
+	for range 2 {
+		sites[2].AddFlow(1<<40, tcp.NewCubic(), nil)
+	}
+	n.Eng.RunUntil(3 * sim.Second)
+	for depth, s := range sites {
+		s.Stop()
+		if s.SB.AcksMatched < 10 {
+			t.Errorf("loop at depth %d matched %d congestion ACKs, want ≥ 10", depth, s.SB.AcksMatched)
+		}
 	}
 }
 

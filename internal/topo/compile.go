@@ -321,6 +321,9 @@ func compile(sc Scenario, seed int64, pv map[string]string) (*compiled, error) {
 		if hostNames[h.Name] {
 			return nil, fmt.Errorf("duplicate host %q", h.Name)
 		}
+		if _, ok := decl[h.Name]; ok {
+			return nil, fmt.Errorf("host %q is named like a link, so attaching to it would be ambiguous", h.Name)
+		}
 		hostNames[h.Name] = true
 	}
 	for _, bd := range sc.Bundles {
@@ -342,10 +345,29 @@ func compile(sc Scenario, seed int64, pv map[string]string) (*compiled, error) {
 		if attach == "" {
 			attach = sc.Links[0].Name
 		}
-		if _, ok := decl[attach]; !ok {
-			return nil, fmt.Errorf("host %q attaches to unknown link %q", h.Name, attach)
+		// A host attached to an earlier host nests inside that host's
+		// bundle and shares its path: the slowdown oracle, and the link
+		// a fluid workload loads.
+		parent := siteByName[attach]
+		switch {
+		case attach == h.Name:
+			return nil, fmt.Errorf("host %q attaches to itself", h.Name)
+		case parent != nil:
+			if _, ok := bundleFor[attach]; !ok {
+				return nil, fmt.Errorf("host %q attaches to host %q, which has no bundle to nest in", h.Name, attach)
+			}
+			hostLink[h.Name] = hostLink[attach]
+			oracleRate[h.Name], oracleRTT[h.Name] = oracleRate[attach], oracleRTT[attach]
+		case hostNames[attach]:
+			return nil, fmt.Errorf("host %q attaches to host %q, which is declared after it", h.Name, attach)
+		default:
+			if _, ok := decl[attach]; !ok {
+				return nil, fmt.Errorf("host %q attaches to %q, which is neither a link nor an earlier host", h.Name, attach)
+			}
+			hostLink[h.Name] = links[attach]
+			oracleRate[h.Name], oracleRTT[h.Name] = pathOracle(b, decl, attach, rtt)
 		}
-		oRate, oRTT := pathOracle(b, decl, attach, rtt)
+		oRate := oracleRate[h.Name]
 		var bcfg *bundle.Config
 		if bd, ok := bundleFor[h.Name]; ok {
 			alg := b.str("bundle alg", bd.Alg)
@@ -375,11 +397,14 @@ func compile(sc Scenario, seed int64, pv map[string]string) (*compiled, error) {
 			}
 			bcfg = &bundle.Config{Algorithm: alg, TunnelMode: bd.Tunnel, Scheduler: sched}
 		}
-		site := fab.AddSiteAt(entries[attach], bcfg)
+		var site *scenario.Site
+		if parent != nil {
+			site = fab.AddSiteIn(parent, bcfg)
+		} else {
+			site = fab.AddSiteAt(entries[attach], bcfg)
+		}
 		c.sites = append(c.sites, site)
 		siteByName[h.Name] = site
-		hostLink[h.Name] = links[attach]
-		oracleRate[h.Name], oracleRTT[h.Name] = oRate, oRTT
 	}
 	if b.err != nil {
 		return nil, b.err

@@ -1,9 +1,10 @@
 // Package topo is the declarative scenario layer: experiments as data
 // instead of code. A Config — JSON with // comments — names a topology
 // (links with rate/delay/qdisc/loss and optional time-varying rate
-// traces, hosts attached to them, Bundler pairs placed on hosts) and the
-// workloads offered through it, plus the labeled run variants to compare
-// (status quo vs Bundler, schedulers, ...). The compiler (compile.go)
+// traces, hosts attached to them, Bundler pairs placed on hosts, hosts
+// nested in another host's bundle) and the workloads offered through it,
+// plus the labeled run variants to compare (status quo vs Bundler,
+// schedulers, ...). The compiler (compile.go)
 // instantiates the same internal/sim, netem, bundle, and workload
 // machinery the hand-coded internal/scenario experiments use — the
 // shipped fig9 config reproduces the hand-coded fig9 experiment byte for
@@ -154,14 +155,19 @@ type ClassDecl struct {
 // scenario.Site): a cluster of endpoints whose egress enters the forward
 // path at Attach and whose ingress hangs off the destination demux.
 type Host struct {
+	// Name must differ from every link's, so Attach is never ambiguous.
 	Name string `json:"name"`
 	// Attach names the link the host's egress enters; default: the first
-	// declared link.
+	// declared link. Naming an earlier-declared host that has a bundle
+	// nests this host inside that bundle (§9; scenario.Fabric.AddSiteIn):
+	// its egress enters the parent's sendbox, the parent's receivebox
+	// observes its traffic too, and it shares the parent's path.
 	Attach string `json:"attach,omitempty"`
 }
 
-// Bundle places a Bundler pair on a host: the sendbox in front of the
-// host's attach link, the receivebox tapping the host's ingress.
+// Bundle places a Bundler pair on a host: the sendbox in front of what
+// the host attaches to (a link, or the enclosing host's sendbox), the
+// receivebox tapping the host's ingress.
 type Bundle struct {
 	Host string `json:"host"`
 	// Alg names the inner-loop controller: "copa" (default),

@@ -52,3 +52,34 @@ func TestFig9ConfigEquivalence(t *testing.T) {
 			wantJSON, gotJSON)
 	}
 }
+
+// TestHierConfigEquivalence holds §9's nesting declaration to the
+// built-in: examples/configs/hier.json, whose departments attach to the
+// institute host, simulates exactly what the hier experiment wires
+// through scenario.Fabric.AddSiteIn, so each department's bulk goodput
+// is the same float.
+func TestHierConfigEquivalence(t *testing.T) {
+	cfg, err := Load("../../examples/configs/hier.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	hand, ok := exp.Lookup("hier")
+	if !ok {
+		t.Fatal("built-in hier not registered")
+	}
+	params := exp.Params{"dur": "10s"}
+	want, err := hand.Run(1, params.Clone())
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := Experiment(cfg).Run(1, params.Clone())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, d := range []string{"deptA", "deptB"} {
+		w, g := want.Metric(d+"-Mbps"), got.Metric(cfg.Name+"/bulk-"+d+"/Mbps")
+		if g != w {
+			t.Errorf("%s: config %v Mbit/s, built-in %v", d, g, w)
+		}
+	}
+}

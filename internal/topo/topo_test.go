@@ -318,7 +318,37 @@ func TestRejections(t *testing.T) {
 			json: `{"name":"t","base":{"links":[{"name":"l1","rate":"96e6"}],
 				"hosts":[{"name":"h","attach":"l2"}],
 				"workloads":[{"host":"h","kind":"web","load":"10e6","requests":"100"}]}}`,
-			want: "unknown link \"l2\"",
+			want: "attaches to \"l2\", which is neither a link nor an earlier host",
+		},
+		{
+			name: "host attaches to a host without a bundle",
+			json: `{"name":"t","base":{"links":[{"name":"l1","rate":"96e6"}],
+				"hosts":[{"name":"p"},{"name":"h","attach":"p"}],
+				"workloads":[{"host":"h","kind":"web","load":"10e6","requests":"100"}]}}`,
+			want: "which has no bundle",
+		},
+		{
+			name: "host attaches to a host declared later",
+			json: `{"name":"t","base":{"links":[{"name":"l1","rate":"96e6"}],
+				"hosts":[{"name":"h","attach":"p"},{"name":"p"}],
+				"bundles":[{"host":"p"}],
+				"workloads":[{"host":"h","kind":"web","load":"10e6","requests":"100"}]}}`,
+			want: "declared after it",
+		},
+		{
+			name: "host attaches to itself",
+			json: `{"name":"t","base":{"links":[{"name":"l1","rate":"96e6"}],
+				"hosts":[{"name":"h","attach":"h"}],
+				"bundles":[{"host":"h"}],
+				"workloads":[{"host":"h","kind":"web","load":"10e6","requests":"100"}]}}`,
+			want: "attaches to itself",
+		},
+		{
+			name: "host named like a link",
+			json: `{"name":"t","base":{"links":[{"name":"l1","rate":"96e6"}],
+				"hosts":[{"name":"l1"}],
+				"workloads":[{"host":"l1","kind":"web","load":"10e6","requests":"100"}]}}`,
+			want: "named like a link",
 		},
 		{
 			name: "bundle on unknown host",

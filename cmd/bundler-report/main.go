@@ -1,7 +1,6 @@
 // Command bundler-report diffs two sweep/run result files (JSON arrays
-// from bundler-bench -sweep -out or bundler-pilot -out) and gates on
-// regressions — the tool CI's result gates are built
-// from. Cells are matched on (experiment, seed, params); metric or
+// from bundler-bench -sweep -out) and gates on regressions through its
+// exit status. Cells are matched on (experiment, seed, params); metric or
 // summary drift beyond -tol, missing cells/metrics, new errors, and — in
 // exact mode — golden-table drift of the rendered report text fail.
 //

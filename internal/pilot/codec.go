@@ -1,13 +1,15 @@
-// Package pilot is the real-clock datapath: a Sendbox/Receivebox pair
-// running on clock.Wall in two processes, exchanging real UDP datagrams
-// over loopback. It is the deployment half of the sim-to-deployment
-// cross-validation — the same bundle/tcp/netem/qdisc code the simulator
-// drives, paced by a wall-clock token bucket, emitting the same report
-// schema so bundler-report can diff emulation against simulation.
+// Package pilot is the real-clock datapath: a Sendbox/Receivebox pair,
+// each side on its own clock.Wall, exchanging real UDP datagrams over
+// loopback — the same bundle/tcp/netem/qdisc code the simulator drives.
+// RunSend and RunRecv are the two sides; RunTwin runs the identical
+// topology and workload on the simulator and emits the same result
+// schema. bench/layers/pilot drives all three and reports how far the
+// pilot's FCTs sit from the twin's; the tests pin what must match
+// exactly (the twin byte for byte, the pilot's delivered workload).
 //
 // The topology is the paper's dumbbell split at the two wide-area hops:
 //
-//	process A (send)                      process B (recv)
+//	side A (RunSend)                      side B (RunRecv)
 //	tcp.Senders → Sendbox → bottleneck ──UDP──▶ tap(Receivebox) → Mux
 //	tcp.Mux ◀──────────────────────UDP── reverse ← tcp.Receivers
 //
@@ -119,6 +121,9 @@ func unmarshal(data []byte) (*pkt.Packet, error) {
 		p.Payload = &bundle.CtlEpochUpdate{N: r.u64()}
 	default:
 		r.bad = true
+	}
+	if len(r.b) != 0 {
+		r.bad = true // trailing bytes: not a datagram marshal wrote
 	}
 	if r.bad {
 		pkt.Put(p)

@@ -35,33 +35,12 @@ const hostBase = 1 << 16
 // so it cancels out of every FCT.
 const warmup = 200 * clock.Millisecond
 
-// Tolerance is the declared pilot-vs-sim relative tolerance band, used
-// by TestPilotMatchesSim and printed by `bundler-pilot -print-tol` so
-// the CI bundler-report gate cannot drift from the tested value.
-//
-// Justification: the twin and the pilot share every deterministic input
-// — workload, topology parameters, control algorithms — so divergence
-// comes only from the real clock: timer-dispatch jitter (≲1 ms per
-// event), loopback socket latency (tens of µs per hop), and goroutine
-// scheduling delay under CI load. Against a 40 ms RTT and p50 FCTs of
-// ~45-90 ms these shift individual FCTs by a few percent, but they also
-// perturb the Sendbox control loop's sampling phase, which can move the
-// p50/p90 of a 60-flow run by tens of percent run-to-run. 0.45 relative
-// tolerance holds comfortably across seeds and loaded machines while
-// still catching real integration regressions, which show up as ~2×
-// drift (lost epoch accounting → rate collapse) or as incomplete flows
-// — the latter caught exactly by the completed/bytes metrics, which
-// must match to the byte.
-const Tolerance = 0.45
-
-// Config parameterizes one pilot run. The zero value plus fill() is the
-// CI smoke configuration: a small dumbbell that completes in a few
-// seconds of wall time.
+// Config parameterizes one pilot run. The zero value plus fill() is a
+// small dumbbell that completes in about a second of wall time.
 type Config struct {
 	Seed       int64
 	Rate       float64    // bottleneck bits/s
 	RTT        clock.Time // end-to-end propagation RTT
-	BufBytes   int        // bottleneck buffer; 0 → 2 BDP
 	Requests   int        // number of web-CDF transfers
 	OfferedBps float64    // open-loop offered load
 	Algorithm  string     // bundle inner-loop controller
@@ -76,9 +55,6 @@ func (c *Config) fill() {
 	}
 	if c.RTT == 0 {
 		c.RTT = 40 * clock.Millisecond
-	}
-	if c.BufBytes == 0 {
-		c.BufBytes = netem.BDPBuffer(c.Rate, c.RTT)
 	}
 	if c.Requests == 0 {
 		c.Requests = 60
@@ -98,8 +74,8 @@ func (c Config) bundleConfig() bundle.Config {
 	return bundle.Config{Algorithm: c.Algorithm, DisableTelemetry: true}
 }
 
-// params is the cell identity bundler-report matches pilot and twin
-// results on — it must be identical across RunSend and RunTwin.
+// params is the cell identity of a pilot or twin result — identical
+// across RunSend and RunTwin, so the two results describe one cell.
 func (c Config) params() exp.Params {
 	return exp.Params{
 		"algorithm":    c.Algorithm,
@@ -110,32 +86,32 @@ func (c Config) params() exp.Params {
 	}
 }
 
-// FlowSpec is one precomputed transfer. The whole workload is derived
-// from Config.Seed alone, so the sending process, the receiving process,
+// flowSpec is one precomputed transfer. The whole workload is derived
+// from Config.Seed alone, so the send side, the receive side,
 // and the simulated twin agree on every arrival time, size, address, and
 // flow ID without exchanging a byte.
-type FlowSpec struct {
+type flowSpec struct {
 	At       clock.Time
 	Size     int64
 	Src, Dst pkt.Addr
 	ID       uint64
 }
 
-// Flows expands cfg into its deterministic workload: Poisson arrivals at
+// flows expands cfg into its deterministic workload: Poisson arrivals at
 // the offered load over the paper's web-size CDF, like
 // workload.Arrivals, but from a dedicated RNG (never the clock's — a
 // wall clock's draw interleaving is not reproducible) and with gaps
 // accumulated from nominal arrival times so the list is closed-form.
-func Flows(cfg Config) []FlowSpec {
+func flows(cfg Config) []flowSpec {
 	cfg.fill()
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	dist := workload.PaperWebCDF()
 	lambda := cfg.OfferedBps / 8 / dist.Mean()
-	specs := make([]FlowSpec, cfg.Requests)
+	specs := make([]flowSpec, cfg.Requests)
 	host := uint32(hostBase)
 	at := warmup + clock.FromSeconds(rng.ExpFloat64()/lambda)
 	for i := range specs {
-		specs[i] = FlowSpec{
+		specs[i] = flowSpec{
 			At:   at,
 			Size: dist.Sample(rng),
 			Src:  pkt.Addr{Host: host, Port: 5000},
@@ -148,12 +124,10 @@ func Flows(cfg Config) []FlowSpec {
 	return specs
 }
 
-// buildResult renders a recorder into the report schema shared by pilot
-// and twin. Only distribution-robust metrics are emitted — no Summaries
-// block: bundler-report compares summaries on exact counts and extreme
-// quantiles (min/max/p99), which real-clock jitter would flake on, while
-// completed/bytes are exact-matchable and the p50/p90 quantiles are
-// stable within the declared tolerance.
+// buildResult renders a recorder into the result schema shared by pilot
+// and twin: completed/bytes, which match the twin's to the byte on any
+// clock, and the FCT and slowdown quantiles, which real-clock jitter
+// moves (bench/layers/pilot reports how far).
 func buildResult(cfg Config, rec *workload.Recorder) exp.Result {
 	res := exp.Result{Experiment: "pilot-fct", Seed: cfg.Seed, Params: cfg.params()}
 	res.AddMetric("completed", float64(rec.Completed), "requests")
@@ -164,7 +138,7 @@ func buildResult(cfg Config, rec *workload.Recorder) exp.Result {
 	return res
 }
 
-// sendSide is process A's half of the topology, as wireSend built it.
+// sendSide is side A's half of the topology, as wireSend built it.
 type sendSide struct {
 	// in takes everything arriving from the receive side: endhost ACKs
 	// and the Receivebox's congestion ACKs.
@@ -174,16 +148,16 @@ type sendSide struct {
 }
 
 // wireSend builds the send side on c: endhost senders, each started at
-// its FlowSpec arrival, behind a Sendbox whose paced output drains
+// its flowSpec arrival, behind a Sendbox whose paced output drains
 // through the emulated bottleneck into toB, the hop to the receive side.
 // FCTs are measured at the sender. lastDone, if set, runs when the last
 // flow completes.
 func wireSend(c clock.Clock, cfg Config, toB netem.Receiver, lastDone func()) *sendSide {
 	a := &sendSide{in: tcp.NewMux(), rec: workload.NewRecorder(cfg.Rate, cfg.RTT), remaining: cfg.Requests}
-	bottleneck := netem.NewLink(c, "bottleneck", cfg.Rate, cfg.RTT/2, qdisc.NewFIFO(cfg.BufBytes), toB)
+	bottleneck := netem.NewLink(c, "bottleneck", cfg.Rate, cfg.RTT/2, qdisc.NewFIFO(netem.BDPBuffer(cfg.Rate, cfg.RTT)), toB)
 	sb := bundle.NewSendbox(c, cfg.bundleConfig(), bottleneck, sbCtl, rbCtl)
 	a.in.Register(sbCtl, sb)
-	for _, f := range Flows(cfg) {
+	for _, f := range flows(cfg) {
 		clock.At(c, f.At, func() {
 			var snd *tcp.Sender
 			snd = tcp.NewSender(c, sb, f.Src, f.Dst, f.ID, f.Size, tcp.NewEndhostCC("cubic"), func(now clock.Time) {
@@ -211,7 +185,7 @@ func wireRecv(c clock.Clock, cfg Config, toA netem.Receiver) netem.Receiver {
 	reverse := netem.NewReverseLink(c, cfg.RTT, toA)
 	rb := bundle.NewReceivebox(c, reverse, rbCtl, sbCtl, 0)
 	mux.Register(rbCtl, rb)
-	for _, f := range Flows(cfg) {
+	for _, f := range flows(cfg) {
 		mux.Register(f.Dst, tcp.NewReceiver(c, reverse, f.Dst, f.Src, f.ID, f.Size, nil))
 	}
 	tap := netem.NewTap(rb.Observe, mux)
@@ -226,10 +200,10 @@ func wireRecv(c clock.Clock, cfg Config, toA netem.Receiver) netem.Receiver {
 	})
 }
 
-// RunSend is process A: the send side on a wall clock, its bottleneck
+// RunSend is side A: the send side on a wall clock, its bottleneck
 // draining into the UDP socket. It blocks until every flow completes
 // (returning the pilot's result) or the horizon expires (an error). conn
-// is the local bound socket; peer is process B's address.
+// is the local bound socket; peer is side B's address.
 func RunSend(cfg Config, conn *net.UDPConn, peer *net.UDPAddr) (exp.Result, error) {
 	cfg.fill()
 	w := clock.NewWall(cfg.Seed)
@@ -273,13 +247,13 @@ func RunSend(cfg Config, conn *net.UDPConn, peer *net.UDPAddr) (exp.Result, erro
 	return buildResult(cfg, a.rec), nil
 }
 
-// RunRecv is process B: the receive side on a wall clock, its reverse
+// RunRecv is side B: the receive side on a wall clock, its reverse
 // link draining into the UDP socket. Blocks until A signals DONE or the
 // horizon expires.
 func RunRecv(cfg Config, conn *net.UDPConn, peer *net.UDPAddr) error {
 	cfg.fill()
 	// Seed differs from A's on purpose: nothing on the pilot path may
-	// depend on the two processes drawing identical RNG streams.
+	// depend on the two sides drawing identical RNG streams.
 	w := clock.NewWall(cfg.Seed + 1)
 	defer w.Close()
 

@@ -13,10 +13,8 @@ import (
 // RunTwin runs the pilot's exact topology and workload on the simulator:
 // the same two sides RunSend and RunRecv wire, on one virtual clock, with
 // the UDP hop replaced by a direct hand-off. Its result carries the same
-// cell identity (experiment, seed, params) as RunSend's, so
-// bundler-report diffs the two within a tolerance. This is the
-// cross-validation closing the sim-to-deployment gap: if the pilot and
-// the twin diverge beyond real-clock jitter, one of them is wrong.
+// cell identity (experiment, seed, params) as RunSend's: it is the
+// yardstick the real-clock pilot is measured against.
 func RunTwin(cfg Config) (exp.Result, error) {
 	cfg.fill()
 	eng := sim.NewEngine(cfg.Seed)

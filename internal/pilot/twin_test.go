@@ -20,9 +20,9 @@ import (
 var update = flag.Bool("update", false, "rewrite testdata/twin.golden.json")
 
 // TestTwinGolden pins the simulated twin byte for byte. The twin is the
-// yardstick the real-clock pilot is measured against (the bundler-report
-// tolerance gate, the benchmark's twin FCT ratio), so a refactor of the
-// pilot's wiring must leave it exactly where it was.
+// yardstick the real-clock pilot is measured against (the workload
+// TestPilotDeliversTwinWorkload checks, the benchmark's twin FCT ratio),
+// so a refactor of the pilot's wiring must leave it exactly where it was.
 func TestTwinGolden(t *testing.T) {
 	var results []exp.Result
 	for _, cfg := range []Config{{Seed: 1}, {Seed: 2, Rate: 48e6, Requests: 120}} {

@@ -1,8 +1,8 @@
 // Package report is the regression-diff engine behind cmd/bundler-report:
 // it compares two sweep result files (or a run against a committed
 // baseline) cell by cell with metric tolerances and golden-table drift
-// detection. CI's pilot-smoke job turns its verdict into a hard build
-// gate; the same engine renders both human text and machine JSON.
+// detection. Its verdict is an exit status a build can gate on; the same
+// engine renders both human text and machine JSON.
 // Performance is not compared here: that is bench/ (`bash bench/run.sh`).
 package report
 

@@ -32,8 +32,8 @@ func matchedFrac(sb *bundle.Sendbox) float64 {
 // runAblation builds one bundle from the default config after tweak,
 // offers it load, and runs it for ablationDur.
 func runAblation(seed int64, tweak func(*bundle.Config), load func(*Site)) *Site {
-	n := NewNet(NetConfig{Seed: seed})
-	cfg := DefaultBundleConfig()
+	n := newNet(netConfig{Seed: seed})
+	cfg := defaultBundleConfig()
 	tweak(cfg)
 	site := n.AddSite(cfg)
 	load(site)
@@ -106,7 +106,7 @@ func piGainsAblation(alpha, beta float64) float64 {
 // sfqBucketsAblation compares sendbox SFQ bucket counts: too few buckets
 // collide flows and lose isolation. It returns the median slowdown.
 func sfqBucketsAblation(seed int64, requests, buckets int) float64 {
-	n := NewNet(NetConfig{Seed: seed})
+	n := newNet(netConfig{Seed: seed})
 	site := n.AddSite(&bundle.Config{Algorithm: "copa", Scheduler: qdisc.NewSFQ(buckets, 1000)})
 	rec := site.RunOpenLoop(Traffic{OfferedBps: 84e6, Requests: requests})
 	n.RunUntilDone(300*sim.Second, func() bool { return rec.Completed >= requests })

@@ -43,8 +43,8 @@ func RunMeasurementAccuracy(seed int64, perConfig sim.Time) AccuracyResult {
 }
 
 func collectAccuracy(seed int64, rate float64, rtt, dur sim.Time, res *AccuracyResult) {
-	n := NewNet(NetConfig{Seed: seed, LinkRate: rate, RTT: rtt})
-	site := n.AddSite(DefaultBundleConfig())
+	n := newNet(netConfig{Seed: seed, LinkRate: rate, RTT: rtt})
+	site := n.AddSite(defaultBundleConfig())
 	// 87.5 % offered load, as in the evaluation's standard setup.
 	site.RunOpenLoop(Traffic{OfferedBps: 0.875 * rate, Requests: 1 << 30})
 

@@ -24,7 +24,7 @@ import (
 // its own sub-bundle.
 func hier(r *exp.Run) error {
 	dur := simDuration(r, "dur")
-	n := NewNet(NetConfig{Seed: r.Seed})
+	n := newNet(netConfig{Seed: r.Seed})
 	parent := n.AddSite(&bundle.Config{})
 	depts := [2]*Site{n.AddSiteIn(parent, &bundle.Config{}), n.AddSiteIn(parent, &bundle.Config{})}
 	var flows [2][]*tcp.Sender

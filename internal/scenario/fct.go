@@ -81,7 +81,7 @@ func LoadHorizon(requests int) sim.Time {
 // RunFCT executes one FCT scenario and returns the workload recorder.
 func RunFCT(o FCTOptions) *workload.Recorder {
 	o.fill()
-	cfg := NetConfig{Seed: o.Seed, LinkRate: o.LinkRate, RTT: o.RTT}
+	cfg := netConfig{Seed: o.Seed, LinkRate: o.LinkRate, RTT: o.RTT}
 	switch o.Mode {
 	case "statusquo", "bundler":
 	case "innetwork":
@@ -92,7 +92,7 @@ func RunFCT(o FCTOptions) *workload.Recorder {
 	default:
 		panic("scenario: unknown mode " + o.Mode)
 	}
-	n := NewNet(cfg)
+	n := newNet(cfg)
 
 	var bcfg *bundle.Config
 	if o.Mode == "bundler" {
@@ -278,7 +278,7 @@ func fig11(r *exp.Run) error {
 	for cross := 6e6; cross <= 42e6; cross += 12e6 {
 		var median []float64 // median slowdown of bundle flows, per cross variant
 		for _, mode := range crossVariants {
-			n := NewNet(NetConfig{Seed: r.Seed})
+			n := newNet(netConfig{Seed: r.Seed})
 			site := n.AddSite(n.bundleConfig(mode.alg, "sfq", 1000))
 			crossSite := n.AddSite(nil)
 			rec := site.RunOpenLoop(Traffic{OfferedBps: 48e6, Requests: requests,
@@ -319,7 +319,7 @@ func fig12(r *exp.Run) error {
 	for _, crossN := range []int{10, 30, 50} {
 		var mbps []float64 // bundle throughput, per cross variant
 		for _, mode := range crossVariants {
-			n := NewNet(NetConfig{Seed: r.Seed})
+			n := newNet(netConfig{Seed: r.Seed})
 			site := n.AddSite(n.bundleConfig(mode.alg, "sfq", 1000))
 			crossSite := n.AddSite(nil)
 			var bundleSenders []*tcp.Sender
@@ -359,9 +359,9 @@ func fig13(r *exp.Run) error {
 		if sp.shares == nil {
 			recs = append(recs, RunFCT(FCTOptions{Seed: r.Seed, Requests: requests, Mode: "statusquo"}))
 		} else {
-			n := NewNet(NetConfig{Seed: r.Seed})
+			n := newNet(netConfig{Seed: r.Seed})
 			for _, share := range sp.shares {
-				site := n.AddSite(DefaultBundleConfig())
+				site := n.AddSite(defaultBundleConfig())
 				recs = append(recs, site.RunOpenLoop(Traffic{
 					OfferedBps: 84e6 * share,
 					Requests:   int(float64(requests) * share),

@@ -13,25 +13,22 @@ import (
 	"bundler/internal/tcp"
 )
 
-// MultipathNet is a dumbbell whose bottleneck is a set of load-balanced
+// multipathNet is a dumbbell whose bottleneck is a set of load-balanced
 // parallel paths with (optionally) imbalanced delays — the §5.2 / §7.6
 // topology: a Fabric whose one bundled Site forwards into the balancer.
-type MultipathNet struct {
+type multipathNet struct {
 	Fabric
 	*Site
 	LB    *netem.LoadBalancer
 	Paths []*netem.Link
 }
 
-// NewMultipathNet builds the topology: totalRate is split evenly across
+// newMultipathNet builds the topology: totalRate is split evenly across
 // nPaths; path i adds i×skew of one-way delay on top of the base RTT/2.
 // With skew 0 the paths are balanced.
-func NewMultipathNet(seed int64, totalRate float64, rtt sim.Time, nPaths int, skew sim.Time, bcfg *bundle.Config) *MultipathNet {
+func newMultipathNet(seed int64, totalRate float64, rtt sim.Time, nPaths int, skew sim.Time) *multipathNet {
 	eng := sim.NewEngine(seed)
-	m := &MultipathNet{Fabric: *NewFabric(eng, rtt)}
-	if bcfg == nil {
-		bcfg = DefaultBundleConfig()
-	}
+	m := &multipathNet{Fabric: *NewFabric(eng, rtt)}
 	perPath := totalRate / float64(nPaths)
 	buf := max(netem.BDPBuffer(perPath, rtt), 40*pkt.MTU)
 	var heads []netem.Receiver
@@ -42,65 +39,44 @@ func NewMultipathNet(seed int64, totalRate float64, rtt sim.Time, nPaths int, sk
 		heads = append(heads, l)
 	}
 	m.LB = netem.NewLoadBalancer(heads...)
-	m.Site = m.AddSiteAt(m.LB, bcfg)
+	m.Site = m.AddSiteAt(m.LB, defaultBundleConfig())
 	return m
-}
-
-// Fig7Result holds the multipath-visibility timeline: per-path true RTTs
-// and the sendbox's epoch RTT estimates, whose spread (and out-of-order
-// fraction) exposes the imbalance.
-type Fig7Result struct {
-	// PathRTTms is the true per-path RTT (propagation + queue) sampled
-	// over time.
-	PathRTTms []stats.TimeSeries
-	// EstimateRTTms is the sendbox's observed epoch RTT series.
-	EstimateRTTms stats.TimeSeries
-	// OOOFraction at the end of the run.
-	OOOFraction float64
-	// Mode the sendbox ended in.
-	Mode bundle.Mode
-}
-
-// RunFig7 reproduces Figure 7: many flows through 4 load-balanced paths
-// with imbalanced delays. Bundler's measurements mix the paths; the
-// out-of-order congestion-ACK fraction cleanly exposes the imbalance.
-func RunFig7(seed int64, dur sim.Time) Fig7Result {
-	m := NewMultipathNet(seed, 96e6, 10*sim.Millisecond, 4, 60*sim.Millisecond, nil)
-	for i := 0; i < 40; i++ {
-		m.AddFlow(1<<40, tcp.NewCubic(), nil)
-	}
-	res := Fig7Result{PathRTTms: make([]stats.TimeSeries, len(m.Paths))}
-	m.Eng.Tick(100*sim.Millisecond, func() {
-		now := m.Eng.Now()
-		for i, p := range m.Paths {
-			rtt := 2*p.Delay() + p.QueueDelay() // forward prop + queue, plus symmetric reverse
-			res.PathRTTms[i].Add(now, rtt.Millis())
-		}
-	})
-	m.Eng.RunUntil(dur)
-	m.SB.Stop()
-	res.EstimateRTTms = m.SB.RTTEstimates
-	res.OOOFraction = m.SB.OOOFraction()
-	res.Mode = m.SB.Mode()
-	return res
 }
 
 // --- experiment bodies (the table is in experiments.go) ---
 
-// fig7 shows multipath visibility through the OOO fraction.
+// fig7 reproduces Figure 7: many flows through 4 load-balanced paths
+// with imbalanced delays. Bundler's measurements mix the paths; the
+// out-of-order congestion-ACK fraction cleanly exposes the imbalance.
 func fig7(r *exp.Run) error {
 	dur := simDuration(r, "dur")
-	res := RunFig7(r.Seed, dur)
+	m := newMultipathNet(r.Seed, 96e6, 10*sim.Millisecond, 4, 60*sim.Millisecond)
+	for i := 0; i < 40; i++ {
+		m.AddFlow(1<<40, tcp.NewCubic(), nil)
+	}
+	// The true per-path RTT (propagation + queue), sampled over time.
+	pathRTTms := make([]stats.TimeSeries, len(m.Paths))
+	m.Eng.Tick(100*sim.Millisecond, func() {
+		now := m.Eng.Now()
+		for i, p := range m.Paths {
+			rtt := 2*p.Delay() + p.QueueDelay() // forward prop + queue, plus symmetric reverse
+			pathRTTms[i].Add(now, rtt.Millis())
+		}
+	})
+	m.Eng.RunUntil(dur)
+	m.SB.Stop()
+	ooo, mode := m.SB.OOOFraction(), m.SB.Mode()
+
 	ReportHeader(r, "Figure 7: imbalanced multipath visibility (4 paths)")
-	for i, ts := range res.PathRTTms {
+	for i, ts := range pathRTTms {
 		mean := ts.MeanOver(0, dur)
 		fmt.Fprintf(r, "path %d true RTT: %.1f ms (mean)\n", i+1, mean)
 		r.AddMetric(fmt.Sprintf("path%d-rtt", i+1), mean, "ms")
 	}
-	fmt.Fprintf(r, "out-of-order congestion-ACK fraction: %.1f%% (threshold 5%%)\n", res.OOOFraction*100)
-	fmt.Fprintf(r, "sendbox mode: %v\n", res.Mode)
-	r.AddMetric("ooo-fraction", res.OOOFraction, "")
-	r.AddMetric("mode", float64(res.Mode), "")
+	fmt.Fprintf(r, "out-of-order congestion-ACK fraction: %.1f%% (threshold 5%%)\n", ooo*100)
+	fmt.Fprintf(r, "sendbox mode: %v\n", mode)
+	r.AddMetric("ooo-fraction", ooo, "")
+	r.AddMetric("mode", float64(mode), "")
 	return nil
 }
 
@@ -122,7 +98,7 @@ func sec76(r *exp.Run) error {
 					// the base RTT.
 					skew = rtt / sim.Time(paths)
 				}
-				m := NewMultipathNet(r.Seed, rate, rtt, paths, skew, nil)
+				m := newMultipathNet(r.Seed, rate, rtt, paths, skew)
 				for i := 0; i < 40; i++ {
 					m.AddFlow(1<<40, tcp.NewCubic(), nil)
 				}

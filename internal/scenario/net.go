@@ -26,8 +26,8 @@ import (
 	"bundler/internal/workload"
 )
 
-// NetConfig describes the shared dumbbell.
-type NetConfig struct {
+// netConfig describes the shared dumbbell.
+type netConfig struct {
 	Seed       int64
 	LinkRate   float64  // bottleneck rate, bits/s
 	RTT        sim.Time // end-to-end propagation RTT
@@ -35,7 +35,7 @@ type NetConfig struct {
 	Bottleneck qdisc.Qdisc
 }
 
-func (c *NetConfig) fill() {
+func (c *netConfig) fill() {
 	if c.LinkRate == 0 {
 		c.LinkRate = 96e6
 	}
@@ -114,12 +114,12 @@ func (f *Fabric) SetIDSpace(hostBase, ctlBase uint32, flowBase uint64) {
 // reverse path for ACKs and Bundler control messages.
 type Net struct {
 	Fabric
-	Cfg        NetConfig
+	Cfg        netConfig
 	Bottleneck *netem.Link
 }
 
-// NewNet builds the dumbbell.
-func NewNet(cfg NetConfig) *Net {
+// newNet builds the dumbbell.
+func newNet(cfg netConfig) *Net {
 	cfg.fill()
 	eng := sim.NewEngine(cfg.Seed)
 	n := &Net{Fabric: *NewFabric(eng, cfg.RTT), Cfg: cfg}
@@ -429,8 +429,8 @@ func (f *Fabric) RunUntilDone(horizon sim.Time, check func() bool) sim.Time {
 	return f.Eng.Now()
 }
 
-// DefaultBundleConfig returns the evaluation's default sendbox setup:
+// defaultBundleConfig returns the evaluation's default sendbox setup:
 // Copa inner loop with Nimbus detection and SFQ scheduling (§7.1).
-func DefaultBundleConfig() *bundle.Config {
+func defaultBundleConfig() *bundle.Config {
 	return &bundle.Config{Algorithm: "copa"}
 }

@@ -20,7 +20,7 @@ type Sec72CoDelResult struct {
 // RTTs.
 func RunSec72CoDel(seed int64, dur sim.Time) Sec72CoDelResult {
 	run := func(alg string) (med, p99 float64) {
-		n := NewNet(NetConfig{Seed: seed})
+		n := newNet(netConfig{Seed: seed})
 		site := n.AddSite(n.bundleConfig(alg, "fqcodel", 1000))
 		pings := site.AddPings(10)
 		site.RunOpenLoop(Traffic{OfferedBps: 84e6, Requests: 1 << 30})
@@ -49,7 +49,7 @@ type Sec72PrioResult struct {
 func RunSec72Prio(seed int64, requests int) Sec72PrioResult {
 	const highPort, lowPort = 8443, 80
 	run := func(alg string) (hi, lo float64) {
-		n := NewNet(NetConfig{Seed: seed})
+		n := newNet(netConfig{Seed: seed})
 		site := n.AddSite(n.bundleConfig(alg, "prio:8443", 1000))
 		// A latency-sensitive quarter of the load is favored over bulk
 		// three quarters, the §7.2 setup's spirit.

@@ -18,7 +18,7 @@ func policies(r *exp.Run) error {
 	ReportHeader(r, "Extension: full sendbox policy sweep (schedulers vs AQMs)")
 	fmt.Fprintf(r, "%-10s %14s %12s %12s %12s\n", "policy", "median slow", "p99 slow", "probe p50", "probe p99")
 	for _, pol := range []string{"fifo", "sfq", "drr", "fqcodel", "codel", "red", "pie"} {
-		n := NewNet(NetConfig{Seed: r.Seed})
+		n := newNet(netConfig{Seed: r.Seed})
 		site := n.AddSite(n.bundleConfig("copa", pol, 1000))
 		probes := site.AddPings(5)
 		rec := site.RunOpenLoop(Traffic{OfferedBps: 84e6, Requests: requests,

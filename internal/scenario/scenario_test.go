@@ -302,7 +302,7 @@ func TestRunFCTUnknownModePanics(t *testing.T) {
 }
 
 func TestSchedulerByNameVariants(t *testing.T) {
-	n := NewNet(NetConfig{Seed: 1})
+	n := newNet(netConfig{Seed: 1})
 	for _, name := range []string{"", "sfq", "fifo", "fqcodel", "codel", "red", "drr", "pie", "prio:443"} {
 		if SchedulerByName(n.Eng, name, 100) == nil {
 			t.Fatalf("nil scheduler for %q", name)
@@ -345,7 +345,7 @@ func TestSec9HierarchicalBundles(t *testing.T) {
 // site's traffic, so each loop of a three-level hierarchy closes even
 // when all the traffic comes from the innermost site.
 func TestAddSiteInTwoDeep(t *testing.T) {
-	n := NewNet(NetConfig{Seed: 1})
+	n := newNet(netConfig{Seed: 1})
 	sites := []*Site{n.AddSite(&bundle.Config{})}
 	for range 2 {
 		sites = append(sites, n.AddSiteIn(sites[len(sites)-1], &bundle.Config{}))

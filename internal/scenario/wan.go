@@ -55,7 +55,7 @@ func RunFig16(seed int64, dur sim.Time) []WANPathResult {
 		res := WANPathResult{Name: p.Name}
 
 		runCase := func(alg string, withLoad bool) (med, p90, mbps float64) {
-			n := NewNet(NetConfig{Seed: seed, LinkRate: p.RateBps, RTT: p.BaseRTT,
+			n := newNet(netConfig{Seed: seed, LinkRate: p.RateBps, RTT: p.BaseRTT,
 				BufBytes: int(p.RateBps / 8 * 0.1)}) // ~100 ms of buffer in the middle
 			// Twenty backlogged Cubic flows need more sendbox queue than
 			// the web-workload default, or their synchronized drops

@@ -703,7 +703,7 @@ func linkQdisc(b *binder, eng *sim.Engine, l Link, bufBytes int, classes []qdisc
 	}
 	if name == "" || name == "fifo" {
 		// FIFO takes the byte budget exactly (no MTU rounding), matching
-		// NetConfig's 2×BDP dumbbell bottleneck byte for byte.
+		// the scenario dumbbell's 2×BDP bottleneck byte for byte.
 		return qdisc.NewFIFO(bufBytes), nil
 	}
 	q, err := qdisc.Parse(eng, name, bufBytes/pkt.MTU, classes)

@@ -87,6 +87,10 @@ type Clock interface {
 	// zero on every implementation.
 	CallAfter(d Time, fn func(a0, a1 any), a0, a1 any)
 
+	// NewLane returns a FIFO lane for callbacks scheduled in
+	// nondecreasing time, such as a constant-delay link's deliveries.
+	NewLane() Lane
+
 	// NewTimer returns an unarmed reusable one-shot timer bound to fn.
 	NewTimer(fn func()) Timer
 
@@ -110,6 +114,15 @@ type Timer interface {
 	Stop()
 	// Pending reports whether the timer is armed and will fire.
 	Pending() bool
+}
+
+// Lane schedules callbacks whose times never decrease: each CallAt's t
+// is at least the previous one's. A lane changes no dispatch order —
+// its callbacks interleave with every other event exactly as Clock.CallAt
+// would place them — but the simulator keeps only a lane's earliest
+// event in its heap. A decreasing t panics on the simulator.
+type Lane interface {
+	CallAt(t Time, fn func(a0, a1 any), a0, a1 any)
 }
 
 // Ticker is a periodic callback; Stop cancels future ticks.

@@ -3,8 +3,8 @@
 // (see internal/sim and internal/clock tests), so the scheduling
 // contract the migrated components rely on — timestamp ordering with
 // FIFO tie-break, exactly-once delivery, negative-delay clamping,
-// Stop-idempotent timers — is pinned by one set of assertions rather
-// than drifting per implementation.
+// Stop-idempotent timers, lanes that keep that order — is pinned by one
+// set of assertions rather than drifting per implementation.
 package clocktest
 
 import (
@@ -37,6 +37,7 @@ func Run(t *testing.T, f Factory) {
 	t.Run("TimerRearmAfterStop", func(t *testing.T) { testTimerRearmAfterStop(t, f) })
 	t.Run("Ticker", func(t *testing.T) { testTicker(t, f) })
 	t.Run("TickRejectsNonPositivePeriod", func(t *testing.T) { testTickPanics(t, f) })
+	t.Run("Lane", func(t *testing.T) { testLane(t, f) })
 	t.Run("Rand", func(t *testing.T) { testRand(t, f) })
 }
 
@@ -191,6 +192,36 @@ func testTickPanics(t *testing.T, f Factory) {
 		}
 	}()
 	c.Tick(0, func() {})
+}
+
+// testLane: a lane delivers in FIFO order, and its callbacks interleave
+// with CallAt ones exactly as CallAt alone would order them, scheduling
+// order breaking ties at one timestamp.
+func testLane(t *testing.T, f Factory) {
+	c, wait := f(t)
+	base := c.Now() + 20*clock.Millisecond
+	var got []string
+	rec := func(a0, _ any) { got = append(got, a0.(string)) }
+	a, b := c.NewLane(), c.NewLane()
+	a.CallAt(base, rec, "a1", nil)
+	c.CallAt(base, rec, "c1", nil)
+	b.CallAt(base+clock.Millisecond, rec, "b1", nil)
+	a.CallAt(base, rec, "a2", nil)
+	c.CallAt(base+2*clock.Millisecond, rec, "c2", nil)
+	b.CallAt(base+2*clock.Millisecond, rec, "b2", nil)
+	a.CallAt(base+2*clock.Millisecond, rec, "a3", nil)
+	a.CallAt(base+6*clock.Millisecond, rec, "a4", nil)
+	c.CallAt(base+4*clock.Millisecond, rec, "c3", nil)
+	wait(base + 10*clock.Millisecond)
+	want := []string{"a1", "c1", "a2", "b1", "c2", "b2", "a3", "c3", "a4"}
+	if len(got) != len(want) {
+		t.Fatalf("fired %v, want %v", got, want)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("dispatch order %v, want %v", got, want)
+		}
+	}
 }
 
 // testRand: the clock exposes a usable seeded source.

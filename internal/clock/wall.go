@@ -162,6 +162,10 @@ func (w *Wall) CallAfter(d Time, fn func(a0, a1 any), a0, a1 any) {
 	w.CallAt(w.Now()+d, fn, a0, a1)
 }
 
+// NewLane implements Clock: a Wall's lane is the Wall itself, so lane
+// calls go straight to CallAt.
+func (w *Wall) NewLane() Lane { return w }
+
 func (w *Wall) schedule(ev *wallEvent) {
 	w.mu.Lock()
 	if w.closed {

@@ -53,6 +53,9 @@ type Link struct {
 	delay clock.Time
 	q     qdisc.Qdisc
 	dst   Receiver
+	// prop carries the propagation leg: with a fixed delay, deliveries
+	// are due in the order packets finish serializing.
+	prop clock.Lane
 
 	busy bool
 	// txCarry accumulates the sub-nanosecond fraction of each packet's
@@ -93,7 +96,10 @@ func NewLink(eng clock.Clock, name string, rate float64, delay clock.Time, q qdi
 	if dst == nil {
 		panic("netem: link needs a destination")
 	}
-	return &Link{eng: eng, name: name, rate: rate, delay: delay, q: q, dst: dst}
+	if delay < 0 {
+		panic(fmt.Sprintf("netem: link %s negative delay", name))
+	}
+	return &Link{eng: eng, name: name, rate: rate, delay: delay, q: q, dst: dst, prop: eng.NewLane()}
 }
 
 // NewReverseLink builds the testbed's uncongested reverse path (§7.1):
@@ -174,7 +180,7 @@ func linkTransmitted(a0, a1 any) {
 		dst.Receive(p)
 		return
 	}
-	l.eng.CallAfter(delay, linkDeliver, l, p)
+	l.prop.CallAt(l.eng.Now()+delay, linkDeliver, l, p)
 	l.transmitNext()
 }
 
@@ -314,21 +320,26 @@ func ScheduleRate(eng clock.Clock, l *Link, steps []RateStep, period clock.Time)
 }
 
 // Pipe delivers packets after a fixed delay with no queueing or rate
-// limit: an uncongested path segment.
+// limit: an uncongested path segment. Deliveries leave in arrival order,
+// so they ride one clock.Lane.
 type Pipe struct {
 	eng   clock.Clock
 	delay clock.Time
 	dst   Receiver
+	lane  clock.Lane
 }
 
 // NewPipe builds a pure-delay element.
 func NewPipe(eng clock.Clock, delay clock.Time, dst Receiver) *Pipe {
-	return &Pipe{eng: eng, delay: delay, dst: dst}
+	if delay < 0 {
+		panic("netem: negative pipe delay")
+	}
+	return &Pipe{eng: eng, delay: delay, dst: dst, lane: eng.NewLane()}
 }
 
 // Receive implements Receiver.
 func (pp *Pipe) Receive(p *pkt.Packet) {
-	pp.eng.CallAfter(pp.delay, pipeDeliver, pp, p)
+	pp.lane.CallAt(pp.eng.Now()+pp.delay, pipeDeliver, pp, p)
 }
 
 func pipeDeliver(a0, a1 any) {
@@ -431,7 +442,7 @@ type Jitter struct {
 	eng     clock.Clock
 	max     clock.Time
 	dst     Receiver
-	ordered bool
+	ordered clock.Lane // ordered mode's deliveries; nil: may reorder
 	lastDue clock.Time // latest scheduled delivery (ordered mode)
 }
 
@@ -451,7 +462,7 @@ func NewJitter(eng clock.Clock, max clock.Time, dst Receiver) *Jitter {
 // stream.
 func NewOrderedJitter(eng clock.Clock, max clock.Time, dst Receiver) *Jitter {
 	j := NewJitter(eng, max, dst)
-	j.ordered = true
+	j.ordered = eng.NewLane()
 	return j
 }
 
@@ -461,15 +472,12 @@ func (j *Jitter) Receive(p *pkt.Packet) {
 	if j.max > 0 {
 		d = clock.Time(j.eng.Rand().Int63n(int64(j.max)))
 	}
-	if j.ordered {
-		due := j.eng.Now() + d
-		if due < j.lastDue {
-			due = j.lastDue
-		}
-		j.lastDue = due
-		d = due - j.eng.Now()
+	if j.ordered == nil {
+		j.eng.CallAfter(d, jitterDeliver, j, p)
+		return
 	}
-	j.eng.CallAfter(d, jitterDeliver, j, p)
+	j.lastDue = max(j.lastDue, j.eng.Now()+d)
+	j.ordered.CallAt(j.lastDue, jitterDeliver, j, p)
 }
 
 func jitterDeliver(a0, a1 any) {

@@ -50,6 +50,9 @@ func FromSeconds(s float64) Time { return clock.FromSeconds(s) }
 //     closures ride it through clock.At/clock.After.
 //   - intrusive events: embedded in a timer (or ticker) and re-armed in
 //     place by their owner.
+//
+// A pooled event scheduled through a lane may wait outside the heap,
+// linked behind its lane's head (see lane).
 type event struct {
 	at  Time
 	seq uint64 // tie-break: FIFO among events with equal timestamps
@@ -62,8 +65,9 @@ type event struct {
 	a0  any
 	a1  any
 
-	index  int  // heap index; -1 once removed
-	cancel bool // timer stopped: skip when popped
+	index int    // heap index; -1 when not in the heap
+	lane  *lane  // the lane this event was scheduled on, if any
+	next  *event // the lane's next event, waiting behind this one
 }
 
 // heapEntry is one slot of the event queue. The ordering key (at, seq)
@@ -80,75 +84,94 @@ type heapEntry struct {
 }
 
 // eventHeap is a hand-rolled binary min-heap over heapEntry. It replaces
-// container/heap to keep entries unboxed and comparisons devirtualized;
-// the sift routines are the textbook ones.
+// container/heap to keep entries unboxed and comparisons devirtualized.
+// The sifts are the textbook ones, except that the moving entry is held
+// aside while the entries it passes shift into its place: each level
+// writes one entry and one back-index instead of swapping two of each.
 type eventHeap []heapEntry
 
-func (h eventHeap) less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
+func (a *heapEntry) before(b *heapEntry) bool {
+	if a.at != b.at {
+		return a.at < b.at
 	}
-	return h[i].seq < h[j].seq
+	return a.seq < b.seq
 }
 
-func (h eventHeap) swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].ev.index = i
-	h[j].ev.index = j
+// set stores x at index i and points its event's back-index there.
+func (h eventHeap) set(i int, x heapEntry) {
+	h[i] = x
+	x.ev.index = i
 }
 
 func (h eventHeap) up(i int) {
+	x := h[i]
 	for i > 0 {
 		parent := (i - 1) / 2
-		if !h.less(i, parent) {
-			return
+		if !x.before(&h[parent]) {
+			break
 		}
-		h.swap(i, parent)
+		h.set(i, h[parent])
 		i = parent
 	}
+	h.set(i, x)
 }
 
 // down sifts index i toward the leaves, reporting whether it moved.
 func (h eventHeap) down(i int) bool {
 	i0 := i
 	n := len(h)
+	x := h[i]
 	for {
-		l := 2*i + 1
-		if l >= n {
+		j := 2*i + 1
+		if j >= n {
 			break
 		}
-		j := l
-		if r := l + 1; r < n && h.less(r, l) {
+		if r := j + 1; r < n && h[r].before(&h[j]) {
 			j = r
 		}
-		if !h.less(j, i) {
+		if !h[j].before(&x) {
 			break
 		}
-		h.swap(i, j)
+		h.set(i, h[j])
 		i = j
 	}
+	h.set(i, x)
 	return i > i0
 }
 
 func (h *eventHeap) push(ev *event) {
-	ev.index = len(*h)
 	*h = append(*h, heapEntry{at: ev.at, seq: ev.seq, ev: ev})
-	h.up(ev.index)
+	h.up(len(*h) - 1)
 }
 
 // popMin removes and returns the earliest event.
 func (h *eventHeap) popMin() *event {
+	ev := (*h)[0].ev
+	h.remove(0)
+	return ev
+}
+
+// replaceMin puts ev in place of the earliest event, which leaves the
+// heap; ev must not sort before it (a lane's next event).
+func (h eventHeap) replaceMin(ev *event) {
+	h[0].ev.index = -1
+	h[0] = heapEntry{at: ev.at, seq: ev.seq, ev: ev}
+	h.down(0)
+}
+
+// remove deletes the entry at index i (popMin, timer Stop): the last
+// entry takes its place and is sifted into order.
+func (h *eventHeap) remove(i int) {
 	old := *h
 	n := len(old) - 1
-	old.swap(0, n)
-	ev := old[n].ev
+	old[i].ev.index = -1
+	last := old[n]
 	old[n] = heapEntry{}
 	*h = old[:n]
-	if n > 0 {
-		old[:n].down(0)
+	if i != n {
+		old[i] = last
+		old[:n].fix(i)
 	}
-	ev.index = -1
-	return ev
 }
 
 // fix re-establishes heap order after the entry at index i changed its
@@ -168,7 +191,13 @@ type Engine struct {
 	rng     *rand.Rand
 	stopped bool
 	free    []*event // recycled pooled events (CallAt/CallAfter)
+	queued  int      // lane events waiting behind their lane's head
+	lanes   []lane   // carved into NewLane results, laneSlab at a time
 }
+
+// laneSlab is how many lanes one allocation backs: a component that
+// takes a lane (every netem.Link) adds no allocation of its own.
+const laneSlab = 128
 
 // NewEngine returns an engine whose clock starts at zero and whose random
 // source is seeded with seed.
@@ -196,6 +225,11 @@ func (e *Engine) Rand() *rand.Rand { return e.rng }
 // nothing also compiles to a static value); the values it needs travel
 // in a0/a1. Boxing a pointer into any does not allocate.
 func (e *Engine) CallAt(t Time, fn func(a0, a1 any), a0, a1 any) {
+	e.events.push(e.pooled(t, fn, a0, a1))
+}
+
+// pooled takes an event from the free list and stamps it for t.
+func (e *Engine) pooled(t Time, fn func(a0, a1 any), a0, a1 any) *event {
 	if t < e.now {
 		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, e.now))
 	}
@@ -209,7 +243,7 @@ func (e *Engine) CallAt(t Time, fn func(a0, a1 any), a0, a1 any) {
 	e.seq++
 	ev.at, ev.seq = t, e.seq
 	ev.afn, ev.a0, ev.a1 = fn, a0, a1
-	e.events.push(ev)
+	return ev
 }
 
 // CallAfter is CallAt relative to now; negative d is clamped to zero.
@@ -218,6 +252,21 @@ func (e *Engine) CallAfter(d Time, fn func(a0, a1 any), a0, a1 any) {
 		d = 0
 	}
 	e.CallAt(e.now+d, fn, a0, a1)
+}
+
+// NewLane implements clock.Clock. Only the earliest event of a lane sits
+// in the heap; the rest wait behind it in scheduling order, each keeping
+// the (time, seq) stamp CallAt would have given it, so the heap merges
+// the lanes into exactly the order plain CallAt would produce. Lanes are
+// carved from a per-engine slab.
+func (e *Engine) NewLane() clock.Lane {
+	if len(e.lanes) == 0 {
+		e.lanes = make([]lane, laneSlab)
+	}
+	l := &e.lanes[0]
+	e.lanes = e.lanes[1:]
+	l.eng = e
+	return l
 }
 
 // NewTimer implements clock.Clock: it returns an unarmed timer bound to
@@ -248,39 +297,45 @@ var _ clock.Clock = (*Engine)(nil)
 // Stop makes Run / RunUntil return after the currently executing event.
 func (e *Engine) Stop() { e.stopped = true }
 
-// Pending reports the number of scheduled events, stopped timers that
-// have not yet been popped included.
-func (e *Engine) Pending() int { return len(e.events) }
+// Pending reports the number of events that will fire: scheduled
+// callbacks, lane events included, and armed timers.
+func (e *Engine) Pending() int { return len(e.events) + e.queued }
 
 // step executes the earliest event. It reports false if none remain.
 func (e *Engine) step(limit Time, useLimit bool) bool {
-	for len(e.events) > 0 {
-		if useLimit && e.events[0].at > limit {
-			return false
-		}
-		next := e.events.popMin()
-		if next.cancel {
-			continue
-		}
-		// Invariant: virtual time never runs backwards. The heap makes
-		// this structural, but a corrupted comparison (or a mutated
-		// timer event) would surface here first.
-		if next.at < e.now {
-			panic(fmt.Sprintf("sim: clock would run backwards: event at %v, now %v", next.at, e.now))
-		}
-		e.now = next.at
-		if next.afn == nil {
-			next.fn()
-			return true
-		}
-		next.afn(next.a0, next.a1)
-		// Back to the free list, dropping references so the pool never
-		// retains callbacks or packet arguments.
-		next.afn, next.a0, next.a1 = nil, nil, nil
-		e.free = append(e.free, next)
+	if len(e.events) == 0 || useLimit && e.events[0].at > limit {
+		return false
+	}
+	next := e.events[0].ev
+	if l := next.lane; l == nil {
+		e.events.popMin()
+	} else if n := next.next; n != nil {
+		// The lane's next event takes the head's heap slot.
+		e.events.replaceMin(n)
+		e.queued--
+		next.lane, next.next = nil, nil
+	} else {
+		e.events.popMin()
+		l.tail = nil
+		next.lane = nil
+	}
+	// Invariant: virtual time never runs backwards. The heap makes
+	// this structural, but a corrupted comparison (or a mutated
+	// timer event) would surface here first.
+	if next.at < e.now {
+		panic(fmt.Sprintf("sim: clock would run backwards: event at %v, now %v", next.at, e.now))
+	}
+	e.now = next.at
+	if next.afn == nil {
+		next.fn()
 		return true
 	}
-	return false
+	next.afn(next.a0, next.a1)
+	// Back to the free list, dropping references so the pool never
+	// retains callbacks or packet arguments.
+	next.afn, next.a0, next.a1 = nil, nil, nil
+	e.free = append(e.free, next)
+	return true
 }
 
 // Run executes events until the queue is empty or Stop is called.
@@ -318,10 +373,15 @@ func (t *timer) init(eng *Engine, fn func()) {
 }
 
 // Pending reports whether the timer is armed and will fire.
-func (t *timer) Pending() bool { return t.ev.index >= 0 && !t.ev.cancel }
+func (t *timer) Pending() bool { return t.ev.index >= 0 }
 
-// Stop disarms the timer. Stopping an unarmed timer is a no-op.
-func (t *timer) Stop() { t.ev.cancel = true }
+// Stop disarms the timer, removing its event from the heap. Stopping an
+// unarmed timer is a no-op.
+func (t *timer) Stop() {
+	if i := t.ev.index; i >= 0 {
+		t.eng.events.remove(i)
+	}
+}
 
 // ArmAt (re)schedules the timer's callback at absolute time at,
 // regardless of its current state. Like CallAt, arming in the past
@@ -334,7 +394,7 @@ func (t *timer) ArmAt(at Time) {
 		panic(fmt.Sprintf("sim: arming timer at %v before now %v", at, e.now))
 	}
 	e.seq++
-	t.ev.at, t.ev.seq, t.ev.cancel = at, e.seq, false
+	t.ev.at, t.ev.seq = at, e.seq
 	if i := t.ev.index; i >= 0 {
 		// The heap entry's inline key must track the re-armed event.
 		e.events[i].at, e.events[i].seq = at, t.ev.seq
@@ -350,6 +410,34 @@ func (t *timer) ArmAfter(d Time) {
 		d = 0
 	}
 	t.ArmAt(t.eng.now + d)
+}
+
+// lane is the engine's clock.Lane: a FIFO of pooled events linked
+// through event.next, whose head alone sits in the heap. tail is nil
+// while the lane is empty.
+type lane struct {
+	eng  *Engine
+	tail *event
+	last Time // the latest time scheduled on the lane
+}
+
+// CallAt implements clock.Lane: like Engine.CallAt, and t must not be
+// below the lane's previous time. Either violation panics.
+func (l *lane) CallAt(t Time, fn func(a0, a1 any), a0, a1 any) {
+	if t < l.last {
+		panic(fmt.Sprintf("sim: lane time %v before the lane's previous %v", t, l.last))
+	}
+	e := l.eng
+	ev := e.pooled(t, fn, a0, a1)
+	ev.lane = l
+	l.last = t
+	if l.tail == nil {
+		e.events.push(ev)
+	} else {
+		l.tail.next = ev
+		e.queued++
+	}
+	l.tail = ev
 }
 
 // ticker is the engine's clock.Ticker.

@@ -89,6 +89,49 @@ func TestSchedulingInPastPanics(t *testing.T) {
 	e.Run()
 }
 
+// TestLaneRejectsDecreasingTime: a lane time below the lane's previous
+// one, or below Now, panics like CallAt in the past.
+func TestLaneRejectsDecreasingTime(t *testing.T) {
+	nop := func(a0, a1 any) {}
+	mustPanic := func(what string, fn func()) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Errorf("%s did not panic", what)
+			}
+		}()
+		fn()
+	}
+	e := NewEngine(1)
+	l := e.NewLane()
+	l.CallAt(2*Second, nop, nil, nil)
+	mustPanic("a lane time below the previous one", func() { l.CallAt(Second, nop, nil, nil) })
+	e.RunUntil(3 * Second)
+	mustPanic("a lane time below Now", func() { e.NewLane().CallAt(Second, nop, nil, nil) })
+}
+
+// TestStopLeavesQueue: Stop takes a timer's event out of the queue at
+// once, so Pending counts only what will fire.
+func TestStopLeavesQueue(t *testing.T) {
+	e := NewEngine(1)
+	var timers []clock.Timer
+	for i := 0; i < 1024; i++ {
+		tm := e.NewTimer(func() { t.Fatal("a stopped timer fired") })
+		tm.ArmAfter(Time(1+i%7) * Second)
+		timers = append(timers, tm)
+	}
+	if e.Pending() != 1024 {
+		t.Fatalf("pending = %d with 1024 armed timers", e.Pending())
+	}
+	for _, tm := range timers {
+		tm.Stop()
+	}
+	if e.Pending() != 0 || len(e.events) != 0 {
+		t.Fatalf("pending = %d, heap holds %d, after stopping every timer", e.Pending(), len(e.events))
+	}
+	e.Run()
+}
+
 func TestStopHaltsRun(t *testing.T) {
 	e := NewEngine(1)
 	count := 0
@@ -209,10 +252,13 @@ func TestPropertyRunUntilHorizon(t *testing.T) {
 
 // TestSchedulingAllocFree pins the hot path's allocation contract: once
 // the event free list and the heap have grown to their working size,
-// CallAfter plus dispatch, and re-arming a Timer, allocate nothing. The
-// shape is the one bench/layers/sim prices (sim.sched_allocs): events
-// that reschedule themselves among 1 024 pending ones, and a timer armed,
-// pushed out, stopped and fired among 1 024 armed timers.
+// CallAfter plus dispatch, lane scheduling plus dispatch, and stopping
+// and re-arming a Timer allocate nothing. The first shape is the one
+// bench/layers/sim prices (sim.sched_allocs): events that reschedule
+// themselves among 1 024 pending ones. Lane events do the same on four
+// lanes among 1 024 pending events, and a timer is armed, pushed out,
+// stopped and fired among 1 024 armed timers that are themselves
+// stopped and re-armed.
 func TestSchedulingAllocFree(t *testing.T) {
 	const pending, perRun = 1024, 4096
 
@@ -237,7 +283,34 @@ func TestSchedulingAllocFree(t *testing.T) {
 
 	eng = NewEngine(1)
 	for i := 0; i < pending; i++ {
-		eng.NewTimer(func() {}).ArmAfter(Time(1000+i) * Second) // past the test's 45 virtual seconds
+		eng.CallAfter(Time(1000+i)*Second, fire, nil, nil) // never reached
+	}
+	var onLane func(a0, a1 any)
+	onLane = func(a0, _ any) {
+		if left--; left <= 0 {
+			eng.Stop()
+		}
+		a0.(clock.Lane).CallAt(eng.Now()+Millisecond, onLane, a0, nil)
+	}
+	for l := 0; l < 4; l++ {
+		lane := eng.NewLane()
+		for i := 0; i < 64; i++ {
+			lane.CallAt(Time(i)*Microsecond, onLane, lane, nil)
+		}
+	}
+	if n := testing.AllocsPerRun(10, func() {
+		left = perRun
+		eng.Run()
+	}); n != 0 {
+		t.Errorf("lane CallAt + dispatch: %.0f allocations per %d events, want 0", n, perRun)
+	}
+
+	eng = NewEngine(1)
+	var armed []clock.Timer
+	for i := 0; i < pending; i++ {
+		tm := eng.NewTimer(func() {})
+		tm.ArmAfter(Time(1000+i) * Second) // past the test's 45 virtual seconds
+		armed = append(armed, tm)
 	}
 	fired := 0
 	tm := eng.NewTimer(func() { fired++ })
@@ -247,10 +320,16 @@ func TestSchedulingAllocFree(t *testing.T) {
 			tm.ArmAfter(300 * Millisecond)
 			tm.Stop()
 			tm.ArmAfter(Millisecond)
+			other := armed[i%pending]
+			other.Stop()
+			other.ArmAfter(Time(1000+i%pending) * Second)
 			eng.RunUntil(eng.Now() + Millisecond)
 		}
 	}); n != 0 {
 		t.Errorf("Timer re-arm: %.0f allocations per %d arm/re-arm/stop/fire rounds, want 0", n, perRun)
+	}
+	if eng.Pending() != pending {
+		t.Fatalf("pending = %d, want the %d re-armed timers", eng.Pending(), pending)
 	}
 	if fired != 11*perRun {
 		t.Fatalf("timer fired %d times, want %d", fired, 11*perRun)

@@ -196,9 +196,10 @@ func (s *Sender) emit(k int64, retx bool, now clock.Time) {
 }
 
 func (s *Sender) rearmRTO() {
-	s.rtoTimer.Stop()
 	if s.sndUna < s.sb.sndNxt() {
 		s.rtoTimer.ArmAfter(s.rto)
+	} else {
+		s.rtoTimer.Stop()
 	}
 }
 

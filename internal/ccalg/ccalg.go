@@ -1,7 +1,7 @@
 // Package ccalg implements the congestion-control algorithms Bundler's
 // inner loop runs at the sendbox (§4.3, §6.1 of the paper): Copa, Nimbus
 // BasicDelay, and a rate-based BBR, plus the Nimbus machinery from §5.1 —
-// the asymmetric rate pulser, the FFT-based elasticity detector for
+// the asymmetric rate pulser, the spectral elasticity detector for
 // buffer-filling cross traffic, and the PI controller that holds a small
 // sendbox queue while "letting traffic pass".
 //
@@ -14,7 +14,6 @@ import (
 	"math"
 
 	"bundler/internal/clock"
-	"bundler/internal/fft"
 	"bundler/internal/pkt"
 )
 
@@ -433,7 +432,8 @@ func (p *Pulser) Frequency() float64 { return 1 / pulsePeriod.Seconds() }
 // Detector decides whether buffer-filling (elastic) cross traffic shares
 // the bottleneck, by looking for the pulser's frequency in the
 // cross-traffic rate estimate: elastic traffic reacts to our pulses at
-// f_p, inelastic traffic does not (§5.1, after Nimbus).
+// f_p, inelastic traffic does not (§5.1, after Nimbus). It keeps the last
+// DetectorWindow samples and reads the power of six DFT bins of them.
 type Detector struct {
 	pulseHz  float64
 	sampleHz float64
@@ -442,7 +442,8 @@ type Detector struct {
 	filled   bool
 }
 
-// DetectorWindow is the FFT window size (power of two).
+// DetectorWindow is the number of samples the detector classifies: at the
+// 100 Hz control tick, 5.12 s of cross-traffic estimates.
 const DetectorWindow = 512
 
 // NewDetector builds a detector for a pulser at pulseHz sampled at
@@ -505,57 +506,80 @@ func (d *Detector) WindowMean() float64 {
 // power above which ElasticGated calls the cross traffic elastic.
 const elasticThreshold = 3.0
 
-// ElasticGated classifies the current window. The gate requires the cross
-// traffic to average minFrac of capacity over the whole window —
-// instantaneous estimates spike whenever the bundle's own rate transients
-// drain the queue, and must not self-trigger detection. Callers already in
+// ElasticGated classifies the current window by the Nimbus criterion: the
+// power near the pulse frequency must dominate the power at half the pulse
+// frequency (elastic traffic reacts at f_p; the half-frequency band
+// measures broadband churn). The gate requires the cross traffic to
+// average minFrac of capacity over the whole window — instantaneous
+// estimates spike whenever the bundle's own rate transients drain the
+// queue, and must not self-trigger detection. Callers already in
 // pass-through mode use a lower gate: competing fairly suppresses the
 // cross traffic's share, and a symmetric gate would oscillate between
 // modes.
 func (d *Detector) ElasticGated(mu, minFrac float64) bool {
-	if !d.filled || mu <= 0 {
+	if !d.filled || mu <= 0 || d.WindowMean() < minFrac*mu {
 		return false
 	}
-	mean := 0.0
-	for _, v := range d.buf {
-		mean += v
-	}
-	mean /= float64(len(d.buf))
-	if mean < minFrac*mu {
-		return false
-	}
-	// Unroll the ring into chronological order.
-	window := make([]float64, len(d.buf))
-	copy(window, d.buf[d.next:])
-	copy(window[len(d.buf)-d.next:], d.buf[:d.next])
-	return ElasticSpectrum(window, d.pulseHz, d.sampleHz, elasticThreshold)
-}
-
-// ElasticSpectrum applies the Nimbus criterion to one window of
-// cross-traffic samples: the power near the pulse frequency must dominate
-// the power at half the pulse frequency (elastic traffic reacts at f_p;
-// the half-frequency band measures broadband churn).
-func ElasticSpectrum(window []float64, pulseHz, sampleHz, threshold float64) bool {
-	spec := fft.PowerSpectrum(window)
-	n := len(window)
-	pb := fft.BinOf(pulseHz, sampleHz, n)
-	hb := fft.BinOf(pulseHz/2, sampleHz, n)
-	pulsePower := bandMax(spec, pb, 1)
-	refPower := bandMax(spec, hb, 1)
+	var x [DetectorWindow]float64
+	d.weighted(&x)
+	pulsePower := bandMax(&x, binOf(d.pulseHz, d.sampleHz))
+	refPower := bandMax(&x, binOf(d.pulseHz/2, d.sampleHz))
 	if refPower <= 0 {
 		return pulsePower > 0
 	}
-	return pulsePower/refPower > threshold
+	return pulsePower/refPower > elasticThreshold
 }
 
-func bandMax(spec []float64, center, halfWidth int) float64 {
+// weighted fills x with the window in chronological order, less its mean
+// (so the DC bin does not leak into its neighbours) and times the Hann
+// weights.
+func (d *Detector) weighted(x *[DetectorWindow]float64) {
+	n := copy(x[:], d.buf[d.next:])
+	copy(x[n:], d.buf[:d.next])
+	mean := 0.0
+	for _, v := range x {
+		mean += v
+	}
+	mean /= DetectorWindow
+	for i, v := range x {
+		x[i] = (v - mean) * hann[i]
+	}
+}
+
+// hann holds the Hann weights of a DetectorWindow-sample window.
+var hann = func() (w [DetectorWindow]float64) {
+	for i := range w {
+		w[i] = 0.5 * (1 - math.Cos(2*math.Pi*float64(i)/float64(DetectorWindow-1)))
+	}
+	return w
+}()
+
+// binOf returns the DFT bin of a DetectorWindow-sample window closest to
+// freq, for samples taken at sampleHz.
+func binOf(freq, sampleHz float64) int {
+	return min(max(int(math.Round(freq*DetectorWindow/sampleHz)), 0), DetectorWindow/2)
+}
+
+// bandMax returns the largest power among bins center−1 … center+1 of x,
+// skipping bins outside 0 … DetectorWindow/2.
+func bandMax(x *[DetectorWindow]float64, center int) float64 {
 	best := 0.0
-	for k := center - halfWidth; k <= center+halfWidth; k++ {
-		if k >= 0 && k < len(spec) && spec[k] > best {
-			best = spec[k]
-		}
+	for k := max(center-1, 0); k <= min(center+1, DetectorWindow/2); k++ {
+		best = max(best, binPower(x, k))
 	}
 	return best
+}
+
+// binPower returns |X_k|², the power of DFT bin k of x, by Goertzel's
+// recurrence: one pass over x per bin, so reading six bins costs less
+// than a full transform.
+func binPower(x *[DetectorWindow]float64, k int) float64 {
+	c := 2 * math.Cos(2*math.Pi*float64(k)/DetectorWindow)
+	var s1, s2 float64
+	for _, v := range x {
+		s1, s2 = v+c*s1-s2, s1
+	}
+	return s1*s1 + s2*s2 - c*s1*s2
 }
 
 // PIController is the §5.1 controller that holds the sendbox queue at the

@@ -1,6 +1,7 @@
 package ccalg
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -152,15 +153,57 @@ func TestPulserFrequency(t *testing.T) {
 	}
 }
 
-func TestDetectorFlagsElasticResponse(t *testing.T) {
-	// Elastic cross traffic mirrors our pulses (opposite sign) at f_p.
-	d := NewDetector(5, 100)
+// elasticWindow is cross traffic that mirrors our pulses (opposite sign)
+// at f_p, as elastic traffic does.
+func elasticWindow() []float64 {
 	r := rand.New(rand.NewSource(1))
-	for i := 0; i < DetectorWindow; i++ {
+	w := make([]float64, DetectorWindow)
+	for i := range w {
 		tt := float64(i) / 100
-		z := 50e6 - 10e6*math.Sin(2*math.Pi*5*tt) + 1e6*r.NormFloat64()
+		w[i] = 50e6 - 10e6*math.Sin(2*math.Pi*5*tt) + 1e6*r.NormFloat64()
+	}
+	return w
+}
+
+// inelasticWindow is constant-rate cross traffic: no 5 Hz component.
+func inelasticWindow() []float64 {
+	r := rand.New(rand.NewSource(2))
+	w := make([]float64, DetectorWindow)
+	for i := range w {
+		w[i] = 50e6 + 2e6*r.NormFloat64()
+	}
+	return w
+}
+
+// faintWindow is a pure 5 Hz response at 1 % of a 100 Mbit/s μ.
+func faintWindow() []float64 {
+	w := make([]float64, DetectorWindow)
+	for i := range w {
+		tt := float64(i) / 100
+		w[i] = 1e6 * math.Sin(2*math.Pi*5*tt)
+	}
+	return w
+}
+
+// flatWindow is a constant estimate.
+func flatWindow() []float64 {
+	w := make([]float64, DetectorWindow)
+	for i := range w {
+		w[i] = 1
+	}
+	return w
+}
+
+func detectorFed(samples []float64) *Detector {
+	d := NewDetector(5, 100)
+	for _, z := range samples {
 		d.AddSample(z)
 	}
+	return d
+}
+
+func TestDetectorFlagsElasticResponse(t *testing.T) {
+	d := detectorFed(elasticWindow())
 	if !d.Ready() {
 		t.Fatal("detector not ready after full window")
 	}
@@ -170,39 +213,195 @@ func TestDetectorFlagsElasticResponse(t *testing.T) {
 }
 
 func TestDetectorIgnoresInelasticCross(t *testing.T) {
-	// Constant-rate cross traffic shows no 5 Hz component.
-	d := NewDetector(5, 100)
-	r := rand.New(rand.NewSource(2))
-	for i := 0; i < DetectorWindow; i++ {
-		z := 50e6 + 2e6*r.NormFloat64()
-		d.AddSample(z)
-	}
-	if d.ElasticGated(100e6, 0.2) {
+	if detectorFed(inelasticWindow()).ElasticGated(100e6, 0.2) {
 		t.Fatal("inelastic cross traffic misclassified as elastic")
 	}
 }
 
 func TestDetectorGatesOnCrossMagnitude(t *testing.T) {
-	d := NewDetector(5, 100)
-	for i := 0; i < DetectorWindow; i++ {
-		tt := float64(i) / 100
-		d.AddSample(1e6 * math.Sin(2*math.Pi*5*tt))
-	}
-	if d.ElasticGated(100e6, 0.2) {
+	if detectorFed(faintWindow()).ElasticGated(100e6, 0.2) {
 		t.Fatal("negligible cross traffic (1% of mu) must not classify as elastic")
 	}
 }
 
 func TestDetectorNotReadyBeforeFullWindow(t *testing.T) {
-	d := NewDetector(5, 100)
-	for i := 0; i < DetectorWindow-1; i++ {
-		d.AddSample(1)
-	}
+	d := detectorFed(flatWindow()[1:])
 	if d.Ready() {
 		t.Fatal("ready before window filled")
 	}
 	if d.ElasticGated(100e6, 0.2) {
 		t.Fatal("classified before window filled")
+	}
+}
+
+// naivePower is |X_k|² straight from the DFT's definition.
+func naivePower(x *[DetectorWindow]float64, k int) float64 {
+	var re, im float64
+	for n, v := range x {
+		sin, cos := math.Sincos(2 * math.Pi * float64(k*n%DetectorWindow) / DetectorWindow)
+		re += v * cos
+		im -= v * sin
+	}
+	return re*re + im*im
+}
+
+// TestBinPowerMatchesNaiveDFT checks Goertzel's recurrence against the
+// DFT's definition in every bin the detector could read, on the weighted
+// windows of the detector tests' signals and of seeded random ones, and
+// bandMax where its band is clipped at either end of the spectrum.
+func TestBinPowerMatchesNaiveDFT(t *testing.T) {
+	signals := map[string][]float64{
+		"elastic": elasticWindow(), "inelastic": inelasticWindow(),
+		"faint": faintWindow(), "flat": flatWindow(),
+	}
+	r := rand.New(rand.NewSource(3))
+	for i := 0; i < 8; i++ {
+		// Longer than a window, so the ring wraps before it is read.
+		w := make([]float64, DetectorWindow+r.Intn(DetectorWindow))
+		level, spread := 1e8*r.Float64(), 1e7*r.Float64()
+		for j := range w {
+			w[j] = level + spread*r.NormFloat64()
+		}
+		signals[fmt.Sprintf("random%d", i)] = w
+	}
+	for name, w := range signals {
+		var x [DetectorWindow]float64
+		detectorFed(w).weighted(&x)
+		var naive [DetectorWindow/2 + 1]float64
+		peak := 0.0
+		for k := range naive {
+			naive[k] = naivePower(&x, k)
+			peak = max(peak, naive[k])
+		}
+		// Rounding error in a bin's power scales with the window's
+		// amplitude, not the bin's own, so a bin more than 12 orders of
+		// magnitude below the window's peak (the faint pure tone's far
+		// sidelobes reach 19) is held to 1e-9 of that floor instead.
+		agrees := func(got, want float64) bool {
+			return math.Abs(got-want) <= 1e-9*max(want, 1e-12*peak)
+		}
+		for k := range naive {
+			if got := binPower(&x, k); !agrees(got, naive[k]) {
+				t.Errorf("%s: bin %d power %g, DFT %g", name, k, got, naive[k])
+			}
+		}
+		edges := []struct{ center, lo, hi int }{
+			{binOf(0, 100), 0, 1},
+			{binOf(60, 100), DetectorWindow/2 - 1, DetectorWindow / 2},
+		}
+		for _, e := range edges {
+			want := max(naive[e.lo], naive[e.hi])
+			if got := bandMax(&x, e.center); !agrees(got, want) {
+				t.Errorf("%s: band at bin %d = %g, DFT bins %d–%d peak %g", name, e.center, got, e.lo, e.hi, want)
+			}
+		}
+	}
+}
+
+// TestElasticGatedAllocFree pins the cost of a vote: the weighted window
+// lives on the stack and the six bins are read in place.
+func TestElasticGatedAllocFree(t *testing.T) {
+	d := detectorFed(elasticWindow())
+	if n := testing.AllocsPerRun(100, func() { d.ElasticGated(100e6, 0.2) }); n != 0 {
+		t.Errorf("ElasticGated: %.0f allocations per vote, want 0", n)
+	}
+}
+
+func TestBinPowerOfImpulseIsFlat(t *testing.T) {
+	var x [DetectorWindow]float64
+	x[0] = 1
+	for k := 0; k <= DetectorWindow/2; k++ {
+		if p := binPower(&x, k); math.Abs(p-1) > 1e-9 {
+			t.Fatalf("bin %d power %v, want 1", k, p)
+		}
+	}
+}
+
+func TestBinPowerSinusoidPeaksAtItsBin(t *testing.T) {
+	var x [DetectorWindow]float64
+	for i := range x {
+		x[i] = math.Sin(2 * math.Pi * 16 * float64(i) / DetectorWindow)
+	}
+	best, bestPower := 0, 0.0
+	for k := 1; k < DetectorWindow/2; k++ {
+		if p := binPower(&x, k); p > bestPower {
+			best, bestPower = k, p
+		}
+	}
+	if best != 16 {
+		t.Fatalf("peak at bin %d, want 16", best)
+	}
+}
+
+// TestBinPowerParseval checks Parseval's theorem over the bins of a real
+// window: sum x² == (P_0 + P_{N/2} + 2·sum of the others) / N.
+func TestBinPowerParseval(t *testing.T) {
+	for seed := int64(0); seed < 20; seed++ {
+		r := rand.New(rand.NewSource(seed))
+		var x [DetectorWindow]float64
+		energyTime := 0.0
+		for i := range x {
+			x[i] = r.NormFloat64()
+			energyTime += x[i] * x[i]
+		}
+		energyFreq := binPower(&x, 0) + binPower(&x, DetectorWindow/2)
+		for k := 1; k < DetectorWindow/2; k++ {
+			energyFreq += 2 * binPower(&x, k)
+		}
+		energyFreq /= DetectorWindow
+		if math.Abs(energyTime-energyFreq) > 1e-6*max(1, energyTime) {
+			t.Fatalf("seed %d: time energy %v, frequency energy %v", seed, energyTime, energyFreq)
+		}
+	}
+}
+
+func TestWeightedRemovesDC(t *testing.T) {
+	w := make([]float64, DetectorWindow)
+	for i := range w {
+		w[i] = 42 // pure DC
+	}
+	var x [DetectorWindow]float64
+	detectorFed(w).weighted(&x)
+	for k := 0; k <= DetectorWindow/2; k++ {
+		if p := binPower(&x, k); p > 1e-18 {
+			t.Fatalf("bin %d = %g for constant input, want ~0", k, p)
+		}
+	}
+}
+
+func TestBinOfBounds(t *testing.T) {
+	if got := binOf(5, 100); got != 26 { // 5*512/100 = 25.6 -> 26
+		t.Fatalf("binOf(5, 100) = %d, want 26", got)
+	}
+	if binOf(-3, 100) != 0 {
+		t.Fatal("negative freq not clamped")
+	}
+	if binOf(1e9, 100) != DetectorWindow/2 {
+		t.Fatal("super-Nyquist freq not clamped")
+	}
+}
+
+// TestBinPowerDetectsPulseFrequency feeds 512 samples at 100 Hz of a 5 Hz
+// sinusoid (the Nimbus pulse frequency) buried in noise: after the
+// detector's weighting, the 5 Hz bin region must dominate every other bin.
+func TestBinPowerDetectsPulseFrequency(t *testing.T) {
+	r := rand.New(rand.NewSource(3))
+	w := make([]float64, DetectorWindow)
+	for i := range w {
+		tt := float64(i) / 100
+		w[i] = 3*math.Sin(2*math.Pi*5*tt) + 0.3*r.NormFloat64() + 10
+	}
+	var x [DetectorWindow]float64
+	detectorFed(w).weighted(&x)
+	peak := binOf(5, 100)
+	peakPower := binPower(&x, peak)
+	for k := 1; k <= DetectorWindow/2; k++ {
+		if k >= peak-1 && k <= peak+1 {
+			continue
+		}
+		if p := binPower(&x, k); p > peakPower {
+			t.Fatalf("bin %d power %.3f exceeds pulse bin %d power %.3f", k, p, peak, peakPower)
+		}
 	}
 }
 

@@ -188,7 +188,7 @@ type Sendbox struct {
 
 	// Epoch/measurement state.
 	epochN        uint64
-	boundaries    map[uint64]*boundary
+	boundaries    map[uint64]*boundary // nil until the first boundary
 	boundaryOrder []uint64
 	seqCounter    uint64
 	maxAckedSeq   uint64
@@ -259,7 +259,6 @@ func NewSendbox(eng clock.Clock, cfg Config, downstream netem.Receiver, ctlAddr,
 		pulser:     ccalg.NewPulser(),
 		pi:         ccalg.NewPIController(),
 		epochN:     initialEpochN,
-		boundaries: make(map[uint64]*boundary),
 	}
 	s.detector = ccalg.NewDetector(s.pulser.Frequency(), 1/controlInterval.Seconds())
 	// The pacer is a link whose qdisc is the operator's scheduler; its
@@ -325,6 +324,9 @@ func (s *Sendbox) onTransmitted(p *pkt.Packet) {
 	}
 	s.evictStaleBoundaries()
 	if _, dup := s.boundaries[h]; !dup {
+		if s.boundaries == nil {
+			s.boundaries = make(map[uint64]*boundary)
+		}
 		b := s.newBoundary()
 		*b = boundary{hash: h, seq: s.seqCounter, tsent: s.eng.Now(), bytesSent: s.bytesDequeued}
 		s.boundaries[h] = b

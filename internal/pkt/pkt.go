@@ -150,7 +150,8 @@ type PoolStats struct {
 	Gets int64
 	// Puts counts packets released back by Put.
 	Puts int64
-	// News counts pool misses: Gets served by a fresh allocation.
+	// News counts pool misses: Gets served by a never-used packet
+	// rather than a recycled one.
 	News int64
 }
 
@@ -211,6 +212,7 @@ func Put(p *Packet) {
 // see per-shard traffic too.
 type Pool struct {
 	free []*Packet
+	slab []Packet // fresh packets, carved pktSlab at a time on a miss
 
 	// Per-pool counters mirror the global ones (same meanings), plus the
 	// barrier hand-off tallies. Not atomic: Gets/Puts/News are touched
@@ -238,8 +240,19 @@ func (pl *Pool) Get() *Packet {
 	}
 	newCount.Add(1)
 	pl.news++
-	return &Packet{owner: pl}
+	if len(pl.slab) == 0 {
+		pl.slab = make([]Packet, pktSlab)
+	}
+	p := &pl.slab[0]
+	pl.slab = pl.slab[1:]
+	p.owner = pl
+	return p
 }
+
+// pktSlab is how many packets one pool miss allocates: a partition's
+// first packets cost one allocation per slab, not one each. News still
+// counts packets, not slabs.
+const pktSlab = 32
 
 // Put releases a packet to this pool. The packet must currently be
 // tagged with pl as its owner — releasing a foreign packet here would

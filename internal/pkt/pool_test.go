@@ -69,23 +69,46 @@ func TestPoolOwnershipPanics(t *testing.T) {
 
 // TestTransferMovesOwnership checks the barrier hand-off: after a
 // Transfer, release routes to the new pool and the xfer counters
-// balance; a same-pool transfer is a no-op.
+// balance; a same-pool transfer is a no-op. The packets span more than
+// one slab, so slab-carved storage still routes each packet by its own
+// owner tag.
 func TestTransferMovesOwnership(t *testing.T) {
+	const n = 2*pktSlab + 5
 	a, b := &Pool{}, &Pool{}
-	p := a.Get()
-	Transfer(p, a) // same-pool no-op: must not touch the counters
-	Transfer(p, b)
-	if p.owner != b {
-		t.Fatal("transfer did not retag the packet")
+	ps := make([]*Packet, n)
+	for i := range ps {
+		ps[i] = a.Get()
 	}
-	Put(p)
+	moved := 0
+	for i, p := range ps {
+		Transfer(p, a) // same-pool no-op: must not touch the counters
+		if i%2 == 0 {
+			Transfer(p, b)
+			moved++
+			if p.owner != b {
+				t.Fatalf("transfer did not retag packet %d", i)
+			}
+		}
+	}
+	for _, p := range ps {
+		Put(p)
+	}
 	as, aIn, aOut := a.Stats()
 	bs, bIn, bOut := b.Stats()
-	if aOut != 1 || aIn != 0 || as.Puts != 0 {
-		t.Errorf("source pool: %+v in %d out %d, want out=1", as, aIn, aOut)
+	if aOut != int64(moved) || aIn != 0 || as.Puts != int64(n-moved) {
+		t.Errorf("source pool: %+v in %d out %d, want out=%d put=%d", as, aIn, aOut, moved, n-moved)
 	}
-	if bIn != 1 || bOut != 0 || bs.Puts != 1 {
-		t.Errorf("dest pool: %+v in %d out %d, want in=1 put=1", bs, bIn, bOut)
+	if bIn != int64(moved) || bOut != 0 || bs.Puts != int64(moved) {
+		t.Errorf("dest pool: %+v in %d out %d, want in=put=%d", bs, bIn, bOut, moved)
+	}
+	for i, p := range ps {
+		want := a
+		if i%2 == 0 {
+			want = b
+		}
+		if p.owner != want || !p.pooled {
+			t.Fatalf("packet %d released to the wrong pool or not released", i)
+		}
 	}
 	// Transfer to nil hands the packet to the global pool.
 	q := b.Get()
@@ -94,4 +117,30 @@ func TestTransferMovesOwnership(t *testing.T) {
 		t.Fatal("transfer to nil did not clear ownership")
 	}
 	Put(q)
+}
+
+// TestPoolSlabAllocs pins slab carving: a fresh pool's first 100 Gets
+// allocate one slab per pktSlab packets, while News still counts every
+// packet.
+func TestPoolSlabAllocs(t *testing.T) {
+	const runs, gets = 10, 100
+	pools := make([]*Pool, runs+1) // AllocsPerRun adds a warm-up run
+	for i := range pools {
+		pools[i] = &Pool{}
+	}
+	next := 0
+	if n := testing.AllocsPerRun(runs, func() {
+		pl := pools[next]
+		next++
+		for i := 0; i < gets; i++ {
+			pl.Get()
+		}
+	}); n > (gets+pktSlab-1)/pktSlab {
+		t.Errorf("%d fresh Gets: %.0f allocations, want ≤ %d", gets, n, (gets+pktSlab-1)/pktSlab)
+	}
+	for i, pl := range pools {
+		if s, _, _ := pl.Stats(); s.News != gets {
+			t.Fatalf("pool %d: News = %d, want %d", i, s.News, gets)
+		}
+	}
 }

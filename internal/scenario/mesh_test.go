@@ -113,3 +113,16 @@ func TestMeshSweepDeterminism(t *testing.T) {
 		t.Fatal("mesh sweep output differs between -parallel 1 and -parallel 8")
 	}
 }
+
+// TestMeshSetupAllocs is the ceiling on what a mesh costs to build: an
+// 8-site bundled hub mesh, 56 bundles with one request each. Packets and
+// events come from slabs, each fabric has one destination mux and every
+// pair shares one size CDF; so built, it measures 1 543 allocations,
+// and the ceiling leaves a few percent of headroom above that.
+func TestMeshSetupAllocs(t *testing.T) {
+	const ceiling = 1600
+	o := MeshOptions{Seed: 1, Sites: 8, Bundled: true, Requests: 1, Shards: 1}
+	if n := testing.AllocsPerRun(5, func() { NewMesh(o) }); n > ceiling {
+		t.Errorf("NewMesh(8-site bundled hub, 1 request/pair): %.0f allocations, want ≤ %d", n, ceiling)
+	}
+}

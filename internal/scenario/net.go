@@ -53,7 +53,9 @@ func (c *netConfig) fill() {
 // Fabric is the endpoint machinery every emulated topology hangs sites
 // on: the sender-side mux, the destination demux, the uncongested
 // reverse path for ACKs and Bundler control messages, and the address /
-// flow-ID allocators. The forward path between them — one bottleneck,
+// flow-ID allocators. There is one destination mux per fabric: every
+// site's receivers and receiveboxes register on it, since addresses are
+// unique per fabric. The forward path between them — one bottleneck,
 // a chain, load-balanced parallel links — is the caller's to wire;
 // Net wires the paper's dumbbell, and internal/topo compiles declarative
 // configs into arbitrary link graphs over the same fabric. Bundles nest
@@ -77,6 +79,7 @@ type Fabric struct {
 	// pool — the legacy single-engine configuration.
 	Pool *pkt.Pool
 
+	muxB      *tcp.Mux // the destination mux, shared by every site
 	nextHost  uint32
 	nextCtl   uint32
 	hostLimit uint32
@@ -90,7 +93,7 @@ type Fabric struct {
 func NewFabric(eng *sim.Engine, rtt sim.Time) *Fabric {
 	muxA := tcp.NewMux()
 	return &Fabric{Eng: eng, MuxA: muxA, Demux: netem.NewDemux(),
-		Reverse: netem.NewReverseLink(eng, rtt, muxA), OracleRTT: rtt,
+		Reverse: netem.NewReverseLink(eng, rtt, muxA), OracleRTT: rtt, muxB: tcp.NewMux(),
 		nextHost: 1 << 16, nextCtl: 1 << 30}
 }
 
@@ -135,7 +138,6 @@ type Site struct {
 	net     *Fabric
 	SB      *bundle.Sendbox
 	RB      *bundle.Receivebox
-	MuxB    *tcp.Mux
 	ingress netem.Receiver
 	egress  netem.Receiver
 	parent  *Site // the enclosing site of a nested one (AddSiteIn)
@@ -156,9 +158,9 @@ func (n *Net) AddSite(bcfg *bundle.Config) *Site {
 // Bundler (status quo); otherwise a Sendbox is interposed in front of
 // egress and a Receivebox taps the site's ingress.
 func (f *Fabric) AddSiteAt(egress netem.Receiver, bcfg *bundle.Config) *Site {
-	s := &Site{net: f, MuxB: tcp.NewMux()}
+	s := &Site{net: f}
 	if bcfg == nil {
-		s.ingress = s.MuxB
+		s.ingress = f.muxB
 		s.egress = egress
 		return s
 	}
@@ -173,9 +175,9 @@ func (f *Fabric) AddSiteAt(egress netem.Receiver, bcfg *bundle.Config) *Site {
 	s.RB = bundle.NewReceivebox(f.Eng, f.Reverse, rbCtl, sbCtl, 0)
 	s.RB.SetPool(f.Pool)
 	f.MuxA.Register(sbCtl, s.SB)
-	s.MuxB.Register(rbCtl, s.RB)
-	f.Demux.Route(rbCtl.Host, s.MuxB) // epoch updates reach the receivebox
-	s.ingress = netem.NewTap(s.RB.Observe, s.MuxB)
+	f.muxB.Register(rbCtl, s.RB)
+	f.Demux.Route(rbCtl.Host, f.muxB) // epoch updates reach the receivebox
+	s.ingress = netem.NewTap(s.RB.Observe, f.muxB)
 	s.egress = s.SB
 	return s
 }
@@ -260,11 +262,11 @@ func (s *Site) AddFlowPort(size int64, cc tcp.Congestion, dstPort uint16, done f
 	snd = tcp.NewSender(n.Eng, s.egress, src, dst, id, size, cc, func(now sim.Time) {
 		// Sender-side completion: both directions are finished; recycle.
 		n.MuxA.Unregister(src)
-		s.MuxB.Unregister(dst)
+		n.muxB.Unregister(dst)
 	})
 	snd.SetPool(n.Pool)
 	n.MuxA.Register(src, snd)
-	s.MuxB.Register(dst, rcv)
+	n.muxB.Register(dst, rcv)
 	snd.Start()
 	return snd
 }
@@ -280,7 +282,7 @@ func (s *Site) AddPing() *udpapp.PingClient {
 	server := udpapp.NewPingServer(n.Eng, n.Reverse, dst)
 	server.SetPool(n.Pool)
 	n.MuxA.Register(src, client)
-	s.MuxB.Register(dst, server)
+	n.muxB.Register(dst, server)
 	client.Start()
 	return client
 }
@@ -333,7 +335,7 @@ func (s *Site) AddCBR(rateBps float64, pktSize int) (*udpapp.CBRStream, *netem.S
 	sink := &netem.Sink{}
 	stream := udpapp.NewCBRStream(n.Eng, s.egress, src, dst, n.flowID, rateBps, pktSize)
 	stream.SetPool(n.Pool)
-	s.MuxB.Register(dst, sink)
+	n.muxB.Register(dst, sink)
 	stream.Start()
 	return stream, sink
 }

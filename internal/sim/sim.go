@@ -191,6 +191,7 @@ type Engine struct {
 	rng     *rand.Rand
 	stopped bool
 	free    []*event // recycled pooled events (CallAt/CallAfter)
+	evs     []event  // never-used pooled events, carved eventSlab at a time
 	queued  int      // lane events waiting behind their lane's head
 	lanes   []lane   // carved into NewLane results, laneSlab at a time
 }
@@ -198,6 +199,10 @@ type Engine struct {
 // laneSlab is how many lanes one allocation backs: a component that
 // takes a lane (every netem.Link) adds no allocation of its own.
 const laneSlab = 128
+
+// eventSlab is how many pooled events one allocation backs, for the
+// events the free list cannot yet supply.
+const eventSlab = 64
 
 // NewEngine returns an engine whose clock starts at zero and whose random
 // source is seeded with seed.
@@ -228,7 +233,8 @@ func (e *Engine) CallAt(t Time, fn func(a0, a1 any), a0, a1 any) {
 	e.events.push(e.pooled(t, fn, a0, a1))
 }
 
-// pooled takes an event from the free list and stamps it for t.
+// pooled takes an event from the free list, or the slab when the list
+// is empty, and stamps it for t.
 func (e *Engine) pooled(t Time, fn func(a0, a1 any), a0, a1 any) *event {
 	if t < e.now {
 		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, e.now))
@@ -238,7 +244,11 @@ func (e *Engine) pooled(t Time, fn func(a0, a1 any), a0, a1 any) *event {
 		ev = e.free[n-1]
 		e.free = e.free[:n-1]
 	} else {
-		ev = &event{}
+		if len(e.evs) == 0 {
+			e.evs = make([]event, eventSlab)
+		}
+		ev = &e.evs[0]
+		e.evs = e.evs[1:]
 	}
 	e.seq++
 	ev.at, ev.seq = t, e.seq

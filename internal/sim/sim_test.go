@@ -335,3 +335,33 @@ func TestSchedulingAllocFree(t *testing.T) {
 		t.Fatalf("timer fired %d times, want %d", fired, 11*perRun)
 	}
 }
+
+// TestPooledEventSlabs pins slab carving for pooled events: a fresh
+// engine's first N CallAts allocate one slab per eventSlab events. The
+// heap is pre-sized so that only event storage is counted.
+func TestPooledEventSlabs(t *testing.T) {
+	const runs, n = 10, 200
+	engs := make([]*Engine, runs+1) // AllocsPerRun adds a warm-up run
+	for i := range engs {
+		engs[i] = NewEngine(1)
+		engs[i].events = make(eventHeap, 0, n)
+	}
+	fired := 0
+	fire := func(_, _ any) { fired++ }
+	next := 0
+	if allocs := testing.AllocsPerRun(runs, func() {
+		e := engs[next]
+		next++
+		for i := 0; i < n; i++ {
+			e.CallAt(Time(i), fire, nil, nil)
+		}
+	}); allocs > (n+eventSlab-1)/eventSlab {
+		t.Errorf("first %d pooled events: %.0f allocations, want ≤ %d", n, allocs, (n+eventSlab-1)/eventSlab)
+	}
+	for _, e := range engs {
+		e.Run()
+	}
+	if fired != (runs+1)*n {
+		t.Fatalf("%d events fired, want %d", fired, (runs+1)*n)
+	}
+}

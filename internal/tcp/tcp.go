@@ -385,12 +385,17 @@ func (r *Receiver) Receive(p *pkt.Packet) {
 func (r *Receiver) Done() bool { return r.done }
 
 // insert merges [start, end) into the reassembly state and advances
-// rcvNxt across any now-contiguous prefix. The interval list is kept
-// sorted by insertion (a shift-and-merge in place), so the common
-// in-order arrival neither sorts nor allocates.
+// rcvNxt across any now-contiguous prefix. The common in-order arrival,
+// with nothing buffered out of order, only advances rcvNxt; otherwise
+// the interval list is kept sorted by insertion (a shift-and-merge in
+// place), so it never sorts.
 func (r *Receiver) insert(start, end int64) {
 	if end <= r.rcvNxt {
 		return // stale retransmit
+	}
+	if start <= r.rcvNxt && len(r.ooo) == 0 {
+		r.rcvNxt = end
+		return
 	}
 	if start < r.rcvNxt {
 		start = r.rcvNxt

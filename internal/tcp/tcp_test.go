@@ -230,6 +230,40 @@ func TestReceiverDupAcksForGap(t *testing.T) {
 	}
 }
 
+// TestReceiverInOrderAllocFree pins the in-order fast path: a receiver
+// fed in-order segments with nothing buffered out of order allocates
+// nothing, its first segment included. Each run takes a freshly built
+// receiver, so a one-off allocation per connection shows as one per run.
+func TestReceiverInOrderAllocFree(t *testing.T) {
+	const runs, segs = 20, 8
+	eng := sim.NewEngine(1)
+	pl := &pkt.Pool{}
+	pl.Put(pl.Get()) // one packet in flight at a time: the data, then its ACK
+	out := netem.ReceiverFunc(pkt.Put)
+	rcvs := make([]*Receiver, runs+1) // AllocsPerRun adds a warm-up run
+	for i := range rcvs {
+		rcvs[i] = NewReceiver(eng, out, pkt.Addr{Host: 2}, pkt.Addr{Host: 1}, 1, segs*1460, nil)
+		rcvs[i].SetPool(pl)
+	}
+	next := 0
+	if n := testing.AllocsPerRun(runs, func() {
+		r := rcvs[next]
+		next++
+		for i := 0; i < segs; i++ {
+			p := pl.Get()
+			p.Proto, p.Seq, p.Size = pkt.ProtoTCP, int64(i*1460), 1500
+			r.Receive(p)
+		}
+	}); n != 0 {
+		t.Errorf("in-order receive: %.0f allocations per %d-segment connection, want 0", n, segs)
+	}
+	for i, r := range rcvs {
+		if !r.Done() || r.rcvNxt != segs*1460 {
+			t.Fatalf("receiver %d: done %v, rcvNxt %d, want done at %d", i, r.Done(), r.rcvNxt, segs*1460)
+		}
+	}
+}
+
 // Property: any delivery permutation of the segments completes the stream.
 func TestPropertyReassemblyAnyOrder(t *testing.T) {
 	f := func(seed int64, nseg uint8) bool {

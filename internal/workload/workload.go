@@ -72,12 +72,14 @@ func NamedDist(name string) (*SizeDist, error) {
 // PaperWebCDF reproduces the shape of the request-size CDF the paper draws
 // from a CAIDA core-router trace: mostly-tiny requests with a tail to
 // 100 MB. Quoted anchors: 97.6 % ≤ 10 KB; largest 0.002 % in 5–100 MB.
-func PaperWebCDF() *SizeDist {
-	return NewSizeDist(
-		[]float64{100, 1 << 10, 10 << 10, 100 << 10, 1 << 20, 5 << 20, 100 << 20},
-		[]float64{0.30, 0.65, 0.976, 0.990, 0.9985, 0.99998, 1.0},
-	)
-}
+// Every call returns the same distribution; a SizeDist is immutable, so
+// one value serves every workload and goroutine.
+func PaperWebCDF() *SizeDist { return paperWeb }
+
+var paperWeb = NewSizeDist(
+	[]float64{100, 1 << 10, 10 << 10, 100 << 10, 1 << 20, 5 << 20, 100 << 20},
+	[]float64{0.30, 0.65, 0.976, 0.990, 0.9985, 0.99998, 1.0},
+)
 
 // Sample draws one flow size.
 func (d *SizeDist) Sample(r *rand.Rand) int64 {
@@ -110,25 +112,39 @@ func (d *SizeDist) Mean() float64 {
 
 // Arrivals schedules fn for n Poisson arrivals whose mean rate sustains
 // offeredBps of load given the distribution's mean flow size. fn receives
-// the drawn flow size. Arrival times use the engine's deterministic RNG.
+// the drawn flow size. Arrival times use the engine's deterministic RNG:
+// each arrival draws its size, runs fn, then draws the gap to the next.
 func Arrivals(eng clock.Clock, d *SizeDist, offeredBps float64, n int, fn func(size int64)) {
 	if offeredBps <= 0 || n <= 0 {
 		panic("workload: offered load and request count must be positive")
 	}
-	lambda := offeredBps / 8 / d.Mean() // requests per second
-	var schedule func(i int, at clock.Time)
-	schedule = func(i int, at clock.Time) {
-		if i >= n {
-			return
-		}
-		clock.At(eng, at, func() {
-			fn(d.Sample(eng.Rand()))
-			gap := clock.FromSeconds(eng.Rand().ExpFloat64() / lambda)
-			schedule(i+1, eng.Now()+gap)
-		})
+	a := &arrivals{eng: eng, d: d, lambda: offeredBps / 8 / d.Mean(), left: n, fn: fn}
+	eng.CallAt(eng.Now()+a.gap(), arrive, a, nil)
+}
+
+// arrivals is one Arrivals workload. It re-schedules itself through
+// CallAt with the package-level arrive, so the workload costs one
+// allocation however many arrivals it makes.
+type arrivals struct {
+	eng    clock.Clock
+	d      *SizeDist
+	lambda float64 // requests per second
+	left   int     // arrivals not yet fired, this one included
+	fn     func(size int64)
+}
+
+func (a *arrivals) gap() clock.Time {
+	return clock.FromSeconds(a.eng.Rand().ExpFloat64() / a.lambda)
+}
+
+// arrive fires one arrival of the *arrivals in a0 and schedules the next.
+func arrive(a0, _ any) {
+	a := a0.(*arrivals)
+	a.fn(a.d.Sample(a.eng.Rand()))
+	gap := a.gap()
+	if a.left--; a.left > 0 {
+		a.eng.CallAt(a.eng.Now()+gap, arrive, a, nil)
 	}
-	first := eng.Now() + clock.FromSeconds(eng.Rand().ExpFloat64()/lambda)
-	schedule(0, first)
 }
 
 // OracleFCT estimates a request's completion time on an unloaded path:

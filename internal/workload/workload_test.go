@@ -6,6 +6,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"bundler/internal/clock"
 	"bundler/internal/sim"
 )
 
@@ -114,6 +115,77 @@ func TestArrivalsDeterministicPerSeed(t *testing.T) {
 		if a[i] != b[i] {
 			t.Fatal("same seed produced different workloads")
 		}
+	}
+}
+
+// refArrivals is the recursive-closure Arrivals that the closure-free
+// one replaced, kept as the reference for TestArrivalsMatchReference.
+func refArrivals(eng clock.Clock, d *SizeDist, offeredBps float64, n int, fn func(size int64)) {
+	lambda := offeredBps / 8 / d.Mean()
+	var schedule func(i int, at clock.Time)
+	schedule = func(i int, at clock.Time) {
+		if i >= n {
+			return
+		}
+		clock.At(eng, at, func() {
+			fn(d.Sample(eng.Rand()))
+			gap := clock.FromSeconds(eng.Rand().ExpFloat64() / lambda)
+			schedule(i+1, eng.Now()+gap)
+		})
+	}
+	first := eng.Now() + clock.FromSeconds(eng.Rand().ExpFloat64()/lambda)
+	schedule(0, first)
+}
+
+// TestArrivalsMatchReference checks Arrivals against the reference: the
+// same (time, size) sequence for every seed and count. The callback
+// draws from the engine's RNG too, as starting a flow may, so the test
+// also pins the draw order: size, then the callback, then the gap.
+func TestArrivalsMatchReference(t *testing.T) {
+	type arrival struct {
+		at   clock.Time
+		size int64
+	}
+	run := func(arrivals func(clock.Clock, *SizeDist, float64, int, func(int64)), seed int64, n int) []arrival {
+		eng := sim.NewEngine(seed)
+		var got []arrival
+		arrivals(eng, PaperWebCDF(), 24e6, n, func(size int64) {
+			got = append(got, arrival{eng.Now(), size})
+			eng.Rand().Int63()
+		})
+		eng.Run()
+		return got
+	}
+	for seed := int64(1); seed <= 20; seed++ {
+		for _, n := range []int{1, 2, 100} {
+			got, want := run(Arrivals, seed, n), run(refArrivals, seed, n)
+			if len(got) != n || len(want) != n {
+				t.Fatalf("seed %d n %d: %d arrivals, reference %d", seed, n, len(got), len(want))
+			}
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("seed %d n %d: arrival %d = %+v, reference %+v", seed, n, i, got[i], want[i])
+				}
+			}
+		}
+	}
+}
+
+// TestArrivalsAllocs pins what a workload costs: one allocation per
+// Arrivals call, none per arrival.
+func TestArrivalsAllocs(t *testing.T) {
+	const n = 1000
+	eng := sim.NewEngine(1)
+	count := 0
+	fn := func(int64) { count++ }
+	if allocs := testing.AllocsPerRun(10, func() {
+		Arrivals(eng, PaperWebCDF(), 24e6, n, fn)
+		eng.Run()
+	}); allocs > 1 {
+		t.Errorf("Arrivals of %d requests: %.0f allocations, want ≤ 1", n, allocs)
+	}
+	if count != 11*n {
+		t.Fatalf("%d arrivals fired, want %d", count, 11*n)
 	}
 }
 

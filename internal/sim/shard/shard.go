@@ -9,9 +9,9 @@
 // window the partitions are independent — no shared mutable state — so
 // they can run on separate goroutines. A packet crossing partitions
 // becomes a timestamped message appended to the source partition's
-// outbox; outboxes are drained at the window barrier (single-threaded),
-// sorted into a deterministic order, ownership-transferred to the
-// destination's pool, and injected as ordinary engine events.
+// outbox; outboxes are drained at the window barrier (single-threaded):
+// each message is ownership-transferred to the destination's pool and
+// injected into the destination engine through its port's lane.
 //
 // The lookahead argument is what makes this safe: a message emitted at
 // any time t inside a window [start, end] travels with latency ≥
@@ -21,17 +21,20 @@
 //
 // Determinism does not depend on the worker count: each partition's
 // execution within a window is a function of its own prior state, and
-// the barrier merge sorts messages by (arrival time, source partition,
-// per-source emission sequence). Running shards=1 and shards=N therefore
-// produces byte-identical results — the property the scenario-level
-// determinism tests pin down.
+// the barrier injects messages in a fixed order — partitions by ID, each
+// outbox in emission order — so each destination engine stamps its
+// arrivals with (time, seq) keys whose seq follows (source partition,
+// emission). The engine's heap then delivers them by (arrival time,
+// source partition, emission), with no sort at the barrier. Running
+// shards=1 and shards=N therefore produces byte-identical results — the
+// property the scenario-level determinism tests pin down.
 package shard
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 
+	"bundler/internal/clock"
 	"bundler/internal/netem"
 	"bundler/internal/pkt"
 	"bundler/internal/sim"
@@ -46,10 +49,7 @@ const maxOutbox = 1 << 20
 // message is one cross-partition packet in flight between windows.
 type message struct {
 	arrive sim.Time
-	src    int    // source partition ID (merge tie-break)
-	seq    uint64 // per-source emission order (merge tie-break)
-	tgt    *Part
-	dst    netem.Receiver
+	port   *Port
 	p      *pkt.Packet
 }
 
@@ -60,8 +60,8 @@ type message struct {
 // only cross-partition synchronization point.
 type Part struct {
 	// ID is the partition's stable index in its World (creation order).
-	// RNG streams and merge ordering key off it, so it must not depend
-	// on the shard count.
+	// RNG streams and the barrier's injection order key off it, so it
+	// must not depend on the shard count.
 	ID int
 	// Eng is the partition's private event engine.
 	Eng *sim.Engine
@@ -69,26 +69,27 @@ type Part struct {
 	Pool *pkt.Pool
 
 	outbox []message
-	msgSeq uint64
 }
 
-func (pa *Part) send(arrive sim.Time, tgt *Part, dst netem.Receiver, p *pkt.Packet) {
+func (pa *Part) send(arrive sim.Time, port *Port, p *pkt.Packet) {
 	if len(pa.outbox) >= maxOutbox {
 		panic(fmt.Sprintf("shard: partition %d outbox exceeds %d messages in one window", pa.ID, maxOutbox))
 	}
-	pa.outbox = append(pa.outbox, message{arrive: arrive, src: pa.ID, seq: pa.msgSeq, tgt: tgt, dst: dst, p: p})
-	pa.msgSeq++
+	pa.outbox = append(pa.outbox, message{arrive: arrive, port: port, p: p})
 }
 
 // Port is a cross-partition edge endpoint: a netem.Receiver living on
 // the source partition that delivers packets to dst on the target
 // partition after latency. The crossing's propagation delay lives here
 // and nowhere else (an upstream Link carries delay 0), and it is the
-// edge's contribution to the world's lookahead.
+// edge's contribution to the world's lookahead. A port's arrivals never
+// go backwards (fixed latency, monotone source clock), so the barrier
+// injects them through one lane on the target engine.
 type Port struct {
 	src     *Part
 	tgt     *Part
 	dst     netem.Receiver
+	lane    clock.Lane
 	latency sim.Time
 }
 
@@ -106,7 +107,7 @@ func (w *World) NewPort(src, tgt *Part, dst netem.Receiver, latency sim.Time) *P
 	if dst == nil {
 		panic("shard: port needs a destination receiver")
 	}
-	pt := &Port{src: src, tgt: tgt, dst: dst, latency: latency}
+	pt := &Port{src: src, tgt: tgt, dst: dst, lane: tgt.Eng.NewLane(), latency: latency}
 	w.ports = append(w.ports, pt)
 	return pt
 }
@@ -114,7 +115,7 @@ func (w *World) NewPort(src, tgt *Part, dst netem.Receiver, latency sim.Time) *P
 // Receive implements netem.Receiver: it records the packet for the
 // barrier, to arrive one latency from now.
 func (pt *Port) Receive(p *pkt.Packet) {
-	pt.src.send(pt.src.Eng.Now()+pt.latency, pt.tgt, pt.dst, p)
+	pt.src.send(pt.src.Eng.Now()+pt.latency, pt, p)
 }
 
 // World is a set of partitions advancing in lock-step windows.
@@ -124,7 +125,6 @@ type World struct {
 	shards int
 
 	transferred int64
-	scratch     []message
 
 	running bool
 }
@@ -187,44 +187,32 @@ func (w *World) Transferred() int64 { return w.transferred }
 // netem.Receiver, a1 the packet.
 func deliverMsg(a0, a1 any) { a0.(netem.Receiver).Receive(a1.(*pkt.Packet)) }
 
-// drain merges every partition's outbox in deterministic order and
-// injects the messages into their destination engines. It runs
-// single-threaded at the window barrier; end is the barrier time every
-// engine has reached.
+// drain injects every partition's outbox into the destination engines.
+// It runs single-threaded at the window barrier; end is the barrier time
+// every engine has reached. It visits partitions in ID order and each
+// outbox in emission order, so a destination engine stamps the messages
+// it receives with seq numbers in (source partition, emission) order.
+// The engine's (at, seq) heap therefore pops them by (arrival, source
+// partition, emission) — the merge order, with no sort here — after any
+// equal arrival from an earlier barrier, which holds a lower seq. Each
+// port's lane, whose arrivals never decrease, keeps the (at, seq) stamp
+// CallAt would give while only its earliest event sits in the heap.
 func (w *World) drain(end sim.Time) {
-	msgs := w.scratch[:0]
 	for _, pa := range w.parts {
-		msgs = append(msgs, pa.outbox...)
 		for i := range pa.outbox {
-			pa.outbox[i] = message{} // drop packet refs
+			m := &pa.outbox[i]
+			if m.arrive < end {
+				panic(fmt.Sprintf("shard: lookahead violation: message from partition %d arrives at %v, before window bound %v",
+					pa.ID, m.arrive, end))
+			}
+			pt := m.port
+			pkt.Transfer(m.p, pt.tgt.Pool)
+			pt.lane.CallAt(m.arrive, deliverMsg, pt.dst, m.p)
+			*m = message{} // drop the packet ref
 		}
+		w.transferred += int64(len(pa.outbox))
 		pa.outbox = pa.outbox[:0]
 	}
-	if len(msgs) == 0 {
-		w.scratch = msgs
-		return
-	}
-	sort.Slice(msgs, func(i, j int) bool {
-		if msgs[i].arrive != msgs[j].arrive {
-			return msgs[i].arrive < msgs[j].arrive
-		}
-		if msgs[i].src != msgs[j].src {
-			return msgs[i].src < msgs[j].src
-		}
-		return msgs[i].seq < msgs[j].seq
-	})
-	for i := range msgs {
-		m := &msgs[i]
-		if m.arrive < end {
-			panic(fmt.Sprintf("shard: lookahead violation: message from partition %d arrives at %v, before window bound %v",
-				m.src, m.arrive, end))
-		}
-		pkt.Transfer(m.p, m.tgt.Pool)
-		m.tgt.Eng.CallAt(m.arrive, deliverMsg, m.dst, m.p)
-		w.transferred++
-		*m = message{}
-	}
-	w.scratch = msgs[:0]
 }
 
 // Run advances every partition in lock-step windows until check reports

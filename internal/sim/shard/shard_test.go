@@ -91,12 +91,14 @@ func TestShardCountInvariant(t *testing.T) {
 // TestWindowBound checks messages are delivered exactly one latency
 // after emission, i.e. windowing adds no artificial delay, and that
 // messages arriving at the same instant are delivered in (source
-// partition, emission) order.
+// partition, emission) order — also when one source's tied messages
+// cross ports of different latency, emitted at different times.
 func TestWindowBound(t *testing.T) {
 	w := NewWorld()
 	a := w.AddPart(1)
 	b := w.AddPart(2)
 	c := w.AddPart(3)
+	d := w.AddPart(4)
 	var arrived []sim.Time
 	var flows []uint64
 	sink := netem.ReceiverFunc(func(p *pkt.Packet) {
@@ -105,8 +107,8 @@ func TestWindowBound(t *testing.T) {
 		pkt.Put(p)
 	})
 	const emit = 40 * sim.Millisecond
-	send := func(pa *Part, port *Port, ids ...uint64) {
-		clock.At(pa.Eng, emit, func() {
+	send := func(at sim.Time, pa *Part, port *Port, ids ...uint64) {
+		clock.At(pa.Eng, at, func() {
 			for _, id := range ids {
 				p := pa.Pool.Get()
 				p.FlowID = id
@@ -114,16 +116,22 @@ func TestWindowBound(t *testing.T) {
 			}
 		})
 	}
-	send(c, w.NewPort(c, b, sink, 25*sim.Millisecond), 3, 4)
-	send(a, w.NewPort(a, b, sink, 25*sim.Millisecond), 1, 2)
+	send(emit, c, w.NewPort(c, b, sink, 25*sim.Millisecond), 3, 4)
+	send(emit, a, w.NewPort(a, b, sink, 25*sim.Millisecond), 1, 2)
+	// d's slower port is declared second but fires first, in the same
+	// window: flow 5 leaves 5ms before flow 6, and both arrive with the
+	// rest.
+	fast := w.NewPort(d, b, sink, 25*sim.Millisecond)
+	send(emit-5*sim.Millisecond, d, w.NewPort(d, b, sink, 30*sim.Millisecond), 5)
+	send(emit, d, fast, 6)
 	w.Run(sim.Second, nil)
 	for _, at := range arrived {
 		if want := emit + 25*sim.Millisecond; at != want {
 			t.Fatalf("arrival at %v, want %v", at, want)
 		}
 	}
-	if got := fmt.Sprint(flows); got != "[1 2 3 4]" {
-		t.Fatalf("same-instant delivery order %s, want [1 2 3 4]", got)
+	if got := fmt.Sprint(flows); got != "[1 2 3 4 5 6]" {
+		t.Fatalf("same-instant delivery order %s, want [1 2 3 4 5 6]", got)
 	}
 	if la := w.Lookahead(); la != 25*sim.Millisecond {
 		t.Fatalf("lookahead %v, want 25ms", la)
@@ -137,11 +145,11 @@ func TestLookaheadViolationPanics(t *testing.T) {
 	a := w.AddPart(1)
 	b := w.AddPart(2)
 	sink := netem.ReceiverFunc(func(p *pkt.Packet) { pkt.Put(p) })
-	w.NewPort(a, b, sink, 50*sim.Millisecond)
+	port := w.NewPort(a, b, sink, 50*sim.Millisecond)
 	clock.At(a.Eng, 10*sim.Millisecond, func() {
 		// A message claiming instant arrival, as a bug in Port would
 		// produce: 10ms is inside the first [0, 50ms) window.
-		a.send(a.Eng.Now(), b, sink, a.Pool.Get())
+		a.send(a.Eng.Now(), port, a.Pool.Get())
 	})
 	defer func() {
 		r := recover()

@@ -181,9 +181,9 @@ type Sendbox struct {
 
 	// Inner loop.
 	alg      ccalg.Alg
-	pulser   *ccalg.Pulser
-	detector *ccalg.Detector
-	pi       *ccalg.PIController
+	pulser   ccalg.Pulser
+	detector ccalg.Detector
+	pi       ccalg.PIController
 	mode     Mode
 
 	// Epoch/measurement state.
@@ -256,11 +256,11 @@ func NewSendbox(eng clock.Clock, cfg Config, downstream netem.Receiver, ctlAddr,
 		ctlAddr:    ctlAddr,
 		peerCtl:    peerCtl,
 		alg:        ccalg.New(cfg.Algorithm),
-		pulser:     ccalg.NewPulser(),
-		pi:         ccalg.NewPIController(),
+		pulser:     *ccalg.NewPulser(),
+		pi:         *ccalg.NewPIController(),
 		epochN:     initialEpochN,
 	}
-	s.detector = ccalg.NewDetector(s.pulser.Frequency(), 1/controlInterval.Seconds())
+	s.detector = *ccalg.NewDetector(s.pulser.Frequency(), 1/controlInterval.Seconds())
 	// The pacer is a link whose qdisc is the operator's scheduler; its
 	// rate is rewritten by the control loop, exactly like the patched TBF
 	// in the prototype (§6.1).
@@ -795,9 +795,6 @@ func (s *Sendbox) QueueDelay() clock.Time {
 	mu := s.mu()
 	return clock.Time(float64(s.link.Queue().Bytes()*8) / mu * float64(clock.Second))
 }
-
-// CurrentRate reports the applied pacing rate in bits/s.
-func (s *Sendbox) CurrentRate() float64 { return s.link.Rate() }
 
 // EpochN reports the current epoch size in packets.
 func (s *Sendbox) EpochN() uint64 { return s.epochN }

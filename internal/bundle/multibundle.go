@@ -59,8 +59,8 @@ func (m *MultiSendbox) Receive(p *pkt.Packet) {
 	m.boxes[i].Receive(p)
 }
 
-// Box returns the i-th member sendbox.
-func (m *MultiSendbox) Box(i int) *Sendbox { return m.boxes[i] }
+// box returns the i-th member sendbox.
+func (m *MultiSendbox) box(i int) *Sendbox { return m.boxes[i] }
 
 // Stop halts every member's control loop.
 func (m *MultiSendbox) Stop() {

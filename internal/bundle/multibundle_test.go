@@ -94,8 +94,8 @@ func TestMultiSendboxTwoBundles(t *testing.T) {
 	if tput1 < 0.25*(tput1+tput2) || tput2 < 0.25*(tput1+tput2) {
 		t.Fatalf("unfair split: %.1f / %.1f Mbit/s", tput1, tput2)
 	}
-	if multi.Box(0) != sb1 || multi.Box(1) != sb2 {
-		t.Fatal("Box accessor wrong")
+	if multi.box(0) != sb1 || multi.box(1) != sb2 {
+		t.Fatal("box accessor wrong")
 	}
 }
 

@@ -328,6 +328,9 @@ func NewMesh(o MeshOptions) *Mesh {
 	// fronts its N-1 sendboxes with one MultiSendbox — the physical box —
 	// classified by destination host, learned as flow addresses are
 	// allocated (Site.onNewDst). Everything here lives on partition i.
+	// The pairs themselves are one slice.
+	pairs := make([]MeshPair, 0, o.Sites*(o.Sites-1))
+	m.Pairs = make([]*MeshPair, 0, cap(pairs))
 	for i := 0; i < o.Sites; i++ {
 		fab := m.Fabs[i]
 		var boxes []*bundle.Sendbox
@@ -353,7 +356,8 @@ func NewMesh(o MeshOptions) *Mesh {
 				boxes = append(boxes, site.SB)
 				site.onNewDst = func(host uint32) { classify[host] = box }
 			}
-			m.Pairs = append(m.Pairs, &MeshPair{Src: i, Dst: j, Site: site})
+			pairs = append(pairs, MeshPair{Src: i, Dst: j, Site: site})
+			m.Pairs = append(m.Pairs, &pairs[len(pairs)-1])
 		}
 		if o.Bundled {
 			multi := bundle.NewMultiSendbox(func(p *pkt.Packet) int {

@@ -115,12 +115,14 @@ func TestMeshSweepDeterminism(t *testing.T) {
 }
 
 // TestMeshSetupAllocs is the ceiling on what a mesh costs to build: an
-// 8-site bundled hub mesh, 56 bundles with one request each. Packets and
-// events come from slabs, each fabric has one destination mux and every
-// pair shares one size CDF; so built, it measures 1 543 allocations,
-// and the ceiling leaves a few percent of headroom above that.
+// 8-site bundled hub mesh, 56 bundles with one request each. Packets,
+// events, timers, tickers, sites and recorders come from slabs, the
+// pairs are one slice, a sendbox holds its detector, pulser and PI
+// controller by value, each fabric has one destination mux and every
+// pair shares one size CDF; so built, it measures 1 218 allocations,
+// and the ceiling leaves about 3 % of headroom above that.
 func TestMeshSetupAllocs(t *testing.T) {
-	const ceiling = 1600
+	const ceiling = 1255
 	o := MeshOptions{Seed: 1, Sites: 8, Bundled: true, Requests: 1, Shards: 1}
 	if n := testing.AllocsPerRun(5, func() { NewMesh(o) }); n > ceiling {
 		t.Errorf("NewMesh(8-site bundled hub, 1 request/pair): %.0f allocations, want ≤ %d", n, ceiling)

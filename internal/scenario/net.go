@@ -80,6 +80,8 @@ type Fabric struct {
 	Pool *pkt.Pool
 
 	muxB      *tcp.Mux // the destination mux, shared by every site
+	sites     sim.Slab[Site]
+	recs      sim.Slab[workload.Recorder]
 	nextHost  uint32
 	nextCtl   uint32
 	hostLimit uint32
@@ -158,7 +160,8 @@ func (n *Net) AddSite(bcfg *bundle.Config) *Site {
 // Bundler (status quo); otherwise a Sendbox is interposed in front of
 // egress and a Receivebox taps the site's ingress.
 func (f *Fabric) AddSiteAt(egress netem.Receiver, bcfg *bundle.Config) *Site {
-	s := &Site{net: f}
+	s := f.sites.New()
+	s.net = f
 	if bcfg == nil {
 		s.ingress = f.muxB
 		s.egress = egress
@@ -238,8 +241,10 @@ func (s *Site) addrs(dstPort uint16) (src, dst pkt.Addr) {
 
 // AddFlow starts a size-byte transfer through the site at the current
 // virtual time. done (optional) receives the flow's completion time, as
-// observed at the receiver (last byte arrival). Endpoint addresses are
-// recycled on completion so long experiments keep the muxes small.
+// observed at the receiver (last byte arrival). Every flow takes fresh
+// endpoint addresses, which are never reused. Completion unregisters both
+// endpoints from their muxes, but the destination host's demux route
+// stays, so the demux grows by one route per flow.
 func (s *Site) AddFlow(size int64, cc tcp.Congestion, done func(size int64, fct sim.Time)) *tcp.Sender {
 	return s.AddFlowPort(size, cc, 80, done)
 }
@@ -247,20 +252,25 @@ func (s *Site) AddFlow(size int64, cc tcp.Congestion, done func(size int64, fct 
 // AddFlowPort is AddFlow with an explicit destination port, which the
 // §7.2 priority experiment uses as its traffic-class marker.
 func (s *Site) AddFlowPort(size int64, cc tcp.Congestion, dstPort uint16, done func(size int64, fct sim.Time)) *tcp.Sender {
-	n := s.net
-	src, dst := s.addrs(dstPort)
-	n.flowID++
-	id := n.flowID
-	start := n.Eng.Now()
-	var snd *tcp.Sender
-	rcv := tcp.NewReceiver(n.Eng, n.Reverse, dst, src, id, size, func(now sim.Time) {
+	start := s.net.Eng.Now()
+	return s.addFlow(size, cc, dstPort, func(now sim.Time) {
 		if done != nil {
 			done(size, now-start)
 		}
 	})
+}
+
+// addFlow is AddFlowPort with the receiver's own completion callback,
+// which gets the virtual time the last byte arrived.
+func (s *Site) addFlow(size int64, cc tcp.Congestion, dstPort uint16, rcvDone func(now sim.Time)) *tcp.Sender {
+	n := s.net
+	src, dst := s.addrs(dstPort)
+	n.flowID++
+	id := n.flowID
+	rcv := tcp.NewReceiver(n.Eng, n.Reverse, dst, src, id, size, rcvDone)
 	rcv.SetPool(n.Pool)
-	snd = tcp.NewSender(n.Eng, s.egress, src, dst, id, size, cc, func(now sim.Time) {
-		// Sender-side completion: both directions are finished; recycle.
+	snd := tcp.NewSender(n.Eng, s.egress, src, dst, id, size, cc, func(now sim.Time) {
+		// Sender-side completion: both directions are finished.
 		n.MuxA.Unregister(src)
 		n.muxB.Unregister(dst)
 	})
@@ -370,7 +380,7 @@ type Traffic struct {
 	Sketch bool
 }
 
-func (t *Traffic) cc() tcp.Congestion {
+func (t Traffic) cc() tcp.Congestion {
 	if t.FixedCwndSegs > 0 {
 		return tcp.NewFixedCwnd(t.FixedCwndSegs)
 	}
@@ -378,11 +388,13 @@ func (t *Traffic) cc() tcp.Congestion {
 }
 
 // RunOpenLoop schedules tr.Requests Poisson arrivals through the site and
-// returns the recorder that accumulates their completions. The engine is
-// not run; drive it with Net.RunUntilDone.
+// returns the recorder that accumulates their completions; recorders are
+// carved from the fabric's slab. The engine is not run; drive it with
+// Net.RunUntilDone.
 func (s *Site) RunOpenLoop(tr Traffic) *workload.Recorder {
-	if tr.Dist == nil {
-		tr.Dist = workload.PaperWebCDF()
+	dist := tr.Dist
+	if dist == nil {
+		dist = workload.PaperWebCDF()
 	}
 	rate, rtt := s.net.OracleRate, s.net.OracleRTT
 	if tr.OracleRate > 0 {
@@ -391,7 +403,8 @@ func (s *Site) RunOpenLoop(tr Traffic) *workload.Recorder {
 	if tr.OracleRTT > 0 {
 		rtt = tr.OracleRTT
 	}
-	rec := workload.NewRecorder(rate, rtt)
+	rec := s.net.recs.New()
+	*rec = *workload.NewRecorder(rate, rtt)
 	if tr.Sketch {
 		rec.UseSketch()
 	} else if tr.Requests < 1<<20 { // huge counts mean "run until the horizon"
@@ -401,16 +414,16 @@ func (s *Site) RunOpenLoop(tr Traffic) *workload.Recorder {
 	if port == 0 {
 		port = 80
 	}
-	workload.Arrivals(s.net.Eng, tr.Dist, tr.OfferedBps, tr.Requests, func(size int64) {
-		if s.net.Eng.Now() < tr.Warmup {
-			s.AddFlowPort(size, tr.cc(), port, func(int64, sim.Time) {
-				rec.RecordUncounted()
-			})
+	// Each flow's receiver callback records straight into rec, so a
+	// request costs no completion closure beyond the receiver's own.
+	eng := s.net.Eng
+	workload.Arrivals(eng, dist, tr.OfferedBps, tr.Requests, func(size int64) {
+		start := eng.Now()
+		if start < tr.Warmup {
+			s.addFlow(size, tr.cc(), port, func(sim.Time) { rec.RecordUncounted() })
 			return
 		}
-		s.AddFlowPort(size, tr.cc(), port, func(sz int64, fct sim.Time) {
-			rec.Record(sz, fct)
-		})
+		s.addFlow(size, tr.cc(), port, func(now sim.Time) { rec.Record(size, now-start) })
 	})
 	return rec
 }

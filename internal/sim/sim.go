@@ -194,6 +194,8 @@ type Engine struct {
 	evs     []event  // never-used pooled events, carved eventSlab at a time
 	queued  int      // lane events waiting behind their lane's head
 	lanes   []lane   // carved into NewLane results, laneSlab at a time
+	timers  Slab[timer]
+	tickers Slab[ticker]
 }
 
 // laneSlab is how many lanes one allocation backs: a component that
@@ -203,6 +205,31 @@ const laneSlab = 128
 // eventSlab is how many pooled events one allocation backs, for the
 // events the free list cannot yet supply.
 const eventSlab = 64
+
+// slabCap is the largest chunk a Slab allocates.
+const slabCap = 16
+
+// Slab hands out pointers to zeroed values of T carved from shared
+// chunks. The first chunk holds one value and each next one twice as
+// many, up to slabCap: a handful of objects costs a handful of
+// allocations, and many cost one per slabCap. A live value keeps its
+// whole chunk reachable, so it pins at most slabCap-1 dead neighbours.
+// The zero Slab is ready to use.
+type Slab[T any] struct {
+	free []T
+	size int
+}
+
+// New returns a pointer to the next zeroed T.
+func (s *Slab[T]) New() *T {
+	if len(s.free) == 0 {
+		s.size = min(max(2*s.size, 1), slabCap)
+		s.free = make([]T, s.size)
+	}
+	v := &s.free[0]
+	s.free = s.free[1:]
+	return v
+}
 
 // NewEngine returns an engine whose clock starts at zero and whose random
 // source is seeded with seed.
@@ -280,21 +307,23 @@ func (e *Engine) NewLane() clock.Lane {
 }
 
 // NewTimer implements clock.Clock: it returns an unarmed timer bound to
-// fn.
+// fn, carved from the engine's timer slab.
 func (e *Engine) NewTimer(fn func()) clock.Timer {
-	t := &timer{}
+	t := e.timers.New()
 	t.init(e, fn)
 	return t
 }
 
 // Tick implements clock.Clock: fn runs every period, first one period
 // from now, until the returned ticker is stopped. Each tick re-arms an
-// intrusive timer, so a running ticker allocates nothing.
+// intrusive timer, so a running ticker allocates nothing. Tickers are
+// carved from the engine's ticker slab.
 func (e *Engine) Tick(period Time, fn func()) clock.Ticker {
 	if period <= 0 {
 		panic("sim: Tick period must be positive")
 	}
-	t := &ticker{period: period, fn: fn}
+	t := e.tickers.New()
+	t.period, t.fn = period, fn
 	t.timer.init(e, t.tick)
 	t.timer.ArmAfter(period)
 	return t

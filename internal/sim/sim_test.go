@@ -365,3 +365,83 @@ func TestPooledEventSlabs(t *testing.T) {
 		t.Fatalf("%d events fired, want %d", fired, (runs+1)*n)
 	}
 }
+
+// noop is the package-level callback TestTimerTickerSlabs' timers share,
+// so a timer's own storage is all that NewTimer can allocate.
+func noop() {}
+
+// TestTimerTickerSlabs pins slab carving for timers and tickers. A fresh
+// engine's first N timers cost the growing chunks (1, 2, 4 and 8
+// timers) plus one chunk per slabCap after them; a ticker adds only its
+// bound tick method. Timers that share a chunk stay independent: with
+// every other one stopped, exactly the armed ones fire, in (at, seq)
+// order.
+func TestTimerTickerSlabs(t *testing.T) {
+	const runs, n = 10, 100
+	budget := 5 + (n+slabCap-1)/slabCap
+	fresh := func() []*Engine {
+		engs := make([]*Engine, runs+1) // AllocsPerRun adds a warm-up run
+		for i := range engs {
+			engs[i] = NewEngine(1)
+			engs[i].events = make(eventHeap, 0, n)
+		}
+		return engs
+	}
+	engs, next := fresh(), 0
+	kept := make([]clock.Timer, n) // a discarded timer could live on the stack
+	if allocs := testing.AllocsPerRun(runs, func() {
+		e := engs[next]
+		next++
+		for i := range kept {
+			kept[i] = e.NewTimer(noop)
+		}
+	}); allocs > float64(budget) {
+		t.Errorf("first %d timers: %.0f allocations, want ≤ %d", n, allocs, budget)
+	}
+	engs, next = fresh(), 0
+	if allocs := testing.AllocsPerRun(runs, func() {
+		e := engs[next]
+		next++
+		for i := 0; i < n; i++ {
+			e.Tick(Millisecond, noop)
+		}
+	}); allocs > float64(n+budget) {
+		t.Errorf("first %d tickers: %.0f allocations, want ≤ %d", n, allocs, n+budget)
+	}
+
+	e := NewEngine(1)
+	type armed struct {
+		at Time
+		i  int
+	}
+	var fired, want []armed
+	timers := make([]clock.Timer, 40) // spans the 1-, 2-, 4-, 8- and 16-timer chunks and one more
+	for i := range timers {
+		timers[i] = e.NewTimer(func() { fired = append(fired, armed{e.Now(), i}) })
+	}
+	for i, tm := range timers {
+		at := Time(i*7%5) * Millisecond // equal times: seq, i.e. arming order, breaks ties
+		tm.ArmAt(at)
+		if i%2 == 0 {
+			want = append(want, armed{at, i})
+		}
+	}
+	for i := 1; i < len(timers); i += 2 {
+		timers[i].Stop()
+	}
+	for i, tm := range timers {
+		if tm.Pending() != (i%2 == 0) {
+			t.Fatalf("timer %d: Pending() = %v after stopping the odd timers", i, tm.Pending())
+		}
+	}
+	sort.SliceStable(want, func(a, b int) bool { return want[a].at < want[b].at })
+	e.Run()
+	if len(fired) != len(want) {
+		t.Fatalf("%d timers fired, want %d: %v", len(fired), len(want), fired)
+	}
+	for k := range want {
+		if fired[k] != want[k] {
+			t.Fatalf("firing %d: timer %d at %v, want timer %d at %v", k, fired[k].i, fired[k].at, want[k].i, want[k].at)
+		}
+	}
+}

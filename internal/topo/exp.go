@@ -2,8 +2,10 @@ package topo
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 	"sync"
+	"unicode/utf8"
 
 	"bundler/internal/exp"
 	"bundler/internal/report"
@@ -256,6 +258,14 @@ func summaryResult(cfg *Config, seed int64, p exp.Params, header string, outs []
 	var w strings.Builder
 	scenario.ReportHeader(&w, header)
 	res := exp.Result{Experiment: cfg.Name, Seed: seed, Params: p}
+	n := 0
+	for _, o := range outs {
+		n += 3*len(o.c.webs) + len(o.c.bulks) + 2*len(o.c.pings) + len(o.c.cbrs) + 2*len(o.c.fluids)
+	}
+	if n > 0 { // no metrics leaves Metrics nil
+		res.Metrics = make([]exp.Metric, 0, n)
+	}
+	var line []byte
 	for _, o := range outs {
 		fmt.Fprintf(&w, "%s (ran %.0fs virtual):\n", o.label, o.stop.Seconds())
 		prefix := strings.ReplaceAll(o.label, " ", "_") + "/"
@@ -268,11 +278,12 @@ func summaryResult(cfg *Config, seed int64, p exp.Params, header string, outs []
 			if web.Class != "" {
 				name = web.Host + "." + web.Class
 			}
-			fmt.Fprintf(&w, "  web  %-12s completed %d/%d, slowdown p50=%.2f p90=%.2f p99=%.2f\n",
-				name, web.Rec.Completed, web.Requests, s.P50, s.P90, s.P99)
-			res.AddMetric(prefix+"web-"+name+"/completed", float64(web.Rec.Completed), "requests")
-			res.AddMetric(prefix+"web-"+name+"/median-slowdown", s.P50, "")
-			res.AddMetric(prefix+"web-"+name+"/p99-slowdown", s.P99, "")
+			line = appendWebLine(line[:0], name, web.Rec.Completed, web.Requests, s.P50, s.P90, s.P99)
+			w.Write(line)
+			names := webMetricNames(prefix, name)
+			res.AddMetric(names[0], float64(web.Rec.Completed), "requests")
+			res.AddMetric(names[1], s.P50, "")
+			res.AddMetric(names[2], s.P99, "")
 		}
 		for _, bk := range o.c.bulks {
 			var acked int64
@@ -306,4 +317,49 @@ func summaryResult(cfg *Config, seed int64, p exp.Params, header string, outs []
 	}
 	res.Report = w.String()
 	return res
+}
+
+// appendWebLine appends a web workload's report line to b; it is
+// fmt.Sprintf("  web  %-12s completed %d/%d, slowdown p50=%.2f p90=%.2f
+// p99=%.2f\n", ...) without boxing its arguments.
+func appendWebLine(b []byte, name string, completed, requests int, p50, p90, p99 float64) []byte {
+	b = append(b, "  web  "...)
+	b = append(b, name...)
+	for pad := 12 - utf8.RuneCountInString(name); pad > 0; pad-- {
+		b = append(b, ' ')
+	}
+	b = append(b, " completed "...)
+	b = strconv.AppendInt(b, int64(completed), 10)
+	b = append(b, '/')
+	b = strconv.AppendInt(b, int64(requests), 10)
+	b = append(b, ", slowdown p50="...)
+	b = strconv.AppendFloat(b, p50, 'f', 2, 64)
+	b = append(b, " p90="...)
+	b = strconv.AppendFloat(b, p90, 'f', 2, 64)
+	b = append(b, " p99="...)
+	b = strconv.AppendFloat(b, p99, 'f', 2, 64)
+	return append(b, '\n')
+}
+
+// webSuffixes are the names of a web workload's three metrics, in the
+// order summaryResult adds them.
+var webSuffixes = [3]string{"/completed", "/median-slowdown", "/p99-slowdown"}
+
+// webMetricNames returns prefix+"web-"+name+suffix for each of
+// webSuffixes, all three backed by one string.
+func webMetricNames(prefix, name string) (names [3]string) {
+	stem := len(prefix) + len("web-") + len(name)
+	var b strings.Builder
+	b.Grow(3*stem + len(webSuffixes[0]) + len(webSuffixes[1]) + len(webSuffixes[2]))
+	for _, sfx := range webSuffixes {
+		b.WriteString(prefix)
+		b.WriteString("web-")
+		b.WriteString(name)
+		b.WriteString(sfx)
+	}
+	all := b.String()
+	for i, sfx := range webSuffixes {
+		names[i], all = all[:stem+len(sfx)], all[stem+len(sfx):]
+	}
+	return names
 }

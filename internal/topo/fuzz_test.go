@@ -1,6 +1,7 @@
 package topo
 
 import (
+	"math"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -72,4 +73,16 @@ func tooBigToCompile(cfg *Config, pv map[string]string) bool {
 		}
 	}
 	return false
+}
+
+// FuzzWebLine: for any name, counts and quantiles, appendWebLine gives
+// exactly the text of the fmt format it replaced (TestWebLineMatchesFmt
+// holds the hand-picked cases).
+func FuzzWebLine(f *testing.F) {
+	f.Add("", 0, 0, 0.0, 0.0, 0.0)
+	f.Add("thirteen-rune", 299, 300, 1.005, math.Inf(1), math.NaN())
+	f.Add("東京", -1, math.MaxInt64, math.Copysign(0, -1), 1e300, -0.005)
+	f.Fuzz(func(t *testing.T, name string, completed, requests int, p50, p90, p99 float64) {
+		checkWebLine(t, name, completed, requests, p50, p90, p99)
+	})
 }

@@ -102,13 +102,9 @@ type Config struct {
 	// spacing, no hash collisions, no IP-ID dependence — at the cost of
 	// per-packet overhead and the loss of transparent fail-open.
 	TunnelMode bool
-	// DisableTelemetry stops the box from recording its trace series
-	// (RTTEstimates, RateEstimates, RateTrace).
-	// The traces grow by a few points per control tick for the whole
-	// run; scenarios that never read them — the N-site mesh runs
-	// thousands of boxes and reports only flow-level summaries — avoid
-	// O(ticks × boxes) retained memory by opting out. Recording only:
-	// control decisions are identical either way.
+	// DisableTelemetry has no effect: the box records no trace series.
+	// Observers use OnEpochSample and Rate instead. The field stays so
+	// that configurations which set it still compile.
 	DisableTelemetry bool
 }
 
@@ -125,12 +121,10 @@ func (c *Config) fillDefaults() {
 	}
 }
 
-// boundary is the sendbox's record of one epoch boundary packet.
-// Records are recycled through a per-sendbox free list (newBoundary /
-// freeBoundary): one is retired every time a congestion ACK matches, an
-// entry goes stale, or the table overflows.
+// boundary is the sendbox's record of one epoch boundary packet, keyed
+// by its hash in the boundary table. A zero seq means "no record": the
+// sequence counter starts at 1.
 type boundary struct {
-	hash      uint64
 	seq       uint64 // dequeue order
 	tsent     clock.Time
 	bytesSent int64
@@ -188,7 +182,7 @@ type Sendbox struct {
 
 	// Epoch/measurement state.
 	epochN        uint64
-	boundaries    map[uint64]*boundary // nil until the first boundary
+	boundaries    map[uint64]boundary // nil until the first boundary
 	boundaryOrder []uint64
 	seqCounter    uint64
 	maxAckedSeq   uint64
@@ -198,7 +192,7 @@ type Sendbox struct {
 	lastBytesIn   int64
 	arrivalEwma   float64 // smoothed bundle arrival rate, bits/s
 
-	lastAcked      *boundary
+	lastAcked      boundary
 	lastAckArrival clock.Time
 	lastBytesRcvd  int64
 	ackHistory     []ackPoint // recent ACK arrivals for multi-epoch rates
@@ -226,20 +220,20 @@ type Sendbox struct {
 	starvedSince  clock.Time
 	ipid          uint16
 	ticker        clock.Ticker
-	bFree         []*boundary // boundary record free list
 	pool          *pkt.Pool
 
-	// OnEpochSample, when set, observes every matched epoch measurement
-	// (the Figure 5/6 microbenchmark pairs these against per-packet
-	// ground truth recorded at the emulated bottleneck).
-	OnEpochSample func(hash uint64, rtt clock.Time, at clock.Time)
+	// OnEpochSample, when set, observes every matched congestion ACK
+	// after its rate computation: the boundary's hash, the RTT sample,
+	// the arrival time, and the receive rate (bits/s) the ACK added to
+	// the measurement window, or NaN if it added none. The Figure 5/6
+	// microbenchmark pairs these against per-packet ground truth
+	// recorded at the emulated bottleneck.
+	OnEpochSample func(hash uint64, rtt, at clock.Time, recvRate float64)
 
-	// Telemetry for experiments.
-	RTTEstimates  stats.TimeSeries // milliseconds
-	RateEstimates stats.TimeSeries // receive rate, Mbit/s
-	RateTrace     stats.TimeSeries // applied pacing rate, Mbit/s
-	AcksMatched   int
-	AcksSpurious  int
+	// AcksMatched and AcksSpurious count the congestion ACKs that did
+	// and did not match a recorded boundary.
+	AcksMatched  int
+	AcksSpurious int
 }
 
 // NewSendbox builds the source-site box. Packets it forwards are paced
@@ -325,36 +319,17 @@ func (s *Sendbox) onTransmitted(p *pkt.Packet) {
 	s.evictStaleBoundaries()
 	if _, dup := s.boundaries[h]; !dup {
 		if s.boundaries == nil {
-			s.boundaries = make(map[uint64]*boundary)
+			s.boundaries = make(map[uint64]boundary)
 		}
-		b := s.newBoundary()
-		*b = boundary{hash: h, seq: s.seqCounter, tsent: s.eng.Now(), bytesSent: s.bytesDequeued}
-		s.boundaries[h] = b
+		s.boundaries[h] = boundary{seq: s.seqCounter, tsent: s.eng.Now(), bytesSent: s.bytesDequeued}
 		s.boundaryOrder = append(s.boundaryOrder, h)
 		// Bound state: Bundler keeps no per-flow state, and its boundary
 		// table is bounded too.
 		if len(s.boundaryOrder) > 4096 {
-			old := s.boundaryOrder[0]
+			delete(s.boundaries, s.boundaryOrder[0])
 			s.boundaryOrder = s.boundaryOrder[1:]
-			if ob, ok := s.boundaries[old]; ok {
-				delete(s.boundaries, old)
-				s.freeBoundary(ob)
-			}
 		}
 	}
-}
-
-func (s *Sendbox) newBoundary() *boundary {
-	if n := len(s.bFree); n > 0 {
-		b := s.bFree[n-1]
-		s.bFree = s.bFree[:n-1]
-		return b
-	}
-	return new(boundary)
-}
-
-func (s *Sendbox) freeBoundary(b *boundary) {
-	s.bFree = append(s.bFree, b)
 }
 
 // evictStaleBoundaries drops records whose congestion ACK can no longer
@@ -370,15 +345,11 @@ func (s *Sendbox) evictStaleBoundaries() {
 	cutoff := s.eng.Now() - maxAge
 	for len(s.boundaryOrder) > 0 {
 		h := s.boundaryOrder[0]
-		b, ok := s.boundaries[h]
-		if ok && b.tsent >= cutoff {
+		if b, ok := s.boundaries[h]; ok && b.tsent >= cutoff {
 			break
 		}
 		s.boundaryOrder = s.boundaryOrder[1:]
-		if ok {
-			delete(s.boundaries, h)
-			s.freeBoundary(b)
-		}
+		delete(s.boundaries, h)
 	}
 }
 
@@ -409,22 +380,15 @@ func (s *Sendbox) onCtlAck(ack *CtlAck) {
 		s.minRTT = rtt
 	}
 	s.latestRTT = rtt
-	if !s.cfg.DisableTelemetry {
-		s.RTTEstimates.Add(now, rtt.Millis())
-	}
-	if s.OnEpochSample != nil {
-		s.OnEpochSample(ack.Hash, rtt, now)
-	}
 
-	if s.lastAcked != nil && b.seq > s.lastAcked.seq &&
-		b.tsent > s.lastAcked.tsent && now > s.lastAckArrival {
-		sendRate := float64(b.bytesSent-s.lastAcked.bytesSent) * 8 / (b.tsent - s.lastAcked.tsent).Seconds()
-		recvRate := float64(ack.BytesRcvd-s.lastBytesRcvd) * 8 / (now - s.lastAckArrival).Seconds()
-		if recvRate >= 0 && sendRate >= 0 {
+	recvRate := math.NaN()
+	prev := s.lastAcked
+	if prev.seq != 0 && b.seq > prev.seq && b.tsent > prev.tsent && now > s.lastAckArrival {
+		sendRate := float64(b.bytesSent-prev.bytesSent) * 8 / (b.tsent - prev.tsent).Seconds()
+		rcv := float64(ack.BytesRcvd-s.lastBytesRcvd) * 8 / (now - s.lastAckArrival).Seconds()
+		if rcv >= 0 && sendRate >= 0 {
+			recvRate = rcv
 			s.window = append(s.window, epochMeasurement{at: now, rtt: rtt, sendRate: sendRate, recvRate: recvRate})
-			if !s.cfg.DisableTelemetry {
-				s.RateEstimates.Add(now, recvRate/1e6)
-			}
 			// Capacity samples span several epochs: a single inter-ACK
 			// gap is at the mercy of reverse-path jitter (a compressed
 			// gap reads as a rate far above the line rate, and a
@@ -451,15 +415,13 @@ func (s *Sendbox) onCtlAck(ack *CtlAck) {
 			})
 		}
 	}
-	if s.lastAcked == nil || b.seq > s.lastAcked.seq {
-		if s.lastAcked != nil {
-			s.freeBoundary(s.lastAcked)
-		}
+	if s.OnEpochSample != nil {
+		s.OnEpochSample(ack.Hash, rtt, now, recvRate)
+	}
+	if b.seq > prev.seq {
 		s.lastAcked = b
 		s.lastAckArrival = now
 		s.lastBytesRcvd = ack.BytesRcvd
-	} else {
-		s.freeBoundary(b)
 	}
 
 	s.maybeUpdateEpochSize()
@@ -494,7 +456,7 @@ func (s *Sendbox) maybeUpdateEpochSize() {
 	if s.minRTT == 0 || s.pktsDequeued == 0 {
 		return
 	}
-	m, ok := s.currentMeasurement()
+	m, ok := s.Measurement()
 	if !ok || m.SendRate <= 0 {
 		return
 	}
@@ -516,23 +478,25 @@ func (s *Sendbox) maybeUpdateEpochSize() {
 		return
 	}
 	s.epochN = n
-	s.sendEpochUpdate(n)
+	// The update travels out-of-band. Control-plane messages bypass the
+	// bundle's own pacer (they originate from the box, not from bundled
+	// traffic) and enter the WAN path directly.
+	s.downstream.Receive(newCtlPacket(s.pool, &s.ipid, s.ctlAddr, s.peerCtl, s.eng.Now(), &CtlEpochUpdate{N: n}))
 }
 
-// sendEpochUpdate ships the new epoch size out-of-band. Control-plane
-// messages bypass the bundle's own pacer (they originate from the box, not
-// from bundled traffic) and enter the WAN path directly.
-func (s *Sendbox) sendEpochUpdate(n uint64) {
-	s.ipid++
-	p := s.pool.Get()
-	p.IPID = s.ipid
-	p.Src = s.ctlAddr
-	p.Dst = s.peerCtl
+// newCtlPacket mints a control message from src to dst, stamped at now,
+// with the next IP ID from the sending box's counter.
+func newCtlPacket(pl *pkt.Pool, ipid *uint16, src, dst pkt.Addr, now clock.Time, payload any) *pkt.Packet {
+	*ipid++
+	p := pl.Get()
+	p.IPID = *ipid
+	p.Src = src
+	p.Dst = dst
 	p.Proto = pkt.ProtoCtl
 	p.Size = CtlPacketSize
-	p.Payload = &CtlEpochUpdate{N: n}
-	p.SentAt = s.eng.Now()
-	s.downstream.Receive(p)
+	p.Payload = payload
+	p.SentAt = now
+	return p
 }
 
 func floorPow2(x float64) uint64 {
@@ -546,8 +510,10 @@ func floorPow2(x float64) uint64 {
 	return n
 }
 
-// currentMeasurement averages the epoch window spanning the last RTT.
-func (s *Sendbox) currentMeasurement() (ccalg.Measurement, bool) {
+// Measurement averages the epoch window spanning the last RTT, the
+// input of every control tick. It reports false while the window is
+// empty.
+func (s *Sendbox) Measurement() (ccalg.Measurement, bool) {
 	now := s.eng.Now()
 	horizon := clock.Time(float64(s.latestRTT) * s.cfg.MeasurementWindowRTTs)
 	if floor := clock.Time(float64(50*clock.Millisecond) * s.cfg.MeasurementWindowRTTs); horizon < floor {
@@ -589,7 +555,7 @@ func (s *Sendbox) currentMeasurement() (ccalg.Measurement, bool) {
 func (s *Sendbox) controlTick() {
 	now := s.eng.Now()
 	s.decayMu()
-	m, ok := s.currentMeasurement()
+	m, ok := s.Measurement()
 	if ok {
 		s.alg.OnMeasurement(m, now)
 		// Smoothed congestion state for the mode machine (~1 s constant).
@@ -646,9 +612,6 @@ func (s *Sendbox) controlTick() {
 		rate = 100e3
 	}
 	s.link.SetRate(rate)
-	if !s.cfg.DisableTelemetry {
-		s.RateTrace.Add(now, s.link.Rate()/1e6)
-	}
 }
 
 // pulsesActive decides whether the Nimbus pulses are worth their
@@ -802,9 +765,9 @@ func (s *Sendbox) EpochN() uint64 { return s.epochN }
 // MinRTT reports the minimum RTT the inner loop has observed.
 func (s *Sendbox) MinRTT() clock.Time { return s.minRTT }
 
-// Measurement exposes the current windowed measurement for tests and
-// experiment harnesses.
-func (s *Sendbox) Measurement() (ccalg.Measurement, bool) { return s.currentMeasurement() }
+// Rate reports the pacer's applied rate in bits/s, as the last control
+// tick set it.
+func (s *Sendbox) Rate() float64 { return s.link.Rate() }
 
 // Stop halts the control loop (end of experiment).
 func (s *Sendbox) Stop() { s.ticker.Stop() }
@@ -821,7 +784,6 @@ type Receivebox struct {
 
 	epochN    uint64
 	bytesRcvd int64
-	pktsRcvd  int64
 	ipid      uint16
 	pool      *pkt.Pool
 
@@ -855,7 +817,6 @@ func (r *Receivebox) Observe(p *pkt.Packet) {
 		return
 	}
 	r.bytesRcvd += int64(p.Size)
-	r.pktsRcvd++
 	var marker uint64
 	if p.Tunneled {
 		marker = p.TunnelSeq
@@ -872,17 +833,8 @@ func (r *Receivebox) Observe(p *pkt.Packet) {
 		}
 		marker = h
 	}
-	r.ipid++
 	r.AcksSent++
-	ack := r.pool.Get()
-	ack.IPID = r.ipid
-	ack.Src = r.addr
-	ack.Dst = r.peerCtl
-	ack.Proto = pkt.ProtoCtl
-	ack.Size = CtlPacketSize
-	ack.Payload = &CtlAck{Hash: marker, BytesRcvd: r.bytesRcvd}
-	ack.SentAt = r.eng.Now()
-	r.out.Receive(ack)
+	r.out.Receive(newCtlPacket(r.pool, &r.ipid, r.addr, r.peerCtl, r.eng.Now(), &CtlAck{Hash: marker, BytesRcvd: r.bytesRcvd}))
 }
 
 // Receive implements netem.Receiver for the control channel (epoch-size

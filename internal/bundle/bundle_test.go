@@ -1,6 +1,7 @@
 package bundle
 
 import (
+	"math"
 	"testing"
 
 	"bundler/internal/ccalg"
@@ -9,6 +10,7 @@ import (
 	"bundler/internal/pkt"
 	"bundler/internal/qdisc"
 	"bundler/internal/sim"
+	"bundler/internal/stats"
 	"bundler/internal/tcp"
 )
 
@@ -178,6 +180,7 @@ func TestQueueShift(t *testing.T) {
 
 func TestRTTEstimateAccuracy(t *testing.T) {
 	tp := newTopo(t, true, 48e6, 50*sim.Millisecond, 1<<22, Config{})
+	rtts := recordRTTs(tp.sb)
 	s, _ := tp.addFlow(1<<40, tcp.NewCubic())
 	s.Start()
 	// Ground truth: base RTT + bottleneck queueing delay sampled over
@@ -189,7 +192,7 @@ func TestRTTEstimateAccuracy(t *testing.T) {
 		}
 	})
 	tp.eng.RunUntil(30 * sim.Second)
-	if len(truth) == 0 || tp.sb.RTTEstimates.N() == 0 {
+	if len(truth) == 0 || rtts.N() == 0 {
 		t.Fatal("no samples")
 	}
 	var sum float64
@@ -197,10 +200,52 @@ func TestRTTEstimateAccuracy(t *testing.T) {
 		sum += v
 	}
 	truthMean := sum / float64(len(truth))
-	estMean := tp.sb.RTTEstimates.MeanOver(5*sim.Second, 30*sim.Second)
+	estMean := rtts.MeanOver(5*sim.Second, 30*sim.Second)
 	diff := estMean - truthMean
 	if diff < -3 || diff > 3 {
 		t.Fatalf("RTT estimate mean %.2fms vs truth %.2fms; |diff| > 3ms", estMean, truthMean)
+	}
+}
+
+// recordRTTs collects every RTT sample sb's epoch hook reports, in ms.
+func recordRTTs(sb *Sendbox) *stats.TimeSeries {
+	var ts stats.TimeSeries
+	sb.OnEpochSample = func(_ uint64, rtt, at clock.Time, _ float64) { ts.Add(at, rtt.Millis()) }
+	return &ts
+}
+
+// TestEpochSampleHook checks the hook's contract: it fires once per
+// matched congestion ACK, in time order; the first ACK has no
+// predecessor to pair with, so it adds no receive rate, and later ones
+// do.
+func TestEpochSampleHook(t *testing.T) {
+	tp := newTopo(t, true, 96e6, 50*sim.Millisecond, 1<<22, Config{})
+	var calls, finite int
+	var lastAt clock.Time
+	tp.sb.OnEpochSample = func(_ uint64, _, at clock.Time, recvRate float64) {
+		if at < lastAt {
+			t.Fatalf("sample at %v after one at %v", at, lastAt)
+		}
+		lastAt = at
+		if calls == 0 && !math.IsNaN(recvRate) {
+			t.Fatalf("first sample's recvRate = %v, want NaN", recvRate)
+		}
+		if !math.IsNaN(recvRate) {
+			if recvRate <= 0 || math.IsInf(recvRate, 0) {
+				t.Fatalf("recvRate = %v, want finite and positive", recvRate)
+			}
+			finite++
+		}
+		calls++
+	}
+	s, _ := tp.addFlow(1<<40, tcp.NewCubic())
+	s.Start()
+	tp.eng.RunUntil(5 * sim.Second)
+	if calls == 0 || calls != tp.sb.AcksMatched {
+		t.Fatalf("hook fired %d times for %d matched ACKs", calls, tp.sb.AcksMatched)
+	}
+	if finite == 0 {
+		t.Fatal("no sample carried a receive rate")
 	}
 }
 
@@ -388,3 +433,44 @@ func TestCrossTrafficEstimateThroughBoxes(t *testing.T) {
 }
 
 const time500ms = 500 * sim.Millisecond
+
+// TestBoundaryTableBounded drives onTransmitted directly in tunnel mode,
+// where exactly every N-th packet is a boundary carrying a fresh sequence
+// number, and checks the boundary table's two bounds: at most 4096
+// records, the oldest evicted first, and every record dropped once the
+// box has idled past max(8·latestRTT, 1 s).
+func TestBoundaryTableBounded(t *testing.T) {
+	const maxRecords, boundaries = 4096, 5000
+	eng := sim.NewEngine(1)
+	sb := NewSendbox(eng, Config{TunnelMode: true}, &netem.Sink{}, pkt.Addr{Host: ctlHostSend, Port: 1}, pkt.Addr{Host: ctlHostRecv, Port: 1})
+	p := &pkt.Packet{Proto: pkt.ProtoTCP, Size: pkt.MTU}
+	mark := func() {
+		for i := uint64(0); i < sb.epochN; i++ {
+			sb.onTransmitted(p)
+		}
+	}
+	for i := 0; i < boundaries; i++ {
+		mark()
+	}
+	if len(sb.boundaries) > maxRecords || len(sb.boundaryOrder) > maxRecords {
+		t.Fatalf("table holds %d records, order %d; cap is %d", len(sb.boundaries), len(sb.boundaryOrder), maxRecords)
+	}
+	// Tunnel markers are the sequence numbers 1..boundaries, so the
+	// survivors must be exactly the newest maxRecords of them.
+	for seq := uint64(1); seq <= boundaries; seq++ {
+		_, ok := sb.boundaries[seq]
+		if want := seq > boundaries-maxRecords; ok != want {
+			t.Fatalf("record %d present = %v, want %v (oldest records evict first)", seq, ok, want)
+		}
+	}
+
+	// No ACK ever matched, so latestRTT is 0 and the stale age is 1 s.
+	eng.RunUntil(sim.Second + controlInterval)
+	mark()
+	if len(sb.boundaries) != 1 || len(sb.boundaryOrder) != 1 {
+		t.Fatalf("after idling past 1 s: %d records, order %d; want only the new boundary", len(sb.boundaries), len(sb.boundaryOrder))
+	}
+	if _, ok := sb.boundaries[boundaries+1]; !ok {
+		t.Fatal("the new boundary was not recorded")
+	}
+}

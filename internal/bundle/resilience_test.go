@@ -169,6 +169,7 @@ func TestSurvivesReversePathJitter(t *testing.T) {
 	jitter := netem.NewJitter(eng, 2*sim.Millisecond, tp.reverse)
 	tp.rb = NewReceivebox(eng, jitter, rbCtl, sbCtl, 16)
 	tp.sb = NewSendbox(eng, Config{}, tp.bottleneck, sbCtl, rbCtl)
+	rtts := recordRTTs(tp.sb)
 	tp.muxA.Register(sbCtl, tp.sb)
 	tp.muxB.Register(rbCtl, tp.rb)
 	tp.demux.Default = netem.NewTap(tp.rb.Observe, tp.muxB)
@@ -187,7 +188,7 @@ func TestSurvivesReversePathJitter(t *testing.T) {
 	// Jitter biases the capacity estimate slightly upward (compressed ACK
 	// gaps read as extra rate), which a delay controller converts into a
 	// modest standing queue — bounded, not runaway.
-	est := tp.sb.RTTEstimates.MeanOver(5*sim.Second, 20*sim.Second)
+	est := rtts.MeanOver(5*sim.Second, 20*sim.Second)
 	if est < 48 || est > 75 {
 		t.Fatalf("RTT estimate mean %.1fms under jitter, want bounded (<75ms)", est)
 	}

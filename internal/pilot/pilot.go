@@ -70,10 +70,6 @@ func (c *Config) fill() {
 	}
 }
 
-func (c Config) bundleConfig() bundle.Config {
-	return bundle.Config{Algorithm: c.Algorithm, DisableTelemetry: true}
-}
-
 // params is the cell identity of a pilot or twin result — identical
 // across RunSend and RunTwin, so the two results describe one cell.
 func (c Config) params() exp.Params {
@@ -155,7 +151,7 @@ type sendSide struct {
 func wireSend(c clock.Clock, cfg Config, toB netem.Receiver, lastDone func()) *sendSide {
 	a := &sendSide{in: tcp.NewMux(), rec: workload.NewRecorder(cfg.Rate, cfg.RTT), remaining: cfg.Requests}
 	bottleneck := netem.NewLink(c, "bottleneck", cfg.Rate, cfg.RTT/2, qdisc.NewFIFO(netem.BDPBuffer(cfg.Rate, cfg.RTT)), toB)
-	sb := bundle.NewSendbox(c, cfg.bundleConfig(), bottleneck, sbCtl, rbCtl)
+	sb := bundle.NewSendbox(c, bundle.Config{Algorithm: cfg.Algorithm}, bottleneck, sbCtl, rbCtl)
 	a.in.Register(sbCtl, sb)
 	for _, f := range flows(cfg) {
 		clock.At(c, f.At, func() {

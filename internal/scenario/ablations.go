@@ -57,26 +57,32 @@ func epochRoundingAblation(seed int64, exact bool) float64 {
 // windowAblation compares the 1-RTT measurement window against
 // near-single-epoch operation: the wider window trades reaction speed
 // for a steadier rate signal. It returns the variance of the applied
-// pacing rate after convergence.
+// pacing rate (Mbit/s) after convergence, sampled every control tick:
+// the sampler starts after the box's own ticker, so at each instant it
+// reads the rate that tick just set.
 func windowAblation(seed int64, windowRTTs float64) float64 {
-	site := runAblation(seed,
+	var rates []float64
+	runAblation(seed,
 		func(c *bundle.Config) { c.MeasurementWindowRTTs = windowRTTs },
-		func(s *Site) { bulkFlow(s) })
-	tr := &site.SB.RateTrace
-	var sum, c float64
-	for i, at := range tr.T {
-		if at > ablationSettle {
-			sum += tr.V[i]
-			c++
-		}
+		func(s *Site) {
+			bulkFlow(s)
+			eng := s.net.Eng
+			eng.Tick(10*sim.Millisecond, func() {
+				if eng.Now() > ablationSettle {
+					rates = append(rates, s.SB.Rate()/1e6)
+				}
+			})
+		})
+	var sum float64
+	for _, r := range rates {
+		sum += r
 	}
+	c := float64(len(rates))
 	mean := sum / c
 	var v float64
-	for i, at := range tr.T {
-		if at > ablationSettle {
-			d := tr.V[i] - mean
-			v += d * d
-		}
+	for _, r := range rates {
+		d := r - mean
+		v += d * d
 	}
 	return v / c
 }

@@ -66,13 +66,17 @@ func collectAccuracy(seed int64, rate float64, rtt, dur sim.Time, res *AccuracyR
 			truthQ = make(map[uint64]float64) // cheap bound; stale entries are re-recorded
 		}
 	})
-	site.SB.OnEpochSample = func(hash uint64, est sim.Time, at sim.Time) {
+	var rateEst stats.TimeSeries // the sendbox's receive-rate estimates, Mbit/s
+	site.SB.OnEpochSample = func(hash uint64, est, at sim.Time, recvRate float64) {
 		if at < sim.Second {
 			return
 		}
 		if q, ok := truthQ[hash]; ok {
 			actual := rtt.Millis() + q + serialMs
 			res.RTTErrMs.Add(est.Millis() - actual)
+		}
+		if recvRate == recvRate { // not NaN
+			rateEst.Add(at, recvRate/1e6)
 		}
 	}
 
@@ -87,13 +91,10 @@ func collectAccuracy(seed int64, rate float64, rtt, dur sim.Time, res *AccuracyR
 	n.Eng.RunUntil(dur)
 	site.SB.Stop()
 
-	for i, at := range site.SB.RateEstimates.T {
-		if at < sim.Second {
-			continue
-		}
+	for i, at := range rateEst.T {
 		actual := truthRate.MeanOver(at-rtt, at+10*sim.Millisecond)
 		if actual == actual { // not NaN
-			res.RateErrMbps.Add(site.SB.RateEstimates.V[i] - actual)
+			res.RateErrMbps.Add(rateEst.V[i] - actual)
 		}
 	}
 }

@@ -29,7 +29,7 @@ type FCTOptions struct {
 	Mode string
 	// InnerAlg names the sendbox algorithm ("copa" default).
 	InnerAlg string
-	// Scheduler names the sendbox qdisc (see SchedulerByName).
+	// Scheduler names the sendbox qdisc in qdisc.Parse's grammar.
 	Scheduler string
 	// EndhostCC names the endhost algorithm ("cubic" default).
 	EndhostCC string
@@ -40,8 +40,6 @@ type FCTOptions struct {
 	// TunnelMode switches epoch identification to the §4.5 encapsulation
 	// variant.
 	TunnelMode bool
-	// Horizon bounds the run.
-	Horizon sim.Time
 }
 
 func (o *FCTOptions) fill() {
@@ -65,9 +63,6 @@ func (o *FCTOptions) fill() {
 	}
 	if o.SendboxQueuePackets == 0 {
 		o.SendboxQueuePackets = 1000
-	}
-	if o.Horizon == 0 {
-		o.Horizon = LoadHorizon(o.Requests)
 	}
 }
 
@@ -107,7 +102,7 @@ func RunFCT(o FCTOptions) *workload.Recorder {
 		CC:            o.EndhostCC,
 		FixedCwndSegs: o.FixedCwnd,
 	})
-	n.RunUntilDone(o.Horizon, func() bool { return rec.Completed >= o.Requests })
+	n.RunUntilDone(LoadHorizon(o.Requests), func() bool { return rec.Completed >= o.Requests })
 	site.Stop()
 	return rec
 }
@@ -182,18 +177,6 @@ var crossVariants = []struct{ label, alg string }{
 	{"statusquo", ""},
 	{"bundler-copa", "copa"},
 	{"bundler-nimbus", "basicdelay"},
-}
-
-// SchedulerByName builds the sendbox scheduler a spec names (the
-// grammar is qdisc.Parse's) with a depth in packets. It panics on a bad
-// spec; code paths fed by user-supplied config files call qdisc.Parse
-// instead.
-func SchedulerByName(eng *sim.Engine, name string, packets int) qdisc.Qdisc {
-	q, err := qdisc.Parse(eng, name, packets, nil)
-	if err != nil {
-		panic("scenario: " + err.Error())
-	}
-	return q
 }
 
 // --- experiment bodies (the table is in experiments.go) ---

@@ -344,10 +344,7 @@ func NewMesh(o MeshOptions) *Mesh {
 			var sfq *qdisc.SFQ
 			if o.Bundled {
 				sfq = qdisc.NewSFQ(1024, o.SendboxQueuePackets)
-				// Mesh rows report flow-level summaries only; drop the
-				// per-tick box traces, which would otherwise retain
-				// O(ticks) memory for each of the N(N-1) bundles.
-				bcfg = &bundle.Config{Algorithm: "copa", Scheduler: sfq, DisableTelemetry: true}
+				bcfg = &bundle.Config{Algorithm: "copa", Scheduler: sfq}
 			}
 			site := fab.AddSiteAt(m.Access[i], bcfg)
 			if o.Bundled {

@@ -207,11 +207,17 @@ func (f *Fabric) AddSiteIn(parent *Site, bcfg *bundle.Config) *Site {
 // behind the scheduler sched names (qdisc.Parse's grammar), depth packets
 // deep. Alg "" is no Bundler at all — the nil that AddSite reads as
 // status quo — so a with/without comparison is a loop over alg values.
+// It panics on a bad spec; code paths fed by user-supplied config files
+// call qdisc.Parse instead.
 func (n *Net) bundleConfig(alg, sched string, depth int) *bundle.Config {
 	if alg == "" {
 		return nil
 	}
-	return &bundle.Config{Algorithm: alg, Scheduler: SchedulerByName(n.Eng, sched, depth)}
+	q, err := qdisc.Parse(n.Eng, sched, depth, nil)
+	if err != nil {
+		panic("scenario: " + err.Error())
+	}
+	return &bundle.Config{Algorithm: alg, Scheduler: q}
 }
 
 // Stop halts the site's Bundler control loop, if it has one.
@@ -246,22 +252,18 @@ func (s *Site) addrs(dstPort uint16) (src, dst pkt.Addr) {
 // endpoints from their muxes, but the destination host's demux route
 // stays, so the demux grows by one route per flow.
 func (s *Site) AddFlow(size int64, cc tcp.Congestion, done func(size int64, fct sim.Time)) *tcp.Sender {
-	return s.AddFlowPort(size, cc, 80, done)
-}
-
-// AddFlowPort is AddFlow with an explicit destination port, which the
-// §7.2 priority experiment uses as its traffic-class marker.
-func (s *Site) AddFlowPort(size int64, cc tcp.Congestion, dstPort uint16, done func(size int64, fct sim.Time)) *tcp.Sender {
 	start := s.net.Eng.Now()
-	return s.addFlow(size, cc, dstPort, func(now sim.Time) {
+	return s.addFlow(size, cc, 80, func(now sim.Time) {
 		if done != nil {
 			done(size, now-start)
 		}
 	})
 }
 
-// addFlow is AddFlowPort with the receiver's own completion callback,
-// which gets the virtual time the last byte arrived.
+// addFlow is AddFlow with an explicit destination port, which the §7.2
+// priority experiment uses as its traffic-class marker, and the
+// receiver's own completion callback, which gets the virtual time the
+// last byte arrived.
 func (s *Site) addFlow(size int64, cc tcp.Congestion, dstPort uint16, rcvDone func(now sim.Time)) *tcp.Sender {
 	n := s.net
 	src, dst := s.addrs(dstPort)

@@ -57,7 +57,7 @@ var runs = []runRow{
 	{exp: "fct", params: exp.Params{"requests": "500"}, golden: "fct"},
 	// The one scheduler whose constructor needs a clock.
 	{exp: "fct", params: exp.Params{"sched": "pie", "requests": "50"}},
-	{exp: "ablations", params: exp.Params{"requests": "600"}, slow: true},
+	{exp: "ablations", params: exp.Params{"requests": "600"}, golden: "ablations", slow: true},
 }
 
 type runRow struct {

@@ -301,10 +301,13 @@ func TestRunFCTUnknownModePanics(t *testing.T) {
 	RunFCT(FCTOptions{Mode: "nonsense", Requests: 1})
 }
 
+// TestSchedulerByNameVariants checks that every scheduler name the
+// experiments use builds a Sendbox scheduler, and that an unknown one
+// panics.
 func TestSchedulerByNameVariants(t *testing.T) {
 	n := newNet(netConfig{Seed: 1})
 	for _, name := range []string{"", "sfq", "fifo", "fqcodel", "codel", "red", "drr", "pie", "prio:443"} {
-		if SchedulerByName(n.Eng, name, 100) == nil {
+		if n.bundleConfig("copa", name, 100).Scheduler == nil {
 			t.Fatalf("nil scheduler for %q", name)
 		}
 	}
@@ -313,7 +316,7 @@ func TestSchedulerByNameVariants(t *testing.T) {
 			t.Fatal("no panic for unknown scheduler")
 		}
 	}()
-	SchedulerByName(n.Eng, "cbq", 100)
+	n.bundleConfig("copa", "cbq", 100)
 }
 
 func TestSec9HierarchicalBundles(t *testing.T) {

@@ -37,8 +37,6 @@ type WANPathResult struct {
 	Name string
 	// Milliseconds, medians over the 10 request/response loops.
 	BaseRTT, StatusQuoRTT, BundlerRTT float64
-	// P90 latencies for the same three configurations.
-	BaseP90, StatusQuoP90, BundlerP90 float64
 	// Backlogged-transfer throughput (Mbit/s) with and without Bundler;
 	// the paper reports Bundler within 1 % of status quo.
 	StatusQuoMbps, BundlerMbps float64
@@ -54,7 +52,7 @@ func RunFig16(seed int64, dur sim.Time) []WANPathResult {
 	for _, p := range DefaultWANPaths() {
 		res := WANPathResult{Name: p.Name}
 
-		runCase := func(alg string, withLoad bool) (med, p90, mbps float64) {
+		runCase := func(alg string, withLoad bool) (med, mbps float64) {
 			n := newNet(netConfig{Seed: seed, LinkRate: p.RateBps, RTT: p.BaseRTT,
 				BufBytes: int(p.RateBps / 8 * 0.1)}) // ~100 ms of buffer in the middle
 			// Twenty backlogged Cubic flows need more sendbox queue than
@@ -72,13 +70,12 @@ func RunFig16(seed int64, dur sim.Time) []WANPathResult {
 			// the window past dur/4.
 			mbps = goodputMbps(n.Eng, bulk, dur/4, dur)
 			site.Stop()
-			all := probeSamples(pings, dur/4)
-			return all.Median(), all.Quantile(0.9), mbps
+			return probeSamples(pings, dur/4).Median(), mbps
 		}
 
-		res.BaseRTT, res.BaseP90, _ = runCase("", false)
-		res.StatusQuoRTT, res.StatusQuoP90, res.StatusQuoMbps = runCase("", true)
-		res.BundlerRTT, res.BundlerP90, res.BundlerMbps = runCase("copa", true)
+		res.BaseRTT, _ = runCase("", false)
+		res.StatusQuoRTT, res.StatusQuoMbps = runCase("", true)
+		res.BundlerRTT, res.BundlerMbps = runCase("copa", true)
 		out = append(out, res)
 	}
 	return out

@@ -67,15 +67,56 @@ const (
 )
 
 func (m Mode) String() string {
-	switch m {
-	case ModeDelayControl:
-		return "delay-control"
-	case ModePassThrough:
-		return "pass-through"
-	case ModeDisabled:
-		return "disabled"
+	if m < 0 || int(m) >= len(modes) {
+		return "unknown"
 	}
-	return "unknown"
+	return modes[m].name
+}
+
+// pulseWhen says when a mode adds the Nimbus pulses to its rate: only
+// while the detector window's mean cross traffic reaches 5 % of μ, on
+// every tick, or never.
+type pulseWhen int
+
+const (
+	pulseWithCross pulseWhen = iota
+	pulseAlways
+	pulseNever
+)
+
+// modes is the §5 control law, one row per Mode, that the control tick
+// reads: the mode's name; its pacing rate before pulses and floors; the
+// share of the smoothed arrival rate that rate never drops below; when
+// pulses apply; and the share of μ the window's mean cross traffic must
+// reach for an elasticity vote cast in the mode to say "elastic".
+// modeRules says when the mode changes.
+var modes = [...]struct {
+	name        string
+	rate        func(s *Sendbox, now clock.Time) float64
+	demandFloor float64
+	pulses      pulseWhen
+	voteGate    float64
+}{
+	// Delay controllers back off against any queue, including ones they
+	// did not create (short cross-traffic bursts that vanish on their
+	// own); the demand floor keeps a transient foreign queue from
+	// starving the bundle. Pulses exist to classify cross traffic: with a
+	// negligible share there is nothing to classify, and every down-pulse
+	// idles the bottleneck. Aggregate send rates swing more than a single
+	// Nimbus flow's, and pulses leak into the cross-traffic estimate
+	// whenever the bottleneck runs empty; the 20 % gate rejects that
+	// self-signal.
+	ModeDelayControl: {"delay-control", func(s *Sendbox, now clock.Time) float64 { return s.alg.Rate(now) }, 0.3, pulseWithCross, 0.2},
+	// "Let the traffic pass": the PI may throttle to build its 10 ms
+	// pulse budget, but never much below the endhosts' demand — a queue
+	// target must not become a choke point when arrivals dip. Pulses
+	// always run: detecting the buffer-filler's departure is the whole
+	// point of the maintained queue (§5.1). The gate is asymmetric: while
+	// competing fairly, the cross traffic's share shrinks, and requiring
+	// the full entry magnitude to *stay* would flap between modes.
+	ModePassThrough: {"pass-through", func(s *Sendbox, now clock.Time) float64 { return s.pi.Update(s.QueueDelay(), s.mu(), now) }, 0.8, pulseAlways, 0.05},
+	// Effectively unlimited: the status quo.
+	ModeDisabled: {"disabled", func(*Sendbox, clock.Time) float64 { return 1e11 }, 0, pulseNever, 0},
 }
 
 // Config parameterizes a Sendbox.
@@ -338,11 +379,7 @@ func (s *Sendbox) onTransmitted(p *pkt.Packet) {
 // period (≈8 s for one flow at 96 Mbit/s) can be matched by a *different*
 // packet's ACK, yielding a garbage RTT and a phantom reordering signal.
 func (s *Sendbox) evictStaleBoundaries() {
-	maxAge := 8 * s.latestRTT
-	if maxAge < clock.Second {
-		maxAge = clock.Second
-	}
-	cutoff := s.eng.Now() - maxAge
+	cutoff := s.eng.Now() - max(8*s.latestRTT, clock.Second)
 	for len(s.boundaryOrder) > 0 {
 		h := s.boundaryOrder[0]
 		if b, ok := s.boundaries[h]; ok && b.tsent >= cutoff {
@@ -467,10 +504,7 @@ func (s *Sendbox) maybeUpdateEpochSize() {
 	if s.cfg.ExactEpochSize {
 		// Ablation: no rounding. Sub/superset resilience across
 		// epoch-size updates is lost.
-		n = uint64(target)
-		if n < 1 {
-			n = 1
-		}
+		n = max(uint64(target), 1)
 	} else {
 		n = floorPow2(target)
 	}
@@ -515,14 +549,8 @@ func floorPow2(x float64) uint64 {
 // empty.
 func (s *Sendbox) Measurement() (ccalg.Measurement, bool) {
 	now := s.eng.Now()
-	horizon := clock.Time(float64(s.latestRTT) * s.cfg.MeasurementWindowRTTs)
-	if floor := clock.Time(float64(50*clock.Millisecond) * s.cfg.MeasurementWindowRTTs); horizon < floor {
-		horizon = floor
-	}
-	if horizon < 10*clock.Millisecond {
-		horizon = 10 * clock.Millisecond
-	}
-	cutoff := now - horizon
+	w := s.cfg.MeasurementWindowRTTs
+	cutoff := now - max(clock.Time(float64(s.latestRTT)*w), clock.Time(float64(50*clock.Millisecond)*w), 10*clock.Millisecond)
 	keep := s.window[:0]
 	for _, e := range s.window {
 		if e.at >= cutoff {
@@ -559,10 +587,7 @@ func (s *Sendbox) controlTick() {
 	if ok {
 		s.alg.OnMeasurement(m, now)
 		// Smoothed congestion state for the mode machine (~1 s constant).
-		dq := (m.RTT - s.minRTT).Seconds()
-		if dq < 0 {
-			dq = 0
-		}
+		dq := max((m.RTT - s.minRTT).Seconds(), 0)
 		s.dqEwma = 0.99*s.dqEwma + 0.01*dq
 		s.xcEwma = 0.99*s.xcEwma + 0.01*ccalg.CrossTrafficRate(m)
 	}
@@ -577,29 +602,12 @@ func (s *Sendbox) controlTick() {
 	s.lastBytesIn = s.bytesIn
 	s.arrivalEwma = 0.95*s.arrivalEwma + 0.05*in
 
-	var rate float64
-	switch s.mode {
-	case ModeDelayControl:
-		rate = s.alg.Rate(now)
-		// Delay controllers back off against any queue, including ones
-		// they did not create (short cross-traffic bursts that vanish on
-		// their own). Floor the rate at a fraction of the endhosts'
-		// demand so a transient foreign queue cannot starve the bundle.
-		if floor := 0.3 * s.arrivalEwma; rate < floor {
-			rate = floor
-		}
-	case ModePassThrough:
-		rate = s.pi.Update(s.QueueDelay(), s.mu(), now)
-		// "Let the traffic pass": the PI may throttle to build its 10 ms
-		// pulse budget, but never much below the endhosts' demand — a
-		// queue target must not become a choke point when arrivals dip.
-		if floor := 0.8 * s.arrivalEwma; rate < floor {
-			rate = floor
-		}
-	case ModeDisabled:
-		rate = 1e11 // effectively unlimited: status quo
+	row := &modes[s.mode]
+	rate := row.rate(s, now)
+	if floor := row.demandFloor * s.arrivalEwma; rate < floor {
+		rate = floor
 	}
-	if s.mode != ModeDisabled && s.pulsesActive() {
+	if row.pulses == pulseAlways || row.pulses == pulseWithCross && s.detector.WindowMean() >= 0.05*s.mu() {
 		rate += s.pulser.Offset(now, s.mu())
 	}
 	// Floor the pacing rate: a bundle must always retain enough rate to
@@ -612,20 +620,6 @@ func (s *Sendbox) controlTick() {
 		rate = 100e3
 	}
 	s.link.SetRate(rate)
-}
-
-// pulsesActive decides whether the Nimbus pulses are worth their
-// utilization cost right now. Pulses exist to classify cross traffic; with
-// a negligible cross-traffic share there is nothing to classify, and every
-// down-pulse idles the bottleneck (the delay controller holds almost no
-// standing queue to absorb it). In pass-through mode pulses always run —
-// detecting the buffer-filler's departure is the whole point of the
-// maintained 10 ms queue (§5.1).
-func (s *Sendbox) pulsesActive() bool {
-	if s.mode == ModePassThrough {
-		return true
-	}
-	return s.detector.WindowMean() >= 0.05*s.mu()
 }
 
 // mu returns the capacity estimate: the windowed max of measured receive
@@ -653,100 +647,106 @@ func (s *Sendbox) decayMu() {
 	}
 }
 
-// updateMode runs the §5 state machine: multipath imbalance dominates;
-// otherwise elasticity votes flip between delay control and pass-through.
-func (s *Sendbox) updateMode(haveMeas bool, now clock.Time) {
-	if s.oooTotal >= 32 {
-		frac := s.OOOFraction()
-		if s.mode != ModeDisabled && frac > oooThreshold {
-			s.setMode(ModeDisabled, now)
-			return
-		}
-		if s.mode == ModeDisabled {
-			if frac < oooThreshold/4 && now-s.modeChangedAt > 5*clock.Second {
-				s.setMode(ModeDelayControl, now)
-			}
-			return
-		}
-	} else if s.mode == ModeDisabled {
-		return
-	}
+// modeRules are the §5 mode changes, in priority order: multipath
+// imbalance dominates; otherwise starvation and elasticity votes flip
+// between delay control and pass-through. updateMode takes the first rule
+// whose from is the current mode and whose guard fires. A guard may
+// update the state it reads (the starvation clock, the votes), so the
+// order of the rules is part of the policy.
+var modeRules = [...]struct {
+	from, to Mode
+	guard    func(s *Sendbox, haveMeas bool, now clock.Time) bool
+}{
+	{ModeDelayControl, ModeDisabled, (*Sendbox).multipathImbalanced},
+	{ModePassThrough, ModeDisabled, (*Sendbox).multipathImbalanced},
+	{ModeDisabled, ModeDelayControl, (*Sendbox).multipathCleared},
+	{ModeDelayControl, ModePassThrough, (*Sendbox).starved},
+	{ModeDelayControl, ModePassThrough, (*Sendbox).elasticEntry},
+	{ModePassThrough, ModeDelayControl, (*Sendbox).elasticExit},
+}
 
-	if !haveMeas {
-		return
-	}
-	// Starvation fallback: when the delay controller is pinned at its
-	// floor while cross traffic owns the bottleneck (huge standing queue,
-	// dominant cross share), classification details no longer matter —
-	// competing via the endhost loops is the only sensible action. This
-	// is the paper's §3 litmus test applied directly.
-	if s.mode == ModeDelayControl {
-		mu := s.mu()
-		starved := s.link.Rate() <= 0.1*mu && s.xcEwma >= 0.5*mu &&
-			s.dqEwma > 4*s.pi.Target.Seconds()
-		if !starved {
-			s.starvedSince = 0
-		} else {
-			if s.starvedSince == 0 {
-				s.starvedSince = now
-			}
-			if now-s.starvedSince > 2*clock.Second {
+// updateMode runs the §5 state machine once: the first rule that fires
+// changes the mode. Entering pass-through restarts the PI controller from
+// the current rate; every change restarts the dwell clock and the votes.
+func (s *Sendbox) updateMode(haveMeas bool, now clock.Time) {
+	for _, r := range modeRules {
+		if r.from == s.mode && r.guard(s, haveMeas, now) {
+			if r.to == ModePassThrough {
 				s.pi.Reset(s.link.Rate(), now)
-				s.setMode(ModePassThrough, now)
-				return
 			}
-		}
-	}
-	// Evaluate elasticity every 100 ms.
-	if now-s.lastDetectAt < 100*clock.Millisecond || !s.detector.Ready() {
-		return
-	}
-	s.lastDetectAt = now
-	// Aggregate send rates swing more than a single Nimbus flow's, and
-	// pulses leak into the cross-traffic estimate whenever the bottleneck
-	// runs empty; requiring the window-mean cross traffic to reach 20 % of
-	// capacity rejects that self-signal.
-	gate := 0.2
-	if s.mode == ModePassThrough {
-		// Asymmetric gate: while competing fairly, the cross traffic's
-		// share shrinks; requiring the full entry magnitude to *stay*
-		// would flap between modes.
-		gate = 0.05
-	}
-	elastic := s.detector.ElasticGated(s.mu(), gate)
-	s.elasticVotes = s.elasticVotes << 1 & (1<<20 - 1)
-	if elastic {
-		s.elasticVotes |= 1
-	}
-	s.nVotes = min(s.nVotes+1, 20)
-	yes := bits.OnesCount32(s.elasticVotes & 0x1f) // of the last five
-	switch s.mode {
-	case ModeDelayControl:
-		if yes >= 3 {
-			s.pi.Reset(s.link.Rate(), now)
-			s.setMode(ModePassThrough, now)
-		}
-	case ModePassThrough:
-		// Re-engage once two seconds of votes come back clean AND it is
-		// safe to do so (§3's litmus test): either the in-network queue
-		// has calmed, or whatever queue remains is mostly self-inflicted
-		// (the cross traffic's share is modest), in which case delay
-		// control is exactly the tool to remove it. Exiting while a
-		// buffer-filler still owns the queue would immediately
-		// re-collapse the delay controller.
-		queueCalm := s.dqEwma < math.Max(0.25*s.minRTT.Seconds(), 0.005)
-		selfInflicted := s.xcEwma < 0.3*s.mu()
-		if s.nVotes == 20 && s.elasticVotes == 0 && (queueCalm || selfInflicted) &&
-			now-s.modeChangedAt > 2*clock.Second {
-			s.setMode(ModeDelayControl, now)
+			s.mode, s.modeChangedAt, s.elasticVotes, s.nVotes = r.to, now, 0, 0
+			return
 		}
 	}
 }
 
-func (s *Sendbox) setMode(m Mode, now clock.Time) {
-	s.mode = m
-	s.modeChangedAt = now
-	s.elasticVotes, s.nVotes = 0, 0
+// multipathImbalanced fires when more than 5 % of at least 32 congestion
+// ACKs arrived out of order (§5.2).
+func (s *Sendbox) multipathImbalanced(bool, clock.Time) bool {
+	return s.oooTotal >= 32 && s.OOOFraction() > oooThreshold
+}
+
+// multipathCleared fires once the out-of-order fraction of at least 32
+// ACKs has fallen below a quarter of the threshold, 5 s after disabling.
+func (s *Sendbox) multipathCleared(_ bool, now clock.Time) bool {
+	return s.oooTotal >= 32 && s.OOOFraction() < oooThreshold/4 && now-s.modeChangedAt > 5*clock.Second
+}
+
+// starved is the starvation fallback, §3's litmus test applied directly:
+// when the delay controller is pinned at its floor while cross traffic
+// owns the bottleneck (huge standing queue, dominant cross share),
+// competing via the endhost loops is the only sensible action. It fires
+// after 2 s of starving; a pass-through stint does not reset that clock.
+func (s *Sendbox) starved(haveMeas bool, now clock.Time) bool {
+	if !haveMeas {
+		return false
+	}
+	mu := s.mu()
+	starved := s.link.Rate() <= 0.1*mu && s.xcEwma >= 0.5*mu &&
+		s.dqEwma > 4*s.pi.Target.Seconds()
+	if !starved {
+		s.starvedSince = 0
+		return false
+	}
+	if s.starvedSince == 0 {
+		s.starvedSince = now
+	}
+	return now-s.starvedSince > 2*clock.Second
+}
+
+// vote casts an elasticity vote, at most one per 100 ms and only once the
+// detector's window is full, at the current mode's gate. It reports
+// whether it cast one.
+func (s *Sendbox) vote(haveMeas bool, now clock.Time) bool {
+	if !haveMeas || now-s.lastDetectAt < 100*clock.Millisecond || !s.detector.Ready() {
+		return false
+	}
+	s.lastDetectAt = now
+	s.elasticVotes = s.elasticVotes << 1 & (1<<20 - 1)
+	if s.detector.ElasticGated(s.mu(), modes[s.mode].voteGate) {
+		s.elasticVotes |= 1
+	}
+	s.nVotes = min(s.nVotes+1, 20)
+	return true
+}
+
+// elasticEntry fires when at least three of the last five votes say the
+// cross traffic is elastic.
+func (s *Sendbox) elasticEntry(haveMeas bool, now clock.Time) bool {
+	return s.vote(haveMeas, now) && bits.OnesCount32(s.elasticVotes&0x1f) >= 3
+}
+
+// elasticExit re-engages delay control once two seconds of votes come
+// back clean AND it is safe to do so (§3's litmus test): either the
+// in-network queue has calmed, or whatever queue remains is mostly
+// self-inflicted (the cross traffic's share is modest), in which case
+// delay control is exactly the tool to remove it. Exiting while a
+// buffer-filler still owns the queue would immediately re-collapse the
+// delay controller.
+func (s *Sendbox) elasticExit(haveMeas bool, now clock.Time) bool {
+	return s.vote(haveMeas, now) && s.nVotes == 20 && s.elasticVotes == 0 &&
+		(s.dqEwma < math.Max(0.25*s.minRTT.Seconds(), 0.005) || s.xcEwma < 0.3*s.mu()) &&
+		now-s.modeChangedAt > 2*clock.Second
 }
 
 // Mode reports the current operating mode.

@@ -6,6 +6,7 @@ import (
 	"bundler/internal/netem"
 	"bundler/internal/pkt"
 	"bundler/internal/sim"
+	"bundler/internal/stats"
 	"bundler/internal/tcp"
 	"bundler/internal/udpapp"
 )
@@ -112,12 +113,16 @@ func TestProtocolAgnosticBundle(t *testing.T) {
 	if sink.Count < 1000 {
 		t.Fatalf("UDP stream delivered only %d packets", sink.Count)
 	}
-	if client.RTTs.N() < 50 {
-		t.Fatalf("only %d probe round trips", client.RTTs.N())
+	if client.Series.N() < 50 {
+		t.Fatalf("only %d probe round trips", client.Series.N())
 	}
 	// SFQ at the sendbox isolates the probes from the TCP bulk: their
 	// RTTs stay near the base despite the backlogged flow.
-	if med := client.RTTs.Median(); med > 75 {
+	var rtts stats.Sample
+	for _, v := range client.Series.V {
+		rtts.Add(v)
+	}
+	if med := rtts.Median(); med > 75 {
 		t.Fatalf("probe median RTT %.1fms behind TCP bulk, want < 75ms (SFQ isolation)", med)
 	}
 	// Throughput still near capacity with the mixed bundle.

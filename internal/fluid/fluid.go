@@ -1,7 +1,7 @@
-// Package fluid models background traffic as per-class aggregate rate
-// ODEs instead of per-packet TCP state — the hybrid-simulation half of
-// the ROADMAP's "millions of users per site" target. Each Class stands
-// for an arbitrary number of emulated users whose combined send rate
+// Package fluid models background traffic as an aggregate rate ODE
+// instead of per-packet TCP state — the hybrid-simulation half of the
+// ROADMAP's "millions of users per site" target. An aggregate's Class
+// stands for an arbitrary number of emulated users whose combined send rate
 // evolves by discrete-step AIMD (additive increase per user, one
 // multiplicative cut per RTT on loss), against a virtual buffer whose
 // overflow is the loss signal. The aggregate couples into a
@@ -10,7 +10,7 @@
 // contributes queueing delay — so packet-simulated foreground bundles
 // feel the background load without a single background packet existing.
 //
-// State per class is O(1) regardless of Users, which is what makes a
+// State per aggregate is O(1) regardless of Users, which is what makes a
 // 10⁶-user site cost the same memory as a 10-user one.
 package fluid
 
@@ -38,7 +38,7 @@ const DefaultStep = 10 * clock.Millisecond
 // aggregate under FIFO statistical multiplexing.
 const ForegroundHeadroom = 0.05
 
-// Class describes one background aggregate sharing a link.
+// Class describes the background aggregate sharing a link.
 type Class struct {
 	// Name labels the class in reports.
 	Name string
@@ -49,48 +49,37 @@ type Class struct {
 	// RTT is the aggregate's feedback delay: the additive-increase and
 	// multiplicative-decrease clock.
 	RTT clock.Time
-	// MSS is the emulated segment size in bytes (pkt.MSS when zero).
-	MSS int
-	// BufBytes is the virtual buffer backing the aggregate; backlog
-	// beyond it is lost, which is the AIMD loss signal. Zero defaults to
-	// one bandwidth-delay product at attach time.
-	BufBytes float64
 }
 
-// classState is the O(1) evolving state behind one Class.
-type classState struct {
-	Class
+// Aggregate evolves one fluid class on one link. It lives on the link's
+// own engine, so in a sharded mesh every site's aggregate ticks inside
+// that site's shard — no cross-shard state.
+type Aggregate struct {
+	eng   clock.Clock
+	link  *netem.Link
+	step  clock.Time
+	class Class // zero Users until AddClass
+
+	// bufBytes is the virtual buffer backing the aggregate, one
+	// bandwidth-delay product at AddClass time; backlog beyond it is
+	// lost, which is the AIMD loss signal.
+	bufBytes  float64
 	rate      float64 // current aggregate send rate, bits/s
 	backlog   float64 // bytes standing in the virtual buffer
 	lastCut   clock.Time
 	cutValid  bool
 	delivered float64 // cumulative drained bytes
 	lost      float64 // cumulative overflow bytes
-}
-
-// floor is the rate the aggregate can never drop below: one MSS per RTT
-// per user, the fluid analogue of TCP's minimum window.
-func (c *classState) floor() float64 {
-	return float64(c.Users) * float64(c.MSS) * 8 / c.RTT.Seconds()
-}
-
-// Aggregate evolves the fluid classes attached to one link. It lives on
-// the link's own engine, so in a sharded mesh every site's aggregate
-// ticks inside that site's shard — no cross-shard state.
-type Aggregate struct {
-	eng     clock.Clock
-	link    *netem.Link
-	step    clock.Time
-	classes []*classState
 
 	lastPktBytes int64 // link.BytesSent() at the previous tick
 	ticker       clock.Ticker
 }
 
 // Attach builds an aggregate over link, ticking every step (DefaultStep
-// if step is zero). Classes are added with AddClass before the first
-// tick fires; the aggregate starts influencing the link once a class
-// exists.
+// if step is zero). Its class is added with AddClass before the first
+// tick fires; the aggregate starts influencing the link once it exists.
+// The link must carry no other aggregate: each one overwrites the link's
+// fluid load.
 func Attach(eng clock.Clock, link *netem.Link, step clock.Time) *Aggregate {
 	if step <= 0 {
 		step = DefaultStep
@@ -100,26 +89,29 @@ func Attach(eng clock.Clock, link *netem.Link, step clock.Time) *Aggregate {
 	return a
 }
 
-// AddClass registers a background aggregate. Rate starts at the
-// one-MSS-per-RTT-per-user floor, exactly like a slow-start entry point
-// without the exponential phase (the steady-state behavior under heavy
-// multiplexing is AIMD-dominated either way).
+// AddClass sets the aggregate's one class; a second call panics. Rate
+// starts at the one-MSS-per-RTT-per-user floor, exactly like a
+// slow-start entry point without the exponential phase (the steady-state
+// behavior under heavy multiplexing is AIMD-dominated either way).
 func (a *Aggregate) AddClass(c Class) {
+	if a.class.Users > 0 {
+		panic(fmt.Sprintf("fluid: class %q added to an aggregate that has %q", c.Name, a.class.Name))
+	}
 	if c.Users <= 0 {
 		panic(fmt.Sprintf("fluid: class %q needs a positive user count", c.Name))
 	}
 	if c.RTT <= 0 {
 		panic(fmt.Sprintf("fluid: class %q needs a positive RTT", c.Name))
 	}
-	if c.MSS <= 0 {
-		c.MSS = pkt.MSS
-	}
-	if c.BufBytes <= 0 {
-		c.BufBytes = a.link.Rate() * c.RTT.Seconds() / 8 // one BDP
-	}
-	st := &classState{Class: c}
-	st.rate = st.floor()
-	a.classes = append(a.classes, st)
+	a.class = c
+	a.bufBytes = a.link.Rate() * c.RTT.Seconds() / 8
+	a.rate = a.floor()
+}
+
+// floor is the rate the aggregate can never drop below: one MSS per RTT
+// per user, the fluid analogue of TCP's minimum window.
+func (a *Aggregate) floor() float64 {
+	return float64(a.class.Users) * float64(pkt.MSS) * 8 / a.class.RTT.Seconds()
 }
 
 // Stop cancels the tick loop and withdraws the fluid load from the link.
@@ -128,10 +120,10 @@ func (a *Aggregate) Stop() {
 	a.link.SetFluidLoad(0, 0)
 }
 
-// tick advances every class by one ODE step and pushes the combined
-// served rate and backlog into the link.
+// tick advances the class by one ODE step and pushes its served rate and
+// backlog into the link.
 func (a *Aggregate) tick() {
-	if len(a.classes) == 0 {
+	if a.class.Users == 0 {
 		return
 	}
 	dt := a.step.Seconds()
@@ -150,97 +142,47 @@ func (a *Aggregate) tick() {
 	capBytes := avail * dt / 8
 
 	// Offered fluid this step: standing backlog plus fresh sending.
-	totalInflow := 0.0
-	for _, c := range a.classes {
-		totalInflow += c.backlog + c.rate*dt/8
+	inflow := a.backlog + a.rate*dt/8
+	drained := inflow
+	if inflow > capBytes {
+		// Oversubscribed. The form is the proportional split several
+		// classes once shared, kept so the floats stay the same.
+		drained = capBytes * inflow / inflow
 	}
-
-	servedBps := 0.0
-	backlogBytes := 0.0
-	for _, c := range a.classes {
-		inflow := c.backlog + c.rate*dt/8
-		drained := inflow
-		if totalInflow > capBytes {
-			// Oversubscribed: capacity splits proportionally to offered
-			// load (FIFO fluid approximation).
-			drained = capBytes * inflow / totalInflow
-		}
-		remaining := inflow - drained
-		lost := remaining - c.BufBytes
-		if lost < 0 {
-			lost = 0
-		}
-		c.backlog = remaining - lost
-		c.delivered += drained
-		c.lost += lost
-
-		// AIMD: at most one multiplicative cut per RTT on loss;
-		// otherwise every user adds one MSS per RTT per RTT.
-		if lost > 0 {
-			if !c.cutValid || now-c.lastCut >= c.RTT {
-				c.rate *= 0.5
-				c.lastCut = now
-				c.cutValid = true
-			}
-		} else {
-			rtt := c.RTT.Seconds()
-			c.rate += float64(c.Users) * float64(c.MSS) * 8 / (rtt * rtt) * dt
-		}
-		if f := c.floor(); c.rate < f {
-			c.rate = f
-		}
-
-		servedBps += drained * 8 / dt
-		backlogBytes += c.backlog
+	remaining := inflow - drained
+	lost := remaining - a.bufBytes
+	if lost < 0 {
+		lost = 0
 	}
-	a.link.SetFluidLoad(servedBps, backlogBytes)
+	a.backlog = remaining - lost
+	a.delivered += drained
+	a.lost += lost
+
+	// AIMD: at most one multiplicative cut per RTT on loss; otherwise
+	// every user adds one MSS per RTT per RTT.
+	if lost > 0 {
+		if !a.cutValid || now-a.lastCut >= a.class.RTT {
+			a.rate *= 0.5
+			a.lastCut = now
+			a.cutValid = true
+		}
+	} else {
+		rtt := a.class.RTT.Seconds()
+		a.rate += float64(a.class.Users) * float64(pkt.MSS) * 8 / (rtt * rtt) * dt
+	}
+	if f := a.floor(); a.rate < f {
+		a.rate = f
+	}
+	a.link.SetFluidLoad(drained*8/dt, a.backlog)
 }
 
-// Users reports the total emulated user count across classes.
-func (a *Aggregate) Users() int {
-	n := 0
-	for _, c := range a.classes {
-		n += c.Users
-	}
-	return n
-}
+// Users reports the emulated user count (0 before AddClass).
+func (a *Aggregate) Users() int { return a.class.Users }
 
 // DeliveredBytes reports the cumulative fluid bytes drained through the
-// link across all classes.
-func (a *Aggregate) DeliveredBytes() float64 {
-	v := 0.0
-	for _, c := range a.classes {
-		v += c.delivered
-	}
-	return v
-}
+// link.
+func (a *Aggregate) DeliveredBytes() float64 { return a.delivered }
 
-// LostBytes reports the cumulative virtual-buffer overflow across all
-// classes — the loss volume that drove the AIMD cuts.
-func (a *Aggregate) LostBytes() float64 {
-	v := 0.0
-	for _, c := range a.classes {
-		v += c.lost
-	}
-	return v
-}
-
-// Rate reports the current aggregate send rate (bits/s) summed over
-// classes.
-func (a *Aggregate) Rate() float64 {
-	v := 0.0
-	for _, c := range a.classes {
-		v += c.rate
-	}
-	return v
-}
-
-// Backlog reports the standing virtual backlog in bytes summed over
-// classes.
-func (a *Aggregate) Backlog() float64 {
-	v := 0.0
-	for _, c := range a.classes {
-		v += c.backlog
-	}
-	return v
-}
+// LostBytes reports the cumulative virtual-buffer overflow — the loss
+// volume that drove the AIMD cuts.
+func (a *Aggregate) LostBytes() float64 { return a.lost }

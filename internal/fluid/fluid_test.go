@@ -35,8 +35,8 @@ func TestFluidAIMDFillsIdleLink(t *testing.T) {
 	if agg.LostBytes() == 0 {
 		t.Fatal("AIMD never saw loss: the probe is not reaching the buffer limit")
 	}
-	if agg.Backlog() < 0 {
-		t.Fatalf("negative backlog %f", agg.Backlog())
+	if agg.backlog < 0 {
+		t.Fatalf("negative backlog %f", agg.backlog)
 	}
 }
 
@@ -114,7 +114,7 @@ func TestFluidLoadSlowsSerialization(t *testing.T) {
 }
 
 // TestFluidStateIndependentOfUsers: the whole point — a million-user
-// class is the same classState as a ten-user one, and the run completes
+// aggregate is the same state as a ten-user one, and the run completes
 // in the same number of events.
 func TestFluidStateIndependentOfUsers(t *testing.T) {
 	run := func(users int) float64 {
@@ -142,15 +142,29 @@ func TestFluidDeterminism(t *testing.T) {
 		link, _ := mklink(eng, 48e6)
 		agg := Attach(eng, link, 0)
 		agg.AddClass(Class{Name: "a", Users: 40, RTT: 30 * sim.Millisecond})
-		agg.AddClass(Class{Name: "b", Users: 10, RTT: 90 * sim.Millisecond})
 		eng.RunUntil(20 * sim.Second)
-		return agg.DeliveredBytes(), agg.LostBytes(), agg.Rate()
+		return agg.DeliveredBytes(), agg.LostBytes(), agg.rate
 	}
 	d1, l1, r1 := run()
 	d2, l2, r2 := run()
 	if d1 != d2 || l1 != l2 || r1 != r2 {
 		t.Fatalf("nondeterministic fluid state: (%v,%v,%v) vs (%v,%v,%v)", d1, l1, r1, d2, l2, r2)
 	}
+}
+
+// TestFluidOneClassPerAggregate: a second AddClass panics instead of
+// sharing the link's single fluid load.
+func TestFluidOneClassPerAggregate(t *testing.T) {
+	eng := sim.NewEngine(8)
+	link, _ := mklink(eng, 48e6)
+	agg := Attach(eng, link, 0)
+	agg.AddClass(Class{Name: "a", Users: 40, RTT: 30 * sim.Millisecond})
+	defer func() {
+		if recover() == nil {
+			t.Fatal("second AddClass did not panic")
+		}
+	}()
+	agg.AddClass(Class{Name: "b", Users: 10, RTT: 90 * sim.Millisecond})
 }
 
 // TestFluidStopWithdrawsLoad: Stop must both cancel the ticker and zero

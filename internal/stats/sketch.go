@@ -18,9 +18,9 @@ import (
 //     2γ^i/(γ+1), so |reported−v|/|v| ≤ (γ−1)/(γ+1) ≈ 0.99 %. Ranks are
 //     exact (counts are integral), so the error is purely in value
 //     resolution, never in which order statistic is consulted.
-//   - N, Mean, Min, Max, and Stddev are exact: counts, Σv and Σv² are
-//     tracked on the side in full precision, and Quantile(0)/Quantile(1)
-//     return the tracked exact extremes.
+//   - N, Mean, Min and Max are exact: the count and Σv are tracked on
+//     the side in full precision, and Quantile(0)/Quantile(1) return the
+//     tracked exact extremes.
 //   - Memory is bounded by the dynamic range, not the observation count:
 //     one bucket per occupied log-scale bin, at most
 //     ⌈log(max/min)/log γ⌉ + 2 entries — observations spanning twelve
@@ -45,7 +45,6 @@ type Sketch struct {
 	zero int64           // count of |v| < sketchMinVal
 	n    int64
 	sum  float64
-	sum2 float64
 	min  float64
 	max  float64
 }
@@ -92,7 +91,6 @@ func (sk *Sketch) Add(v float64) {
 	}
 	sk.n++
 	sk.sum += v
-	sk.sum2 += v * v
 	if math.Abs(v) < sketchMinVal {
 		sk.zero++
 		return
@@ -113,7 +111,6 @@ func (sk *Sketch) Merge(o *Sketch) {
 	}
 	sk.n += o.n
 	sk.sum += o.sum
-	sk.sum2 += o.sum2
 	sk.zero += o.zero
 	for k, c := range o.bins {
 		sk.bins[k] += c
@@ -137,19 +134,6 @@ func (sk *Sketch) Mean() float64 {
 		return math.NaN()
 	}
 	return sk.sum / float64(sk.n)
-}
-
-// Stddev returns the exact population standard deviation.
-func (sk *Sketch) Stddev() float64 {
-	if sk.n == 0 {
-		return math.NaN()
-	}
-	m := sk.Mean()
-	v := sk.sum2/float64(sk.n) - m*m
-	if v < 0 {
-		v = 0 // float cancellation
-	}
-	return math.Sqrt(v)
 }
 
 // Min returns the exact smallest observation.

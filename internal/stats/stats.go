@@ -29,7 +29,7 @@ type Sample struct {
 
 // UseSketch switches the sample to sketch mode, converting any
 // observations already recorded. Quantiles become ≤1 %-relative-error
-// approximations (N/Mean/Min/Max/Stddev stay exact) and memory becomes
+// approximations (N/Mean/Min/Max stay exact) and memory becomes
 // independent of the observation count. There is no way back to exact
 // mode: the raw observations are discarded.
 func (s *Sample) UseSketch() {
@@ -170,24 +170,6 @@ func (s *Sample) Min() float64 { return s.Quantile(0) }
 
 // Max returns the largest observation.
 func (s *Sample) Max() float64 { return s.Quantile(1) }
-
-// Stddev returns the population standard deviation (exact in both
-// modes).
-func (s *Sample) Stddev() float64 {
-	if s.sk != nil {
-		return s.sk.Stddev()
-	}
-	if len(s.vals) == 0 {
-		return math.NaN()
-	}
-	m := s.Mean()
-	sum := 0.0
-	for _, v := range s.vals {
-		d := v - m
-		sum += d * d
-	}
-	return math.Sqrt(sum / float64(len(s.vals)))
-}
 
 // FractionWithin reports the fraction of observations v with |v| ≤ bound
 // (used for the paper's "80 % of estimates within X" claims). Sketch

@@ -306,10 +306,6 @@ func (s *Sender) complete(now clock.Time) {
 	}
 }
 
-// SRTT exposes the smoothed RTT estimate (for tests and the §7.5 proxy
-// discussion).
-func (s *Sender) SRTT() clock.Time { return s.srtt }
-
 // Abort stops the transfer immediately without marking it complete:
 // timers are cancelled and no further packets are sent. Experiments use it
 // to model cross traffic that departs (Figure 10's phase changes).

@@ -105,8 +105,8 @@ func TestSRTTTracksPathRTT(t *testing.T) {
 	if !s.Done() {
 		t.Fatal("flow incomplete")
 	}
-	if s.SRTT() < 80*sim.Millisecond || s.SRTT() > 200*sim.Millisecond {
-		t.Fatalf("SRTT = %v, want ≈ 80ms (plus queueing)", s.SRTT())
+	if s.srtt < 80*sim.Millisecond || s.srtt > 200*sim.Millisecond {
+		t.Fatalf("SRTT = %v, want ≈ 80ms (plus queueing)", s.srtt)
 	}
 }
 

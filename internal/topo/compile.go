@@ -509,6 +509,13 @@ func compile(sc Scenario, seed int64, pv map[string]string) (*compiled, error) {
 			}
 			// The aggregate loads the host's attach link directly — no
 			// endpoints, no packets, O(1) state however large users is.
+			// A link carries one aggregate: a second would overwrite the
+			// first's load.
+			for _, f := range c.fluids {
+				if hostLink[f.Host] == hostLink[w.Host] {
+					return nil, fmt.Errorf("fluid workloads on %q and %q load the same link; give each its own", f.Host, w.Host)
+				}
+			}
 			agg := fluid.Attach(eng, hostLink[w.Host], 0)
 			agg.AddClass(fluid.Class{Name: w.Host, Users: users, RTT: rtt})
 			c.fluids = append(c.fluids, fluidOut{Host: w.Host, Users: users, Agg: agg})

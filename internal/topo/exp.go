@@ -11,6 +11,7 @@ import (
 	"bundler/internal/report"
 	"bundler/internal/scenario"
 	"bundler/internal/sim"
+	"bundler/internal/stats"
 )
 
 // configExp adapts a Config to the exp.Experiment interface, making a
@@ -119,14 +120,6 @@ func RegisterFile(path string) (exp.Experiment, bool, error) {
 		return nil, false, fmt.Errorf("topo: register %s: %w", path, err)
 	}
 	return e, replaced, nil
-}
-
-// Smoke runs every labeled run of cfg with default parameters and the
-// horizon capped at maxHorizon, without requiring workload completion —
-// the cheap "shipped configs can never rot" check CI applies to
-// examples/configs/.
-func Smoke(cfg *Config, seed int64, maxHorizon sim.Time) (exp.Result, error) {
-	return runConfig(cfg, seed, nil, maxHorizon)
 }
 
 // outcome is one executed run.
@@ -295,7 +288,11 @@ func summaryResult(cfg *Config, seed int64, p exp.Params, header string, outs []
 			res.AddMetric(prefix+"bulk-"+bk.Host+"/Mbps", mbps, "Mbps")
 		}
 		for _, pg := range o.c.pings {
-			r := pg.Client.RTTs
+			var r stats.Sample
+			r.Reserve(len(pg.Client.Series.V))
+			for _, v := range pg.Client.Series.V {
+				r.Add(v)
+			}
 			fmt.Fprintf(&w, "  ping %-12s rtt p50=%.1fms p90=%.1fms (n=%d)\n",
 				pg.Host, r.Quantile(0.5), r.Quantile(0.9), r.N())
 			res.AddMetric(prefix+"ping-"+pg.Host+"/p50-ms", r.Quantile(0.5), "ms")

@@ -22,7 +22,7 @@ func TestExampleConfigsSmoke(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			res, err := Smoke(cfg, 1, 5*sim.Second)
+			res, err := runConfig(cfg, 1, nil, 5*sim.Second)
 			if err != nil {
 				t.Fatal(err)
 			}

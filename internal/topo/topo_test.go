@@ -527,6 +527,13 @@ func TestRejections(t *testing.T) {
 			want: "bad count",
 		},
 		{
+			name: "two fluid workloads on one link",
+			json: `{"name":"t","base":{"horizon":"10s","links":[{"name":"l1","rate":"96e6"}],
+				"hosts":[{"name":"h1"},{"name":"h2"}],
+				"workloads":[{"host":"h1","kind":"fluid","users":"10"},{"host":"h2","kind":"fluid","users":"20"}]}}`,
+			want: "load the same link",
+		},
+		{
 			name: "mesh sketch off with users on",
 			json: `{"name":"t","base":{"mesh":{"sites":"2","users":"1000","sketch":"false"}}}`,
 			want: "incompatible",
@@ -591,7 +598,7 @@ func TestFluidWorkloadKind(t *testing.T) {
 	if err := Validate(cfg); err != nil {
 		t.Fatal(err)
 	}
-	res, err := Smoke(cfg, 1, 0)
+	res, err := runConfig(cfg, 1, nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -29,9 +29,8 @@ type PingClient struct {
 	waiting bool
 	pool    *pkt.Pool
 
-	// RTTs collects request-response round-trip times in milliseconds.
-	RTTs stats.Sample
-	// Series records each sample against virtual time for timeline plots.
+	// Series records each request-response round-trip time, in
+	// milliseconds, against the virtual time it completed.
 	Series stats.TimeSeries
 }
 
@@ -72,7 +71,6 @@ func (c *PingClient) Receive(p *pkt.Packet) {
 	}
 	c.waiting = false
 	rtt := (c.eng.Now() - c.lastReq).Millis()
-	c.RTTs.Add(rtt)
 	c.Series.Add(c.eng.Now(), rtt)
 	c.sendRequest()
 }

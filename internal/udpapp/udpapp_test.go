@@ -8,6 +8,7 @@ import (
 	"bundler/internal/pkt"
 	"bundler/internal/qdisc"
 	"bundler/internal/sim"
+	"bundler/internal/stats"
 	"bundler/internal/tcp"
 )
 
@@ -24,16 +25,16 @@ func TestPingMeasuresPathRTT(t *testing.T) {
 	mux.Register(sa, server)
 	client.Start()
 	eng.RunUntil(5 * sim.Second)
-	if client.RTTs.N() < 50 {
-		t.Fatalf("only %d round trips in 5s", client.RTTs.N())
+	if client.Series.N() < 50 {
+		t.Fatalf("only %d round trips in 5s", client.Series.N())
 	}
 	// Base RTT ≈ 50 ms propagation + negligible serialization.
-	med := client.RTTs.Median()
+	med := median(client.Series.V)
 	if math.Abs(med-50) > 1 {
 		t.Fatalf("median RTT %.2fms, want ≈ 50ms", med)
 	}
-	if server.Served != client.RTTs.N() && server.Served != client.RTTs.N()+1 {
-		t.Fatalf("served %d, client completed %d", server.Served, client.RTTs.N())
+	if server.Served != client.Series.N() && server.Served != client.Series.N()+1 {
+		t.Fatalf("served %d, client completed %d", server.Served, client.Series.N())
 	}
 }
 
@@ -55,7 +56,7 @@ func TestPingSeesQueueingDelay(t *testing.T) {
 	client.Start()
 	cbr.Start()
 	eng.RunUntil(10 * sim.Second)
-	med := client.RTTs.Median()
+	med := median(client.Series.V)
 	if med < 30 {
 		t.Fatalf("median RTT %.2fms does not reflect queueing (base 20ms)", med)
 	}
@@ -85,7 +86,16 @@ func TestPingIgnoresForeignProtocols(t *testing.T) {
 	c := NewPingClient(eng, &netem.Sink{}, pkt.Addr{Host: 1}, pkt.Addr{Host: 2}, 1)
 	c.Start()
 	c.Receive(&pkt.Packet{Proto: pkt.ProtoTCP})
-	if c.RTTs.N() != 0 {
+	if c.Series.N() != 0 {
 		t.Fatal("TCP packet recorded as ping response")
 	}
+}
+
+// median returns the median of vs.
+func median(vs []float64) float64 {
+	var s stats.Sample
+	for _, v := range vs {
+		s.Add(v)
+	}
+	return s.Median()
 }

@@ -515,12 +515,12 @@ func (s *Sendbox) maybeUpdateEpochSize() {
 	// The update travels out-of-band. Control-plane messages bypass the
 	// bundle's own pacer (they originate from the box, not from bundled
 	// traffic) and enter the WAN path directly.
-	s.downstream.Receive(newCtlPacket(s.pool, &s.ipid, s.ctlAddr, s.peerCtl, s.eng.Now(), &CtlEpochUpdate{N: n}))
+	s.downstream.Receive(newCtlPacket(s.pool, &s.ipid, s.ctlAddr, s.peerCtl, &CtlEpochUpdate{N: n}))
 }
 
-// newCtlPacket mints a control message from src to dst, stamped at now,
-// with the next IP ID from the sending box's counter.
-func newCtlPacket(pl *pkt.Pool, ipid *uint16, src, dst pkt.Addr, now clock.Time, payload any) *pkt.Packet {
+// newCtlPacket mints a control message from src to dst with the next IP
+// ID from the sending box's counter.
+func newCtlPacket(pl *pkt.Pool, ipid *uint16, src, dst pkt.Addr, payload any) *pkt.Packet {
 	*ipid++
 	p := pl.Get()
 	p.IPID = *ipid
@@ -529,7 +529,6 @@ func newCtlPacket(pl *pkt.Pool, ipid *uint16, src, dst pkt.Addr, now clock.Time,
 	p.Proto = pkt.ProtoCtl
 	p.Size = CtlPacketSize
 	p.Payload = payload
-	p.SentAt = now
 	return p
 }
 
@@ -834,7 +833,7 @@ func (r *Receivebox) Observe(p *pkt.Packet) {
 		marker = h
 	}
 	r.AcksSent++
-	r.out.Receive(newCtlPacket(r.pool, &r.ipid, r.addr, r.peerCtl, r.eng.Now(), &CtlAck{Hash: marker, BytesRcvd: r.bytesRcvd}))
+	r.out.Receive(newCtlPacket(r.pool, &r.ipid, r.addr, r.peerCtl, &CtlAck{Hash: marker, BytesRcvd: r.bytesRcvd}))
 }
 
 // Receive implements netem.Receiver for the control channel (epoch-size

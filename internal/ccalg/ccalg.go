@@ -54,7 +54,6 @@ type Copa struct {
 	delta float64
 	cwnd  float64 // packets
 	vel   float64
-	dir   float64
 	// Velocity doubles at most once per RTT while direction persists.
 	lastVelUpdate clock.Time
 	lastDir       float64
@@ -73,7 +72,7 @@ type rttSample struct {
 
 // NewCopa returns a Copa controller with the default δ = 0.5.
 func NewCopa() *Copa {
-	return &Copa{delta: 0.5, cwnd: 2 * minCwndPkts, vel: 1, dir: 1, lastDir: 1}
+	return &Copa{delta: 0.5, cwnd: 2 * minCwndPkts, vel: 1, lastDir: 1}
 }
 
 // Name implements Alg.

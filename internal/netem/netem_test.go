@@ -337,16 +337,14 @@ func jitterRun(ordered bool, n int, spacing, max sim.Time) (order []uint16, mean
 	for i := 0; i < n; i++ {
 		p := newpkt(100)
 		p.IPID = uint16(i)
-		clock.At(eng, sim.Time(i)*spacing, func() {
-			p.SentAt = eng.Now()
-			j.Receive(p)
-		})
+		clock.At(eng, sim.Time(i)*spacing, func() { j.Receive(p) })
 	}
 	eng.Run()
 	var sum float64
 	for i, p := range rec.pkts {
 		order = append(order, p.IPID)
-		sum += (rec.at[i] - p.SentAt).Millis()
+		sentAt := sim.Time(p.IPID) * spacing
+		sum += (rec.at[i] - sentAt).Millis()
 	}
 	return order, sum / float64(len(rec.pkts))
 }

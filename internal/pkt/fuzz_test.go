@@ -31,7 +31,6 @@ func FuzzEpochHash(f *testing.F) {
 
 		// What the network legitimately changes in flight.
 		p.EnqueuedAt = 123 * sim.Millisecond
-		p.SentAt = 456 * sim.Millisecond
 		p.Retransmit = !p.Retransmit
 		p.FlowID ^= 0xDEADBEEF
 		p.NSACK = 2

@@ -116,9 +116,6 @@ type Packet struct {
 
 	// EnqueuedAt is stamped by queues to trace per-queue delays.
 	EnqueuedAt clock.Time
-	// SentAt is stamped when the packet first leaves its origin host, for
-	// end-to-end latency statistics.
-	SentAt clock.Time
 
 	// pooled marks a packet currently resting in the free list; Put uses
 	// it to catch double releases (a lifecycle bug that would otherwise

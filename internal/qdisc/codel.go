@@ -13,9 +13,9 @@ import (
 // bounds delay without per-flow state.
 type CoDel struct {
 	pktQueue
+	drops
 	eng      clock.Clock
 	limit    int // packets
-	drops    int
 	target   clock.Time
 	interval clock.Time
 	st       codelState
@@ -56,12 +56,3 @@ func (c *CoDel) drop(p *pkt.Packet) {
 	c.drops++
 	pkt.Put(p)
 }
-
-// Len implements Qdisc.
-func (c *CoDel) Len() int { return c.len() }
-
-// Bytes implements Qdisc.
-func (c *CoDel) Bytes() int { return c.bytes }
-
-// Drops implements Qdisc.
-func (c *CoDel) Drops() int { return c.drops }

@@ -7,14 +7,12 @@ import "bundler/internal/pkt"
 // approximating fair queueing in O(1) per packet. Compared to SFQ it keys
 // flows exactly (no stochastic bucket collisions) at the cost of a map.
 type DRR struct {
+	tally
 	flows   map[uint64]*drrFlow
 	active  []uint64
 	cursor  int
 	quantum int
 	limit   int // total packets
-	count   int
-	bytes   int
-	drops   int
 }
 
 type drrFlow struct {
@@ -42,7 +40,7 @@ func (d *DRR) Enqueue(p *pkt.Packet) bool {
 		if fat == key || fat == 0 {
 			return false
 		}
-		d.dropHead(fat)
+		d.discard(d.flows[fat].pop())
 	}
 	f := d.flows[key]
 	if f == nil {
@@ -50,8 +48,7 @@ func (d *DRR) Enqueue(p *pkt.Packet) bool {
 		d.flows[key] = f
 	}
 	f.push(p)
-	d.count++
-	d.bytes += p.Size
+	d.in(p)
 	if !f.active {
 		f.active = true
 		f.deficit = d.quantum
@@ -71,14 +68,6 @@ func (d *DRR) fattest() uint64 {
 	return best
 }
 
-func (d *DRR) dropHead(key uint64) {
-	f := d.flows[key]
-	p := f.pop()
-	d.count--
-	d.bytes -= p.Size
-	pkt.Put(p) // internal drop: the queue owned it
-}
-
 // Dequeue implements Qdisc.
 func (d *DRR) Dequeue() *pkt.Packet {
 	for len(d.active) > 0 {
@@ -87,7 +76,7 @@ func (d *DRR) Dequeue() *pkt.Packet {
 		}
 		key := d.active[d.cursor]
 		f := d.flows[key]
-		if f.len() == 0 {
+		if f.Len() == 0 {
 			f.active = false
 			delete(d.flows, key)
 			d.active = append(d.active[:d.cursor], d.active[d.cursor+1:]...)
@@ -100,9 +89,8 @@ func (d *DRR) Dequeue() *pkt.Packet {
 		}
 		p := f.pop()
 		f.deficit -= p.Size
-		d.count--
-		d.bytes -= p.Size
-		if f.len() == 0 {
+		d.out(p)
+		if f.Len() == 0 {
 			f.active = false
 			delete(d.flows, key)
 			d.active = append(d.active[:d.cursor], d.active[d.cursor+1:]...)
@@ -111,12 +99,3 @@ func (d *DRR) Dequeue() *pkt.Packet {
 	}
 	return nil
 }
-
-// Len implements Qdisc.
-func (d *DRR) Len() int { return d.count }
-
-// Bytes implements Qdisc.
-func (d *DRR) Bytes() int { return d.bytes }
-
-// Drops implements Qdisc.
-func (d *DRR) Drops() int { return d.drops }

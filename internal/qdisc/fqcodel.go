@@ -13,15 +13,13 @@ import (
 // evaluates it as an alternative sendbox policy in §7.2, reporting ~97 %
 // lower median end-to-end RTTs.
 type FQCoDel struct {
+	tally
 	eng      clock.Clock
 	flows    []fqFlow
 	newFlows []int
 	oldFlows []int
 	quantum  int
-	limit    int
-	count    int
-	bytes    int
-	drops    int
+	limit    int // total packets
 	target   clock.Time
 	interval clock.Time
 }
@@ -66,14 +64,13 @@ func (f *FQCoDel) Enqueue(p *pkt.Packet) bool {
 		if fi < 0 || fi == f.flowOf(p) {
 			return false
 		}
-		f.dropHead(fi)
+		f.discard(f.flows[fi].pop())
 	}
 	fi := f.flowOf(p)
 	fl := &f.flows[fi]
 	p.EnqueuedAt = f.eng.Now()
 	fl.push(p)
-	f.count++
-	f.bytes += p.Size
+	f.in(p)
 	if fl.state == fqIdle {
 		fl.state = fqNew
 		fl.deficit = f.quantum
@@ -98,14 +95,6 @@ func (f *FQCoDel) fattest() int {
 	scan(f.newFlows)
 	scan(f.oldFlows)
 	return best
-}
-
-func (f *FQCoDel) dropHead(fi int) {
-	fl := &f.flows[fi]
-	p := fl.pop()
-	f.count--
-	f.bytes -= p.Size
-	pkt.Put(p) // internal drop: the queue owned it
 }
 
 // Dequeue implements Qdisc: serve new flows first, then old flows, running
@@ -140,19 +129,15 @@ func (f *FQCoDel) Dequeue() *pkt.Packet {
 			continue
 		}
 		fl.deficit -= p.Size
-		f.count--
-		f.bytes -= p.Size
+		f.out(p)
 		return p
 	}
 }
 
-// drop releases a packet a flow's control law discarded (the queue owned
-// it) and updates the aggregate counters.
+// drop counts and discards a packet a flow's control law dropped.
 func (f *FQCoDel) drop(p *pkt.Packet) {
-	f.count--
-	f.bytes -= p.Size
 	f.drops++
-	pkt.Put(p)
+	f.discard(p)
 }
 
 // codelState is the control law's state for one queue.
@@ -240,12 +225,3 @@ func (c *codelState) okToDrop(q *pktQueue, now, target, interval clock.Time) (ov
 func controlLaw(t, interval clock.Time, count int) clock.Time {
 	return t + clock.Time(float64(interval)/math.Sqrt(float64(count)))
 }
-
-// Len implements Qdisc.
-func (f *FQCoDel) Len() int { return f.count }
-
-// Bytes implements Qdisc.
-func (f *FQCoDel) Bytes() int { return f.bytes }
-
-// Drops implements Qdisc.
-func (f *FQCoDel) Drops() int { return f.drops }

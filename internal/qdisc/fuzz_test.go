@@ -79,8 +79,9 @@ func FuzzSFQ(f *testing.F) {
 }
 
 // FuzzQdiscAccounting drives each time-aware AQM (CoDel, FQ-CoDel, RED,
-// PIE) plus the class schedulers (WFQ, SP — wrapped in a Meter, so the
-// wrapper's pass-through accounting is fuzzed for free) through
+// PIE), the class schedulers (WFQ, SP — wrapped in a Meter, so the
+// wrapper's pass-through accounting is fuzzed for free) and the
+// time-blind disciplines (FIFO, DRR, Prio, SFQ) through
 // arbitrary enqueue/dequeue/idle-advance sequences and checks the
 // byte-accounting invariants the link and the fluid coupling rely on:
 //
@@ -105,6 +106,10 @@ func FuzzQdiscAccounting(f *testing.F) {
 	f.Add(uint8(3), uint8(60), []byte{0x20, 0xC1, 0x20, 0xC1, 0xA0, 0xC1, 0x20, 0xA0})
 	f.Add(uint8(4), uint8(120), []byte{0x01, 0x02, 0x03, 0x81, 0x04, 0x05, 0x82, 0x83})
 	f.Add(uint8(5), uint8(200), []byte{0x07, 0x06, 0x05, 0x80, 0x04, 0xFF, 0x81, 0x82})
+	f.Add(uint8(6), uint8(255), []byte{0x01, 0x02, 0x03, 0x04, 0x05, 0x81, 0x06, 0xC2, 0x82})
+	f.Add(uint8(7), uint8(30), []byte{0x00, 0x00, 0x00, 0x01, 0x02, 0x01, 0x80, 0x03, 0x81})
+	f.Add(uint8(8), uint8(150), []byte{0x00, 0x03, 0x06, 0x00, 0x01, 0x80, 0xC3, 0x81, 0x82})
+	f.Add(uint8(9), uint8(90), []byte{0x01, 0x01, 0x01, 0x02, 0x03, 0x80, 0x04, 0xC1, 0x81})
 	f.Fuzz(func(t *testing.T, which, sizeSeed uint8, ops []byte) {
 		size := 40 + int(sizeSeed)*5 // 40..1315 bytes, uniform per run
 		eng := sim.NewEngine(7)
@@ -118,7 +123,7 @@ func FuzzQdiscAccounting(f *testing.F) {
 		byFlow := func(p *pkt.Packet) int { return int(p.Src.Port) % len(classes) }
 		var q Qdisc
 		var meter *Meter
-		switch which % 6 {
+		switch which % 10 {
 		case 0:
 			q = NewCoDel(eng, 128)
 		case 1:
@@ -135,6 +140,16 @@ func FuzzQdiscAccounting(f *testing.F) {
 		case 5:
 			meter = NewMeter(NewSP(128, classes, byFlow), classes)
 			q = meter
+		// The time-blind disciplines get small limits, so short inputs
+		// reach their overflow paths (the flow queueing ones evict).
+		case 6:
+			q = NewFIFO(4 * pkt.MTU)
+		case 7:
+			q = NewDRR(4)
+		case 8:
+			q = NewPrio(len(classes), 2*pkt.MTU, byFlow)
+		case 9:
+			q = NewSFQ(16, 4)
 		}
 		accepted, dequeued, rejected := 0, 0, 0
 

@@ -22,19 +22,22 @@ type ClassStat struct {
 // served if the call returned a packet. A work-conserving scheduler
 // keeps the ratio at exactly 1.0 whenever any class is backlogged.
 type Meter struct {
-	inner    Qdisc
+	wrapped              // Enqueue, Len, Bytes and Drops pass through
 	stats    []ClassStat // one per class, plus the trailing "other" bucket
 	byPort   map[uint16]int
 	attempts int64
 	served   int64
 }
 
+// wrapped names the scheduler a Meter embeds without exporting the field.
+type wrapped = Qdisc
+
 // NewMeter wraps inner with per-class accounting for classes.
 func NewMeter(inner Qdisc, classes []Class) *Meter {
 	m := &Meter{
-		inner:  inner,
-		stats:  make([]ClassStat, len(classes)+1),
-		byPort: make(map[uint16]int, len(classes)),
+		wrapped: inner,
+		stats:   make([]ClassStat, len(classes)+1),
+		byPort:  make(map[uint16]int, len(classes)),
 	}
 	for i, c := range classes {
 		m.stats[i].Class = c
@@ -44,13 +47,10 @@ func NewMeter(inner Qdisc, classes []Class) *Meter {
 	return m
 }
 
-// Enqueue implements Qdisc.
-func (m *Meter) Enqueue(p *pkt.Packet) bool { return m.inner.Enqueue(p) }
-
 // Dequeue implements Qdisc, attributing each served packet to its class.
 func (m *Meter) Dequeue() *pkt.Packet {
-	backlogged := m.inner.Len() > 0
-	p := m.inner.Dequeue()
+	backlogged := m.Len() > 0
+	p := m.wrapped.Dequeue()
 	if backlogged {
 		m.attempts++
 		if p != nil {
@@ -67,15 +67,6 @@ func (m *Meter) Dequeue() *pkt.Packet {
 	}
 	return p
 }
-
-// Len implements Qdisc.
-func (m *Meter) Len() int { return m.inner.Len() }
-
-// Bytes implements Qdisc.
-func (m *Meter) Bytes() int { return m.inner.Bytes() }
-
-// Drops implements Qdisc.
-func (m *Meter) Drops() int { return m.inner.Drops() }
 
 // Stats returns the per-class service totals: one entry per declared
 // class in declaration order, plus the "other" bucket only if unmatched

@@ -11,10 +11,10 @@ import (
 // latency without per-packet timestamps.
 type PIE struct {
 	pktQueue
+	drops
 	eng clock.Clock
 
-	limit int
-	drops int
+	limit int // packets
 
 	target     clock.Time
 	alpha      float64 // per (delay error in s)
@@ -128,12 +128,3 @@ func (p *PIE) Dequeue() *pkt.Packet {
 	}
 	return out
 }
-
-// Len implements Qdisc.
-func (p *PIE) Len() int { return p.len() }
-
-// Bytes implements Qdisc.
-func (p *PIE) Bytes() int { return p.bytes }
-
-// Drops implements Qdisc.
-func (p *PIE) Drops() int { return p.drops }

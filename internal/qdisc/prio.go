@@ -9,9 +9,9 @@ type Classifier func(*pkt.Packet) int
 // it in §7.2 to give one traffic class absolute precedence over another
 // (~65 % lower median FCT for the favored class).
 type Prio struct {
+	drops
 	bands    []*FIFO
 	classify Classifier
-	drops    int
 }
 
 // NewPrio builds a strict-priority qdisc with nbands droptail bands of
@@ -68,6 +68,3 @@ func (pr *Prio) Bytes() int {
 	}
 	return n
 }
-
-// Drops implements Qdisc.
-func (pr *Prio) Drops() int { return pr.drops }

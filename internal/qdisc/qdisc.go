@@ -32,8 +32,8 @@ type Qdisc interface {
 // FIFO is a droptail queue bounded in bytes.
 type FIFO struct {
 	pktQueue
+	drops
 	limit int // bytes
-	drops int
 }
 
 // NewFIFO returns a droptail FIFO that holds at most limitBytes.
@@ -56,12 +56,3 @@ func (f *FIFO) Enqueue(p *pkt.Packet) bool {
 
 // Dequeue implements Qdisc.
 func (f *FIFO) Dequeue() *pkt.Packet { return f.pop() }
-
-// Len implements Qdisc.
-func (f *FIFO) Len() int { return f.len() }
-
-// Bytes implements Qdisc.
-func (f *FIFO) Bytes() int { return f.bytes }
-
-// Drops implements Qdisc.
-func (f *FIFO) Drops() int { return f.drops }

@@ -31,8 +31,8 @@ func TestPktQueueOrderAcrossCompaction(t *testing.T) {
 		}
 		want++
 		bytes -= p.Size
-		if q.len() != int(next-want) || q.bytes != bytes {
-			t.Fatalf("after pop %d: len %d bytes %d, want %d and %d", p.Seq, q.len(), q.bytes, next-want, bytes)
+		if q.Len() != int(next-want) || q.bytes != bytes {
+			t.Fatalf("after pop %d: len %d bytes %d, want %d and %d", p.Seq, q.Len(), q.bytes, next-want, bytes)
 		}
 	}
 	compactions := 0
@@ -48,7 +48,7 @@ func TestPktQueueOrderAcrossCompaction(t *testing.T) {
 	if compactions == 0 {
 		t.Fatal("pattern never forced a compaction")
 	}
-	for q.len() > 0 {
+	for q.Len() > 0 {
 		pop()
 	}
 	if q.peek() != nil || q.pop() != nil || q.bytes != 0 {
@@ -114,7 +114,7 @@ func retainedSlots(t *testing.T, q Qdisc) int {
 		}
 		return n
 	case *Meter:
-		return retainedSlots(t, q.inner)
+		return retainedSlots(t, q.wrapped)
 	}
 	t.Fatalf("retainedSlots: unhandled discipline %T", q)
 	return 0

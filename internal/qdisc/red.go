@@ -19,10 +19,10 @@ const redFallbackTx = clock.Millisecond
 // signalling endhost loops before the buffer overflows.
 type RED struct {
 	pktQueue
+	drops
 	eng clock.Clock
 
 	limit int // bytes, hard cap
-	drops int
 
 	// Parameters, in bytes (classic RED operates on average queue size).
 	minTh, maxTh int
@@ -138,12 +138,3 @@ func (r *RED) Dequeue() *pkt.Packet {
 	}
 	return p
 }
-
-// Len implements Qdisc.
-func (r *RED) Len() int { return r.len() }
-
-// Bytes implements Qdisc.
-func (r *RED) Bytes() int { return r.bytes }
-
-// Drops implements Qdisc.
-func (r *RED) Drops() int { return r.drops }

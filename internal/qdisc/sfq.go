@@ -8,6 +8,7 @@ import "bundler/internal/pkt"
 // round-robin, one quantum of bytes per turn (deficit round robin, as the
 // Linux implementation effectively provides with its allotments).
 type SFQ struct {
+	tally
 	// groups is the hash-indexed slot table, two-level so an SFQ's
 	// footprint is proportional to the flows it has actually seen, not
 	// to the table size: bucket index bi lives at
@@ -28,9 +29,6 @@ type SFQ struct {
 	quantum  int
 	perturb  uint64
 	limit    int // total packet cap
-	count    int
-	bytes    int
-	drops    int
 }
 
 const (
@@ -131,7 +129,9 @@ func (s *SFQ) Enqueue(p *pkt.Packet) bool {
 		if fattest == bi || fattest < 0 {
 			return false
 		}
-		s.dropHead(fattest)
+		// The bucket stays in the active list; Dequeue removes it when
+		// empty.
+		s.discard(s.bucketAt(fattest).pop())
 	}
 	s.push(bi, p)
 	return true
@@ -153,8 +153,7 @@ func (s *SFQ) push(bi int, p *pkt.Packet) {
 		g[bi&sfqGroupMask] = b
 	}
 	b.push(p)
-	s.count++
-	s.bytes += p.Size
+	s.in(p)
 	if !b.active {
 		b.active = true
 		b.deficit = s.quantum
@@ -167,20 +166,11 @@ func (s *SFQ) fattestBucket() int {
 	for _, bi := range s.active {
 		// Buckets on the active list are always allocated (push put them
 		// there).
-		if l := s.bucketAt(bi).len(); l > bestLen {
+		if l := s.bucketAt(bi).Len(); l > bestLen {
 			best, bestLen = bi, l
 		}
 	}
 	return best
-}
-
-func (s *SFQ) dropHead(bi int) {
-	b := s.bucketAt(bi)
-	p := b.pop()
-	s.count--
-	s.bytes -= p.Size
-	// The bucket stays in the active list; Dequeue removes it when empty.
-	pkt.Put(p) // the queue owned it; an internal drop is its end of life
 }
 
 // Dequeue implements Qdisc using deficit round robin over active buckets.
@@ -191,7 +181,7 @@ func (s *SFQ) Dequeue() *pkt.Packet {
 		}
 		bi := s.active[s.cursor]
 		b := s.bucketAt(bi)
-		if b.len() == 0 {
+		if b.Len() == 0 {
 			b.active = false
 			s.active = append(s.active[:s.cursor], s.active[s.cursor+1:]...)
 			continue
@@ -203,9 +193,8 @@ func (s *SFQ) Dequeue() *pkt.Packet {
 		}
 		p := b.pop()
 		b.deficit -= p.Size
-		s.count--
-		s.bytes -= p.Size
-		if b.len() == 0 {
+		s.out(p)
+		if b.Len() == 0 {
 			b.active = false
 			s.active = append(s.active[:s.cursor], s.active[s.cursor+1:]...)
 		}
@@ -213,12 +202,3 @@ func (s *SFQ) Dequeue() *pkt.Packet {
 	}
 	return nil
 }
-
-// Len implements Qdisc.
-func (s *SFQ) Len() int { return s.count }
-
-// Bytes implements Qdisc.
-func (s *SFQ) Bytes() int { return s.bytes }
-
-// Drops implements Qdisc.
-func (s *SFQ) Drops() int { return s.drops }

@@ -12,12 +12,10 @@ import "bundler/internal/pkt"
 // lowest-priority backlogged class, so bulk traffic can never starve
 // interactive traffic of buffer space.
 type SP struct {
+	tally
 	classes  []pktQueue
 	classify Classifier
 	limit    int // total packets
-	count    int
-	bytes    int
-	drops    int
 }
 
 // NewSP builds a strict-priority scheduler holding at most limitPackets
@@ -49,48 +47,30 @@ func (s *SP) Enqueue(p *pkt.Packet) bool {
 		if victim <= idx {
 			return false
 		}
-		s.dropHead(victim)
+		s.discard(s.classes[victim].pop())
 	}
 	s.classes[idx].push(p)
-	s.count++
-	s.bytes += p.Size
+	s.in(p)
 	return true
 }
 
 func (s *SP) lowestBacklogged() int {
 	for i := len(s.classes) - 1; i >= 0; i-- {
-		if s.classes[i].len() > 0 {
+		if s.classes[i].Len() > 0 {
 			return i
 		}
 	}
 	return -1
 }
 
-func (s *SP) dropHead(idx int) {
-	p := s.classes[idx].pop()
-	s.count--
-	s.bytes -= p.Size
-	pkt.Put(p) // internal drop: the queue owned it
-}
-
 // Dequeue implements Qdisc: the highest-priority backlogged class wins.
 func (s *SP) Dequeue() *pkt.Packet {
 	for i := range s.classes {
-		if s.classes[i].len() > 0 {
+		if s.classes[i].Len() > 0 {
 			p := s.classes[i].pop()
-			s.count--
-			s.bytes -= p.Size
+			s.out(p)
 			return p
 		}
 	}
 	return nil
 }
-
-// Len implements Qdisc.
-func (s *SP) Len() int { return s.count }
-
-// Bytes implements Qdisc.
-func (s *SP) Bytes() int { return s.bytes }
-
-// Drops implements Qdisc.
-func (s *SP) Drops() int { return s.drops }

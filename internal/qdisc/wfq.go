@@ -38,12 +38,10 @@ func ClassifierByPort(classes []Class) Classifier {
 // backlogged — the §7.2 "flexible queueing policies" family extended
 // from strict priority to proportional shares.
 type WFQ struct {
+	tally
 	classes  []wfqClass
 	classify Classifier
-	limit    int // total packets
-	count    int
-	bytes    int
-	drops    int
+	limit    int     // total packets
 	vtime    float64 // finish tag of the last dequeued packet
 }
 
@@ -95,7 +93,7 @@ func (w *WFQ) Enqueue(p *pkt.Packet) bool {
 		if fat == idx {
 			return false
 		}
-		w.dropHead(fat)
+		w.discard(w.classes[fat].pop())
 	}
 	cl := &w.classes[idx]
 	start := w.vtime
@@ -106,8 +104,7 @@ func (w *WFQ) Enqueue(p *pkt.Packet) bool {
 	cl.lastFin = fin
 	cl.push(p)
 	cl.fin = append(cl.fin, fin)
-	w.count++
-	w.bytes += p.Size
+	w.in(p)
 	return true
 }
 
@@ -134,13 +131,6 @@ func (cl *wfqClass) pop() *pkt.Packet {
 	return p
 }
 
-func (w *WFQ) dropHead(idx int) {
-	p := w.classes[idx].pop()
-	w.count--
-	w.bytes -= p.Size
-	pkt.Put(p) // internal drop: the queue owned it
-}
-
 // Dequeue implements Qdisc: the backlogged class with the earliest head
 // finish tag wins (first declared breaks ties deterministically).
 func (w *WFQ) Dequeue() *pkt.Packet {
@@ -148,7 +138,7 @@ func (w *WFQ) Dequeue() *pkt.Packet {
 	bestFin := 0.0
 	for i := range w.classes {
 		cl := &w.classes[i]
-		if cl.len() == 0 {
+		if cl.Len() == 0 {
 			continue
 		}
 		if fin := cl.fin[cl.head]; best < 0 || fin < bestFin {
@@ -160,8 +150,7 @@ func (w *WFQ) Dequeue() *pkt.Packet {
 	}
 	p := w.classes[best].pop()
 	w.vtime = bestFin
-	w.count--
-	w.bytes -= p.Size
+	w.out(p)
 	if w.count == 0 {
 		// Idle reset keeps the virtual clock small over long runs, so tag
 		// arithmetic never loses float precision.
@@ -172,12 +161,3 @@ func (w *WFQ) Dequeue() *pkt.Packet {
 	}
 	return p
 }
-
-// Len implements Qdisc.
-func (w *WFQ) Len() int { return w.count }
-
-// Bytes implements Qdisc.
-func (w *WFQ) Bytes() int { return w.bytes }
-
-// Drops implements Qdisc.
-func (w *WFQ) Drops() int { return w.drops }

@@ -115,7 +115,7 @@ func sfqBucketsAblation(seed int64, requests, buckets int) float64 {
 	n := newNet(netConfig{Seed: seed})
 	site := n.AddSite(&bundle.Config{Algorithm: "copa", Scheduler: qdisc.NewSFQ(buckets, 1000)})
 	rec := site.RunOpenLoop(Traffic{OfferedBps: 84e6, Requests: requests})
-	n.RunUntilDone(300*sim.Second, func() bool { return rec.Completed >= requests })
+	n.RunUntilDone(300*sim.Second, rec)
 	site.SB.Stop()
 	return rec.Slowdowns.Median()
 }

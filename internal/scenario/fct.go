@@ -102,7 +102,7 @@ func RunFCT(o FCTOptions) *workload.Recorder {
 		CC:            o.EndhostCC,
 		FixedCwndSegs: o.FixedCwnd,
 	})
-	n.RunUntilDone(LoadHorizon(o.Requests), func() bool { return rec.Completed >= o.Requests })
+	n.RunUntilDone(LoadHorizon(o.Requests), rec)
 	site.Stop()
 	return rec
 }
@@ -275,9 +275,7 @@ func fig11(r *exp.Run) error {
 				crossReqs = 100
 			}
 			crossRec := crossSite.RunOpenLoop(Traffic{OfferedBps: cross, Requests: crossReqs})
-			n.RunUntilDone(600*sim.Second, func() bool {
-				return rec.Completed >= requests && crossRec.Completed >= crossReqs
-			})
+			n.RunUntilDone(600*sim.Second, rec, crossRec)
 			site.Stop()
 			median = append(median, rec.Slowdowns.Median())
 		}
@@ -350,14 +348,7 @@ func fig13(r *exp.Run) error {
 					Requests:   int(float64(requests) * share),
 				}))
 			}
-			n.RunUntilDone(600*sim.Second, func() bool {
-				for i, rec := range recs {
-					if rec.Completed < int(float64(requests)*sp.shares[i]) {
-						return false
-					}
-				}
-				return true
-			})
+			n.RunUntilDone(600*sim.Second, recs...)
 		}
 		var parts []string
 		for i, rec := range recs {

@@ -430,7 +430,7 @@ func (m *Mesh) RunUntil(horizon sim.Time) sim.Time {
 			if done[i] {
 				continue
 			}
-			if pr.Rec.Completed < m.Opt.Requests {
+			if !pr.Rec.Done() {
 				all = false
 				continue
 			}

@@ -390,9 +390,9 @@ func (t Traffic) cc() tcp.Congestion {
 }
 
 // RunOpenLoop schedules tr.Requests Poisson arrivals through the site and
-// returns the recorder that accumulates their completions; recorders are
-// carved from the fabric's slab. The engine is not run; drive it with
-// Net.RunUntilDone.
+// returns the recorder that accumulates their completions, with
+// tr.Requests as its target; recorders are carved from the fabric's
+// slab. The engine is not run; drive it with Fabric.RunUntilDone.
 func (s *Site) RunOpenLoop(tr Traffic) *workload.Recorder {
 	dist := tr.Dist
 	if dist == nil {
@@ -407,6 +407,7 @@ func (s *Site) RunOpenLoop(tr Traffic) *workload.Recorder {
 	}
 	rec := s.net.recs.New()
 	*rec = *workload.NewRecorder(rate, rtt)
+	rec.Requests = tr.Requests
 	if tr.Sketch {
 		rec.UseSketch()
 	} else if tr.Requests < 1<<20 { // huge counts mean "run until the horizon"
@@ -430,13 +431,11 @@ func (s *Site) RunOpenLoop(tr Traffic) *workload.Recorder {
 	return rec
 }
 
-// RunUntilDone advances the engine in one-second steps until check reports
-// true or the horizon passes. It returns the stop time.
-func (f *Fabric) RunUntilDone(horizon sim.Time, check func() bool) sim.Time {
-	for f.Eng.Now() < horizon {
-		if check != nil && check() {
-			break
-		}
+// RunUntilDone advances the engine in one-second steps until every
+// recorder in recs is Done or the horizon passes; with no recorders it
+// runs to the horizon. It returns the stop time.
+func (f *Fabric) RunUntilDone(horizon sim.Time, recs ...*workload.Recorder) sim.Time {
+	for f.Eng.Now() < horizon && !allDone(recs) {
 		next := f.Eng.Now() + sim.Second
 		if next > horizon {
 			next = horizon
@@ -444,6 +443,16 @@ func (f *Fabric) RunUntilDone(horizon sim.Time, check func() bool) sim.Time {
 		f.Eng.RunUntil(next)
 	}
 	return f.Eng.Now()
+}
+
+// allDone reports whether recs is non-empty and every recorder is Done.
+func allDone(recs []*workload.Recorder) bool {
+	for _, r := range recs {
+		if !r.Done() {
+			return false
+		}
+	}
+	return len(recs) > 0
 }
 
 // defaultBundleConfig returns the evaluation's default sendbox setup:

@@ -55,9 +55,7 @@ func RunSec72Prio(seed int64, requests int) Sec72PrioResult {
 		// three quarters, the §7.2 setup's spirit.
 		hiRec := site.RunOpenLoop(Traffic{OfferedBps: 21e6, Requests: requests / 4, DstPort: highPort})
 		loRec := site.RunOpenLoop(Traffic{OfferedBps: 63e6, Requests: requests * 3 / 4, DstPort: lowPort})
-		n.RunUntilDone(600*sim.Second, func() bool {
-			return hiRec.Completed >= requests/4 && loRec.Completed >= requests*3/4
-		})
+		n.RunUntilDone(600*sim.Second, hiRec, loRec)
 		site.Stop()
 		return hiRec.Slowdowns.Median(), loRec.Slowdowns.Median()
 	}

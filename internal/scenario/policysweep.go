@@ -23,9 +23,7 @@ func policies(r *exp.Run) error {
 		probes := site.AddPings(5)
 		rec := site.RunOpenLoop(Traffic{OfferedBps: 84e6, Requests: requests,
 			Warmup: 2 * sim.Second})
-		n.RunUntilDone(600*sim.Second, func() bool {
-			return rec.Completed >= requests
-		})
+		n.RunUntilDone(600*sim.Second, rec)
 		site.Stop()
 		// Latency-probe RTTs sharing the bundle, ms.
 		rtts := probeSamples(probes, 2*sim.Second)

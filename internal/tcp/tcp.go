@@ -182,7 +182,6 @@ func (s *Sender) emit(k int64, retx bool, now clock.Time) {
 	p.Seq = k * pkt.MSS
 	p.FlowID = s.flowID
 	p.Retransmit = retx
-	p.SentAt = now
 	if pr := s.cc.PacingRate(); pr > 0 {
 		if s.nextSendAt < now {
 			s.nextSendAt = now
@@ -335,11 +334,7 @@ type Receiver struct {
 	pool   *pkt.Pool
 
 	done       bool
-	DoneAt     clock.Time
 	onComplete func(now clock.Time)
-
-	// DataReceived counts data packets (including spurious retransmits).
-	DataReceived int
 }
 
 type interval struct{ start, end int64 }
@@ -362,14 +357,12 @@ func (r *Receiver) Receive(p *pkt.Packet) {
 		pkt.Put(p)
 		return
 	}
-	r.DataReceived++
 	payload := int64(p.Size - pkt.HeaderBytes)
 	seq := p.Seq
 	pkt.Put(p)
 	r.insert(seq, seq+payload)
 	if !r.done && r.rcvNxt >= r.size {
 		r.done = true
-		r.DoneAt = r.eng.Now()
 		if r.onComplete != nil {
 			r.onComplete(r.eng.Now())
 		}
@@ -442,7 +435,6 @@ func (r *Receiver) sendAck() {
 	p.Ack = r.rcvNxt
 	p.Flags = pkt.FlagACK
 	p.FlowID = r.flowID
-	p.SentAt = r.eng.Now()
 	for i := 0; i < len(r.ooo) && i < 4; i++ {
 		p.SACK[i] = SACKBlock{Start: r.ooo[i].start, End: r.ooo[i].end}
 		p.NSACK = uint8(i + 1)

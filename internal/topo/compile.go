@@ -142,10 +142,9 @@ func (b *binder) weight(field, s string, def float64) float64 {
 
 // webOut is one web workload's live state during a run.
 type webOut struct {
-	Host     string
-	Class    string // traffic class, "" when the scenario declares none
-	Requests int
-	Rec      *workload.Recorder
+	Host  string
+	Class string // traffic class, "" when the scenario declares none
+	Rec   *workload.Recorder
 }
 
 // meterOut is one bundle's scheduler meter: per-class byte counts and
@@ -187,11 +186,10 @@ type fluidOut struct {
 	Agg   *fluid.Aggregate
 }
 
-// compiled is one instantiated scenario: the fabric, links, and
+// compiled is one instantiated scenario: the fabric, sites, and
 // workload probes of a single run, ready to execute.
 type compiled struct {
 	fab     *scenario.Fabric
-	links   map[string]*netem.Link
 	sites   []*scenario.Site // host declaration order
 	mesh    *scenario.Mesh   // set for mesh scenarios (sites then empty)
 	horizon sim.Time
@@ -300,8 +298,6 @@ func compile(sc Scenario, seed int64, pv map[string]string) (*compiled, error) {
 		}
 	}
 
-	fab.OracleRate = minRateOverall(b, decl)
-
 	// Time-varying links: schedule their rate traces.
 	for _, l := range sc.Links {
 		if err := scheduleTrace(b, eng, l, links[l.Name]); err != nil {
@@ -309,7 +305,7 @@ func compile(sc Scenario, seed int64, pv map[string]string) (*compiled, error) {
 		}
 	}
 
-	c := &compiled{fab: fab, links: links, horizon: horizon}
+	c := &compiled{fab: fab, horizon: horizon}
 
 	// Hosts, with their Bundler pairs, in declaration order.
 	bundleFor := make(map[string]Bundle, len(sc.Bundles))
@@ -464,7 +460,7 @@ func compile(sc Scenario, seed int64, pv map[string]string) (*compiled, error) {
 				return nil, b.err
 			}
 			rec := site.RunOpenLoop(tr)
-			c.webs = append(c.webs, webOut{Host: w.Host, Class: w.Class, Requests: requests, Rec: rec})
+			c.webs = append(c.webs, webOut{Host: w.Host, Class: w.Class, Rec: rec})
 			if requests > maxRequests {
 				maxRequests = requests
 			}
@@ -588,7 +584,7 @@ func compileMesh(sc Scenario, seed int64, b *binder, rtt, horizon sim.Time) (*co
 	c := &compiled{mesh: m, horizon: m.Opt.Horizon}
 	for _, pr := range m.Pairs {
 		c.webs = append(c.webs, webOut{
-			Host: fmt.Sprintf("s%d-s%d", pr.Src, pr.Dst), Requests: requests, Rec: pr.Rec})
+			Host: fmt.Sprintf("s%d-s%d", pr.Src, pr.Dst), Rec: pr.Rec})
 	}
 	for i, a := range m.Fluids {
 		c.fluids = append(c.fluids, fluidOut{Host: fmt.Sprintf("s%d", i), Users: a.Users(), Agg: a})
@@ -794,19 +790,6 @@ func pathOracle(b *binder, decl map[string]Link, attach string, rtt sim.Time) (f
 	return min, forward + rtt/2
 }
 
-// minRateOverall returns the minimum rate across all links (the global
-// bottleneck), the fabric's fallback oracle.
-func minRateOverall(b *binder, decl map[string]Link) float64 {
-	min := 0.0
-	for _, l := range decl {
-		r := b.rate("link "+l.Name+" rate", l.Rate, 0)
-		if min == 0 || r < min {
-			min = r
-		}
-	}
-	return min
-}
-
 // run executes the compiled scenario: advance until every web workload
 // completes its request count (or the horizon), then stop the sendboxes
 // and paced streams. maxHorizon, when positive, caps the horizon — the
@@ -817,17 +800,6 @@ func (c *compiled) run(maxHorizon sim.Time) sim.Time {
 	if maxHorizon > 0 && maxHorizon < h {
 		h = maxHorizon
 	}
-	var check func() bool
-	if len(c.webs) > 0 {
-		check = func() bool {
-			for _, w := range c.webs {
-				if w.Rec.Completed < w.Requests {
-					return false
-				}
-			}
-			return true
-		}
-	}
 	var stop sim.Time
 	if c.mesh != nil {
 		// Mesh scenarios run on the sharded world; RunUntil applies the
@@ -835,7 +807,11 @@ func (c *compiled) run(maxHorizon sim.Time) sim.Time {
 		// planes on return.
 		stop = c.mesh.RunUntil(h)
 	} else {
-		stop = c.fab.RunUntilDone(h, check)
+		recs := make([]*workload.Recorder, len(c.webs))
+		for i, w := range c.webs {
+			recs[i] = w.Rec
+		}
+		stop = c.fab.RunUntilDone(h, recs...)
 	}
 	for _, s := range c.sites {
 		if s.SB != nil {

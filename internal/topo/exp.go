@@ -271,7 +271,7 @@ func summaryResult(cfg *Config, seed int64, p exp.Params, header string, outs []
 			if web.Class != "" {
 				name = web.Host + "." + web.Class
 			}
-			line = appendWebLine(line[:0], name, web.Rec.Completed, web.Requests, s.P50, s.P90, s.P99)
+			line = appendWebLine(line[:0], name, web.Rec.Completed, web.Rec.Requests, s.P50, s.P90, s.P99)
 			w.Write(line)
 			names := webMetricNames(prefix, name)
 			res.AddMetric(names[0], float64(web.Rec.Completed), "requests")

@@ -52,10 +52,11 @@ func TestSummaryResultMetrics(t *testing.T) {
 		t.Errorf("report lacks the run line:\n%s", empty.Report)
 	}
 
-	rec := workload.NewRecorder(96e6, 0)
+	rec1, rec2 := workload.NewRecorder(96e6, 0), workload.NewRecorder(96e6, 0)
+	rec1.Requests, rec2.Requests = 3, 5
 	c := &compiled{webs: []webOut{
-		{Host: "h1", Requests: 3, Rec: rec},
-		{Host: "h2", Class: "gold", Requests: 5, Rec: rec},
+		{Host: "h1", Rec: rec1},
+		{Host: "h2", Class: "gold", Rec: rec2},
 	}}
 	res := summaryResult(cfg, 1, nil, "hdr", []outcome{{label: "a run", c: c}})
 	var got []string

@@ -57,7 +57,6 @@ func (c *PingClient) sendRequest() {
 	p.Proto = pkt.ProtoUDP
 	p.Size = RequestSize + pkt.HeaderBytes
 	p.FlowID = c.flowID
-	p.SentAt = c.lastReq
 	c.out.Receive(p)
 }
 
@@ -114,7 +113,6 @@ func (s *PingServer) Receive(p *pkt.Packet) {
 	resp.Proto = pkt.ProtoUDP
 	resp.Size = RequestSize + pkt.HeaderBytes
 	resp.FlowID = p.FlowID
-	resp.SentAt = s.eng.Now()
 	pkt.Put(p)
 	s.out.Receive(resp)
 }
@@ -133,9 +131,6 @@ type CBRStream struct {
 	ipid    uint16
 	ticker  clock.Ticker
 	pool    *pkt.Pool
-
-	// Sent counts emitted packets.
-	Sent int
 }
 
 // NewCBRStream builds a constant-bit-rate source. pktSize is the wire size
@@ -169,7 +164,6 @@ func (c *CBRStream) Stop() {
 
 func (c *CBRStream) emit() {
 	c.ipid++
-	c.Sent++
 	p := c.pool.Get()
 	p.IPID = c.ipid
 	p.Src = c.src
@@ -177,6 +171,5 @@ func (c *CBRStream) emit() {
 	p.Proto = pkt.ProtoUDP
 	p.Size = c.pktSize
 	p.FlowID = c.flowID
-	p.SentAt = c.eng.Now()
 	c.out.Receive(p)
 }

@@ -213,6 +213,9 @@ type Recorder struct {
 	// Completed counts finished flows; Bytes sums their sizes.
 	Completed int
 	Bytes     int64
+	// Requests is the workload's target flow count, which Done compares
+	// Completed against.
+	Requests int
 }
 
 // NewRecorder builds a recorder that normalizes against the given unloaded
@@ -258,6 +261,9 @@ func (r *Recorder) UseSketch() {
 		r.FCTByClass[c].UseSketch()
 	}
 }
+
+// Done reports whether every requested flow has completed.
+func (r *Recorder) Done() bool { return r.Completed >= r.Requests }
 
 // RecordUncounted marks a flow complete without contributing to the
 // statistics — used for warmup traffic that loads the network while the

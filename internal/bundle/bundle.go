@@ -666,14 +666,15 @@ var modeRules = [...]struct {
 
 // updateMode runs the §5 state machine once: the first rule that fires
 // changes the mode. Entering pass-through restarts the PI controller from
-// the current rate; every change restarts the dwell clock and the votes.
+// the current rate; every change restarts the dwell clock, the votes and
+// the starvation clock.
 func (s *Sendbox) updateMode(haveMeas bool, now clock.Time) {
 	for _, r := range modeRules {
 		if r.from == s.mode && r.guard(s, haveMeas, now) {
 			if r.to == ModePassThrough {
 				s.pi.Reset(s.link.Rate(), now)
 			}
-			s.mode, s.modeChangedAt, s.elasticVotes, s.nVotes = r.to, now, 0, 0
+			s.mode, s.modeChangedAt, s.elasticVotes, s.nVotes, s.starvedSince = r.to, now, 0, 0, 0
 			return
 		}
 	}
@@ -695,7 +696,9 @@ func (s *Sendbox) multipathCleared(_ bool, now clock.Time) bool {
 // when the delay controller is pinned at its floor while cross traffic
 // owns the bottleneck (huge standing queue, dominant cross share),
 // competing via the endhost loops is the only sensible action. It fires
-// after 2 s of starving; a pass-through stint does not reset that clock.
+// after 2 s of starving in delay control: every mode change restarts that
+// clock, so a starvation that began before a pass-through stint does not
+// count after it.
 func (s *Sendbox) starved(haveMeas bool, now clock.Time) bool {
 	if !haveMeas {
 		return false

@@ -52,8 +52,11 @@ func (c *netConfig) fill() {
 
 // Fabric is the endpoint machinery every emulated topology hangs sites
 // on: the sender-side mux, the destination demux, the uncongested
-// reverse path for ACKs and Bundler control messages, and the address /
-// flow-ID allocators. There is one destination mux per fabric: every
+// reverse path for ACKs and Bundler control messages, the address /
+// flow-ID allocators, and the free list of finished TCP connections
+// (conn) that open-loop arrivals re-initialise in place. A sharded
+// topology gives each partition its own fabric, so no list is shared
+// between goroutines. There is one destination mux per fabric: every
 // site's receivers and receiveboxes register on it, since addresses are
 // unique per fabric. The forward path between them — one bottleneck,
 // a chain, load-balanced parallel links — is the caller's to wire;
@@ -82,6 +85,8 @@ type Fabric struct {
 	muxB      *tcp.Mux // the destination mux, shared by every site
 	sites     sim.Slab[Site]
 	recs      sim.Slab[workload.Recorder]
+	conns     sim.Slab[conn]
+	free      *conn // finished open-loop connections, linked through conn.next
 	nextHost  uint32
 	nextCtl   uint32
 	hostLimit uint32
@@ -245,42 +250,136 @@ func (s *Site) addrs(dstPort uint16) (src, dst pkt.Addr) {
 	return src, dst
 }
 
-// AddFlow starts a size-byte transfer through the site at the current
-// virtual time. done (optional) receives the flow's completion time, as
-// observed at the receiver (last byte arrival). Every flow takes fresh
-// endpoint addresses, which are never reused. Completion unregisters both
-// endpoints from their muxes, but the destination host's demux route
-// stays, so the demux grows by one route per flow.
-func (s *Site) AddFlow(size int64, cc tcp.Congestion, done func(size int64, fct sim.Time)) *tcp.Sender {
-	start := s.net.Eng.Now()
-	return s.addFlow(size, cc, 80, func(now sim.Time) {
-		if done != nil {
-			done(size, now-start)
-		}
-	})
+// conn is one TCP connection through a fabric: both endpoints, an
+// open-loop flow's controller, and what the completion callbacks read,
+// in one record carved from the fabric's slab. The callbacks are built
+// once per record, so a flow costs no closure.
+//
+// A record is reused only when all three hold: its sender has completed,
+// both endpoints are unregistered, and no caller holds the sender. So
+// only an open-loop arrival's record (rec set) returns to the fabric's
+// free list, at its sender's completion; AddFlow hands its sender to the
+// caller and never returns the record. Reuse happens only in a later
+// event (the next arrival), never inside the completion callback that is
+// still on Sender.Receive's stack.
+type conn struct {
+	snd tcp.Sender
+	rcv tcp.Receiver
+	net *Fabric
+
+	src, dst pkt.Addr
+	size     int64
+	start    sim.Time
+
+	// An open-loop flow records into rec (counted once past the warmup);
+	// an AddFlow flow reports to done, if set.
+	rec     *workload.Recorder
+	counted bool
+	done    func(size int64, fct sim.Time)
+
+	// cc is the controller open-loop flows re-initialise in place while
+	// they ask for the same kind (ccName, ccSegs: Traffic's CC and
+	// FixedCwndSegs).
+	cc     tcp.Congestion
+	ccName string
+	ccSegs int
+
+	sent, received func(now sim.Time) // senderDone and receiverDone
+	next           *conn              // the fabric's free list
 }
 
-// addFlow is AddFlow with an explicit destination port, which the §7.2
-// priority experiment uses as its traffic-class marker, and the
-// receiver's own completion callback, which gets the virtual time the
-// last byte arrived.
-func (s *Site) addFlow(size int64, cc tcp.Congestion, dstPort uint16, rcvDone func(now sim.Time)) *tcp.Sender {
+// conn takes a finished record off the free list, or carves a new one.
+func (f *Fabric) conn() *conn {
+	c := f.free
+	if c == nil {
+		c = f.conns.New()
+		c.net = f
+		c.sent, c.received = c.senderDone, c.receiverDone
+		return c
+	}
+	f.free, c.next = c.next, nil
+	return c
+}
+
+// controller returns a fresh controller of the kind a Traffic with CC
+// name and FixedCwndSegs segs asks for: the record's own, re-initialised
+// in place, when it is of that kind.
+func (c *conn) controller(name string, segs int) tcp.Congestion {
+	if c.cc != nil && c.ccName == name && c.ccSegs == segs {
+		switch cc := c.cc.(type) {
+		case *tcp.Cubic:
+			cc.Init()
+		case *tcp.Reno:
+			cc.Init()
+		case *tcp.BBR:
+			cc.Init()
+		case *tcp.FixedCwnd:
+			cc.Init(segs)
+		}
+		return c.cc
+	}
+	if segs > 0 {
+		c.cc = tcp.NewFixedCwnd(segs)
+	} else {
+		c.cc = tcp.NewEndhostCC(name)
+	}
+	c.ccName, c.ccSegs = name, segs
+	return c.cc
+}
+
+// senderDone is the sender's completion: both directions are finished,
+// so both endpoints leave their muxes, and an open-loop record, whose
+// sender nobody holds, goes back on the free list.
+func (c *conn) senderDone(sim.Time) {
+	f := c.net
+	f.MuxA.Unregister(c.src)
+	f.muxB.Unregister(c.dst)
+	if c.rec != nil {
+		c.next, f.free = f.free, c
+	}
+}
+
+// receiverDone is the receiver's completion, at the last byte's arrival.
+func (c *conn) receiverDone(now sim.Time) {
+	switch {
+	case c.rec != nil && c.counted:
+		c.rec.Record(c.size, now-c.start)
+	case c.rec != nil:
+		c.rec.RecordUncounted()
+	case c.done != nil:
+		c.done(c.size, now-c.start)
+	}
+}
+
+// AddFlow starts a size-byte transfer through the site at the current
+// virtual time and returns its sender, which stays the caller's: the
+// connection is never recycled. done (optional) receives the flow's
+// completion time, as observed at the receiver (last byte arrival).
+// Every flow takes fresh endpoint addresses, which are never reused.
+// Completion unregisters both endpoints from their muxes, but the
+// destination host's demux route stays, so the demux grows by one route
+// per flow.
+func (s *Site) AddFlow(size int64, cc tcp.Congestion, done func(size int64, fct sim.Time)) *tcp.Sender {
+	c := s.net.conn()
+	c.rec, c.done = nil, done
+	return s.startConn(c, size, cc, 80)
+}
+
+// startConn wires c as a size-byte transfer through the site to dstPort
+// (the §7.2 priority experiment's traffic-class marker) and starts it.
+func (s *Site) startConn(c *conn, size int64, cc tcp.Congestion, dstPort uint16) *tcp.Sender {
 	n := s.net
-	src, dst := s.addrs(dstPort)
+	c.src, c.dst = s.addrs(dstPort)
+	c.size, c.start = size, n.Eng.Now()
 	n.flowID++
-	id := n.flowID
-	rcv := tcp.NewReceiver(n.Eng, n.Reverse, dst, src, id, size, rcvDone)
-	rcv.SetPool(n.Pool)
-	snd := tcp.NewSender(n.Eng, s.egress, src, dst, id, size, cc, func(now sim.Time) {
-		// Sender-side completion: both directions are finished.
-		n.MuxA.Unregister(src)
-		n.muxB.Unregister(dst)
-	})
-	snd.SetPool(n.Pool)
-	n.MuxA.Register(src, snd)
-	n.muxB.Register(dst, rcv)
-	snd.Start()
-	return snd
+	c.rcv.Init(n.Eng, n.Reverse, c.dst, c.src, n.flowID, size, c.received)
+	c.rcv.SetPool(n.Pool)
+	c.snd.Init(n.Eng, s.egress, c.src, c.dst, n.flowID, size, cc, c.sent)
+	c.snd.SetPool(n.Pool)
+	n.MuxA.Register(c.src, &c.snd)
+	n.muxB.Register(c.dst, &c.rcv)
+	c.snd.Start()
+	return &c.snd
 }
 
 // AddPing starts a closed-loop UDP request/response pair through the site
@@ -382,17 +481,13 @@ type Traffic struct {
 	Sketch bool
 }
 
-func (t Traffic) cc() tcp.Congestion {
-	if t.FixedCwndSegs > 0 {
-		return tcp.NewFixedCwnd(t.FixedCwndSegs)
-	}
-	return tcp.NewEndhostCC(t.CC)
-}
-
 // RunOpenLoop schedules tr.Requests Poisson arrivals through the site and
 // returns the recorder that accumulates their completions, with
 // tr.Requests as its target; recorders are carved from the fabric's
-// slab. The engine is not run; drive it with Fabric.RunUntilDone.
+// slab. Each arrival takes a finished connection off the fabric's free
+// list (see conn) and re-initialises its endpoints and controller in
+// place, so a steady stream of requests allocates almost nothing. The
+// engine is not run; drive it with Fabric.RunUntilDone.
 func (s *Site) RunOpenLoop(tr Traffic) *workload.Recorder {
 	dist := tr.Dist
 	if dist == nil {
@@ -417,16 +512,13 @@ func (s *Site) RunOpenLoop(tr Traffic) *workload.Recorder {
 	if port == 0 {
 		port = 80
 	}
-	// Each flow's receiver callback records straight into rec, so a
-	// request costs no completion closure beyond the receiver's own.
-	eng := s.net.Eng
-	workload.Arrivals(eng, dist, tr.OfferedBps, tr.Requests, func(size int64) {
-		start := eng.Now()
-		if start < tr.Warmup {
-			s.addFlow(size, tr.cc(), port, func(sim.Time) { rec.RecordUncounted() })
-			return
-		}
-		s.addFlow(size, tr.cc(), port, func(now sim.Time) { rec.Record(size, now-start) })
+	// The arrival closure captures tr's fields by value: capturing tr
+	// itself would move it to the heap once per call.
+	f, warmup, ccName, segs := s.net, tr.Warmup, tr.CC, tr.FixedCwndSegs
+	workload.Arrivals(f.Eng, dist, tr.OfferedBps, tr.Requests, func(size int64) {
+		c := f.conn()
+		c.rec, c.counted, c.done = rec, f.Eng.Now() >= warmup, nil
+		s.startConn(c, size, c.controller(ccName, segs), port)
 	})
 	return rec
 }

@@ -35,8 +35,13 @@ type Reno struct {
 
 // NewReno returns a Reno controller with the standard initial window.
 func NewReno() *Reno {
-	return &Reno{cwnd: InitialCwnd * mssF, ssthresh: math.Inf(1)}
+	r := new(Reno)
+	r.Init()
+	return r
 }
+
+// Init (re)starts r in place as NewReno's controller.
+func (r *Reno) Init() { *r = Reno{cwnd: InitialCwnd * mssF, ssthresh: math.Inf(1)} }
 
 // OnAck implements Congestion.
 func (r *Reno) OnAck(acked int, _, _ clock.Time) {
@@ -85,8 +90,13 @@ const (
 
 // NewCubic returns a Cubic controller.
 func NewCubic() *Cubic {
-	return &Cubic{cwnd: InitialCwnd * mssF, ssthresh: math.Inf(1)}
+	c := new(Cubic)
+	c.Init()
+	return c
 }
+
+// Init (re)starts c in place as NewCubic's controller.
+func (c *Cubic) Init() { *c = Cubic{cwnd: InitialCwnd * mssF, ssthresh: math.Inf(1)} }
 
 // OnAck implements Congestion.
 func (c *Cubic) OnAck(acked int, _, now clock.Time) {
@@ -181,8 +191,13 @@ const bbrHighGain = 2.885 // 2/ln(2)
 
 // NewBBR returns a BBR controller.
 func NewBBR() *BBR {
-	return &BBR{state: bbrStartup, pacingGain: bbrHighGain, cwndGain: bbrHighGain}
+	b := new(BBR)
+	b.Init()
+	return b
 }
+
+// Init (re)starts b in place as NewBBR's controller.
+func (b *BBR) Init() { *b = BBR{state: bbrStartup, pacingGain: bbrHighGain, cwndGain: bbrHighGain} }
 
 // OnAck implements Congestion.
 func (b *BBR) OnAck(acked int, rtt, now clock.Time) {
@@ -277,7 +292,14 @@ type FixedCwnd struct{ w float64 }
 
 // NewFixedCwnd returns a controller with a constant window of segs
 // segments.
-func NewFixedCwnd(segs int) *FixedCwnd { return &FixedCwnd{w: float64(segs) * mssF} }
+func NewFixedCwnd(segs int) *FixedCwnd {
+	f := new(FixedCwnd)
+	f.Init(segs)
+	return f
+}
+
+// Init (re)starts f in place as NewFixedCwnd(segs)'s controller.
+func (f *FixedCwnd) Init(segs int) { *f = FixedCwnd{w: float64(segs) * mssF} }
 
 // OnAck implements Congestion.
 func (f *FixedCwnd) OnAck(int, clock.Time, clock.Time) {}

@@ -59,13 +59,20 @@ type scoreboard struct {
 	nprev int
 }
 
-func newScoreboard(size int64) scoreboard {
+// newScoreboard starts the record of a size-byte transfer in ring, the
+// one a finished transfer left, when that is large enough. A longer ring
+// than a fresh one behaves identically: positions are taken mod its
+// length, only live entries are read, and it grows only when full.
+func newScoreboard(size int64, ring []uint64) scoreboard {
 	b := scoreboard{size: size}
 	n := 1
 	for int64(n) < min(b.segs(), InitialCwnd) {
 		n *= 2
 	}
-	b.ring = make([]uint64, n)
+	if len(ring) < n {
+		ring = make([]uint64, n)
+	}
+	b.ring = ring
 	return b
 }
 
@@ -238,9 +245,9 @@ func (b *scoreboard) markLost() bool {
 	return newLoss
 }
 
-// release drops the ring once the transfer is over.
+// release empties the record once the transfer is over. The ring stays,
+// for the next transfer Sender.Init starts on it.
 func (b *scoreboard) release() {
-	b.ring = nil
 	b.segUna = b.segNxt
 	b.pipe = 0
 	b.lostCount = 0

@@ -160,7 +160,7 @@ func (r *refBoard) markLost() bool {
 //	15    RTO (one time in four), else retransmit
 func runScoreboardOps(t *testing.T, size int64, maxWin int, ops []byte) int {
 	const half = pkt.MSS / 2
-	sb := newScoreboard(size)
+	sb := newScoreboard(size, nil)
 	ref := &refBoard{size: size}
 	var sndUna int64
 	var history [8][]SACKBlock
@@ -325,7 +325,7 @@ func FuzzScoreboard(f *testing.F) {
 // by the transfer.
 func TestScoreboardMemoryFollowsWindow(t *testing.T) {
 	const n = 200_000
-	sb := newScoreboard(n * pkt.MSS)
+	sb := newScoreboard(n*pkt.MSS, nil)
 	for k := int64(0); k < n; k++ {
 		if k >= 10 {
 			sb.ackTo((k - 9) * pkt.MSS)
@@ -335,10 +335,10 @@ func TestScoreboardMemoryFollowsWindow(t *testing.T) {
 	if len(sb.ring) > 16 {
 		t.Fatalf("ring grew to %d entries for a 10-segment window", len(sb.ring))
 	}
-	if sb := newScoreboard(1 << 40); len(sb.ring) > 16 { // TestAbortStopsTransmission's size
+	if sb := newScoreboard(1<<40, nil); len(sb.ring) > 16 { // TestAbortStopsTransmission's size
 		t.Fatalf("a 2^40-byte transfer starts with a %d-entry ring", len(sb.ring))
 	}
-	if sb := newScoreboard(1); len(sb.ring) != 1 {
+	if sb := newScoreboard(1, nil); len(sb.ring) != 1 {
 		t.Fatalf("a one-segment transfer starts with a %d-entry ring", len(sb.ring))
 	}
 }

@@ -83,15 +83,34 @@ type Sender struct {
 // hop of the egress path; onComplete (optional) fires when the final byte
 // is cumulatively acknowledged.
 func NewSender(eng clock.Clock, out netem.Receiver, src, dst pkt.Addr, flowID uint64, size int64, cc Congestion, onComplete func(now clock.Time)) *Sender {
+	s := new(Sender)
+	s.Init(eng, out, src, dst, flowID, size, cc, onComplete)
+	return s
+}
+
+// Init (re)initialises s in place as NewSender's sender, so a finished
+// sender can carry the next transfer. Every field starts afresh except
+// the storage a finished transfer leaves behind: the RTO and pacing
+// timers (stopped, and kept only on the same clock) and the scoreboard
+// ring. Re-initialise a sender only once its transfer is over and
+// nothing else holds it, in a later event than its completion.
+func (s *Sender) Init(eng clock.Clock, out netem.Receiver, src, dst pkt.Addr, flowID uint64, size int64, cc Congestion, onComplete func(now clock.Time)) {
 	if size <= 0 {
 		panic("tcp: transfer size must be positive")
 	}
-	s := &Sender{
-		eng: eng, out: out, src: src, dst: dst, flowID: flowID, size: size,
-		cc: cc, rto: initialRTO, onComplete: onComplete, sb: newScoreboard(size),
+	rtoTimer, paceTimer := s.rtoTimer, s.paceTimer
+	if s.eng != eng { // a timer belongs to one clock; a zero Sender has none
+		rtoTimer, paceTimer = eng.NewTimer(s.onRTO), nil
 	}
-	s.rtoTimer = eng.NewTimer(s.onRTO)
-	return s
+	rtoTimer.Stop()
+	if paceTimer != nil {
+		paceTimer.Stop()
+	}
+	*s = Sender{
+		eng: eng, out: out, src: src, dst: dst, flowID: flowID, size: size,
+		cc: cc, rto: initialRTO, onComplete: onComplete, sb: newScoreboard(size, s.sb.ring),
+		rtoTimer: rtoTimer, paceTimer: paceTimer,
+	}
 }
 
 // Start begins the transfer.
@@ -298,7 +317,7 @@ func (s *Sender) sampleRTT(rtt clock.Time) {
 }
 
 func (s *Sender) complete(now clock.Time) {
-	s.Abort() // stop the timers, drop the scoreboard
+	s.Abort() // stop the timers, end the scoreboard
 	s.DoneAt = now
 	if s.onComplete != nil {
 		s.onComplete(now)
@@ -343,7 +362,17 @@ type interval struct{ start, end int64 }
 // out is the first hop of the reverse (ACK) path; onComplete fires when
 // the last payload byte arrives in order.
 func NewReceiver(eng clock.Clock, out netem.Receiver, addr, peer pkt.Addr, flowID uint64, size int64, onComplete func(now clock.Time)) *Receiver {
-	return &Receiver{eng: eng, out: out, addr: addr, peer: peer, flowID: flowID, size: size, onComplete: onComplete}
+	r := new(Receiver)
+	r.Init(eng, out, addr, peer, flowID, size, onComplete)
+	return r
+}
+
+// Init (re)initialises r in place as NewReceiver's receiver. Every field
+// starts afresh except the reassembly list's backing array; the rule for
+// reuse is Sender.Init's.
+func (r *Receiver) Init(eng clock.Clock, out netem.Receiver, addr, peer pkt.Addr, flowID uint64, size int64, onComplete func(now clock.Time)) {
+	*r = Receiver{eng: eng, out: out, addr: addr, peer: peer, flowID: flowID, size: size,
+		ooo: r.ooo[:0], onComplete: onComplete}
 }
 
 // SetPool makes the receiver mint ACKs from a partition-local pool (nil

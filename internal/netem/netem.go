@@ -347,23 +347,47 @@ func pipeDeliver(a0, a1 any) {
 	pp.dst.Receive(p)
 }
 
-// Demux routes packets to receivers by destination host.
+// Demux routes packets to receivers by destination site or host. A
+// packet whose destination carries a site id (pkt.Addr.Site non-zero)
+// takes that site's route, from a dense table indexed by the id; an
+// unstamped one takes its destination host's route. A site's route
+// serves every flow to it, past and future, so the table's size is the
+// site count, not the flow count.
 type Demux struct {
-	routes map[uint32]Receiver
+	sites []Receiver // indexed by pkt.Addr.Site; entry 0 unused
+	hosts map[uint32]Receiver
 	// Default receives packets with no route (nil drops them silently).
 	Default Receiver
 	dropped int
 }
 
-// NewDemux returns an empty destination-host demultiplexer.
-func NewDemux() *Demux { return &Demux{routes: make(map[uint32]Receiver)} }
+// NewDemux returns an empty destination demultiplexer.
+func NewDemux() *Demux { return &Demux{hosts: make(map[uint32]Receiver)} }
 
-// Route installs dst as the receiver for packets addressed to host.
-func (d *Demux) Route(host uint32, dst Receiver) { d.routes[host] = dst }
+// Route installs dst as the receiver for unstamped packets addressed to
+// host.
+func (d *Demux) Route(host uint32, dst Receiver) { d.hosts[host] = dst }
+
+// RouteSite installs dst as the receiver for packets stamped with site,
+// replacing any earlier route for it. Site 0 means "no site" and panics.
+func (d *Demux) RouteSite(site uint16, dst Receiver) {
+	if site == 0 {
+		panic("netem: site 0 has no route")
+	}
+	for len(d.sites) <= int(site) {
+		d.sites = append(d.sites, nil)
+	}
+	d.sites[site] = dst
+}
 
 // Receive implements Receiver.
 func (d *Demux) Receive(p *pkt.Packet) {
-	if r, ok := d.routes[p.Dst.Host]; ok {
+	if s := int(p.Dst.Site); s != 0 {
+		if s < len(d.sites) && d.sites[s] != nil {
+			d.sites[s].Receive(p)
+			return
+		}
+	} else if r, ok := d.hosts[p.Dst.Host]; ok {
 		r.Receive(p)
 		return
 	}

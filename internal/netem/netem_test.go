@@ -187,6 +187,77 @@ func TestDemuxDefaultRoute(t *testing.T) {
 	}
 }
 
+// TestDemuxRoutesBySite: a packet whose destination carries a site id
+// takes its site's route, whatever its host, so the route outlives the
+// flows that use it; an unstamped one takes its host's route; a site
+// with no route falls to Default, or is counted and released, never a
+// panic. Routing allocates nothing.
+func TestDemuxRoutesBySite(t *testing.T) {
+	eng := sim.NewEngine(1)
+	site1, site3, host := &recorder{eng: eng}, &recorder{eng: eng}, &recorder{eng: eng}
+	d := NewDemux()
+	d.RouteSite(1, site1)
+	d.RouteSite(3, site3)
+	d.Route(7, host)
+	send := func(h uint32, site uint16) *pkt.Packet {
+		p := newpkt(100)
+		p.Dst = pkt.Addr{Host: h, Port: 80, Site: site}
+		d.Receive(p)
+		return p
+	}
+
+	// Each flow has a fresh host; a flow that finished long ago and one
+	// that starts now reach the site the same way, with no host route.
+	for h := uint32(100); h < 110; h++ {
+		send(h, 3)
+	}
+	send(7, 1) // a host route does not outrank the site's
+	if len(site3.pkts) != 10 || len(site1.pkts) != 1 {
+		t.Fatalf("site routes got %d and %d packets, want 10 and 1", len(site3.pkts), len(site1.pkts))
+	}
+	send(7, 0)
+	if len(host.pkts) != 1 {
+		t.Fatal("unstamped packet missed its host route")
+	}
+
+	// Site 2 (a gap in the table) and site 9 (past its end) have no route.
+	def := &recorder{eng: eng}
+	d.Default = def
+	send(100, 2)
+	send(100, 9)
+	send(8, 0) // no host route either
+	if len(def.pkts) != 3 {
+		t.Fatalf("Default got %d packets, want the 3 with no route", len(def.pkts))
+	}
+	d.Default = nil
+	var pool pkt.Pool
+	for _, site := range []uint16{2, 9, 1<<16 - 1} {
+		p := pool.Get()
+		p.Dst = pkt.Addr{Host: 100, Port: 80, Site: site}
+		d.Receive(p)
+	}
+	if d.Dropped() != 3 {
+		t.Fatalf("dropped = %d, want 3", d.Dropped())
+	}
+	if s, _, _ := pool.Stats(); s.Puts != 3 {
+		t.Fatalf("released %d dropped packets, want 3", s.Puts)
+	}
+
+	got := 0
+	count := ReceiverFunc(func(*pkt.Packet) { got++ })
+	d.RouteSite(1, count)
+	d.Route(7, count)
+	p := newpkt(100)
+	if n := testing.AllocsPerRun(100, func() {
+		p.Dst = pkt.Addr{Host: 5, Port: 80, Site: 1}
+		d.Receive(p)
+		p.Dst = pkt.Addr{Host: 7, Port: 80}
+		d.Receive(p)
+	}); n != 0 || got == 0 {
+		t.Fatalf("routing allocated %.1f times per run (want 0) over %d deliveries", n, got)
+	}
+}
+
 func TestTapObservesAndForwards(t *testing.T) {
 	eng := sim.NewEngine(1)
 	rec := &recorder{eng: eng}

@@ -47,7 +47,10 @@ const maxWire = 1 + 62 + 64 + 16
 // marshal serializes p into buf (which must have maxWire capacity) and
 // returns the used prefix. Only header/metadata fields travel — the
 // emulated Size is carried as a field, not as padding bytes, because
-// pacing happens on the emulated links, not the loopback socket.
+// pacing happens on the emulated links, not the loopback socket. An
+// address's Site is site-local routing metadata (a fabric's demux reads
+// it) and never goes on the wire; the pilot's addresses carry none, and
+// unmarshal leaves it zero.
 func marshal(p *pkt.Packet, buf []byte) ([]byte, error) {
 	b := buf[:0]
 	b = append(b, kindPacket)

@@ -13,10 +13,10 @@ import (
 // on transit-mutable state (queue timestamps, transport bookkeeping,
 // SACK contents).
 func FuzzEpochHash(f *testing.F) {
-	f.Add(uint16(1), uint32(9), uint16(80), uint32(7), uint16(5000), int64(1460), int64(0), uint8(0), 1500)
-	f.Add(uint16(65535), uint32(0), uint16(0), uint32(1<<31), uint16(65535), int64(-1), int64(1<<40), uint8(3), 40)
+	f.Add(uint16(1), uint32(9), uint16(80), uint32(7), uint16(5000), int64(1460), int64(0), uint8(0), 1500, uint16(0), uint16(1))
+	f.Add(uint16(65535), uint32(0), uint16(0), uint32(1<<31), uint16(65535), int64(-1), int64(1<<40), uint8(3), 40, uint16(65535), uint16(0))
 	f.Fuzz(func(t *testing.T, ipid uint16, dstHost uint32, dstPort uint16,
-		srcHost uint32, srcPort uint16, seq, ack int64, flags uint8, size int) {
+		srcHost uint32, srcPort uint16, seq, ack int64, flags uint8, size int, srcSite, dstSite uint16) {
 		p := &Packet{
 			IPID:  ipid,
 			Src:   Addr{Host: srcHost, Port: srcPort},
@@ -44,6 +44,12 @@ func FuzzEpochHash(f *testing.F) {
 		if again := EpochHash(p); again != sendboxView {
 			t.Fatalf("hash not deterministic: %#x then %#x", sendboxView, again)
 		}
+		// The site ids are local routing metadata: stamping or changing
+		// them must not move the epoch boundaries.
+		p.Src.Site, p.Dst.Site = srcSite, dstSite
+		if got := EpochHash(p); got != sendboxView {
+			t.Fatalf("hash %#x changed to %#x with the site ids (%d, %d)", sendboxView, got, srcSite, dstSite)
+		}
 	})
 }
 
@@ -52,10 +58,10 @@ func FuzzEpochHash(f *testing.F) {
 // must not hop SFQ buckets mid-life) and sensitive to the perturbation
 // in the sense that re-keying is deterministic.
 func FuzzFlowHash(f *testing.F) {
-	f.Add(uint32(1), uint16(5000), uint32(2), uint16(80), uint8(0), uint64(0))
-	f.Add(uint32(0), uint16(0), uint32(0), uint16(0), uint8(2), uint64(0x9E3779B97F4A7C15))
+	f.Add(uint32(1), uint16(5000), uint32(2), uint16(80), uint8(0), uint64(0), uint16(0), uint16(1))
+	f.Add(uint32(0), uint16(0), uint32(0), uint16(0), uint8(2), uint64(0x9E3779B97F4A7C15), uint16(65535), uint16(0))
 	f.Fuzz(func(t *testing.T, srcHost uint32, srcPort uint16, dstHost uint32, dstPort uint16,
-		proto uint8, perturb uint64) {
+		proto uint8, perturb uint64, srcSite, dstSite uint16) {
 		p := &Packet{
 			Src:   Addr{Host: srcHost, Port: srcPort},
 			Dst:   Addr{Host: dstHost, Port: dstPort},
@@ -74,6 +80,12 @@ func FuzzFlowHash(f *testing.F) {
 		}
 		if again := FlowHash(p, perturb); again != h {
 			t.Fatalf("flow hash not deterministic: %#x then %#x", h, again)
+		}
+		// The site ids are local routing metadata, not part of the
+		// 5-tuple: a flow keeps its bucket however they are stamped.
+		p.Src.Site, p.Dst.Site = srcSite, dstSite
+		if got := FlowHash(p, perturb); got != h {
+			t.Fatalf("flow hash %#x changed to %#x with the site ids (%d, %d)", h, got, srcSite, dstSite)
 		}
 	})
 }

@@ -42,9 +42,23 @@ const (
 )
 
 // Addr identifies an endpoint in the emulated network.
+//
+// Site names the destination site an address belongs to: the fabric
+// that allocates an address stamps its site's id there, and
+// netem.Demux routes a stamped packet by it alone, so a site needs one
+// route however many flows it carries. Zero means "no site" (control
+// addresses, hand-wired topologies, the pilot); such a packet is routed
+// by Host. Site is local routing metadata: EpochHash and FlowHash never
+// read it, and the pilot's codec never puts it on the wire.
+//
+// The three fields fill eight bytes with no padding, which makes Addr
+// a plain 64-bit map key (tcp.Mux's map then takes Go's 64-bit fast
+// path). A field added here must keep it so; pkt's layout test pins it.
+// Write Addr literals with field keys.
 type Addr struct {
 	Host uint32
 	Port uint16
+	Site uint16
 }
 
 // SACKBlock reports one contiguous received byte range [Start, End) in

@@ -5,7 +5,21 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
+
+// TestAddrHasNoPadding: Addr's fields fill its size exactly, so Addr is
+// a plain 8-byte value that Go hashes and compares as one machine word
+// (tcp.Mux's map takes the 64-bit fast path). A field that adds padding
+// or grows Addr past 8 bytes fails here before it slows the mux or
+// grows every Packet.
+func TestAddrHasNoPadding(t *testing.T) {
+	var a Addr
+	fields := unsafe.Sizeof(a.Host) + unsafe.Sizeof(a.Port) + unsafe.Sizeof(a.Site)
+	if size := unsafe.Sizeof(a); size != fields || size != 8 {
+		t.Fatalf("unsafe.Sizeof(Addr{}) = %d, fields sum to %d: want both 8, no padding", size, fields)
+	}
+}
 
 func TestEpochHashMatchesStdlibFNV(t *testing.T) {
 	p := &Packet{IPID: 0xBEEF, Dst: Addr{Host: 0x0A000001, Port: 443}}
@@ -24,7 +38,7 @@ func TestEpochHashSameAtBothBoxes(t *testing.T) {
 	// The hash must depend only on fields that survive transit unmodified:
 	// copying a packet (as the receivebox effectively observes the same
 	// header) must yield the same hash.
-	p := &Packet{IPID: 7, Src: Addr{1, 2}, Dst: Addr{3, 4}, Seq: 100, Size: 1500}
+	p := &Packet{IPID: 7, Src: Addr{Host: 1, Port: 2}, Dst: Addr{Host: 3, Port: 4}, Seq: 100, Size: 1500}
 	q := *p
 	q.EnqueuedAt = 55 // mutated in the network
 	if EpochHash(p) != EpochHash(&q) {
@@ -35,8 +49,8 @@ func TestEpochHashSameAtBothBoxes(t *testing.T) {
 func TestEpochHashDifferentiatesPackets(t *testing.T) {
 	// Same flow, different IPID => different hash (property (iii): it must
 	// distinguish individual packets, not just flows).
-	a := &Packet{IPID: 1, Dst: Addr{9, 80}}
-	b := &Packet{IPID: 2, Dst: Addr{9, 80}}
+	a := &Packet{IPID: 1, Dst: Addr{Host: 9, Port: 80}}
+	b := &Packet{IPID: 2, Dst: Addr{Host: 9, Port: 80}}
 	if EpochHash(a) == EpochHash(b) {
 		t.Fatal("hash failed to differentiate packets of one flow")
 	}
@@ -46,27 +60,27 @@ func TestEpochHashIgnoresSrcAndSeq(t *testing.T) {
 	// The prototype's subset is {IPID, dst IP, dst port}; TCP sequence is
 	// deliberately excluded (property (iv): retransmissions get a fresh
 	// IPID instead).
-	a := &Packet{IPID: 5, Src: Addr{1, 1}, Dst: Addr{2, 2}, Seq: 0}
-	b := &Packet{IPID: 5, Src: Addr{3, 3}, Dst: Addr{2, 2}, Seq: 1448}
+	a := &Packet{IPID: 5, Src: Addr{Host: 1, Port: 1}, Dst: Addr{Host: 2, Port: 2}, Seq: 0}
+	b := &Packet{IPID: 5, Src: Addr{Host: 3, Port: 3}, Dst: Addr{Host: 2, Port: 2}, Seq: 1448}
 	if EpochHash(a) != EpochHash(b) {
 		t.Fatal("hash depends on fields outside the header subset")
 	}
 }
 
 func TestFlowHashGroupsByFiveTuple(t *testing.T) {
-	a := &Packet{IPID: 1, Src: Addr{1, 10}, Dst: Addr{2, 20}, Proto: ProtoTCP}
-	b := &Packet{IPID: 99, Src: Addr{1, 10}, Dst: Addr{2, 20}, Proto: ProtoTCP}
+	a := &Packet{IPID: 1, Src: Addr{Host: 1, Port: 10}, Dst: Addr{Host: 2, Port: 20}, Proto: ProtoTCP}
+	b := &Packet{IPID: 99, Src: Addr{Host: 1, Port: 10}, Dst: Addr{Host: 2, Port: 20}, Proto: ProtoTCP}
 	if FlowHash(a, 0) != FlowHash(b, 0) {
 		t.Fatal("flow hash differs within one flow")
 	}
-	c := &Packet{Src: Addr{1, 11}, Dst: Addr{2, 20}, Proto: ProtoTCP}
+	c := &Packet{Src: Addr{Host: 1, Port: 11}, Dst: Addr{Host: 2, Port: 20}, Proto: ProtoTCP}
 	if FlowHash(a, 0) == FlowHash(c, 0) {
 		t.Fatal("flow hash collides across flows (unlucky but deterministic: pick different test tuples)")
 	}
 }
 
 func TestFlowHashPerturbation(t *testing.T) {
-	p := &Packet{Src: Addr{1, 10}, Dst: Addr{2, 20}}
+	p := &Packet{Src: Addr{Host: 1, Port: 10}, Dst: Addr{Host: 2, Port: 20}}
 	if FlowHash(p, 1) == FlowHash(p, 2) {
 		t.Fatal("perturbation did not change the hash")
 	}

@@ -326,16 +326,18 @@ func NewMesh(o MeshOptions) *Mesh {
 	// Sites and bundles: each ordered pair (i, j) is one bundle whose
 	// sendbox egress is site i's access link. A bundled source site then
 	// fronts its N-1 sendboxes with one MultiSendbox — the physical box —
-	// classified by destination host, learned as flow addresses are
-	// allocated (Site.onNewDst). Everything here lives on partition i.
-	// The pairs themselves are one slice.
+	// classified by the site id every destination address carries
+	// (pkt.Addr.Site): the fabric is fresh, so its sites take ids 1 to
+	// N-1, and classify[id] is that site's bundle. Everything here lives
+	// on partition i. The pairs themselves are one slice.
 	pairs := make([]MeshPair, 0, o.Sites*(o.Sites-1))
 	m.Pairs = make([]*MeshPair, 0, cap(pairs))
 	for i := 0; i < o.Sites; i++ {
 		fab := m.Fabs[i]
 		var boxes []*bundle.Sendbox
 		var siteSFQs []*qdisc.SFQ
-		classify := make(map[uint32]int)
+		classify := make([]int, o.Sites)
+		classify[0] = -1 // site id 0 is no site
 		for j := 0; j < o.Sites; j++ {
 			if j == i {
 				continue
@@ -349,17 +351,16 @@ func NewMesh(o MeshOptions) *Mesh {
 			site := fab.AddSiteAt(m.Access[i], bcfg)
 			if o.Bundled {
 				siteSFQs = append(siteSFQs, sfq)
-				box := len(boxes)
+				classify[site.id] = len(boxes)
 				boxes = append(boxes, site.SB)
-				site.onNewDst = func(host uint32) { classify[host] = box }
 			}
 			pairs = append(pairs, MeshPair{Src: i, Dst: j, Site: site})
 			m.Pairs = append(m.Pairs, &pairs[len(pairs)-1])
 		}
 		if o.Bundled {
 			multi := bundle.NewMultiSendbox(func(p *pkt.Packet) int {
-				if b, ok := classify[p.Dst.Host]; ok {
-					return b
+				if s := int(p.Dst.Site); s < len(classify) {
+					return classify[s]
 				}
 				return -1 // counted as misrouted; the leak tests assert zero
 			}, boxes...)

@@ -58,7 +58,10 @@ func (c *netConfig) fill() {
 // topology gives each partition its own fabric, so no list is shared
 // between goroutines. There is one destination mux per fabric: every
 // site's receivers and receiveboxes register on it, since addresses are
-// unique per fabric. The forward path between them — one bottleneck,
+// unique per fabric, and the demux holds one route per site: each site
+// has an id, which the fabric stamps on every destination address it
+// allocates for the site (pkt.Addr.Site), so the demux never grows with
+// the flow count. The forward path between them — one bottleneck,
 // a chain, load-balanced parallel links — is the caller's to wire;
 // Net wires the paper's dumbbell, and internal/topo compiles declarative
 // configs into arbitrary link graphs over the same fabric. Bundles nest
@@ -86,7 +89,8 @@ type Fabric struct {
 	sites     sim.Slab[Site]
 	recs      sim.Slab[workload.Recorder]
 	conns     sim.Slab[conn]
-	free      *conn // finished open-loop connections, linked through conn.next
+	free      *conn  // finished open-loop connections, linked through conn.next
+	nextSite  uint16 // the last site id handed out; ids start at 1
 	nextHost  uint32
 	nextCtl   uint32
 	hostLimit uint32
@@ -140,18 +144,17 @@ func newNet(cfg netConfig) *Net {
 
 // Site is one source-site/destination-site pairing. With a Bundler pair
 // attached, its egress is the sendbox and its ingress is tapped by the
-// receivebox; otherwise traffic goes straight to the bottleneck.
+// receivebox; otherwise traffic goes straight to the bottleneck. Its id
+// is stamped on every destination address its flows use, and the
+// fabric's demux routes that id into the site's ingress.
 type Site struct {
 	net     *Fabric
 	SB      *bundle.Sendbox
 	RB      *bundle.Receivebox
 	ingress netem.Receiver
 	egress  netem.Receiver
-	parent  *Site // the enclosing site of a nested one (AddSiteIn)
-	// onNewDst observes every destination host allocated for this site's
-	// flows. The mesh fabric uses it to teach each source site's
-	// MultiSendbox classifier which bundle a destination belongs to.
-	onNewDst func(host uint32)
+	parent  *Site  // the enclosing site of a nested one (AddSiteIn)
+	id      uint16 // pkt.Addr.Site of the site's destinations; never 0
 }
 
 // AddSite creates a site pairing whose egress is the dumbbell's
@@ -163,13 +166,20 @@ func (n *Net) AddSite(bcfg *bundle.Config) *Site {
 // AddSiteAt creates a site pairing that forwards into egress — the head
 // of whatever forward path the topology wired there. bcfg nil means no
 // Bundler (status quo); otherwise a Sendbox is interposed in front of
-// egress and a Receivebox taps the site's ingress.
+// egress and a Receivebox taps the site's ingress. The site takes the
+// fabric's next site id, and the demux routes that id into its ingress.
+// More than 65 535 sites on one fabric panics.
 func (f *Fabric) AddSiteAt(egress netem.Receiver, bcfg *bundle.Config) *Site {
+	if f.nextSite == 1<<16-1 {
+		panic("scenario: site ids exhausted (65 535 sites on one fabric)")
+	}
+	f.nextSite++
 	s := f.sites.New()
-	s.net = f
+	s.net, s.id = f, f.nextSite
 	if bcfg == nil {
 		s.ingress = f.muxB
 		s.egress = egress
+		f.Demux.RouteSite(s.id, s.ingress)
 		return s
 	}
 	sbCtl := pkt.Addr{Host: f.nextCtl, Port: 1}
@@ -184,9 +194,10 @@ func (f *Fabric) AddSiteAt(egress netem.Receiver, bcfg *bundle.Config) *Site {
 	s.RB.SetPool(f.Pool)
 	f.MuxA.Register(sbCtl, s.SB)
 	f.muxB.Register(rbCtl, s.RB)
-	f.Demux.Route(rbCtl.Host, f.muxB) // epoch updates reach the receivebox
+	f.Demux.Route(rbCtl.Host, f.muxB) // epoch updates reach the receivebox, untapped
 	s.ingress = netem.NewTap(s.RB.Observe, f.muxB)
 	s.egress = s.SB
+	f.Demux.RouteSite(s.id, s.ingress)
 	return s
 }
 
@@ -194,8 +205,10 @@ func (f *Fabric) AddSiteAt(egress netem.Receiver, bcfg *bundle.Config) *Site {
 // (§9: department bundles inside an institute bundle). The new site
 // forwards into parent's sendbox, and every enclosing receivebox, the
 // outermost first, observes its traffic before its own receivebox does.
-// Membership is the demux route its flows install, as for any site;
-// control addresses bypass the taps. bcfg nil nests a plain member host.
+// Membership is the site's demux route, as for any site: the nested
+// site has its own id, and its route is re-installed here once the taps
+// wrap its ingress. Control addresses bypass the taps. bcfg nil nests a
+// plain member host.
 func (f *Fabric) AddSiteIn(parent *Site, bcfg *bundle.Config) *Site {
 	if parent.RB == nil {
 		panic("scenario: AddSiteIn needs a parent with a Bundler pair")
@@ -205,6 +218,7 @@ func (f *Fabric) AddSiteIn(parent *Site, bcfg *bundle.Config) *Site {
 	for p := parent; p != nil; p = p.parent {
 		s.ingress = netem.NewTap(p.RB.Observe, s.ingress)
 	}
+	f.Demux.RouteSite(s.id, s.ingress)
 	return s
 }
 
@@ -232,20 +246,17 @@ func (s *Site) Stop() {
 	}
 }
 
-// addrs allocates a fresh (source, destination) address pair and routes
-// the destination host into the site's ingress.
+// addrs allocates a fresh (source, destination) address pair. The
+// destination carries the site's id, which the demux already routes
+// into the site's ingress, so a flow installs no route of its own.
 func (s *Site) addrs(dstPort uint16) (src, dst pkt.Addr) {
 	n := s.net
 	src = pkt.Addr{Host: n.nextHost, Port: 5000}
 	n.nextHost++
-	dst = pkt.Addr{Host: n.nextHost, Port: dstPort}
+	dst = pkt.Addr{Host: n.nextHost, Port: dstPort, Site: s.id}
 	n.nextHost++
 	if n.hostLimit != 0 && n.nextHost > n.hostLimit {
 		panic("scenario: host-address region exhausted (SetIDSpace)")
-	}
-	n.Demux.Route(dst.Host, s.ingress)
-	if s.onNewDst != nil {
-		s.onNewDst(dst.Host)
 	}
 	return src, dst
 }
@@ -356,9 +367,8 @@ func (c *conn) receiverDone(now sim.Time) {
 // connection is never recycled. done (optional) receives the flow's
 // completion time, as observed at the receiver (last byte arrival).
 // Every flow takes fresh endpoint addresses, which are never reused.
-// Completion unregisters both endpoints from their muxes, but the
-// destination host's demux route stays, so the demux grows by one route
-// per flow.
+// Completion unregisters both endpoints from their muxes; the demux
+// route is the site's, so a flow leaves nothing behind there.
 func (s *Site) AddFlow(size int64, cc tcp.Congestion, done func(size int64, fct sim.Time)) *tcp.Sender {
 	c := s.net.conn()
 	c.rec, c.done = nil, done

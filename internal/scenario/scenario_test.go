@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"runtime"
 	"slices"
 	"strings"
 	"testing"
@@ -463,22 +464,26 @@ func TestWriteTimeSeriesLengthMismatch(t *testing.T) {
 // TestOpenLoopAllocs: once the first requests have carved their
 // connection records, an open-loop web flow re-initialises a finished
 // one in place and allocates almost nothing. It measures marginal
-// allocations per flow, (allocs at 2 500 requests − allocs at 500) /
-// 2 000, on the §7.1 dumbbell, status quo and behind a Bundler. With a
-// connection built and dropped per request it was above 7 in both. The
-// fabric mints packets from its own pool: the global one is a sync.Pool,
-// which garbage collection and the race detector empty at will.
+// allocations and bytes per flow, (cost at 2 500 requests − cost at
+// 500) / 2 000, on the §7.1 dumbbell, status quo and behind a Bundler.
+// With a connection built and dropped per request it was above 7
+// allocations in both. With a demux route installed per flow it was
+// 252–265 B (status quo) and 326–328 B (Bundler) a flow; a site's one
+// route brought that to about 180 and 246 B. The fabric mints packets
+// from its own pool: the global one is a sync.Pool, which garbage
+// collection and the race detector empty at will.
 func TestOpenLoopAllocs(t *testing.T) {
 	for _, c := range []struct {
-		name    string
-		bcfg    func() *bundle.Config
-		ceiling float64
+		name      string
+		bcfg      func() *bundle.Config
+		ceiling   float64 // allocations per flow
+		byteLimit float64 // bytes per flow
 	}{
-		{"statusquo", func() *bundle.Config { return nil }, 1},
-		{"bundler", defaultBundleConfig, 2},
+		{"statusquo", func() *bundle.Config { return nil }, 1, 210},
+		{"bundler", defaultBundleConfig, 2, 285},
 	} {
-		allocs := func(requests int) float64 {
-			return testing.AllocsPerRun(1, func() {
+		cost := func(requests int) (allocs, bytes float64) {
+			run := func() {
 				n := newNet(netConfig{Seed: 1})
 				n.Pool = &pkt.Pool{}
 				site := n.AddSite(c.bcfg())
@@ -488,12 +493,27 @@ func TestOpenLoopAllocs(t *testing.T) {
 				if !rec.Done() {
 					t.Fatalf("%s: %d requests unfinished at the horizon", c.name, requests)
 				}
-			})
+			}
+			// As testing.AllocsPerRun does: one warm-up run, then one
+			// measured run on a single P, from a collected heap.
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+			run()
+			var before, after runtime.MemStats
+			runtime.GC()
+			runtime.ReadMemStats(&before)
+			run()
+			runtime.ReadMemStats(&after)
+			return float64(after.Mallocs - before.Mallocs), float64(after.TotalAlloc - before.TotalAlloc)
 		}
-		perFlow := (allocs(2500) - allocs(500)) / 2000
-		t.Logf("%s: %.2f allocations per flow", c.name, perFlow)
+		a500, b500 := cost(500)
+		a2500, b2500 := cost(2500)
+		perFlow, bytesPerFlow := (a2500-a500)/2000, (b2500-b500)/2000
+		t.Logf("%s: %.2f allocations, %.0f B per flow", c.name, perFlow, bytesPerFlow)
 		if perFlow > c.ceiling {
 			t.Errorf("%s: %.2f allocations per open-loop flow, want ≤ %g", c.name, perFlow, c.ceiling)
+		}
+		if bytesPerFlow > c.byteLimit {
+			t.Errorf("%s: %.0f B allocated per open-loop flow, want ≤ %g", c.name, bytesPerFlow, c.byteLimit)
 		}
 	}
 }

@@ -46,6 +46,16 @@ func (s *Sink) Receive(p *pkt.Packet) {
 // delay. The rate is adjustable at runtime, which is exactly how the
 // Bundler sendbox enforces its pacing rate (a token-bucket filter whose
 // rate the control plane rewrites).
+//
+// A link with a propagation delay and no OnTransmitted hook wakes the
+// engine only when a packet is waiting: when a packet starts serializing
+// it schedules that packet's delivery at finish + delay, and an event at
+// finish only if the queue holds another packet. A packet that reaches
+// an idle wire starts at once; one that reaches a busy wire with nothing
+// scheduled schedules that event itself. A delay-0 link (the sendbox
+// pacer, the mesh access and core links) delivers at finish and a hooked
+// link calls its hook there, so both keep one event at the end of every
+// packet's serialization.
 type Link struct {
 	eng   clock.Clock
 	name  string
@@ -57,7 +67,17 @@ type Link struct {
 	// are due in the order packets finish serializing.
 	prop clock.Lane
 
-	busy bool
+	// finish is when the packet on the wire ends serializing. wake is
+	// set while an engine event will start the next packet: the
+	// transmit-complete event of a delay-0 or hooked link, or the event
+	// at finish that a delayed link schedules when a packet waits.
+	finish clock.Time
+	wake   bool
+	// early and earlyBytes are the packet on the wire if the link
+	// counted it when it started (the delayed, hook-free case); the
+	// counters leave it out until finish.
+	early      int
+	earlyBytes int64
 	// txCarry accumulates the sub-nanosecond fraction of each packet's
 	// serialization time. Truncating it per packet would run the link
 	// faster than configured — at 3.7 Mbit/s the bias is ~0.4 ns/packet,
@@ -120,15 +140,22 @@ func BDPBuffer(rate float64, rtt clock.Time) int {
 // A packet the qdisc refuses is dropped here (the link owns it once
 // Receive is called).
 func (l *Link) Receive(p *pkt.Packet) {
-	p.EnqueuedAt = l.eng.Now()
+	now := l.eng.Now()
+	p.EnqueuedAt = now
 	if !l.q.Enqueue(p) {
 		l.rejected++
 		pkt.Put(p)
 		return
 	}
-	if !l.busy {
-		l.transmitNext()
+	if l.wake {
+		return
 	}
+	if now >= l.finish {
+		l.transmitNext()
+		return
+	}
+	l.wake = true
+	l.eng.CallAt(l.finish, linkFree, l, nil)
 }
 
 // transmitNext dequeues and begins serializing one packet. The
@@ -138,7 +165,7 @@ func (l *Link) Receive(p *pkt.Packet) {
 func (l *Link) transmitNext() {
 	p := l.q.Dequeue()
 	if p == nil {
-		l.busy = false
+		l.wake = false
 		return
 	}
 	// Queue accounting invariant: a qdisc that miscounts goes negative
@@ -147,9 +174,9 @@ func (l *Link) transmitNext() {
 		panic(fmt.Sprintf("netem: link %s qdisc accounting negative: %d pkts, %d bytes",
 			l.name, l.q.Len(), l.q.Bytes()))
 	}
-	l.busy = true
+	now := l.eng.Now()
 	if l.onDequeue != nil {
-		l.onDequeue(p, l.eng.Now()-p.EnqueuedAt)
+		l.onDequeue(p, now-p.EnqueuedAt)
 	}
 	ideal := float64(p.Size*8)/l.effRate()*float64(clock.Second) + l.txCarry
 	tx := clock.Time(ideal)
@@ -161,10 +188,28 @@ func (l *Link) transmitNext() {
 	} else {
 		l.txCarry = ideal - float64(tx)
 	}
-	l.eng.CallAfter(tx, linkTransmitted, l, p)
+	l.finish = now + tx
+	if l.delay == 0 || l.onTransmitted != nil {
+		l.wake = true
+		l.early, l.earlyBytes = 0, 0
+		l.eng.CallAt(l.finish, linkTransmitted, l, p)
+		return
+	}
+	l.delivered++
+	l.bytesSent += int64(p.Size)
+	l.early, l.earlyBytes = 1, int64(p.Size)
+	l.prop.CallAt(l.finish+l.delay, linkDeliver, l, p)
+	l.wake = l.q.Len() > 0
+	if l.wake {
+		l.eng.CallAt(l.finish, linkFree, l, nil)
+	}
 }
 
-// linkTransmitted runs when a packet finishes serializing.
+// linkFree runs when a delayed link's wire frees with a packet waiting.
+func linkFree(a0, _ any) { a0.(*Link).transmitNext() }
+
+// linkTransmitted runs when a packet finishes serializing on a delay-0
+// or hooked link.
 func linkTransmitted(a0, a1 any) {
 	l, p := a0.(*Link), a1.(*pkt.Packet)
 	l.delivered++
@@ -261,11 +306,25 @@ func (l *Link) QueueDelay() clock.Time {
 	return clock.Time(float64(l.q.Bytes()*8)/l.rate*float64(clock.Second) + 0.5)
 }
 
-// Delivered reports packets fully serialized.
-func (l *Link) Delivered() int { return l.delivered }
+// Delivered reports packets fully serialized. A delayed, hook-free link
+// counts a packet when it starts serializing and leaves it out here
+// until it finishes, so every link reports the same count at any
+// instant.
+func (l *Link) Delivered() int {
+	if l.eng.Now() < l.finish {
+		return l.delivered - l.early
+	}
+	return l.delivered
+}
 
-// BytesSent reports bytes fully serialized.
-func (l *Link) BytesSent() int64 { return l.bytesSent }
+// BytesSent reports bytes fully serialized, with the same rule as
+// Delivered for the packet on the wire.
+func (l *Link) BytesSent() int64 {
+	if l.eng.Now() < l.finish {
+		return l.bytesSent - l.earlyBytes
+	}
+	return l.bytesSent
+}
 
 // Rejected reports packets the qdisc refused at enqueue.
 func (l *Link) Rejected() int { return l.rejected }
@@ -278,7 +337,8 @@ func (l *Link) OnDequeue(fn func(p *pkt.Packet, qdelay clock.Time)) { l.onDequeu
 // serializing (before propagation). The sendbox timestamps epoch
 // boundaries here: a timestamp taken at dequeue would fold the packet's
 // own serialization time — enormous at low pacing rates — into the
-// measured RTT and read as phantom queueing.
+// measured RTT and read as phantom queueing. A hooked link schedules an
+// event at the end of every packet's serialization to call it.
 func (l *Link) OnTransmitted(fn func(p *pkt.Packet)) { l.onTransmitted = fn }
 
 // RateStep is one point of a piecewise-constant rate schedule: at virtual

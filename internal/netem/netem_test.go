@@ -2,6 +2,7 @@ package netem
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"bundler/internal/clock"
@@ -488,4 +489,176 @@ func TestLinkAllocFree(t *testing.T) {
 	if sink.Count != 11*perRun {
 		t.Fatalf("sink saw %d packets, want %d", sink.Count, 11*perRun)
 	}
+}
+
+// TestLinkCountersWhileSerializing pins Delivered and BytesSent before,
+// during and at the end of a packet's serialization, on a delayed link
+// (which counts a packet when it starts) and on a delay-0 link (which
+// counts it at the end). Experiments sample both counters mid-run, so a
+// packet on the wire must not show until it has finished.
+func TestLinkCountersWhileSerializing(t *testing.T) {
+	for _, delay := range []sim.Time{10 * sim.Millisecond, 0} {
+		eng := sim.NewEngine(1)
+		// 12 Mbit/s: a 1500-byte packet serializes in exactly 1 ms.
+		l := NewLink(eng, "l", 12e6, delay, qdisc.NewFIFO(1<<20), &Sink{})
+		check := func(when string, pkts int, bytes int64) {
+			t.Helper()
+			if l.Delivered() != pkts || l.BytesSent() != bytes {
+				t.Errorf("delay %v, %s (%v): delivered=%d bytes=%d, want %d/%d",
+					delay, when, eng.Now(), l.Delivered(), l.BytesSent(), pkts, bytes)
+			}
+		}
+		at := func(tm sim.Time, fn func()) { clock.At(eng, tm, fn) }
+		check("before", 0, 0)
+		l.Receive(newpkt(1500))
+		l.Receive(newpkt(500))
+		check("first starts", 0, 0)
+		at(sim.Millisecond/2, func() { check("mid first", 0, 0) })
+		at(sim.Millisecond-1, func() { check("1 ns before first ends", 0, 0) })
+		at(sim.Millisecond, func() { check("first ends", 1, 1500) })
+		// The 500-byte packet serializes over [1 ms, 1⅓ ms).
+		at(sim.Millisecond+sim.Millisecond/6, func() { check("mid second", 1, 1500) })
+		at(sim.Millisecond+sim.Millisecond/3+1, func() { check("second ended", 2, 2000) })
+		eng.Run()
+		check("after delivery", 2, 2000)
+	}
+}
+
+// TestLinkEventsPerPacket pins the engine events a link keeps pending.
+// A delayed, hook-free link schedules a packet's delivery when it
+// starts serializing and an event at the end of serialization only
+// while another packet waits; a delay-0 link and a hooked link keep one
+// event at the end of every packet's serialization.
+func TestLinkEventsPerPacket(t *testing.T) {
+	type step struct {
+		at      sim.Time // run the engine to here, then read Pending
+		pending int
+	}
+	for _, tc := range []struct {
+		name  string
+		delay sim.Time
+		hook  bool
+		burst int
+		want  []step
+	}{
+		// One delivery, nothing else.
+		{"delayed/one", 10 * sim.Millisecond, false, 1, []step{{0, 1}, {sim.Millisecond, 1}, {11 * sim.Millisecond, 0}}},
+		// Three back to back: deliveries, plus a free event due at 1 ms
+		// and at 2 ms while a packet waits, and none once the last one
+		// is on the wire.
+		{"delayed/burst", 10 * sim.Millisecond, false, 3, []step{
+			{0, 1 + 1}, {sim.Millisecond, 2 + 1}, {2 * sim.Millisecond, 3}, {12 * sim.Millisecond, 1}, {13 * sim.Millisecond, 0}}},
+		{"delay0/one", 0, false, 1, []step{{0, 1}, {sim.Millisecond, 0}}},
+		{"delay0/burst", 0, false, 3, []step{{0, 1}, {sim.Millisecond, 1}, {2 * sim.Millisecond, 1}, {3 * sim.Millisecond, 0}}},
+		{"hooked/one", 10 * sim.Millisecond, true, 1, []step{{0, 1}, {sim.Millisecond, 1}, {11 * sim.Millisecond, 0}}},
+		{"hooked/burst", 10 * sim.Millisecond, true, 3, []step{
+			{0, 1}, {sim.Millisecond, 2}, {2 * sim.Millisecond, 3}, {3 * sim.Millisecond, 3}, {13 * sim.Millisecond, 0}}},
+	} {
+		eng := sim.NewEngine(1)
+		l := NewLink(eng, "l", 12e6, tc.delay, qdisc.NewFIFO(1<<20), &Sink{})
+		if tc.hook {
+			l.OnTransmitted(func(*pkt.Packet) {})
+		}
+		for i := 0; i < tc.burst; i++ {
+			l.Receive(newpkt(1500))
+		}
+		for _, s := range tc.want {
+			eng.RunUntil(s.at)
+			if got := eng.Pending(); got != s.pending {
+				t.Errorf("%s: %d events pending at %v, want %d", tc.name, got, s.at, s.pending)
+			}
+		}
+	}
+	// A packet that reaches a busy delayed link with an empty queue
+	// schedules the free event itself; one more adds nothing.
+	eng := sim.NewEngine(1)
+	l := NewLink(eng, "l", 12e6, 10*sim.Millisecond, qdisc.NewFIFO(1<<20), &Sink{})
+	l.Receive(newpkt(1500))
+	eng.RunUntil(sim.Millisecond / 2)
+	for i, want := range []int{2, 2} {
+		l.Receive(newpkt(1500))
+		if got := eng.Pending(); got != want {
+			t.Errorf("late arrival %d: %d events pending, want %d", i, got, want)
+		}
+	}
+}
+
+// linkRun is one link of FuzzLinkLazyMatchesEvented with what it
+// delivered, as (time, IP ID) pairs.
+type linkRun struct {
+	eng  *sim.Engine
+	l    *Link
+	got  []sim.Time
+	ipid []uint16
+}
+
+func newLinkRun(delay sim.Time, hooked bool) *linkRun {
+	r := &linkRun{eng: sim.NewEngine(1)}
+	dst := ReceiverFunc(func(p *pkt.Packet) {
+		r.got = append(r.got, r.eng.Now())
+		r.ipid = append(r.ipid, p.IPID)
+	})
+	r.l = NewLink(r.eng, "l", 10e6, delay, qdisc.NewFIFO(4500), dst)
+	if hooked {
+		r.l.OnTransmitted(func(*pkt.Packet) {})
+	}
+	return r
+}
+
+// FuzzLinkLazyMatchesEvented builds one delayed link twice: plain,
+// where it wakes the engine only when a packet waits, and with a no-op
+// OnTransmitted hook, which keeps an event at the end of every packet's
+// serialization. Fed the same arrivals (distinct nanoseconds, random
+// sizes, into a FIFO small enough to reject some), rate changes and
+// fluid loads, both must deliver the same packets at the same times and
+// report the same counters at every arrival.
+func FuzzLinkLazyMatchesEvented(f *testing.F) {
+	f.Add([]byte{9, 0, 0, 0, 200, 0, 0, 0, 200, 0, 0, 1, 100})             // back to back
+	f.Add([]byte{0, 0, 40, 0, 255, 0, 1, 0, 40, 6, 50, 0, 0, 0, 0, 0, 20}) // a rate change between arrivals
+	f.Add([]byte{3, 0, 0, 0, 250, 0, 0, 0, 250, 0, 0, 0, 250, 0, 0, 0, 250, 0, 0, 0, 250})
+	f.Add([]byte{5, 7, 9, 40, 0, 0, 2, 0, 90, 0, 0, 0, 90, 0, 30, 0, 9, 7, 0, 0, 0, 0, 0, 1, 1})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) == 0 {
+			return
+		}
+		delay := sim.Time(1+data[0]) * 100 * sim.Microsecond
+		lazy, evented := newLinkRun(delay, false), newLinkRun(delay, true)
+		both := [2]*linkRun{lazy, evented}
+		now := sim.Time(0)
+		var ipid uint16
+		for op := data[1:]; len(op) >= 4; op = op[4:] {
+			switch op[0] % 8 {
+			case 6: // 1–256 Mbit/s
+				for _, r := range both {
+					r.l.SetRate(float64(1+int(op[1])) * 1e6)
+				}
+			case 7: // up to 12.75 Mbit/s of fluid, under 25.5 kB backlog
+				for _, r := range both {
+					r.l.SetFluidLoad(float64(op[1])*5e4, float64(op[2])*100)
+				}
+			default: // an arrival 1 ns – 4.2 ms after the last one
+				now += 1 + sim.Time(uint16(op[1])<<8|uint16(op[2]))*64
+				ipid++
+				for _, r := range both {
+					r.eng.RunUntil(now)
+					r.l.Receive(&pkt.Packet{Size: 40 + int(op[3])*6, IPID: ipid})
+				}
+				if lazy.l.Delivered() != evented.l.Delivered() || lazy.l.BytesSent() != evented.l.BytesSent() ||
+					lazy.l.Rejected() != evented.l.Rejected() {
+					t.Fatalf("at %v: lazy delivered=%d bytes=%d rejected=%d, evented %d/%d/%d", now,
+						lazy.l.Delivered(), lazy.l.BytesSent(), lazy.l.Rejected(),
+						evented.l.Delivered(), evented.l.BytesSent(), evented.l.Rejected())
+				}
+			}
+		}
+		for _, r := range both {
+			r.eng.Run()
+		}
+		if !slices.Equal(lazy.got, evented.got) || !slices.Equal(lazy.ipid, evented.ipid) {
+			t.Fatalf("deliveries differ:\nlazy    %v %v\nevented %v %v", lazy.got, lazy.ipid, evented.got, evented.ipid)
+		}
+		if lazy.l.Delivered() != len(lazy.got) {
+			t.Fatalf("delivered %d, but %d arrived", lazy.l.Delivered(), len(lazy.got))
+		}
+	})
 }

@@ -206,22 +206,17 @@ type compiled struct {
 // an error — never panics — on invalid input: every name, rate, and
 // reference in a config is user input.
 func compile(sc Scenario, seed int64, pv map[string]string) (*compiled, error) {
-	b := &binder{pv: pv}
-	rtt := b.dur("rtt", sc.RTT, 50*sim.Millisecond)
-	// The run bound: explicit, or (0 here) the load-scaled rule.
-	horizon := b.dur("horizon", sc.Horizon, 0)
-	if b.err != nil {
-		return nil, b.err
-	}
-	if sc.Horizon != "" && horizon <= 0 {
-		return nil, fmt.Errorf("horizon must be positive")
-	}
-
 	if sc.Mesh != nil {
-		if len(sc.Links) > 0 || len(sc.Hosts) > 0 || len(sc.Bundles) > 0 || len(sc.Workloads) > 0 || len(sc.Classes) > 0 {
-			return nil, fmt.Errorf("a mesh scenario generates its own links/hosts/bundles/workloads; remove the explicit sections")
+		opt, err := meshOptions(sc, seed, pv)
+		if err != nil {
+			return nil, err
 		}
-		return compileMesh(sc, seed, b, rtt, horizon)
+		return compileMesh(opt), nil
+	}
+	b := &binder{pv: pv}
+	rtt, horizon, err := timing(b, sc)
+	if err != nil {
+		return nil, err
 	}
 
 	classes, classPort, err := compileClasses(b, sc.Classes)
@@ -532,11 +527,32 @@ func compile(sc Scenario, seed int64, pv map[string]string) (*compiled, error) {
 	return c, nil
 }
 
-// compileMesh instantiates a mesh scenario through scenario.NewMesh —
-// the same fabric the registered mesh experiment drives — and adapts its
-// per-pair recorders into the compiled form the report renderers expect
-// (one web workload named "s<i>-s<j>" per ordered site pair).
-func compileMesh(sc Scenario, seed int64, b *binder, rtt, horizon sim.Time) (*compiled, error) {
+// timing binds a scenario's round trip and run bound: an explicit
+// horizon, or 0 for the load-scaled rule.
+func timing(b *binder, sc Scenario) (rtt, horizon sim.Time, err error) {
+	rtt = b.dur("rtt", sc.RTT, 50*sim.Millisecond)
+	horizon = b.dur("horizon", sc.Horizon, 0)
+	if b.err != nil {
+		return 0, 0, b.err
+	}
+	if sc.Horizon != "" && horizon <= 0 {
+		return 0, 0, fmt.Errorf("horizon must be positive")
+	}
+	return rtt, horizon, nil
+}
+
+// meshOptions binds a mesh scenario into validated scenario.MeshOptions.
+// Validate stops here: MeshOptions.Validate rejects every input on which
+// scenario.NewMesh would panic, so a valid mesh need not be built.
+func meshOptions(sc Scenario, seed int64, pv map[string]string) (scenario.MeshOptions, error) {
+	b := &binder{pv: pv}
+	rtt, horizon, err := timing(b, sc)
+	if err != nil {
+		return scenario.MeshOptions{}, err
+	}
+	if len(sc.Links) > 0 || len(sc.Hosts) > 0 || len(sc.Bundles) > 0 || len(sc.Workloads) > 0 || len(sc.Classes) > 0 {
+		return scenario.MeshOptions{}, fmt.Errorf("a mesh scenario generates its own links/hosts/bundles/workloads; remove the explicit sections")
+	}
 	d := sc.Mesh
 	sites := b.count("mesh sites", d.Sites, 0)
 	mode := b.str("mesh mode", d.Mode)
@@ -552,10 +568,10 @@ func compileMesh(sc Scenario, seed int64, b *binder, rtt, horizon sim.Time) (*co
 	users := b.count("mesh users", d.Users, 0)
 	sketch := b.str("mesh sketch", d.Sketch)
 	if b.err != nil {
-		return nil, b.err
+		return scenario.MeshOptions{}, b.err
 	}
 	if d.Sites == "" {
-		return nil, fmt.Errorf("mesh needs a sites count")
+		return scenario.MeshOptions{}, fmt.Errorf("mesh needs a sites count")
 	}
 	opt := scenario.MeshOptions{
 		Seed:                seed,
@@ -575,11 +591,16 @@ func compileMesh(sc Scenario, seed int64, b *binder, rtt, horizon sim.Time) (*co
 		Horizon:             horizon,
 	}
 	if err := opt.SetSketch(sketch); err != nil {
-		return nil, fmt.Errorf("mesh %w", err)
+		return scenario.MeshOptions{}, fmt.Errorf("mesh %w", err)
 	}
-	if err := opt.Validate(); err != nil {
-		return nil, err
-	}
+	return opt, opt.Validate()
+}
+
+// compileMesh instantiates a mesh scenario through scenario.NewMesh —
+// the same fabric the registered mesh experiment drives — and adapts its
+// per-pair recorders into the compiled form the report renderers expect
+// (one web workload named "s<i>-s<j>" per ordered site pair).
+func compileMesh(opt scenario.MeshOptions) *compiled {
 	m := scenario.NewMesh(opt)
 	c := &compiled{mesh: m, horizon: m.Opt.Horizon}
 	for _, pr := range m.Pairs {
@@ -589,7 +610,7 @@ func compileMesh(sc Scenario, seed int64, b *binder, rtt, horizon sim.Time) (*co
 	for i, a := range m.Fluids {
 		c.fluids = append(c.fluids, fluidOut{Host: fmt.Sprintf("s%d", i), Users: a.Users(), Agg: a})
 	}
-	return c, nil
+	return c
 }
 
 // compileClasses validates a scenario's classes section into the qdisc

@@ -72,8 +72,10 @@ func (e *configExp) Metadata() map[string]string {
 
 // Validate dry-compiles every run of cfg with default parameters,
 // surfacing bad qdisc names, dangling link endpoints, unknown hosts, and
-// the like without executing anything. The CLIs call it at -config load
-// time so a broken file fails fast.
+// the like without executing anything. A mesh run is checked through
+// its options and not built: every ordered site pair runs a web
+// workload. The CLIs call it at -config load time so a broken file
+// fails fast.
 func Validate(cfg *Config) error {
 	pv, err := cfg.paramValues(nil)
 	if err != nil {
@@ -92,7 +94,14 @@ func Validate(cfg *Config) error {
 		return fmt.Errorf("topo: config %s: report header: %w", cfg.Name, err)
 	}
 	for _, r := range cfg.runList() {
-		c, err := compile(merged(cfg.Base, r), 0, pv)
+		sc := merged(cfg.Base, r)
+		if sc.Mesh != nil {
+			if _, err := meshOptions(sc, 0, pv); err != nil {
+				return fmt.Errorf("topo: config %s, run %q: %w", cfg.Name, r.Label, err)
+			}
+			continue
+		}
+		c, err := compile(sc, 0, pv)
 		if err != nil {
 			return fmt.Errorf("topo: config %s, run %q: %w", cfg.Name, r.Label, err)
 		}

@@ -96,6 +96,30 @@ func TestMinimalIsValid(t *testing.T) {
 	}
 }
 
+// TestValidateMeshAllocs caps what validating a 64-site, two-run mesh
+// config allocates. Validate checks a mesh run through its options and
+// never builds the mesh; building its two meshes of 4 032 pairs each
+// took about 79 000 allocations.
+func TestValidateMeshAllocs(t *testing.T) {
+	cfg, err := Parse([]byte(`{"name":"m","base":{"rtt":"50ms",
+	  "mesh":{"sites":"64","mode":"hub","requests":"1","jitter":"2ms"}},
+	  "runs":[{"label":"Status Quo"},
+	    {"label":"Bundler","mesh":{"sites":"64","mode":"hub","requests":"1",
+	      "jitter":"2ms","bundled":"true","perturb":"2s"}}]}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := testing.AllocsPerRun(5, func() {
+		if err := Validate(cfg); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("Validate: %.0f allocations", n)
+	if n > 50 {
+		t.Fatalf("Validate made %.0f allocations on a 64-site mesh config, want at most 50", n)
+	}
+}
+
 // TestRejections pins the error surface: every class of bad input a
 // config file can carry must fail Validate (or Parse) with a message
 // naming the problem, never panic or silently default.

@@ -29,24 +29,14 @@ import (
 	"bundler/internal/netem"
 	"bundler/internal/pkt"
 	"bundler/internal/qdisc"
+	"bundler/internal/sim"
 	"bundler/internal/stats"
 )
 
-// CtlAck is the congestion ACK the receivebox returns for each epoch
-// boundary packet it observes (§4.5): the boundary's hash and the running
-// count of bundle bytes received.
-type CtlAck struct {
-	Hash      uint64
-	BytesRcvd int64
-}
-
-// CtlEpochUpdate tells the receivebox the new epoch size (§4.5).
-type CtlEpochUpdate struct {
-	N uint64
-}
-
 // CtlPacketSize is the on-wire size of a control message (a small UDP
-// datagram in the prototype).
+// datagram in the prototype). The two messages, the congestion ACK
+// (pkt.CtlAck) and the epoch-size update (pkt.CtlEpochUpdate), travel
+// inline in the packet's Ctl and CtlArg fields.
 const CtlPacketSize = 60
 
 // Mode is the sendbox's operating mode (§5).
@@ -224,7 +214,7 @@ type Sendbox struct {
 	// Epoch/measurement state.
 	epochN        uint64
 	boundaries    map[uint64]boundary // nil until the first boundary
-	boundaryOrder []uint64
+	boundaryOrder sim.FIFO[uint64]    // the recorded hashes, oldest first
 	seqCounter    uint64
 	maxAckedSeq   uint64
 	bytesDequeued int64
@@ -236,7 +226,7 @@ type Sendbox struct {
 	lastAcked      boundary
 	lastAckArrival clock.Time
 	lastBytesRcvd  int64
-	ackHistory     []ackPoint // recent ACK arrivals for multi-epoch rates
+	ackHistory     sim.FIFO[ackPoint] // the last 8 ACK arrivals, for multi-epoch rates
 
 	window     []epochMeasurement
 	minRTT     clock.Time
@@ -314,8 +304,8 @@ func (s *Sendbox) SetPool(pl *pkt.Pool) { s.pool = pl }
 // paced queue.
 func (s *Sendbox) Receive(p *pkt.Packet) {
 	if p.Proto == pkt.ProtoCtl && p.Dst == s.ctlAddr {
-		if ack, ok := p.Payload.(*CtlAck); ok {
-			s.onCtlAck(ack)
+		if p.Ctl == pkt.CtlAck {
+			s.onCtlAck(p.CtlArg[0], int64(p.CtlArg[1]))
 		}
 		pkt.Put(p)
 		return
@@ -363,12 +353,11 @@ func (s *Sendbox) onTransmitted(p *pkt.Packet) {
 			s.boundaries = make(map[uint64]boundary)
 		}
 		s.boundaries[h] = boundary{seq: s.seqCounter, tsent: s.eng.Now(), bytesSent: s.bytesDequeued}
-		s.boundaryOrder = append(s.boundaryOrder, h)
+		s.boundaryOrder.Push(h)
 		// Bound state: Bundler keeps no per-flow state, and its boundary
 		// table is bounded too.
-		if len(s.boundaryOrder) > 4096 {
-			delete(s.boundaries, s.boundaryOrder[0])
-			s.boundaryOrder = s.boundaryOrder[1:]
+		if s.boundaryOrder.Len() > 4096 {
+			delete(s.boundaries, s.boundaryOrder.Pop())
 		}
 	}
 }
@@ -380,28 +369,28 @@ func (s *Sendbox) onTransmitted(p *pkt.Packet) {
 // packet's ACK, yielding a garbage RTT and a phantom reordering signal.
 func (s *Sendbox) evictStaleBoundaries() {
 	cutoff := s.eng.Now() - max(8*s.latestRTT, clock.Second)
-	for len(s.boundaryOrder) > 0 {
-		h := s.boundaryOrder[0]
+	for s.boundaryOrder.Len() > 0 {
+		h := s.boundaryOrder.Peek()
 		if b, ok := s.boundaries[h]; ok && b.tsent >= cutoff {
 			break
 		}
-		s.boundaryOrder = s.boundaryOrder[1:]
-		delete(s.boundaries, h)
+		delete(s.boundaries, s.boundaryOrder.Pop())
 	}
 }
 
-// onCtlAck matches a congestion ACK against recorded boundaries and
+// onCtlAck matches a congestion ACK, the boundary hash it answers and
+// the bundle bytes received so far, against recorded boundaries and
 // produces one epoch measurement (Figure 4).
-func (s *Sendbox) onCtlAck(ack *CtlAck) {
+func (s *Sendbox) onCtlAck(hash uint64, bytesRcvd int64) {
 	now := s.eng.Now()
-	b, ok := s.boundaries[ack.Hash]
+	b, ok := s.boundaries[hash]
 	if !ok {
 		// Receivebox sampled a superset (stale, smaller epoch size) or
 		// the record aged out: ignore, per §4.5.
 		s.AcksSpurious++
 		return
 	}
-	delete(s.boundaries, ack.Hash)
+	delete(s.boundaries, hash)
 	s.AcksMatched++
 
 	// Out-of-order tracking (§5.2): congestion ACKs should arrive in the
@@ -422,7 +411,7 @@ func (s *Sendbox) onCtlAck(ack *CtlAck) {
 	prev := s.lastAcked
 	if prev.seq != 0 && b.seq > prev.seq && b.tsent > prev.tsent && now > s.lastAckArrival {
 		sendRate := float64(b.bytesSent-prev.bytesSent) * 8 / (b.tsent - prev.tsent).Seconds()
-		rcv := float64(ack.BytesRcvd-s.lastBytesRcvd) * 8 / (now - s.lastAckArrival).Seconds()
+		rcv := float64(bytesRcvd-s.lastBytesRcvd) * 8 / (now - s.lastAckArrival).Seconds()
 		if rcv >= 0 && sendRate >= 0 {
 			recvRate = rcv
 			s.window = append(s.window, epochMeasurement{at: now, rtt: rtt, sendRate: sendRate, recvRate: recvRate})
@@ -430,12 +419,12 @@ func (s *Sendbox) onCtlAck(ack *CtlAck) {
 			// gap is at the mercy of reverse-path jitter (a compressed
 			// gap reads as a rate far above the line rate, and a
 			// max-filter would lock onto it).
-			s.ackHistory = append(s.ackHistory, ackPoint{at: now, bytes: ack.BytesRcvd})
-			if len(s.ackHistory) > 8 {
-				s.ackHistory = s.ackHistory[1:]
+			s.ackHistory.Push(ackPoint{at: now, bytes: bytesRcvd})
+			if s.ackHistory.Len() > 8 {
+				s.ackHistory.Pop()
 			}
-			if n := len(s.ackHistory); n >= 5 {
-				first, last := s.ackHistory[0], s.ackHistory[n-1]
+			if h := s.ackHistory.Items(); len(h) >= 5 {
+				first, last := h[0], h[len(h)-1]
 				if last.at > first.at {
 					muSample := float64(last.bytes-first.bytes) * 8 / (last.at - first.at).Seconds()
 					s.muFilter.Update(now, muSample, 10*clock.Second)
@@ -453,12 +442,12 @@ func (s *Sendbox) onCtlAck(ack *CtlAck) {
 		}
 	}
 	if s.OnEpochSample != nil {
-		s.OnEpochSample(ack.Hash, rtt, now, recvRate)
+		s.OnEpochSample(hash, rtt, now, recvRate)
 	}
 	if b.seq > prev.seq {
 		s.lastAcked = b
 		s.lastAckArrival = now
-		s.lastBytesRcvd = ack.BytesRcvd
+		s.lastBytesRcvd = bytesRcvd
 	}
 
 	s.maybeUpdateEpochSize()
@@ -515,12 +504,12 @@ func (s *Sendbox) maybeUpdateEpochSize() {
 	// The update travels out-of-band. Control-plane messages bypass the
 	// bundle's own pacer (they originate from the box, not from bundled
 	// traffic) and enter the WAN path directly.
-	s.downstream.Receive(newCtlPacket(s.pool, &s.ipid, s.ctlAddr, s.peerCtl, &CtlEpochUpdate{N: n}))
+	s.downstream.Receive(newCtlPacket(s.pool, &s.ipid, s.ctlAddr, s.peerCtl, pkt.CtlEpochUpdate, n, 0))
 }
 
-// newCtlPacket mints a control message from src to dst with the next IP
-// ID from the sending box's counter.
-func newCtlPacket(pl *pkt.Pool, ipid *uint16, src, dst pkt.Addr, payload any) *pkt.Packet {
+// newCtlPacket mints control message kind, with arguments a0 and a1,
+// from src to dst with the next IP ID from the sending box's counter.
+func newCtlPacket(pl *pkt.Pool, ipid *uint16, src, dst pkt.Addr, kind pkt.CtlKind, a0, a1 uint64) *pkt.Packet {
 	*ipid++
 	p := pl.Get()
 	p.IPID = *ipid
@@ -528,7 +517,8 @@ func newCtlPacket(pl *pkt.Pool, ipid *uint16, src, dst pkt.Addr, payload any) *p
 	p.Dst = dst
 	p.Proto = pkt.ProtoCtl
 	p.Size = CtlPacketSize
-	p.Payload = payload
+	p.Ctl = kind
+	p.CtlArg = [2]uint64{a0, a1}
 	return p
 }
 
@@ -836,7 +826,7 @@ func (r *Receivebox) Observe(p *pkt.Packet) {
 		marker = h
 	}
 	r.AcksSent++
-	r.out.Receive(newCtlPacket(r.pool, &r.ipid, r.addr, r.peerCtl, &CtlAck{Hash: marker, BytesRcvd: r.bytesRcvd}))
+	r.out.Receive(newCtlPacket(r.pool, &r.ipid, r.addr, r.peerCtl, pkt.CtlAck, marker, uint64(r.bytesRcvd)))
 }
 
 // Receive implements netem.Receiver for the control channel (epoch-size
@@ -846,8 +836,8 @@ func (r *Receivebox) Receive(p *pkt.Packet) {
 		pkt.Put(p)
 		return
 	}
-	if up, ok := p.Payload.(*CtlEpochUpdate); ok && up.N > 0 {
-		r.epochN = up.N
+	if p.Ctl == pkt.CtlEpochUpdate && p.CtlArg[0] > 0 {
+		r.epochN = p.CtlArg[0]
 		r.EpochUpdates++
 	}
 	pkt.Put(p)

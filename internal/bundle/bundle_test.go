@@ -452,8 +452,8 @@ func TestBoundaryTableBounded(t *testing.T) {
 	for i := 0; i < boundaries; i++ {
 		mark()
 	}
-	if len(sb.boundaries) > maxRecords || len(sb.boundaryOrder) > maxRecords {
-		t.Fatalf("table holds %d records, order %d; cap is %d", len(sb.boundaries), len(sb.boundaryOrder), maxRecords)
+	if len(sb.boundaries) > maxRecords || sb.boundaryOrder.Len() > maxRecords {
+		t.Fatalf("table holds %d records, order %d; cap is %d", len(sb.boundaries), sb.boundaryOrder.Len(), maxRecords)
 	}
 	// Tunnel markers are the sequence numbers 1..boundaries, so the
 	// survivors must be exactly the newest maxRecords of them.
@@ -467,10 +467,50 @@ func TestBoundaryTableBounded(t *testing.T) {
 	// No ACK ever matched, so latestRTT is 0 and the stale age is 1 s.
 	eng.RunUntil(sim.Second + controlInterval)
 	mark()
-	if len(sb.boundaries) != 1 || len(sb.boundaryOrder) != 1 {
-		t.Fatalf("after idling past 1 s: %d records, order %d; want only the new boundary", len(sb.boundaries), len(sb.boundaryOrder))
+	if len(sb.boundaries) != 1 || sb.boundaryOrder.Len() != 1 {
+		t.Fatalf("after idling past 1 s: %d records, order %d; want only the new boundary", len(sb.boundaries), sb.boundaryOrder.Len())
 	}
 	if _, ok := sb.boundaries[boundaries+1]; !ok {
 		t.Fatal("the new boundary was not recorded")
+	}
+}
+
+// TestControlLoopAllocFree: one turn of the §4.5 measurement loop, the
+// receivebox answering an epoch marker with a congestion ACK and the
+// sendbox consuming it against its boundary record, allocates nothing
+// once warm: the ACK travels inline in a pooled packet. Each turn is one
+// 10 ms control tick, so the tick and its windows run too; the warm-up's
+// 10 s fills the detector's 5 s window, which grows until it is full.
+func TestControlLoopAllocFree(t *testing.T) {
+	eng := sim.NewEngine(1)
+	pool := &pkt.Pool{}
+	sbCtl, rbCtl := pkt.Addr{Host: ctlHostSend, Port: 1}, pkt.Addr{Host: ctlHostRecv, Port: 1}
+	sb := NewSendbox(eng, Config{TunnelMode: true}, &netem.Sink{}, sbCtl, rbCtl)
+	rb := NewReceivebox(eng, sb, rbCtl, sbCtl, 0)
+	sb.SetPool(pool)
+	rb.SetPool(pool)
+	data := &pkt.Packet{Proto: pkt.ProtoTCP, Size: pkt.MTU}
+	turn := func() {
+		eng.RunUntil(eng.Now() + controlInterval)
+		// Tunnel mode marks every N-th packet leaving the sendbox; the
+		// last one carries the marker the receivebox answers.
+		for i := uint64(0); i < sb.epochN; i++ {
+			sb.onTransmitted(data)
+		}
+		data.Tunneled = true
+		data.Size += pkt.TunnelOverhead
+		rb.Observe(data)
+	}
+	// One warm-up call, then one measured call of 1 000 turns: the count
+	// is their exact total, not a rounded mean.
+	if allocs := testing.AllocsPerRun(1, func() {
+		for i := 0; i < 1000; i++ {
+			turn()
+		}
+	}); allocs != 0 {
+		t.Errorf("1 000 control-loop turns allocate %v times, want 0", allocs)
+	}
+	if sb.AcksMatched < 2000 || sb.AcksSpurious != 0 {
+		t.Fatalf("%d ACKs matched and %d spurious, want every one of 2 000 matched", sb.AcksMatched, sb.AcksSpurious)
 	}
 }

@@ -87,12 +87,15 @@ func (c *Copa) OnMeasurement(m Measurement, now clock.Time) {
 	if sample <= 0 {
 		sample = m.RTT
 	}
-	// Maintain the standing-RTT window (half an RTT of history).
+	// Maintain the standing-RTT window (half an RTT of history), moving
+	// the kept samples down in place so the window keeps its storage.
 	c.recent = append(c.recent, rttSample{now, sample})
 	cutoff := now - m.RTT/2
-	for len(c.recent) > 1 && c.recent[0].at < cutoff {
-		c.recent = c.recent[1:]
+	old := 0
+	for old < len(c.recent)-1 && c.recent[old].at < cutoff {
+		old++
 	}
+	c.recent = c.recent[:copy(c.recent, c.recent[old:])]
 	standing := c.recent[0].rtt
 	for _, s := range c.recent[1:] {
 		if s.rtt < standing {

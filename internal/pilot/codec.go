@@ -23,7 +23,6 @@ import (
 	"encoding/binary"
 	"fmt"
 
-	"bundler/internal/bundle"
 	"bundler/internal/pkt"
 )
 
@@ -33,7 +32,8 @@ const (
 	kindDone   = 0x02 // sender-side workload finished; receiver may exit
 )
 
-// Payload kinds for the Packet.Payload field (Bundler control messages).
+// Control message kinds on the wire (Packet.Ctl), each followed by its
+// arguments: two words for a congestion ACK, one for an epoch update.
 const (
 	plNone        = 0
 	plCtlAck      = 1
@@ -72,18 +72,18 @@ func marshal(p *pkt.Packet, buf []byte) ([]byte, error) {
 		b = binary.BigEndian.AppendUint64(b, uint64(p.SACK[i].Start))
 		b = binary.BigEndian.AppendUint64(b, uint64(p.SACK[i].End))
 	}
-	switch pl := p.Payload.(type) {
-	case nil:
+	switch p.Ctl {
+	case pkt.CtlNone:
 		b = append(b, plNone)
-	case *bundle.CtlAck:
+	case pkt.CtlAck:
 		b = append(b, plCtlAck)
-		b = binary.BigEndian.AppendUint64(b, pl.Hash)
-		b = binary.BigEndian.AppendUint64(b, uint64(pl.BytesRcvd))
-	case *bundle.CtlEpochUpdate:
+		b = binary.BigEndian.AppendUint64(b, p.CtlArg[0])
+		b = binary.BigEndian.AppendUint64(b, p.CtlArg[1])
+	case pkt.CtlEpochUpdate:
 		b = append(b, plEpochUpdate)
-		b = binary.BigEndian.AppendUint64(b, pl.N)
+		b = binary.BigEndian.AppendUint64(b, p.CtlArg[0])
 	default:
-		return nil, fmt.Errorf("pilot: unmarshalable payload %T", p.Payload)
+		return nil, fmt.Errorf("pilot: unmarshalable control message kind %d", p.Ctl)
 	}
 	return b, nil
 }
@@ -119,9 +119,9 @@ func unmarshal(data []byte) (*pkt.Packet, error) {
 	switch r.u8() {
 	case plNone:
 	case plCtlAck:
-		p.Payload = &bundle.CtlAck{Hash: r.u64(), BytesRcvd: int64(r.u64())}
+		p.Ctl, p.CtlArg = pkt.CtlAck, [2]uint64{r.u64(), r.u64()}
 	case plEpochUpdate:
-		p.Payload = &bundle.CtlEpochUpdate{N: r.u64()}
+		p.Ctl, p.CtlArg[0] = pkt.CtlEpochUpdate, r.u64()
 	default:
 		r.bad = true
 	}

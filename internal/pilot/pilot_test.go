@@ -19,9 +19,9 @@ var codecCases = []*pkt.Packet{
 		Retransmit: true, NSACK: 2,
 		SACK: [4]pkt.SACKBlock{{Start: 10, End: 20}, {Start: 40, End: 90}}},
 	{Proto: pkt.ProtoCtl, Dst: sbCtl, Size: bundle.CtlPacketSize,
-		Payload: &bundle.CtlAck{Hash: 0xdeadbeef, BytesRcvd: 1 << 33}},
+		Ctl: pkt.CtlAck, CtlArg: [2]uint64{0xdeadbeef, 1 << 33}},
 	{Proto: pkt.ProtoCtl, Dst: rbCtl, Size: bundle.CtlPacketSize,
-		Payload: &bundle.CtlEpochUpdate{N: 128}},
+		Ctl: pkt.CtlEpochUpdate, CtlArg: [2]uint64{128}},
 	{Proto: pkt.ProtoUDP, Tunneled: true, TunnelSeq: 99, Size: 60},
 }
 
@@ -35,15 +35,7 @@ func sameWire(a, b *pkt.Packet) bool {
 		a.TunnelSeq != b.TunnelSeq || a.NSACK != b.NSACK || a.SACK != b.SACK {
 		return false
 	}
-	switch pa := a.Payload.(type) {
-	case *bundle.CtlAck:
-		pb, ok := b.Payload.(*bundle.CtlAck)
-		return ok && *pa == *pb
-	case *bundle.CtlEpochUpdate:
-		pb, ok := b.Payload.(*bundle.CtlEpochUpdate)
-		return ok && *pa == *pb
-	}
-	return a.Payload == nil && b.Payload == nil
+	return a.Ctl == b.Ctl && a.CtlArg == b.CtlArg
 }
 
 // TestCodecRoundTrip: every field the emulated stack reads survives the

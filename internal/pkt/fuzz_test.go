@@ -35,7 +35,7 @@ func FuzzEpochHash(f *testing.F) {
 		p.FlowID ^= 0xDEADBEEF
 		p.NSACK = 2
 		p.SACK[0] = SACKBlock{Start: 1, End: 2}
-		p.Payload = "opaque"
+		p.Ctl, p.CtlArg = CtlAck, [2]uint64{1, 2}
 
 		if got := EpochHash(p); got != sendboxView {
 			t.Fatalf("receivebox hash %#x != sendbox hash %#x after transit mutation", got, sendboxView)

@@ -66,9 +66,29 @@ type Addr struct {
 // practical limit) so ACK emission needs no per-packet allocation.
 type SACKBlock struct{ Start, End int64 }
 
+// CtlKind names the Bundler control message a ProtoCtl packet carries
+// inline in CtlArg. The message is plain packet data, not a pointer, so
+// minting and consuming one allocates nothing.
+type CtlKind uint8
+
+// Control message kinds.
+const (
+	CtlNone CtlKind = iota
+	// CtlAck is a congestion ACK (§4.5): CtlArg[0] is the epoch
+	// boundary's hash (a tunnel marker in tunnel mode), CtlArg[1] the
+	// bundle bytes the receivebox has received so far.
+	CtlAck
+	// CtlEpochUpdate tells the receivebox its new epoch size: CtlArg[0]
+	// is N.
+	CtlEpochUpdate
+)
+
 // Packet is a single datagram in flight. Packets are passed by pointer and
 // owned by whichever component currently holds them; they are never shared
 // after being forwarded.
+//
+// The one- and two-byte fields share one block, so the struct carries
+// a single run of padding; pkt's layout test pins its size.
 //
 // # Ownership and pooling
 //
@@ -88,23 +108,23 @@ type SACKBlock struct{ Start, End int64 }
 // OnDequeue/OnTransmitted, Receivebox.Observe) borrow the packet for the
 // duration of the call and must not retain or release it. Double release
 // panics.
+//
+// A queued packet is linked into its Queue through an unexported next
+// pointer: only Queue reads or writes it, Pop clears it, and so does
+// Put, so a released packet never drags a stale link into its next life.
 type Packet struct {
-	// Header subset used by Bundler's epoch hash.
+	Src Addr
+	Dst Addr
+
+	// Header subset used by Bundler's epoch hash (with Dst).
 	IPID uint16
-	Src  Addr
-	Dst  Addr
 
 	Proto Proto
-	Size  int // total wire size in bytes, headers included
+	Flags Flags // TCP control bits
 
-	// Transport state (TCP).
-	Seq   int64 // first payload byte offset
-	Ack   int64 // cumulative ack: next expected byte
-	Flags Flags
-
-	// FlowID identifies the end-to-end connection for scheduling and
-	// statistics. It is derived from the 5-tuple when flows are created.
-	FlowID uint64
+	// NSACK is the length of SACK's valid prefix; zero means no SACK
+	// information.
+	NSACK uint8
 
 	// Retransmit marks a retransmitted segment. Real Bundler relies on the
 	// IP ID changing on retransmission to avoid spurious epoch samples;
@@ -112,35 +132,102 @@ type Packet struct {
 	// this bit exists for tests to assert that property.
 	Retransmit bool
 
-	// SACK carries up to four selective-ACK blocks inline; NSACK is the
-	// length of the valid prefix. Zero NSACK means no SACK information.
-	SACK  [4]SACKBlock
-	NSACK uint8
-
-	// Payload carries protocol-specific metadata (e.g. a control message).
-	Payload any
-
 	// Tunneled marks a packet carrying Bundler's encapsulation header
 	// (§4.5's alternative to hash-based epoch identification: explicit
 	// marker fields in an outer header, required where the IPv4 ID field
 	// is unavailable, e.g. IPv6). TunnelSeq is the epoch marker; zero
 	// means "not an epoch boundary".
-	Tunneled  bool
-	TunnelSeq uint64
+	Tunneled bool
 
-	// EnqueuedAt is stamped by queues to trace per-queue delays.
-	EnqueuedAt clock.Time
+	// Ctl is the control message a ProtoCtl packet carries, CtlNone on
+	// every other packet; its arguments are in CtlArg.
+	Ctl CtlKind
 
 	// pooled marks a packet currently resting in the free list; Put uses
 	// it to catch double releases (a lifecycle bug that would otherwise
 	// surface as impossible-to-debug field corruption two flows away).
 	pooled bool
 
+	Size int // total wire size in bytes, headers included
+
+	// Transport state (TCP).
+	Seq int64 // first payload byte offset
+	Ack int64 // cumulative ack: next expected byte
+
+	// FlowID identifies the end-to-end connection for scheduling and
+	// statistics. It is derived from the 5-tuple when flows are created.
+	FlowID uint64
+
+	// SACK carries up to four selective-ACK blocks inline, the first
+	// NSACK of them valid.
+	SACK [4]SACKBlock
+
+	// CtlArg holds the arguments of the control message named by Ctl.
+	CtlArg [2]uint64
+
+	TunnelSeq uint64
+
+	// EnqueuedAt is stamped by queues to trace per-queue delays.
+	EnqueuedAt clock.Time
+
+	// next links the packet into the Queue that holds it (nil: none, or
+	// the queue's tail).
+	next *Packet
+
 	// owner is the single-owner Pool the packet's storage belongs to (nil:
 	// the shared global pool). It survives the reset in Put so releases
 	// route back to the owning partition, and it changes only through
 	// Transfer at a shard barrier — never mid-flight.
 	owner *Pool
+}
+
+// Queue is a FIFO of packets linked through the packets themselves:
+// pushing and popping allocate nothing, and an empty Queue holds no
+// storage whatever it has served. A packet is in at most one Queue at a
+// time; the zero Queue is empty and ready to use.
+type Queue struct {
+	head, tail *Packet
+	n, bytes   int
+}
+
+// Len reports the queued packets.
+func (q *Queue) Len() int { return q.n }
+
+// Bytes reports the queued packets' total Size.
+func (q *Queue) Bytes() int { return q.bytes }
+
+// Push appends p at the tail. p must not be in a queue.
+func (q *Queue) Push(p *Packet) {
+	if p.next != nil || p == q.tail {
+		panic("pkt: packet pushed while in a queue")
+	}
+	if q.tail == nil {
+		q.head = p
+	} else {
+		q.tail.next = p
+	}
+	q.tail = p
+	q.n++
+	q.bytes += p.Size
+}
+
+// Peek returns the head packet without removing it, or nil when empty.
+func (q *Queue) Peek() *Packet { return q.head }
+
+// Pop removes and returns the head packet, unlinked, or nil when empty.
+func (q *Queue) Pop() *Packet {
+	p := q.head
+	if p == nil {
+		return nil
+	}
+	q.head = p.next
+	if q.head == nil {
+		q.tail = nil
+	}
+	p.next = nil
+	q.n--
+	q.bytes -= p.Size
+	return p
 }
 
 // Pool bookkeeping. Counters are global (sweeps run engines on many

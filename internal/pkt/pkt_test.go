@@ -21,6 +21,64 @@ func TestAddrHasNoPadding(t *testing.T) {
 	}
 }
 
+// TestPacketLayout: Packet's one- and two-byte fields share one block,
+// so the struct pays a single run of padding. Packets are the bulk of a
+// run's live heap (every queued, in-flight and pooled one), so a field
+// added in the wrong place fails here before it grows them all.
+func TestPacketLayout(t *testing.T) {
+	if size := unsafe.Sizeof(Packet{}); size > 176 {
+		t.Fatalf("unsafe.Sizeof(Packet{}) = %d, want at most 176", size)
+	}
+}
+
+// TestQueueOrderAndUnlink: a Queue serves packets in push order with
+// exact Len and Bytes throughout, and a popped packet carries no link,
+// so it can be pushed again at once (here or into another Queue).
+func TestQueueOrderAndUnlink(t *testing.T) {
+	var q Queue
+	next, want, bytes := int64(0), int64(0), 0
+	push := func() {
+		p := &Packet{Seq: next, Size: 100 + int(next%7)}
+		next++
+		bytes += p.Size
+		q.Push(p)
+	}
+	pop := func() {
+		t.Helper()
+		if head := q.Peek(); head == nil || head.Seq != want {
+			t.Fatalf("peek = %v, want seq %d", head, want)
+		}
+		p := q.Pop()
+		if p.Seq != want || p.next != nil {
+			t.Fatalf("pop seq %d (next %p), want seq %d and no link", p.Seq, p.next, want)
+		}
+		want++
+		bytes -= p.Size
+		if q.Len() != int(next-want) || q.Bytes() != bytes {
+			t.Fatalf("after pop %d: len %d bytes %d, want %d and %d", p.Seq, q.Len(), q.Bytes(), next-want, bytes)
+		}
+	}
+	for i := 0; i < 1000; i++ {
+		push()
+		push()
+		pop()
+	}
+	for q.Len() > 0 {
+		pop()
+	}
+	if q.Peek() != nil || q.Pop() != nil || q.Bytes() != 0 {
+		t.Fatalf("drained queue: peek %v, bytes %d", q.Peek(), q.Bytes())
+	}
+	// A popped packet goes straight back in, behind what is queued.
+	a, b := &Packet{Seq: 1}, &Packet{Seq: 2}
+	q.Push(a)
+	q.Push(b)
+	q.Push(q.Pop())
+	if q.Pop() != b || q.Pop() != a || q.Len() != 0 {
+		t.Fatal("re-pushed packet not served behind the queued one")
+	}
+}
+
 func TestEpochHashMatchesStdlibFNV(t *testing.T) {
 	p := &Packet{IPID: 0xBEEF, Dst: Addr{Host: 0x0A000001, Port: 443}}
 	h := fnv.New64a()

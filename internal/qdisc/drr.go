@@ -61,8 +61,8 @@ func (d *DRR) fattest() uint64 {
 	var best uint64
 	bestBytes := 0
 	for _, k := range d.active {
-		if f := d.flows[k]; f.bytes > bestBytes {
-			best, bestBytes = k, f.bytes
+		if f := d.flows[k]; f.Bytes() > bestBytes {
+			best, bestBytes = k, f.Bytes()
 		}
 	}
 	return best

@@ -5,6 +5,7 @@ import (
 
 	"bundler/internal/clock"
 	"bundler/internal/pkt"
+	"bundler/internal/sim"
 )
 
 // FQCoDel implements the FQ-CoDel queue discipline (RFC 8290): per-flow
@@ -16,8 +17,8 @@ type FQCoDel struct {
 	tally
 	eng      clock.Clock
 	flows    []fqFlow
-	newFlows []int
-	oldFlows []int
+	newFlows sim.FIFO[int]
+	oldFlows sim.FIFO[int]
 	quantum  int
 	limit    int // total packets
 	target   clock.Time
@@ -74,7 +75,7 @@ func (f *FQCoDel) Enqueue(p *pkt.Packet) bool {
 	if fl.state == fqIdle {
 		fl.state = fqNew
 		fl.deficit = f.quantum
-		f.newFlows = append(f.newFlows, fi)
+		f.newFlows.Push(fi)
 	}
 	return true
 }
@@ -87,13 +88,13 @@ func (f *FQCoDel) fattest() int {
 	best, bestBytes := -1, 0
 	scan := func(list []int) {
 		for _, fi := range list {
-			if b := f.flows[fi].bytes; b > bestBytes {
+			if b := f.flows[fi].Bytes(); b > bestBytes {
 				best, bestBytes = fi, b
 			}
 		}
 	}
-	scan(f.newFlows)
-	scan(f.oldFlows)
+	scan(f.newFlows.Items())
+	scan(f.oldFlows.Items())
 	return best
 }
 
@@ -101,22 +102,22 @@ func (f *FQCoDel) fattest() int {
 // each head packet through CoDel.
 func (f *FQCoDel) Dequeue() *pkt.Packet {
 	for {
-		var list *[]int
-		if len(f.newFlows) > 0 {
+		var list *sim.FIFO[int]
+		if f.newFlows.Len() > 0 {
 			list = &f.newFlows
-		} else if len(f.oldFlows) > 0 {
+		} else if f.oldFlows.Len() > 0 {
 			list = &f.oldFlows
 		} else {
 			return nil
 		}
-		fi := (*list)[0]
+		fi := list.Peek()
 		fl := &f.flows[fi]
 		if fl.deficit <= 0 {
 			fl.deficit += f.quantum
 			// Rotate to the back of old flows.
-			*list = (*list)[1:]
+			list.Pop()
 			fl.state = fqOld
-			f.oldFlows = append(f.oldFlows, fi)
+			f.oldFlows.Push(fi)
 			continue
 		}
 		p := fl.codel.dequeue(&fl.pktQueue, f.eng.Now(), f.target, f.interval, f.drop)
@@ -124,7 +125,7 @@ func (f *FQCoDel) Dequeue() *pkt.Packet {
 			// Flow went empty: a new flow leaves the lists entirely; an
 			// old flow is removed (RFC 8290 would keep it briefly, a
 			// detail that does not affect scheduling order here).
-			*list = (*list)[1:]
+			list.Pop()
 			fl.state = fqIdle
 			continue
 		}
@@ -211,7 +212,7 @@ func (c *codelState) okToDrop(q *pktQueue, now, target, interval clock.Time) (ov
 		c.firstAboveTime = 0
 		return false, false
 	}
-	if now-head.EnqueuedAt < target || q.bytes <= pkt.MTU {
+	if now-head.EnqueuedAt < target || q.Bytes() <= pkt.MTU {
 		c.firstAboveTime = 0
 		return false, true
 	}

@@ -8,27 +8,37 @@ import (
 )
 
 // FuzzSFQ drives the sendbox's default scheduler with an arbitrary
-// enqueue/dequeue interleaving over adversarial flow IDs and sizes, and
-// checks the accounting invariants the link relies on:
+// enqueue/dequeue/re-key interleaving over adversarial flow IDs and
+// sizes, and checks the accounting invariants the link relies on:
 //
 //   - Len and Bytes never go negative;
 //   - packet conservation: every accepted packet is eventually either
 //     dequeued or dropped from the fattest bucket, never duplicated or
 //     lost (accepted == dequeued + internal drops + still queued);
-//   - draining the queue empties it exactly (Len == 0 implies Bytes == 0).
+//   - draining the queue empties it exactly (Len == 0 implies Bytes == 0);
+//   - every admission verdict and every dequeued packet matches refSFQ,
+//     the same scheduler with a flat table that re-keys by rehashing
+//     into a fresh second table: SFQ re-keys in place, and must admit
+//     and serve exactly as that does.
 //
-// Each op byte either dequeues (high bit) or enqueues a packet whose
-// flow and size derive from the byte, so the corpus explores collisions
-// within SFQ's bucket array as well as the drop-from-fattest path.
+// Each op byte either re-keys (0xF0–0xFF, key = low nibble), dequeues
+// (other high-bit bytes) or enqueues a packet whose flow and size derive
+// from the byte, so the corpus explores collisions within SFQ's bucket
+// array as well as the drop-from-fattest path.
 func FuzzSFQ(f *testing.F) {
 	f.Add(3, 16, []byte{0x01, 0x02, 0x81, 0x03, 0xFF, 0x04})
 	f.Add(1, 1, []byte{0x00, 0x00, 0x80, 0x00})
 	f.Add(8, 4, []byte{0x10, 0x11, 0x12, 0x13, 0x90, 0x91, 0x14, 0x15, 0x16})
+	f.Add(16, 8, []byte{0x01, 0x02, 0x03, 0x01, 0x04, 0xF3, 0x05, 0x81, 0xF7, 0x02, 0x82, 0x83, 0xF0, 0x84})
+	// Twelve flows over four 16-slot groups, re-keyed while all queued:
+	// the re-admission order across groups decides who is served first.
+	f.Add(64, 64, []byte{0x00, 0x01, 0x02, 0x03, 0x04, 0x05, 0x06, 0x07, 0x08, 0x09, 0x0A, 0x0B, 0xF5, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80})
 	f.Fuzz(func(t *testing.T, nbuckets, limit int, ops []byte) {
 		if nbuckets <= 0 || nbuckets > 1024 || limit <= 0 || limit > 4096 {
 			t.Skip()
 		}
 		q := NewSFQ(nbuckets, limit)
+		ref := newRefSFQ(nbuckets, limit)
 		accepted, dequeued, rejected := 0, 0, 0
 
 		check := func(when string) {
@@ -43,21 +53,50 @@ func FuzzSFQ(f *testing.F) {
 				t.Fatalf("%s: conservation broken: accepted %d != dequeued %d + dropped %d + queued %d",
 					when, accepted, dequeued, internalDrops, q.Len())
 			}
+			if q.Len() != ref.count {
+				t.Fatalf("%s: %d packets queued, reference holds %d", when, q.Len(), ref.count)
+			}
+		}
+		dequeue := func() bool {
+			p, want := q.Dequeue(), ref.dequeue()
+			seq := func(p *pkt.Packet) int64 {
+				if p == nil {
+					return -1
+				}
+				return p.Seq
+			}
+			if seq(p) != seq(want) {
+				t.Fatalf("dequeued packet %d, reference dequeued %d (-1: none)", seq(p), seq(want))
+			}
+			if p != nil {
+				dequeued++
+			}
+			return p != nil
 		}
 
-		for _, op := range ops {
-			if op&0x80 != 0 {
-				if q.Dequeue() != nil {
-					dequeued++
+		for i, op := range ops {
+			switch {
+			case op >= 0xF0:
+				key := uint64(op & 0x0F)
+				q.SetPerturbation(key)
+				ref.rekey(key)
+			case op&0x80 != 0:
+				dequeue()
+			default:
+				mk := func() *pkt.Packet {
+					return &pkt.Packet{
+						Src:   pkt.Addr{Host: uint32(op) * 2654435761, Port: uint16(op)},
+						Dst:   pkt.Addr{Host: uint32(op>>3) + 7, Port: 80},
+						Proto: pkt.ProtoTCP,
+						Size:  40 + int(op&0x7F)*12, // 40..1564 bytes
+						Seq:   int64(i),
+					}
 				}
-			} else {
-				p := &pkt.Packet{
-					Src:   pkt.Addr{Host: uint32(op) * 2654435761, Port: uint16(op)},
-					Dst:   pkt.Addr{Host: uint32(op>>3) + 7, Port: 80},
-					Proto: pkt.ProtoTCP,
-					Size:  40 + int(op&0x7F)*12, // 40..1564 bytes
+				ok := q.Enqueue(mk())
+				if ok != ref.enqueue(mk()) {
+					t.Fatalf("op %d: SFQ admitted %v, the reference did not", i, ok)
 				}
-				if q.Enqueue(p) {
+				if ok {
 					accepted++
 				} else {
 					rejected++
@@ -67,8 +106,7 @@ func FuzzSFQ(f *testing.F) {
 		}
 
 		// Drain completely: everything still queued must come out.
-		for q.Dequeue() != nil {
-			dequeued++
+		for dequeue() {
 			check("drain")
 		}
 		if q.Len() != 0 || q.Bytes() != 0 {
@@ -76,6 +114,112 @@ func FuzzSFQ(f *testing.F) {
 		}
 		check("end")
 	})
+}
+
+// refSFQ is SFQ with a flat bucket table of packet slices that re-keys
+// by rehashing every queued packet, bucket by bucket in slot order,
+// into a fresh second table. It is the model FuzzSFQ holds SFQ to.
+type refSFQ struct {
+	buckets              []*refBucket // nil: never used
+	active               []int
+	cursor, count, limit int
+	perturb              uint64
+}
+
+type refBucket struct {
+	q       []*pkt.Packet
+	deficit int
+	active  bool
+}
+
+func newRefSFQ(nbuckets, limit int) *refSFQ {
+	return &refSFQ{buckets: make([]*refBucket, nbuckets), limit: limit}
+}
+
+func (r *refSFQ) bucketOf(p *pkt.Packet) int {
+	return int(pkt.FlowHash(p, r.perturb) % uint64(len(r.buckets)))
+}
+
+func (r *refSFQ) enqueue(p *pkt.Packet) bool {
+	bi := r.bucketOf(p)
+	if r.count >= r.limit {
+		fat, fatLen := -1, 0
+		for _, i := range r.active {
+			if l := len(r.buckets[i].q); l > fatLen {
+				fat, fatLen = i, l
+			}
+		}
+		if fat == bi || fat < 0 {
+			return false
+		}
+		r.buckets[fat].q = r.buckets[fat].q[1:]
+		r.count--
+	}
+	r.push(bi, p)
+	return true
+}
+
+func (r *refSFQ) push(bi int, p *pkt.Packet) {
+	b := r.buckets[bi]
+	if b == nil {
+		b = &refBucket{}
+		r.buckets[bi] = b
+	}
+	b.q = append(b.q, p)
+	r.count++
+	if !b.active {
+		b.active, b.deficit = true, pkt.MTU
+		r.active = append(r.active, bi)
+	}
+}
+
+func (r *refSFQ) dequeue() *pkt.Packet {
+	for len(r.active) > 0 {
+		if r.cursor >= len(r.active) {
+			r.cursor = 0
+		}
+		b := r.buckets[r.active[r.cursor]]
+		if len(b.q) == 0 {
+			b.active = false
+			r.active = append(r.active[:r.cursor], r.active[r.cursor+1:]...)
+			continue
+		}
+		if b.q[0].Size > b.deficit {
+			b.deficit += pkt.MTU
+			r.cursor++
+			continue
+		}
+		p := b.q[0]
+		b.q = b.q[1:]
+		b.deficit -= p.Size
+		r.count--
+		if len(b.q) == 0 {
+			b.active = false
+			r.active = append(r.active[:r.cursor], r.active[r.cursor+1:]...)
+		}
+		return p
+	}
+	return nil
+}
+
+func (r *refSFQ) rekey(key uint64) {
+	if key == r.perturb {
+		return
+	}
+	r.perturb = key
+	if r.count == 0 {
+		return
+	}
+	old := r.buckets
+	r.buckets = make([]*refBucket, len(old))
+	r.active, r.cursor, r.count = nil, 0, 0
+	for _, b := range old {
+		if b != nil {
+			for _, p := range b.q {
+				r.push(r.bucketOf(p), p)
+			}
+		}
+	}
 }
 
 // FuzzQdiscAccounting drives each time-aware AQM (CoDel, FQ-CoDel, RED,

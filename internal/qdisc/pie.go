@@ -63,7 +63,7 @@ func (p *PIE) qdelay() clock.Time {
 		}
 		return p.target // no estimate yet: assume at target
 	}
-	return clock.FromSeconds(float64(p.bytes) / p.drainRate)
+	return clock.FromSeconds(float64(p.Bytes()) / p.drainRate)
 }
 
 func (p *PIE) update() {
@@ -89,7 +89,7 @@ func (p *PIE) Enqueue(pk *pkt.Packet) bool {
 		return false
 	}
 	// Don't early-drop when nearly empty (burst allowance).
-	if p.bytes > 2*pkt.MTU && p.eng.Rand().Float64() < p.dropProb {
+	if p.Bytes() > 2*pkt.MTU && p.eng.Rand().Float64() < p.dropProb {
 		p.drops++
 		return false
 	}

@@ -46,7 +46,7 @@ func NewFIFO(limitBytes int) *FIFO {
 
 // Enqueue implements Qdisc.
 func (f *FIFO) Enqueue(p *pkt.Packet) bool {
-	if f.bytes+p.Size > f.limit {
+	if f.Bytes()+p.Size > f.limit {
 		f.drops++
 		return false
 	}

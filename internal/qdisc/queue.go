@@ -3,56 +3,26 @@ package qdisc
 import "bundler/internal/pkt"
 
 // pktQueue is the FIFO packet store every discipline in this package
-// embeds — once per queue, flow, bucket or class: a slice consumed from
-// a moving head, with the byte count of what it holds. Its memory follows
-// the backlog, not the packets served: the slice resets whenever the
-// queue empties and compacts once the dead prefix exceeds 64 slots and
-// is at least half the slice, so a queue that never drains still reuses
-// its storage. A single-queue discipline (FIFO, CoDel, RED, PIE) takes
-// its Len and Bytes from the queue it embeds.
-type pktQueue struct {
-	q     []*pkt.Packet
-	head  int
-	bytes int
-}
+// embeds — once per queue, flow, bucket or class: a pkt.Queue, linked
+// through the packets it holds, so it allocates nothing and its memory
+// is what is queued. Its methods stay unexported, so a discipline that
+// embeds it gains only Len and Bytes; a single-queue discipline (FIFO,
+// CoDel, RED, PIE) takes its Len and Bytes from here.
+type pktQueue struct{ q pkt.Queue }
 
 // Len implements Qdisc.
-func (q *pktQueue) Len() int { return len(q.q) - q.head }
+func (q *pktQueue) Len() int { return q.q.Len() }
 
 // Bytes implements Qdisc.
-func (q *pktQueue) Bytes() int { return q.bytes }
+func (q *pktQueue) Bytes() int { return q.q.Bytes() }
 
-func (q *pktQueue) push(p *pkt.Packet) {
-	q.q = append(q.q, p)
-	q.bytes += p.Size
-}
+func (q *pktQueue) push(p *pkt.Packet) { q.q.Push(p) }
 
 // peek returns the head packet without removing it, or nil when empty.
-func (q *pktQueue) peek() *pkt.Packet {
-	if q.head == len(q.q) {
-		return nil
-	}
-	return q.q[q.head]
-}
+func (q *pktQueue) peek() *pkt.Packet { return q.q.Peek() }
 
 // pop removes and returns the head packet, or nil when empty.
-func (q *pktQueue) pop() *pkt.Packet {
-	if q.head == len(q.q) {
-		return nil
-	}
-	p := q.q[q.head]
-	q.q[q.head] = nil
-	q.head++
-	q.bytes -= p.Size
-	if q.head == len(q.q) {
-		q.q = q.q[:0]
-		q.head = 0
-	} else if q.head > 64 && q.head*2 >= len(q.q) {
-		q.q = append(q.q[:0], q.q[q.head:]...)
-		q.head = 0
-	}
-	return p
-}
+func (q *pktQueue) pop() *pkt.Packet { return q.q.Pop() }
 
 // drops is the cumulative count of packets a discipline rejected or
 // evicted; every discipline embeds one, directly or through a tally.

@@ -81,9 +81,9 @@ func (r *RED) Enqueue(p *pkt.Packet) bool {
 		// is rejected the queue stays empty and the clock restarts here.
 		r.emptySince = r.eng.Now()
 	}
-	r.avg = (1-r.weight)*r.avg + r.weight*float64(r.bytes)
+	r.avg = (1-r.weight)*r.avg + r.weight*float64(r.Bytes())
 	switch {
-	case r.bytes+p.Size > r.limit:
+	case r.Bytes()+p.Size > r.limit:
 		r.drops++
 		r.count = 0
 		return false

@@ -1,6 +1,9 @@
 package qdisc
 
-import "bundler/internal/pkt"
+import (
+	"bundler/internal/pkt"
+	"bundler/internal/sim"
+)
 
 // SFQ implements Stochastic Fairness Queueing (McKenney, INFOCOM 1990),
 // the sendbox's default scheduling policy in the paper's evaluation. Flows
@@ -13,16 +16,15 @@ type SFQ struct {
 	// footprint is proportional to the flows it has actually seen, not
 	// to the table size: bucket index bi lives at
 	// groups[bi>>sfqGroupShift][bi&sfqGroupMask], and both the 16-slot
-	// group and the bucket struct are allocated on first use. Scenarios
-	// with thousands of mostly-narrow SFQs (the N-site mesh: one per
-	// ordered site pair) would otherwise pay the full table in zeroed,
+	// group and the bucket are made on first use. Scenarios with
+	// thousands of mostly-narrow SFQs (the N-site mesh: one per ordered
+	// site pair) would otherwise pay the full table in zeroed,
 	// GC-scanned memory each — quadratic in site count.
 	groups []*sfqGroup
-	// spare is the retired group table from the last re-key, kept so
-	// periodic perturbation swaps between two tables (reusing their
-	// groups, bucket structs, and packet slices) instead of allocating
-	// on every re-key.
-	spare    []*sfqGroup
+	// buckets carves a slot's bucket on its first push, in chunks that
+	// double up to 16: a narrow SFQ pays for the buckets it uses, and a
+	// wide one allocates once per 16.
+	buckets  sim.Slab[sfqBucket]
 	nbuckets int
 	active   []int // round-robin list of non-empty bucket indices
 	cursor   int
@@ -58,14 +60,10 @@ func NewSFQ(nbuckets, limitPackets int) *SFQ {
 	}
 }
 
-// bucketAt returns the bucket at slot bi, or nil if it has never held a
-// packet.
+// bucketAt returns the bucket at slot bi. It must exist: only push
+// creates buckets, so every one on the active list does.
 func (s *SFQ) bucketAt(bi int) *sfqBucket {
-	g := s.groups[bi>>sfqGroupShift]
-	if g == nil {
-		return nil
-	}
-	return g[bi&sfqGroupMask]
+	return s.groups[bi>>sfqGroupShift][bi&sfqGroupMask]
 }
 
 // SetPerturbation re-keys the flow hash, as Linux SFQ does periodically to
@@ -84,20 +82,11 @@ func (s *SFQ) SetPerturbation(p uint64) {
 	if s.count == 0 {
 		return
 	}
-	old := s.groups
-	if s.spare == nil {
-		s.spare = make([]*sfqGroup, len(old))
-	}
-	s.groups = s.spare
-	s.active = s.active[:0]
-	s.cursor = 0
-	s.count, s.bytes = 0, 0
-	// Drain the old table in slot order (the order the flat table used),
-	// so the rehash admits packets in exactly the legacy sequence. A
-	// drained bucket holds no packet reference (a retained pointer would
-	// pin pooled packets) and keeps its slice, so the table comes back
-	// clean as the next re-key's spare.
-	for _, g := range old {
+	// Drain every bucket in slot order into one queue, then re-admit
+	// that sequence under the new key: the order a rehash into a fresh
+	// table would give, with no second table.
+	var all pkt.Queue
+	for _, g := range s.groups {
 		if g == nil {
 			continue
 		}
@@ -106,12 +95,17 @@ func (s *SFQ) SetPerturbation(p uint64) {
 				continue
 			}
 			for p := b.pop(); p != nil; p = b.pop() {
-				s.push(s.bucketOf(p), p)
+				all.Push(p)
 			}
 			b.deficit, b.active = 0, false
 		}
 	}
-	s.spare = old
+	s.active = s.active[:0]
+	s.cursor = 0
+	s.count, s.bytes = 0, 0
+	for p := all.Pop(); p != nil; p = all.Pop() {
+		s.push(s.bucketOf(p), p)
+	}
 }
 
 func (s *SFQ) bucketOf(p *pkt.Packet) int {
@@ -149,7 +143,7 @@ func (s *SFQ) push(bi int, p *pkt.Packet) {
 	}
 	b := g[bi&sfqGroupMask]
 	if b == nil {
-		b = &sfqBucket{}
+		b = s.buckets.New()
 		g[bi&sfqGroupMask] = b
 	}
 	b.push(p)
@@ -164,8 +158,6 @@ func (s *SFQ) push(bi int, p *pkt.Packet) {
 func (s *SFQ) fattestBucket() int {
 	best, bestLen := -1, 0
 	for _, bi := range s.active {
-		// Buckets on the active list are always allocated (push put them
-		// there).
 		if l := s.bucketAt(bi).Len(); l > bestLen {
 			best, bestLen = bi, l
 		}

@@ -1,6 +1,9 @@
 package qdisc
 
-import "bundler/internal/pkt"
+import (
+	"bundler/internal/pkt"
+	"bundler/internal/sim"
+)
 
 // Class describes one scheduler traffic class: the packets whose
 // destination port matches Port, weighted Weight in WFQ's service
@@ -48,7 +51,7 @@ type WFQ struct {
 type wfqClass struct {
 	pktQueue
 	weight  float64
-	fin     []float64 // finish tags: fin[i] belongs to q[i]
+	fin     sim.FIFO[float64] // finish tags of the queued packets, oldest first
 	lastFin float64
 }
 
@@ -103,7 +106,7 @@ func (w *WFQ) Enqueue(p *pkt.Packet) bool {
 	fin := start + float64(p.Size)/cl.weight
 	cl.lastFin = fin
 	cl.push(p)
-	cl.fin = append(cl.fin, fin)
+	cl.fin.Push(fin)
 	w.in(p)
 	return true
 }
@@ -111,24 +114,17 @@ func (w *WFQ) Enqueue(p *pkt.Packet) bool {
 func (w *WFQ) fattest() int {
 	best, bestBytes := 0, -1
 	for i := range w.classes {
-		if w.classes[i].bytes > bestBytes {
-			best, bestBytes = i, w.classes[i].bytes
+		if w.classes[i].Bytes() > bestBytes {
+			best, bestBytes = i, w.classes[i].Bytes()
 		}
 	}
 	return best
 }
 
-// pop removes the head packet and keeps fin aligned with q: pktQueue
-// moves what it holds to the front of its slice exactly when a pop
-// leaves head at 0 (reset on empty, or compaction), and the tags move
-// with it.
+// pop removes the head packet and its finish tag.
 func (cl *wfqClass) pop() *pkt.Packet {
-	head := cl.head
-	p := cl.pktQueue.pop()
-	if cl.head == 0 {
-		cl.fin = append(cl.fin[:0], cl.fin[head+1:]...)
-	}
-	return p
+	cl.fin.Pop()
+	return cl.pktQueue.pop()
 }
 
 // Dequeue implements Qdisc: the backlogged class with the earliest head
@@ -141,7 +137,7 @@ func (w *WFQ) Dequeue() *pkt.Packet {
 		if cl.Len() == 0 {
 			continue
 		}
-		if fin := cl.fin[cl.head]; best < 0 || fin < bestFin {
+		if fin := cl.fin.Peek(); best < 0 || fin < bestFin {
 			best, bestFin = i, fin
 		}
 	}

@@ -231,6 +231,47 @@ func (s *Slab[T]) New() *T {
 	return v
 }
 
+// FIFO is a first-in first-out queue of values in a slice read from a
+// moving head: a sliding window (the Sendbox's boundary order, WFQ's
+// finish tags, FQ-CoDel's flow lists) that keeps its storage. A push
+// that finds the slice full with at least half of it consumed compacts
+// instead of growing, so the storage follows the longest backlog, not
+// the values served, and each value is copied O(1) times on average.
+// The zero FIFO is empty and ready to use.
+type FIFO[T any] struct {
+	s    []T
+	head int
+}
+
+// Len reports the queued values.
+func (f *FIFO[T]) Len() int { return len(f.s) - f.head }
+
+// Items returns the queued values, oldest first. The slice is valid
+// until the next Push or Pop.
+func (f *FIFO[T]) Items() []T { return f.s[f.head:] }
+
+// Peek returns the oldest value. The FIFO must not be empty.
+func (f *FIFO[T]) Peek() T { return f.s[f.head] }
+
+// Push appends v.
+func (f *FIFO[T]) Push(v T) {
+	if len(f.s) == cap(f.s) && 2*f.head >= len(f.s) {
+		f.s = f.s[:copy(f.s, f.s[f.head:])]
+		f.head = 0
+	}
+	f.s = append(f.s, v)
+}
+
+// Pop removes and returns the oldest value. The FIFO must not be empty.
+func (f *FIFO[T]) Pop() T {
+	v := f.s[f.head]
+	f.head++
+	if f.head == len(f.s) {
+		f.s, f.head = f.s[:0], 0
+	}
+	return v
+}
+
 // NewEngine returns an engine whose clock starts at zero and whose random
 // source is seeded with seed.
 func NewEngine(seed int64) *Engine {

@@ -445,3 +445,38 @@ func TestTimerTickerSlabs(t *testing.T) {
 		}
 	}
 }
+
+// TestFIFOKeepsStorage: a FIFO serves values in push order, and one that
+// never empties (a sliding window) reuses its slots rather than growing
+// with the values served: after warm-up, a rotation allocates nothing.
+func TestFIFOKeepsStorage(t *testing.T) {
+	var f FIFO[int]
+	next, want := 0, 0
+	rotate := func() {
+		f.Push(next)
+		next++
+		f.Push(next)
+		next++
+		for f.Len() > 5 {
+			if got := f.Pop(); got != want {
+				t.Fatalf("popped %d, want %d", got, want)
+			}
+			want++
+		}
+		if items := f.Items(); len(items) != f.Len() || items[0] != want || f.Peek() != want || items[len(items)-1] != next-1 {
+			t.Fatalf("window %v, want %d..%d", items, want, next-1)
+		}
+	}
+	// One warm-up call, then one measured call of 1 000 rotations: the
+	// count is their exact total, not a rounded mean.
+	if allocs := testing.AllocsPerRun(1, func() {
+		for i := 0; i < 1000; i++ {
+			rotate()
+		}
+	}); allocs != 0 {
+		t.Errorf("1 000 rotations allocate %v times, want 0", allocs)
+	}
+	if c := cap(f.s); c > 16 {
+		t.Errorf("a window of at most 6 values holds %d slots", c)
+	}
+}

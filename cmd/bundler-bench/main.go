@@ -18,6 +18,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -177,13 +178,29 @@ func anyDeclares(param string) bool {
 }
 
 func runOne(e exp.Experiment, seed int64, params exp.Params, dumpDir string) {
+	flush := collectNotes()
 	res, err := e.Run(seed, params)
 	if err != nil {
 		fatal(e.Name()+":", err)
 	}
 	fmt.Print(res.Report)
+	flush(os.Stdout)
 	for _, a := range res.Artifacts {
 		dumpArtifact(dumpDir, a)
+	}
+}
+
+// collectNotes gathers the notes runs leave (exp.Note: what a run that
+// stopped at its horizon unfinished still had in flight) until the
+// returned flush prints them to w, under the run summary.
+func collectNotes() (flush func(w io.Writer)) {
+	var lines []string
+	exp.SetNotes(func(line string) { lines = append(lines, line) })
+	return func(w io.Writer) {
+		exp.SetNotes(nil)
+		for _, l := range lines {
+			fmt.Fprintln(w, l)
+		}
 	}
 }
 
@@ -275,6 +292,7 @@ func runSweep(name, gridSpec, setSpec string, seed int64, parallel int, outPath,
 	if st != nil {
 		opt.Cache = st
 	}
+	flush := collectNotes()
 	results, stats, err := exp.SweepOpts(e, g, opt)
 	if results == nil && err != nil {
 		fatal(err) // the grid itself was rejected; nothing ran
@@ -282,6 +300,7 @@ func runSweep(name, gridSpec, setSpec string, seed int64, parallel int, outPath,
 	fmt.Fprintln(os.Stderr)
 	fmt.Fprintf(os.Stderr, "sweep: %d points: %d cached, %d executed\n",
 		stats.Total, stats.Cached, stats.Executed)
+	flush(os.Stderr)
 	if st != nil {
 		if serr := st.Err(); serr != nil {
 			fmt.Fprintln(os.Stderr, "sweep: warning: run-store checkpointing incomplete:", serr)

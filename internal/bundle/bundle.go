@@ -199,13 +199,15 @@ const (
 type Sendbox struct {
 	eng        clock.Clock
 	cfg        Config
-	link       *netem.Link
+	link       netem.Link // the pacer
 	downstream netem.Receiver
 	ctlAddr    pkt.Addr
 	peerCtl    pkt.Addr
 
-	// Inner loop.
+	// Inner loop. alg points at copa when the configured algorithm is
+	// Copa, the evaluation's default, so that box needs no allocation.
 	alg      ccalg.Alg
+	copa     ccalg.Copa
 	pulser   ccalg.Pulser
 	detector ccalg.Detector
 	pi       ccalg.PIController
@@ -273,27 +275,47 @@ type Sendbox struct {
 // sent to it); peerCtl is the receivebox's control address for epoch-size
 // updates.
 func NewSendbox(eng clock.Clock, cfg Config, downstream netem.Receiver, ctlAddr, peerCtl pkt.Addr) *Sendbox {
+	s := new(Sendbox)
+	s.Init(eng, cfg, downstream, ctlAddr, peerCtl)
+	return s
+}
+
+// Init builds NewSendbox's box in place, in a zero Sendbox that its
+// owner carves from a slab. The box holds its pacer link and a Copa
+// inner loop by value and hooks itself into both the link and the
+// clock without a bound method value, so the box costs no allocation
+// of its own past the scheduler it is given. It points into itself and
+// must not be copied afterwards.
+func (s *Sendbox) Init(eng clock.Clock, cfg Config, downstream netem.Receiver, ctlAddr, peerCtl pkt.Addr) {
 	cfg.fillDefaults()
-	s := &Sendbox{
+	*s = Sendbox{
 		eng:        eng,
 		cfg:        cfg,
 		downstream: downstream,
 		ctlAddr:    ctlAddr,
 		peerCtl:    peerCtl,
-		alg:        ccalg.New(cfg.Algorithm),
 		pulser:     *ccalg.NewPulser(),
 		pi:         *ccalg.NewPIController(),
 		epochN:     initialEpochN,
 	}
+	s.alg = ccalg.NewIn(cfg.Algorithm, &s.copa)
 	s.detector = *ccalg.NewDetector(s.pulser.Frequency(), 1/controlInterval.Seconds())
 	// The pacer is a link whose qdisc is the operator's scheduler; its
 	// rate is rewritten by the control loop, exactly like the patched TBF
 	// in the prototype (§6.1).
-	s.link = netem.NewLink(eng, "sendbox-pacer", initialRate, 0, cfg.Scheduler, downstream)
-	s.link.OnTransmitted(s.onTransmitted)
-	s.ticker = eng.Tick(controlInterval, s.controlTick)
-	return s
+	s.link.Init(eng, "sendbox-pacer", initialRate, 0, cfg.Scheduler, downstream)
+	s.link.OnTransmitted((*pacerHook)(s))
+	s.ticker = eng.CallEvery(controlInterval, sendboxTick, s, nil)
 }
+
+// pacerHook is the box seen as its pacer's OnTransmitted observer.
+type pacerHook Sendbox
+
+// Observe implements netem.Observer.
+func (h *pacerHook) Observe(p *pkt.Packet) { (*Sendbox)(h).onTransmitted(p) }
+
+// sendboxTick runs the control tick of the box in a0.
+func sendboxTick(a0, _ any) { a0.(*Sendbox).controlTick() }
 
 // SetPool makes the box mint control packets from a partition-local
 // pool (nil keeps the shared global pool).
@@ -789,10 +811,19 @@ type Receivebox struct {
 // ACKs back toward the sendbox (they are addressed to peerCtl). epochN
 // is the starting epoch size; 0 means the Sendbox's initial one.
 func NewReceivebox(eng clock.Clock, out netem.Receiver, addr, peerCtl pkt.Addr, epochN uint64) *Receivebox {
+	r := new(Receivebox)
+	r.Init(eng, out, addr, peerCtl, epochN)
+	return r
+}
+
+// Init builds NewReceivebox's box in place, in a zero Receivebox that
+// its owner carves from a slab. The box is itself the netem.Observer a
+// site's ingress tap calls.
+func (r *Receivebox) Init(eng clock.Clock, out netem.Receiver, addr, peerCtl pkt.Addr, epochN uint64) {
 	if epochN == 0 {
 		epochN = initialEpochN
 	}
-	return &Receivebox{eng: eng, out: out, addr: addr, peerCtl: peerCtl, epochN: epochN}
+	*r = Receivebox{eng: eng, out: out, addr: addr, peerCtl: peerCtl, epochN: epochN}
 }
 
 // SetPool makes the box mint congestion ACKs from a partition-local

@@ -514,3 +514,31 @@ func TestControlLoopAllocFree(t *testing.T) {
 		t.Fatalf("%d ACKs matched and %d spurious, want every one of 2 000 matched", sb.AcksMatched, sb.AcksSpurious)
 	}
 }
+
+// TestBoxInitAllocFree builds boxes in place the way a mesh does, from
+// storage its owner carved: a Copa sendbox (pacer link and inner loop
+// held by value, hooked into its link and clock without a bound method
+// value) and a receivebox cost no allocation of their own. What remains
+// is the engine's lane and ticker slabs, a chunk per many boxes.
+func TestBoxInitAllocFree(t *testing.T) {
+	const boxes = 64
+	eng := sim.NewEngine(1)
+	sbs := make([]Sendbox, boxes)
+	rbs := make([]Receivebox, boxes)
+	sfqs := make([]qdisc.SFQ, boxes)
+	sink := &netem.Sink{}
+	allocs := testing.AllocsPerRun(1, func() {
+		for i := range sbs {
+			sbCtl, rbCtl := pkt.Addr{Host: uint32(2*i + 1), Port: 1}, pkt.Addr{Host: uint32(2*i + 2), Port: 1}
+			sfqs[i] = qdisc.SFQ{}
+			sfqs[i].Init(1024, 1000)
+			sbs[i] = Sendbox{}
+			sbs[i].Init(eng, Config{Algorithm: "copa", Scheduler: &sfqs[i]}, sink, sbCtl, rbCtl)
+			rbs[i].Init(eng, sink, rbCtl, sbCtl, 0)
+		}
+	})
+	t.Logf("%.0f allocations for %d box pairs", allocs, boxes)
+	if per := allocs / boxes; per > 0.25 {
+		t.Errorf("%.0f allocations for %d in-place box pairs (%.2f each), want ≤ 0.25 each", allocs, boxes, per)
+	}
+}

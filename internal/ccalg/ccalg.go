@@ -72,7 +72,15 @@ type rttSample struct {
 
 // NewCopa returns a Copa controller with the default δ = 0.5.
 func NewCopa() *Copa {
-	return &Copa{delta: 0.5, cwnd: 2 * minCwndPkts, vel: 1, lastDir: 1}
+	c := new(Copa)
+	c.Init()
+	return c
+}
+
+// Init sets c up in place as NewCopa's controller, for an owner that
+// holds its Copa by value.
+func (c *Copa) Init() {
+	*c = Copa{delta: 0.5, cwnd: 2 * minCwndPkts, vel: 1, lastDir: 1}
 }
 
 // Name implements Alg.
@@ -380,10 +388,19 @@ var Names = []string{"copa", "basicdelay", "bbr"}
 
 // New builds an inner-loop algorithm by name, one of Names; "" is Copa,
 // the evaluation's default. Unknown names panic.
-func New(name string) Alg {
+func New(name string) Alg { return NewIn(name, nil) }
+
+// NewIn is New that builds Copa in copa, when copa is not nil: an owner
+// that holds a Copa by value (the Sendbox) allocates no controller for
+// the default algorithm.
+func NewIn(name string, copa *Copa) Alg {
 	switch name {
 	case "", "copa":
-		return NewCopa()
+		if copa == nil {
+			copa = new(Copa)
+		}
+		copa.Init()
+		return copa
 	case "basicdelay":
 		return NewBasicDelay()
 	case "bbr":

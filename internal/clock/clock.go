@@ -94,10 +94,20 @@ type Clock interface {
 	// NewTimer returns an unarmed reusable one-shot timer bound to fn.
 	NewTimer(fn func()) Timer
 
+	// NewCallTimer is NewTimer with CallAt's callback shape: the timer
+	// calls fn(a0, a1). A component that owns a timer for its lifetime
+	// passes a package-level fn and itself in a0, so making the timer
+	// allocates no bound method value.
+	NewCallTimer(fn func(a0, a1 any), a0, a1 any) Timer
+
 	// Tick invokes fn every period until the returned Ticker is
 	// stopped. The first invocation is one period from now. period must
 	// be positive.
 	Tick(period Time, fn func()) Ticker
+
+	// CallEvery is Tick with CallAt's callback shape: fn(a0, a1) runs
+	// every period, for the same reason as NewCallTimer.
+	CallEvery(period Time, fn func(a0, a1 any), a0, a1 any) Ticker
 }
 
 // Timer is a reusable one-shot timer: components that repeatedly

@@ -37,6 +37,7 @@ func Run(t *testing.T, f Factory) {
 	t.Run("TimerRearmAfterStop", func(t *testing.T) { testTimerRearmAfterStop(t, f) })
 	t.Run("Ticker", func(t *testing.T) { testTicker(t, f) })
 	t.Run("TickRejectsNonPositivePeriod", func(t *testing.T) { testTickPanics(t, f) })
+	t.Run("CallForms", func(t *testing.T) { testCallForms(t, f) })
 	t.Run("Lane", func(t *testing.T) { testLane(t, f) })
 	t.Run("Rand", func(t *testing.T) { testRand(t, f) })
 }
@@ -179,6 +180,31 @@ func testTicker(t *testing.T, f Factory) {
 	wait(c.Now() + 30*clock.Millisecond)
 	if ticks != 3 {
 		t.Fatalf("ticker fired %d times after Stop at 3", ticks)
+	}
+}
+
+// testCallForms: NewCallTimer and CallEvery hand their callback the
+// arguments they were given, and behave as NewTimer and Tick do.
+func testCallForms(t *testing.T, f Factory) {
+	c, wait := f(t)
+	type box struct{ fired, ticks int }
+	b := &box{}
+	tm := c.NewCallTimer(func(a0, a1 any) {
+		if a1.(string) == "timer" {
+			a0.(*box).fired++
+		}
+	}, b, "timer")
+	tm.ArmAfter(2 * clock.Millisecond)
+	var tk clock.Ticker
+	tk = c.CallEvery(3*clock.Millisecond, func(a0, _ any) {
+		bx := a0.(*box)
+		if bx.ticks++; bx.ticks == 3 {
+			tk.Stop()
+		}
+	}, b, nil)
+	wait(c.Now() + 30*clock.Millisecond)
+	if b.fired != 1 || b.ticks != 3 {
+		t.Fatalf("call timer fired %d times, call ticker %d; want 1 and 3", b.fired, b.ticks)
 	}
 }
 

@@ -253,8 +253,8 @@ func (w *Wall) dispatch() {
 }
 
 func (ev *wallEvent) run() {
-	if ev.tmr != nil {
-		ev.tmr.fn()
+	if t := ev.tmr; t != nil {
+		t.fn(t.a0, t.a1)
 		return
 	}
 	ev.fn(ev.a0, ev.a1)
@@ -264,15 +264,21 @@ func (ev *wallEvent) run() {
 // any goroutine, though components migrated from the simulator only
 // ever touch it from the clock goroutine.
 type WallTimer struct {
-	w  *Wall
-	fn func()
+	w      *Wall
+	fn     func(a0, a1 any)
+	a0, a1 any
 	// gen and pending are guarded by w.mu.
 	gen     uint64
 	pending bool
 }
 
 // NewTimer implements Clock.
-func (w *Wall) NewTimer(fn func()) Timer { return &WallTimer{w: w, fn: fn} }
+func (w *Wall) NewTimer(fn func()) Timer { return w.NewCallTimer(runThunk, fn, nil) }
+
+// NewCallTimer implements Clock.
+func (w *Wall) NewCallTimer(fn func(a0, a1 any), a0, a1 any) Timer {
+	return &WallTimer{w: w, fn: fn, a0: a0, a1: a1}
+}
 
 // ArmAt implements Timer: (re)schedule the callback at absolute time at
 // (clamped to now if past). An armed timer is rescheduled, exactly like
@@ -325,30 +331,36 @@ func (t *WallTimer) Pending() bool {
 type wallTicker struct {
 	timer   Timer
 	period  Time
-	fn      func()
+	fn      func(a0, a1 any)
+	a0, a1  any
 	mu      sync.Mutex
 	stopped bool
 }
 
 // Tick implements Clock. period must be positive.
-func (w *Wall) Tick(period Time, fn func()) Ticker {
+func (w *Wall) Tick(period Time, fn func()) Ticker { return w.CallEvery(period, runThunk, fn, nil) }
+
+// CallEvery implements Clock. period must be positive.
+func (w *Wall) CallEvery(period Time, fn func(a0, a1 any), a0, a1 any) Ticker {
 	if period <= 0 {
 		panic("clock: Tick period must be positive")
 	}
-	t := &wallTicker{period: period, fn: fn}
-	t.timer = w.NewTimer(t.tick)
+	t := &wallTicker{period: period, fn: fn, a0: a0, a1: a1}
+	t.timer = w.NewCallTimer(wallTick, t, nil)
 	t.timer.ArmAfter(period)
 	return t
 }
 
-func (t *wallTicker) tick() {
+// wallTick is every wall ticker's timer callback, with the ticker in a0.
+func wallTick(a0, _ any) {
+	t := a0.(*wallTicker)
 	t.mu.Lock()
 	stopped := t.stopped
 	t.mu.Unlock()
 	if stopped {
 		return
 	}
-	t.fn()
+	t.fn(t.a0, t.a1)
 	t.mu.Lock()
 	if !t.stopped {
 		t.timer.ArmAfter(t.period)

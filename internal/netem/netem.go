@@ -32,6 +32,22 @@ type ReceiverFunc func(p *pkt.Packet)
 // Receive implements Receiver.
 func (f ReceiverFunc) Receive(p *pkt.Packet) { f(p) }
 
+// Observer sees a packet without taking it. A tap calls its observer
+// on every packet it forwards, and a link calls its OnTransmitted
+// observer as each packet finishes serializing. Hooks are interfaces,
+// not func values, so a component hands in itself (or a named
+// conversion of itself) and installing a hook allocates no bound
+// method value.
+type Observer interface {
+	Observe(p *pkt.Packet)
+}
+
+// ObserverFunc adapts a function to the Observer interface.
+type ObserverFunc func(p *pkt.Packet)
+
+// Observe implements Observer.
+func (f ObserverFunc) Observe(p *pkt.Packet) { f(p) }
+
 // Sink discards packets, counting them.
 type Sink struct{ Count int }
 
@@ -101,7 +117,7 @@ type Link struct {
 	bytesSent     int64
 	rejected      int
 	onDequeue     func(p *pkt.Packet, qdelay clock.Time)
-	onTransmitted func(p *pkt.Packet)
+	onTransmitted Observer
 }
 
 // MinRate floors SetRate so a paced link can never stall entirely.
@@ -110,6 +126,14 @@ const MinRate = 1e3 // 1 kbit/s
 // NewLink builds a link. rate is in bits/second; delay is one-way
 // propagation; q is the queueing discipline holding backlogged packets.
 func NewLink(eng clock.Clock, name string, rate float64, delay clock.Time, q qdisc.Qdisc, dst Receiver) *Link {
+	l := new(Link)
+	l.Init(eng, name, rate, delay, q, dst)
+	return l
+}
+
+// Init builds NewLink's link in place, in a zero Link that its owner
+// holds by value or carves from a slab.
+func (l *Link) Init(eng clock.Clock, name string, rate float64, delay clock.Time, q qdisc.Qdisc, dst Receiver) {
 	if rate < MinRate {
 		panic(fmt.Sprintf("netem: link %s rate %.0f below minimum", name, rate))
 	}
@@ -119,7 +143,7 @@ func NewLink(eng clock.Clock, name string, rate float64, delay clock.Time, q qdi
 	if delay < 0 {
 		panic(fmt.Sprintf("netem: link %s negative delay", name))
 	}
-	return &Link{eng: eng, name: name, rate: rate, delay: delay, q: q, dst: dst, prop: eng.NewLane()}
+	*l = Link{eng: eng, name: name, rate: rate, delay: delay, q: q, dst: dst, prop: eng.NewLane()}
 }
 
 // NewReverseLink builds the testbed's uncongested reverse path (§7.1):
@@ -215,7 +239,7 @@ func linkTransmitted(a0, a1 any) {
 	l.delivered++
 	l.bytesSent += int64(p.Size)
 	if l.onTransmitted != nil {
-		l.onTransmitted(p)
+		l.onTransmitted.Observe(p)
 	}
 	dst, delay := l.dst, l.delay
 	if delay == 0 {
@@ -333,13 +357,13 @@ func (l *Link) Rejected() int { return l.rejected }
 // its queueing delay. Used by experiments to trace where queues build.
 func (l *Link) OnDequeue(fn func(p *pkt.Packet, qdelay clock.Time)) { l.onDequeue = fn }
 
-// OnTransmitted registers a hook called the instant each packet finishes
-// serializing (before propagation). The sendbox timestamps epoch
+// OnTransmitted registers an observer called the instant each packet
+// finishes serializing (before propagation). The sendbox timestamps epoch
 // boundaries here: a timestamp taken at dequeue would fold the packet's
 // own serialization time — enormous at low pacing rates — into the
 // measured RTT and read as phantom queueing. A hooked link schedules an
 // event at the end of every packet's serialization to call it.
-func (l *Link) OnTransmitted(fn func(p *pkt.Packet)) { l.onTransmitted = fn }
+func (l *Link) OnTransmitted(o Observer) { l.onTransmitted = o }
 
 // RateStep is one point of a piecewise-constant rate schedule: at virtual
 // time At (relative to when the schedule starts), the link's drain rate
@@ -462,22 +486,28 @@ func (d *Demux) Receive(p *pkt.Packet) {
 // Dropped reports packets with no route.
 func (d *Demux) Dropped() int { return d.dropped }
 
-// Tap invokes a callback on every packet, then forwards it unmodified.
+// Tap shows every packet to an observer, then forwards it unmodified.
 // The receivebox observes traffic exactly this way (libpcap in the
 // prototype).
 type Tap struct {
-	fn   func(p *pkt.Packet)
+	obs  Observer
 	next Receiver
 }
 
-// NewTap builds a passive observation point.
+// NewTap builds a passive observation point that calls fn.
 func NewTap(fn func(p *pkt.Packet), next Receiver) *Tap {
-	return &Tap{fn: fn, next: next}
+	t := new(Tap)
+	t.Init(ObserverFunc(fn), next)
+	return t
 }
+
+// Init sets t up in place as a tap that shows obs every packet before
+// forwarding it to next.
+func (t *Tap) Init(obs Observer, next Receiver) { t.obs, t.next = obs, next }
 
 // Receive implements Receiver.
 func (t *Tap) Receive(p *pkt.Packet) {
-	t.fn(p)
+	t.obs.Observe(p)
 	t.next.Receive(p)
 }
 

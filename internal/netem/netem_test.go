@@ -339,7 +339,7 @@ func TestOnTransmittedFiresBeforePropagation(t *testing.T) {
 	var txAt, deliverAt sim.Time
 	rec := ReceiverFunc(func(p *pkt.Packet) { deliverAt = eng.Now() })
 	l := NewLink(eng, "l", 12e6, 10*sim.Millisecond, qdisc.NewFIFO(1<<20), rec)
-	l.OnTransmitted(func(p *pkt.Packet) { txAt = eng.Now() })
+	l.OnTransmitted(ObserverFunc(func(*pkt.Packet) { txAt = eng.Now() }))
 	l.Receive(newpkt(1500))
 	eng.Run()
 	if txAt != sim.Millisecond {
@@ -557,7 +557,7 @@ func TestLinkEventsPerPacket(t *testing.T) {
 		eng := sim.NewEngine(1)
 		l := NewLink(eng, "l", 12e6, tc.delay, qdisc.NewFIFO(1<<20), &Sink{})
 		if tc.hook {
-			l.OnTransmitted(func(*pkt.Packet) {})
+			l.OnTransmitted(ObserverFunc(func(*pkt.Packet) {}))
 		}
 		for i := 0; i < tc.burst; i++ {
 			l.Receive(newpkt(1500))
@@ -600,7 +600,7 @@ func newLinkRun(delay sim.Time, hooked bool) *linkRun {
 	})
 	r.l = NewLink(r.eng, "l", 10e6, delay, qdisc.NewFIFO(4500), dst)
 	if hooked {
-		r.l.OnTransmitted(func(*pkt.Packet) {})
+		r.l.OnTransmitted(ObserverFunc(func(*pkt.Packet) {}))
 	}
 	return r
 }

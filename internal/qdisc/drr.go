@@ -8,7 +8,8 @@ import "bundler/internal/pkt"
 // flows exactly (no stochastic bucket collisions) at the cost of a map.
 type DRR struct {
 	tally
-	flows   map[uint64]*drrFlow
+	flows   map[uint64]*drrFlow // the active flows
+	free    *drrFlow            // drained flows' records, for the next new flow
 	active  []uint64
 	cursor  int
 	quantum int
@@ -19,6 +20,7 @@ type drrFlow struct {
 	pktQueue
 	deficit int
 	active  bool
+	next    *drrFlow // the free list
 }
 
 // NewDRR builds a DRR scheduler with a one-MTU quantum.
@@ -44,7 +46,11 @@ func (d *DRR) Enqueue(p *pkt.Packet) bool {
 	}
 	f := d.flows[key]
 	if f == nil {
-		f = &drrFlow{}
+		if f = d.free; f != nil {
+			d.free, f.next = f.next, nil
+		} else {
+			f = &drrFlow{}
+		}
 		d.flows[key] = f
 	}
 	f.push(p)
@@ -77,9 +83,7 @@ func (d *DRR) Dequeue() *pkt.Packet {
 		key := d.active[d.cursor]
 		f := d.flows[key]
 		if f.Len() == 0 {
-			f.active = false
-			delete(d.flows, key)
-			d.active = append(d.active[:d.cursor], d.active[d.cursor+1:]...)
+			d.retire(key, f)
 			continue
 		}
 		if f.peek().Size > f.deficit {
@@ -91,11 +95,20 @@ func (d *DRR) Dequeue() *pkt.Packet {
 		f.deficit -= p.Size
 		d.out(p)
 		if f.Len() == 0 {
-			f.active = false
-			delete(d.flows, key)
-			d.active = append(d.active[:d.cursor], d.active[d.cursor+1:]...)
+			d.retire(key, f)
 		}
 		return p
 	}
 	return nil
+}
+
+// retire takes the drained flow f under key, at the cursor, off the
+// active list and the map, and keeps its record for the next new flow:
+// the map holds only active flows, and a flow that drains between
+// packets costs no allocation.
+func (d *DRR) retire(key uint64, f *drrFlow) {
+	f.active = false
+	delete(d.flows, key)
+	d.active = append(d.active[:d.cursor], d.active[d.cursor+1:]...)
+	f.next, d.free = d.free, f
 }

@@ -63,3 +63,28 @@ func TestQueueMemoryFollowsBacklog(t *testing.T) {
 		}
 	}
 }
+
+// TestDRROneFlowAllocFree serves one flow whose queue drains after
+// every packet: DRR retires the flow's record at each dequeue and must
+// reuse it at the next enqueue instead of allocating a new one.
+func TestDRROneFlowAllocFree(t *testing.T) {
+	const rounds = 10000
+	q := NewDRR(1000)
+	p := mkpkt(1, 1000)
+	allocs := testing.AllocsPerRun(1, func() {
+		for i := 0; i < rounds; i++ {
+			if !q.Enqueue(p) {
+				t.Fatalf("round %d: enqueue rejected", i)
+			}
+			if p = q.Dequeue(); p == nil {
+				t.Fatalf("round %d: queue returned nothing", i)
+			}
+		}
+	})
+	if q.Len() != 0 || len(q.flows) != 0 {
+		t.Fatalf("len %d, %d flows kept, want an empty queue with no active flow", q.Len(), len(q.flows))
+	}
+	if allocs != 0 {
+		t.Errorf("%v allocations over %d enqueue-then-dequeue rounds of one flow, want 0", allocs, rounds)
+	}
+}

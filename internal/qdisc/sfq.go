@@ -15,7 +15,7 @@ type SFQ struct {
 	// groups is the hash-indexed slot table, two-level so an SFQ's
 	// footprint is proportional to the flows it has actually seen, not
 	// to the table size: bucket index bi lives at
-	// groups[bi>>sfqGroupShift][bi&sfqGroupMask], and both the 16-slot
+	// groups[bi>>sfqGroupShift][bi&sfqGroupMask], and both the 32-slot
 	// group and the bucket are made on first use. Scenarios with
 	// thousands of mostly-narrow SFQs (the N-site mesh: one per ordered
 	// site pair) would otherwise pay the full table in zeroed,
@@ -31,10 +31,21 @@ type SFQ struct {
 	quantum  int
 	perturb  uint64
 	limit    int // total packet cap
+
+	// The storage of the table up to the default 1024 buckets, and of
+	// the first group, bucket and active list a flow needs. A narrow
+	// SFQ (the mesh's, one per ordered site pair, carrying a flow or
+	// two) allocates nothing past the SFQ itself; larger tables and
+	// later flows fall back to the heap and the bucket slab.
+	table   [1024 >> sfqGroupShift]*sfqGroup
+	group0  sfqGroup
+	bucket0 sfqBucket
+	active0 [2]int
+	used0   bool // group0 and bucket0 are taken
 }
 
 const (
-	sfqGroupShift = 4
+	sfqGroupShift = 5
 	sfqGroupMask  = 1<<sfqGroupShift - 1
 )
 
@@ -49,15 +60,25 @@ type sfqBucket struct {
 // NewSFQ returns an SFQ with the given bucket count (power of two
 // recommended), total packet limit, and per-turn quantum of one MTU.
 func NewSFQ(nbuckets, limitPackets int) *SFQ {
+	s := new(SFQ)
+	s.Init(nbuckets, limitPackets)
+	return s
+}
+
+// Init builds NewSFQ's SFQ in place, in a zero SFQ that its owner
+// carves from a slab. The SFQ points into itself, so it must not be
+// copied afterwards.
+func (s *SFQ) Init(nbuckets, limitPackets int) {
 	if nbuckets <= 0 || limitPackets <= 0 {
 		panic("qdisc: SFQ sizes must be positive")
 	}
-	return &SFQ{
-		groups:   make([]*sfqGroup, (nbuckets+sfqGroupMask)>>sfqGroupShift),
-		nbuckets: nbuckets,
-		quantum:  pkt.MTU,
-		limit:    limitPackets,
+	s.nbuckets, s.quantum, s.limit = nbuckets, pkt.MTU, limitPackets
+	if n := (nbuckets + sfqGroupMask) >> sfqGroupShift; n <= len(s.table) {
+		s.groups = s.table[:n]
+	} else {
+		s.groups = make([]*sfqGroup, n)
 	}
+	s.active = s.active0[:0]
 }
 
 // bucketAt returns the bucket at slot bi. It must exist: only push
@@ -137,13 +158,20 @@ func (s *SFQ) Enqueue(p *pkt.Packet) bool {
 // already admitted, so no limit check belongs here).
 func (s *SFQ) push(bi int, p *pkt.Packet) {
 	g := s.groups[bi>>sfqGroupShift]
-	if g == nil {
-		g = &sfqGroup{}
-		s.groups[bi>>sfqGroupShift] = g
+	b := (*sfqBucket)(nil)
+	if g != nil {
+		b = g[bi&sfqGroupMask]
 	}
-	b := g[bi&sfqGroupMask]
 	if b == nil {
-		b = s.buckets.New()
+		switch {
+		case !s.used0:
+			g, b, s.used0 = &s.group0, &s.bucket0, true
+		case g == nil:
+			g, b = &sfqGroup{}, s.buckets.New()
+		default:
+			b = s.buckets.New()
+		}
+		s.groups[bi>>sfqGroupShift] = g
 		g[bi&sfqGroupMask] = b
 	}
 	b.push(p)

@@ -35,9 +35,9 @@ func runAblation(seed int64, tweak func(*bundle.Config), load func(*Site)) *Site
 	n := newNet(netConfig{Seed: seed})
 	cfg := defaultBundleConfig()
 	tweak(cfg)
-	site := n.AddSite(cfg)
+	site := n.addSite(cfg)
 	load(site)
-	n.Eng.RunUntil(ablationDur)
+	n.eng.RunUntil(ablationDur)
 	site.SB.Stop()
 	return site
 }
@@ -66,7 +66,7 @@ func windowAblation(seed int64, windowRTTs float64) float64 {
 		func(c *bundle.Config) { c.MeasurementWindowRTTs = windowRTTs },
 		func(s *Site) {
 			bulkFlow(s)
-			eng := s.net.Eng
+			eng := s.net.eng
 			eng.Tick(10*sim.Millisecond, func() {
 				if eng.Now() > ablationSettle {
 					rates = append(rates, s.SB.Rate()/1e6)
@@ -113,7 +113,7 @@ func piGainsAblation(alpha, beta float64) float64 {
 // collide flows and lose isolation. It returns the median slowdown.
 func sfqBucketsAblation(seed int64, requests, buckets int) float64 {
 	n := newNet(netConfig{Seed: seed})
-	site := n.AddSite(&bundle.Config{Algorithm: "copa", Scheduler: qdisc.NewSFQ(buckets, 1000)})
+	site := n.addSite(&bundle.Config{Algorithm: "copa", Scheduler: qdisc.NewSFQ(buckets, 1000)})
 	rec := site.RunOpenLoop(Traffic{OfferedBps: 84e6, Requests: requests})
 	n.RunUntilDone(300*sim.Second, rec)
 	site.SB.Stop()

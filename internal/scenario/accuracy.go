@@ -44,7 +44,7 @@ func RunMeasurementAccuracy(seed int64, perConfig sim.Time) AccuracyResult {
 
 func collectAccuracy(seed int64, rate float64, rtt, dur sim.Time, res *AccuracyResult) {
 	n := newNet(netConfig{Seed: seed, LinkRate: rate, RTT: rtt})
-	site := n.AddSite(defaultBundleConfig())
+	site := n.addSite(defaultBundleConfig())
 	// 87.5 % offered load, as in the evaluation's standard setup.
 	site.RunOpenLoop(Traffic{OfferedBps: 0.875 * rate, Requests: 1 << 30})
 
@@ -57,7 +57,7 @@ func collectAccuracy(seed int64, rate float64, rtt, dur sim.Time, res *AccuracyR
 	// One serialization hop remains in the estimate (the bottleneck's);
 	// the sendbox timestamps epoch packets after its own.
 	serialMs := float64(pkt.MTU*8) / rate * 1e3
-	n.Bottleneck.OnDequeue(func(p *pkt.Packet, qd sim.Time) {
+	n.bottleneck.OnDequeue(func(p *pkt.Packet, qd sim.Time) {
 		if p.Proto == pkt.ProtoCtl {
 			return
 		}
@@ -84,11 +84,11 @@ func collectAccuracy(seed int64, rate float64, rtt, dur sim.Time, res *AccuracyR
 	// sampling interval, smoothed over one RTT when paired.
 	var truthRate stats.TimeSeries
 	var rc stats.RateCounter
-	n.Eng.Tick(10*sim.Millisecond, func() {
-		now := n.Eng.Now()
-		truthRate.Add(now, rc.Rate(now, n.Bottleneck.BytesSent())/1e6)
+	n.eng.Tick(10*sim.Millisecond, func() {
+		now := n.eng.Now()
+		truthRate.Add(now, rc.Rate(now, n.bottleneck.BytesSent())/1e6)
 	})
-	n.Eng.RunUntil(dur)
+	n.eng.RunUntil(dur)
 	site.SB.Stop()
 
 	for i, at := range rateEst.T {

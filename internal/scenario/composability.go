@@ -25,7 +25,7 @@ import (
 func hier(r *exp.Run) error {
 	dur := simDuration(r, "dur")
 	n := newNet(netConfig{Seed: r.Seed})
-	parent := n.AddSite(&bundle.Config{})
+	parent := n.addSite(&bundle.Config{})
 	depts := [2]*Site{n.AddSiteIn(parent, &bundle.Config{}), n.AddSiteIn(parent, &bundle.Config{})}
 	var flows [2][]*tcp.Sender
 	for i, d := range depts {
@@ -36,20 +36,20 @@ func hier(r *exp.Run) error {
 
 	var bnQ, pQ, aQ float64
 	var samples int
-	n.Eng.Tick(100*sim.Millisecond, func() {
-		if n.Eng.Now() < 5*sim.Second {
+	n.eng.Tick(100*sim.Millisecond, func() {
+		if n.eng.Now() < 5*sim.Second {
 			return
 		}
-		bnQ += n.Bottleneck.QueueDelay().Millis()
+		bnQ += n.bottleneck.QueueDelay().Millis()
 		pQ += parent.SB.QueueDelay().Millis()
 		aQ += depts[0].SB.QueueDelay().Millis()
 		samples++
 	})
-	n.Eng.RunUntil(dur)
-	parent.Stop()
+	n.eng.RunUntil(dur)
+	parent.stop()
 	var mbps [2]float64
 	for i, d := range depts {
-		d.Stop()
+		d.stop()
 		var acked int64
 		for _, s := range flows[i] {
 			acked += s.Acked()

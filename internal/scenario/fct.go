@@ -94,7 +94,7 @@ func RunFCT(o FCTOptions) *workload.Recorder {
 		bcfg = n.bundleConfig(o.InnerAlg, o.Scheduler, o.SendboxQueuePackets)
 		bcfg.TunnelMode = o.TunnelMode
 	}
-	site := n.AddSite(bcfg)
+	site := n.addSite(bcfg)
 
 	rec := site.RunOpenLoop(Traffic{
 		OfferedBps:    o.OfferedBps,
@@ -103,7 +103,7 @@ func RunFCT(o FCTOptions) *workload.Recorder {
 		FixedCwndSegs: o.FixedCwnd,
 	})
 	n.RunUntilDone(LoadHorizon(o.Requests), rec)
-	site.Stop()
+	site.stop()
 	return rec
 }
 
@@ -262,8 +262,8 @@ func fig11(r *exp.Run) error {
 		var median []float64 // median slowdown of bundle flows, per cross variant
 		for _, mode := range crossVariants {
 			n := newNet(netConfig{Seed: r.Seed})
-			site := n.AddSite(n.bundleConfig(mode.alg, "sfq", 1000))
-			crossSite := n.AddSite(nil)
+			site := n.addSite(n.bundleConfig(mode.alg, "sfq", 1000))
+			crossSite := n.addSite(nil)
 			rec := site.RunOpenLoop(Traffic{OfferedBps: 48e6, Requests: requests,
 				Warmup: 5 * sim.Second})
 			// Scale the cross generator's request count to its offered
@@ -276,7 +276,7 @@ func fig11(r *exp.Run) error {
 			}
 			crossRec := crossSite.RunOpenLoop(Traffic{OfferedBps: cross, Requests: crossReqs})
 			n.RunUntilDone(600*sim.Second, rec, crossRec)
-			site.Stop()
+			site.stop()
 			median = append(median, rec.Slowdowns.Median())
 		}
 		fmt.Fprintf(r, "%-12.0f %12.2f %14.2f %16.2f\n", cross/1e6, median[0], median[1], median[2])
@@ -301,8 +301,8 @@ func fig12(r *exp.Run) error {
 		var mbps []float64 // bundle throughput, per cross variant
 		for _, mode := range crossVariants {
 			n := newNet(netConfig{Seed: r.Seed})
-			site := n.AddSite(n.bundleConfig(mode.alg, "sfq", 1000))
-			crossSite := n.AddSite(nil)
+			site := n.addSite(n.bundleConfig(mode.alg, "sfq", 1000))
+			crossSite := n.addSite(nil)
 			var bundleSenders []*tcp.Sender
 			for i := 0; i < 20; i++ {
 				bundleSenders = append(bundleSenders, site.AddFlow(1<<40, tcp.NewCubic(), nil))
@@ -310,8 +310,8 @@ func fig12(r *exp.Run) error {
 			for i := 0; i < crossN; i++ {
 				crossSite.AddFlow(1<<40, tcp.NewCubic(), nil)
 			}
-			mbps = append(mbps, goodputMbps(n.Eng, bundleSenders, warmup, dur))
-			site.Stop()
+			mbps = append(mbps, goodputMbps(n.eng, bundleSenders, warmup, dur))
+			site.stop()
 		}
 		fmt.Fprintf(r, "%-12d %9.1f Mb/s %11.1f Mb/s %13.1f Mb/s\n", crossN, mbps[0], mbps[1], mbps[2])
 		prefix := fmt.Sprintf("cross%d/", crossN)
@@ -342,7 +342,7 @@ func fig13(r *exp.Run) error {
 		} else {
 			n := newNet(netConfig{Seed: r.Seed})
 			for _, share := range sp.shares {
-				site := n.AddSite(defaultBundleConfig())
+				site := n.addSite(defaultBundleConfig())
 				recs = append(recs, site.RunOpenLoop(Traffic{
 					OfferedBps: 84e6 * share,
 					Requests:   int(float64(requests) * share),

@@ -208,11 +208,11 @@ func meshHostBase(site int) (host, ctl uint32, flow uint64) {
 
 func meshSiteOf(host uint32) int { return int(host>>20) - 1 }
 
-// MeshPair is one ordered site pair: one bundle, one open-loop web
+// meshPair is one ordered site pair: one bundle, one open-loop web
 // workload, one recorder.
-type MeshPair struct {
+type meshPair struct {
 	Src, Dst int
-	Site     *Site
+	site     *Site
 	Rec      *workload.Recorder
 }
 
@@ -225,15 +225,15 @@ type Mesh struct {
 	World *shard.World
 	// Fabs holds each site partition's endpoint fabric, indexed by site.
 	Fabs   []*Fabric
-	Access []*netem.Link
-	// Core is the hub-mode shared link (nil in pairwise mode); it lives
+	access []*netem.Link
+	// core is the hub-mode shared link (nil in pairwise mode); it lives
 	// on its own partition.
-	Core *netem.Link
+	core *netem.Link
 	// Pairs lists the ordered site pairs in (src, dst) lexicographic
 	// order: (0,1), (0,2), ..., (1,0), ...
-	Pairs []*MeshPair
-	// Multis holds each source site's physical box (nil when unbundled).
-	Multis []*bundle.MultiSendbox
+	Pairs []*meshPair
+	// multis holds each source site's physical box (nil when unbundled).
+	multis []*bundle.MultiSendbox
 	// Fluids holds each site's background-user aggregate, indexed by
 	// site (empty when BgUsersPerSite is zero). Each lives on its site's
 	// partition engine, so fluid ticks shard with everything else.
@@ -279,7 +279,7 @@ func NewMesh(o MeshOptions) *Mesh {
 			}
 			inPorts[site].Receive(p)
 		})
-		m.Core = netem.NewLink(core.Eng, "core", o.CoreRate, 0, qdisc.NewFIFO(netem.BDPBuffer(o.CoreRate, o.RTT)), router)
+		m.core = netem.NewLink(core.Eng, "core", o.CoreRate, 0, qdisc.NewFIFO(netem.BDPBuffer(o.CoreRate, o.RTT)), router)
 	}
 
 	// Per-site fabric, access link, and (hub) cross-partition ports.
@@ -293,13 +293,13 @@ func NewMesh(o MeshOptions) *Mesh {
 		fab := NewFabric(pa.Eng, o.RTT)
 		fab.Pool = pa.Pool
 		hostBase, ctlBase, flowBase := meshHostBase(i)
-		fab.SetIDSpace(hostBase, ctlBase, flowBase)
-		fab.OracleRate = m.oracleRate
+		fab.setIDSpace(hostBase, ctlBase, flowBase)
+		fab.oracleRate = m.oracleRate
 		m.Fabs = append(m.Fabs, fab)
 
 		dst, accessDelay := netem.Receiver(fab.Demux), o.RTT/2
 		if hub {
-			dst, accessDelay = m.World.NewPort(pa, core, m.Core, o.RTT/4), 0
+			dst, accessDelay = m.World.NewPort(pa, core, m.core, o.RTT/4), 0
 			inPorts = append(inPorts, m.World.NewPort(core, pa, fab.Demux, o.RTT/4))
 		}
 		if o.JitterMax > 0 {
@@ -313,10 +313,10 @@ func NewMesh(o MeshOptions) *Mesh {
 				dst = netem.NewJitter(pa.Eng, o.JitterMax, dst)
 			}
 		}
-		m.Access = append(m.Access, netem.NewLink(pa.Eng, fmt.Sprintf("access%d", i),
+		m.access = append(m.access, netem.NewLink(pa.Eng, fmt.Sprintf("access%d", i),
 			o.AccessRate, accessDelay, qdisc.NewFIFO(accessBuf), dst))
 		if o.BgUsersPerSite > 0 {
-			agg := fluid.Attach(pa.Eng, m.Access[i], 0)
+			agg := fluid.Attach(pa.Eng, m.access[i], 0)
 			agg.AddClass(fluid.Class{Name: fmt.Sprintf("bg%d", i),
 				Users: o.BgUsersPerSite, RTT: o.RTT})
 			m.Fluids = append(m.Fluids, agg)
@@ -330,12 +330,17 @@ func NewMesh(o MeshOptions) *Mesh {
 	// (pkt.Addr.Site): the fabric is fresh, so its sites take ids 1 to
 	// N-1, and classify[id] is that site's bundle. Everything here lives
 	// on partition i. The pairs themselves are one slice.
-	pairs := make([]MeshPair, 0, o.Sites*(o.Sites-1))
-	m.Pairs = make([]*MeshPair, 0, cap(pairs))
+	pairs := make([]meshPair, 0, o.Sites*(o.Sites-1))
+	m.Pairs = make([]*meshPair, 0, cap(pairs))
 	for i := 0; i < o.Sites; i++ {
 		fab := m.Fabs[i]
 		var boxes []*bundle.Sendbox
 		var siteSFQs []*qdisc.SFQ
+		var sfqSlab sim.Slab[qdisc.SFQ] // this site's, so its SFQs sit together
+		if o.Bundled {
+			boxes = make([]*bundle.Sendbox, 0, o.Sites-1)
+			siteSFQs = make([]*qdisc.SFQ, 0, o.Sites-1)
+		}
 		classify := make([]int, o.Sites)
 		classify[0] = -1 // site id 0 is no site
 		for j := 0; j < o.Sites; j++ {
@@ -345,16 +350,17 @@ func NewMesh(o MeshOptions) *Mesh {
 			var bcfg *bundle.Config
 			var sfq *qdisc.SFQ
 			if o.Bundled {
-				sfq = qdisc.NewSFQ(1024, o.SendboxQueuePackets)
+				sfq = sfqSlab.New()
+				sfq.Init(1024, o.SendboxQueuePackets)
 				bcfg = &bundle.Config{Algorithm: "copa", Scheduler: sfq}
 			}
-			site := fab.AddSiteAt(m.Access[i], bcfg)
+			site := fab.AddSiteAt(m.access[i], bcfg)
 			if o.Bundled {
 				siteSFQs = append(siteSFQs, sfq)
 				classify[site.id] = len(boxes)
 				boxes = append(boxes, site.SB)
 			}
-			pairs = append(pairs, MeshPair{Src: i, Dst: j, Site: site})
+			pairs = append(pairs, meshPair{Src: i, Dst: j, site: site})
 			m.Pairs = append(m.Pairs, &pairs[len(pairs)-1])
 		}
 		if o.Bundled {
@@ -364,11 +370,11 @@ func NewMesh(o MeshOptions) *Mesh {
 				}
 				return -1 // counted as misrouted; the leak tests assert zero
 			}, boxes...)
-			m.Multis = append(m.Multis, multi)
+			m.multis = append(m.multis, multi)
 			// Route the site's egress through the physical box: every
 			// data packet must pass the classifier to reach its bundle.
 			for _, pr := range m.Pairs[len(m.Pairs)-len(boxes):] {
-				pr.Site.egress = multi
+				pr.site.egress = multi
 			}
 		}
 		m.sfqs = append(m.sfqs, siteSFQs)
@@ -377,7 +383,7 @@ func NewMesh(o MeshOptions) *Mesh {
 	// Workloads: one open-loop web workload per ordered pair, drawing
 	// arrivals from the owning partition's RNG stream.
 	for _, pr := range m.Pairs {
-		pr.Rec = pr.Site.RunOpenLoop(Traffic{OfferedBps: o.OfferedBps, Requests: o.Requests, Sketch: o.Sketch})
+		pr.Rec = pr.site.RunOpenLoop(Traffic{OfferedBps: o.OfferedBps, Requests: o.Requests, sketch: o.Sketch})
 	}
 
 	// Periodic SFQ re-keying (Linux's perturbation), the path the re-key
@@ -388,7 +394,7 @@ func NewMesh(o MeshOptions) *Mesh {
 			if len(qs) == 0 {
 				continue
 			}
-			eng, qs := m.Fabs[i].Eng, qs
+			eng, qs := m.Fabs[i].eng, qs
 			m.perturbs = append(m.perturbs, eng.Tick(o.PerturbPeriod, func() {
 				for _, q := range qs {
 					q.SetPerturbation(eng.Rand().Uint64())
@@ -425,8 +431,9 @@ func (m *Mesh) RunUntil(horizon sim.Time) sim.Time {
 	// lookahead — never on the shard count — so teardown times are
 	// deterministic and shard-invariant like everything else.
 	done := make([]bool, len(m.Pairs))
+	all := false
 	stop := m.World.Run(horizon, func() bool {
-		all := true
+		all = true
 		for i, pr := range m.Pairs {
 			if done[i] {
 				continue
@@ -436,18 +443,25 @@ func (m *Mesh) RunUntil(horizon sim.Time) sim.Time {
 				continue
 			}
 			done[i] = true
-			pr.Site.Stop()
+			pr.site.stop()
 		}
 		return all
 	})
-	m.Stop()
+	if !all {
+		// Stopped at the horizon unfinished: each fabric notes the
+		// senders it still holds, as Fabric.RunUntilDone does.
+		for _, f := range m.Fabs {
+			f.noteStalls()
+		}
+	}
+	m.stop()
 	return stop
 }
 
-// Stop halts every bundle's control loop and the perturbation tickers.
-func (m *Mesh) Stop() {
+// stop halts every bundle's control loop and the perturbation tickers.
+func (m *Mesh) stop() {
 	for _, pr := range m.Pairs {
-		pr.Site.Stop()
+		pr.site.stop()
 	}
 	for _, t := range m.perturbs {
 		t.Stop()
@@ -496,26 +510,26 @@ func (m *Mesh) BgLostBytes() float64 {
 // nonzero value means a packet crossed bundles inside a physical box.
 func (m *Mesh) Misrouted() int {
 	total := 0
-	for _, mb := range m.Multis {
+	for _, mb := range m.multis {
 		total += mb.Misrouted
 	}
 	return total
 }
 
-// MeshBg summarizes one variant's background fluid volume: how much the
+// meshBg summarizes one variant's background fluid volume: how much the
 // emulated users pushed through their access links and how much their
 // virtual buffers dropped (all zero without BgUsersPerSite).
-type MeshBg struct {
-	Label                     string
-	DeliveredBytes, LostBytes float64
+type meshBg struct {
+	label                     string
+	deliveredBytes, lostBytes float64
 }
 
 // RunMesh executes the status-quo and Bundler variants of one mesh
 // configuration and returns the shared FCT-comparison rows plus each
 // variant's background-traffic summary.
-func RunMesh(o MeshOptions) ([]Fig9Result, []MeshBg) {
+func RunMesh(o MeshOptions) ([]Fig9Result, []meshBg) {
 	var rows []Fig9Result
-	var bgs []MeshBg
+	var bgs []meshBg
 	for _, v := range []struct {
 		label   string
 		bundled bool
@@ -528,8 +542,8 @@ func RunMesh(o MeshOptions) ([]Fig9Result, []MeshBg) {
 		mesh := NewMesh(vo)
 		mesh.Run()
 		rows = append(rows, SummarizeFCT(v.label, mesh.Aggregate()))
-		bgs = append(bgs, MeshBg{Label: v.label,
-			DeliveredBytes: mesh.BgDeliveredBytes(), LostBytes: mesh.BgLostBytes()})
+		bgs = append(bgs, meshBg{label: v.label,
+			deliveredBytes: mesh.BgDeliveredBytes(), lostBytes: mesh.BgLostBytes()})
 	}
 	return rows, bgs
 }
@@ -581,9 +595,9 @@ func mesh(r *exp.Run) error {
 		r.AddMetric(label+"/completed", float64(row.Rec.Completed), "requests")
 		if users > 0 {
 			fmt.Fprintf(r, "%-22s background delivered %.1f MB, lost %.1f MB\n",
-				bgs[i].Label, bgs[i].DeliveredBytes/1e6, bgs[i].LostBytes/1e6)
-			r.AddMetric(label+"/bg-delivered", bgs[i].DeliveredBytes, "bytes")
-			r.AddMetric(label+"/bg-lost", bgs[i].LostBytes, "bytes")
+				bgs[i].label, bgs[i].deliveredBytes/1e6, bgs[i].lostBytes/1e6)
+			r.AddMetric(label+"/bg-delivered", bgs[i].deliveredBytes, "bytes")
+			r.AddMetric(label+"/bg-lost", bgs[i].lostBytes, "bytes")
 		}
 	}
 	return nil

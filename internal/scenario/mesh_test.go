@@ -56,11 +56,11 @@ func TestMeshInvariants(t *testing.T) {
 				t.Errorf("aggregate recorder counts %d flows, pairs sum to %d", agg.Completed, total)
 			}
 			if tc.opt.Bundled {
-				if len(m.Multis) != tc.opt.Sites {
-					t.Fatalf("%d physical boxes, want one per site (%d)", len(m.Multis), tc.opt.Sites)
+				if len(m.multis) != tc.opt.Sites {
+					t.Fatalf("%d physical boxes, want one per site (%d)", len(m.multis), tc.opt.Sites)
 				}
 				for _, pr := range m.Pairs {
-					if pr.Site.SB.AcksMatched == 0 {
+					if pr.site.SB.AcksMatched == 0 {
 						t.Errorf("bundle s%d->s%d matched no congestion ACKs: its inner loop never ran",
 							pr.Src, pr.Dst)
 					}
@@ -116,15 +116,47 @@ func TestMeshSweepDeterminism(t *testing.T) {
 
 // TestMeshSetupAllocs is the ceiling on what a mesh costs to build: an
 // 8-site bundled hub mesh, 56 bundles with one request each. Packets,
-// events, timers, tickers, sites and recorders come from slabs, the
-// pairs are one slice, a sendbox holds its detector, pulser and PI
-// controller by value, each fabric has one destination mux and every
-// pair shares one size CDF; so built, it measures 1 218 allocations,
-// and the ceiling leaves about 3 % of headroom above that.
+// events, timers, tickers, sites, Bundler pairs, SFQs and open-loop
+// workloads (recorder included) come from slabs, small recorders'
+// samples from one arena per fabric, the pairs are one slice, a sendbox
+// holds its pacer, inner loop, detector, pulser and PI controller by
+// value, no hook is a bound method value, each fabric has one
+// destination mux and every pair shares one size CDF; so built, it
+// measures 474 allocations, and the ceiling leaves about 10 % of
+// headroom above that.
 func TestMeshSetupAllocs(t *testing.T) {
-	const ceiling = 1255
+	const ceiling = 520
 	o := MeshOptions{Seed: 1, Sites: 8, Bundled: true, Requests: 1, Shards: 1}
 	if n := testing.AllocsPerRun(5, func() { NewMesh(o) }); n > ceiling {
 		t.Errorf("NewMesh(8-site bundled hub, 1 request/pair): %.0f allocations, want ≤ %d", n, ceiling)
+	}
+}
+
+// TestMeshPairAllocs prices a mesh pair's set-up and first flow: NewMesh
+// plus Run of a hub mesh with one request per pair, per ordered pair.
+// An 8-site mesh measures 14.96 allocations per pair bundled and 11.89
+// status quo; the ceilings leave about 10 % of headroom. A 64-site mesh
+// must cost no more per pair than the 8-site one, so per-pair cost does
+// not grow with the site count (it reads 4.44 and 2.95: per-site and
+// per-fabric costs spread over more pairs).
+func TestMeshPairAllocs(t *testing.T) {
+	perPair := func(sites int, bundled bool) float64 {
+		o := MeshOptions{Seed: 1, Sites: sites, Bundled: bundled, Requests: 1, Shards: 1}
+		return testing.AllocsPerRun(1, func() { NewMesh(o).Run() }) / float64(sites*(sites-1))
+	}
+	for _, c := range []struct {
+		bundled bool
+		ceiling float64
+	}{{true, 16.5}, {false, 13}} {
+		small := perPair(8, c.bundled)
+		if small > c.ceiling {
+			t.Errorf("bundled=%v: 8-site mesh costs %.2f allocations per pair, want ≤ %.1f", c.bundled, small, c.ceiling)
+		}
+		if testing.Short() {
+			continue
+		}
+		if large := perPair(64, c.bundled); large > small {
+			t.Errorf("bundled=%v: 64-site mesh costs %.2f allocations per pair, more than the 8-site mesh's %.2f", c.bundled, large, small)
+		}
 	}
 }

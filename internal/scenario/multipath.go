@@ -56,14 +56,14 @@ func fig7(r *exp.Run) error {
 	}
 	// The true per-path RTT (propagation + queue), sampled over time.
 	pathRTTms := make([]stats.TimeSeries, len(m.Paths))
-	m.Eng.Tick(100*sim.Millisecond, func() {
-		now := m.Eng.Now()
+	m.eng.Tick(100*sim.Millisecond, func() {
+		now := m.eng.Now()
 		for i, p := range m.Paths {
 			rtt := 2*p.Delay() + p.QueueDelay() // forward prop + queue, plus symmetric reverse
 			pathRTTms[i].Add(now, rtt.Millis())
 		}
 	})
-	m.Eng.RunUntil(dur)
+	m.eng.RunUntil(dur)
 	m.SB.Stop()
 	ooo, mode := m.SB.OOOFraction(), m.SB.Mode()
 
@@ -102,7 +102,7 @@ func sec76(r *exp.Run) error {
 				for i := 0; i < 40; i++ {
 					m.AddFlow(1<<40, tcp.NewCubic(), nil)
 				}
-				m.Eng.RunUntil(dur)
+				m.eng.RunUntil(dur)
 				m.SB.Stop()
 				ooo := m.SB.OOOFraction()
 				fmt.Fprintf(r, "%-10.0f %-8.0f %-8d %-10.4f %-8v\n",

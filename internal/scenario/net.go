@@ -7,8 +7,8 @@
 // benchmark under bench/.
 //
 // The reusable endpoint machinery — sender mux, destination demux,
-// reverse path, address allocation, nested sites — lives in Fabric; Net
-// adds the paper's single-bottleneck dumbbell on top, and internal/topo
+// reverse path, address allocation, nested sites — lives in Fabric; the
+// dumbbell type adds the paper's single bottleneck on top, and internal/topo
 // compiles declarative configs into arbitrary link graphs over the same
 // Fabric.
 // Rates are bits/second, times sim.Time, buffers bytes.
@@ -63,21 +63,21 @@ func (c *netConfig) fill() {
 // allocates for the site (pkt.Addr.Site), so the demux never grows with
 // the flow count. The forward path between them — one bottleneck,
 // a chain, load-balanced parallel links — is the caller's to wire;
-// Net wires the paper's dumbbell, and internal/topo compiles declarative
+// the dumbbell type wires the paper's, and internal/topo compiles declarative
 // configs into arbitrary link graphs over the same fabric. Bundles nest
 // (§9) without a second builder: AddSiteIn hangs a site inside another
 // site's Bundler pair.
 type Fabric struct {
-	Eng     *sim.Engine
-	MuxA    *tcp.Mux
+	eng     *sim.Engine
+	muxA    *tcp.Mux
 	Demux   *netem.Demux
-	Reverse *netem.Link
+	reverse *netem.Link
 
-	// OracleRate (bits/s) and OracleRTT normalize recorded slowdowns:
+	// oracleRate (bits/s) and oracleRTT normalize recorded slowdowns:
 	// the unloaded-path parameters of workload.OracleFCT. Traffic can
 	// override them per workload.
-	OracleRate float64
-	OracleRTT  sim.Time
+	oracleRate float64
+	oracleRTT  sim.Time
 
 	// Pool, when set, is the partition-local packet pool every endpoint
 	// added to this fabric mints from (sharded topologies give each
@@ -85,12 +85,16 @@ type Fabric struct {
 	// pool — the legacy single-engine configuration.
 	Pool *pkt.Pool
 
+	// Per-site and per-flow values are carved from the fabric's slabs,
+	// so a bundled site pair costs a few slab slots, not a dozen objects.
 	muxB      *tcp.Mux // the destination mux, shared by every site
 	sites     sim.Slab[Site]
-	recs      sim.Slab[workload.Recorder]
+	loops     sim.Slab[openLoop]
 	conns     sim.Slab[conn]
-	free      *conn  // finished open-loop connections, linked through conn.next
-	nextSite  uint16 // the last site id handed out; ids start at 1
+	boxes     sim.Slab[boxPair]
+	floats    stats.Arena // the sample buffers of small open-loop recorders
+	free      *conn       // finished open-loop connections, linked through conn.next
+	nextSite  uint16      // the last site id handed out; ids start at 1
 	nextHost  uint32
 	nextCtl   uint32
 	hostLimit uint32
@@ -99,46 +103,48 @@ type Fabric struct {
 }
 
 // NewFabric builds the shared endpoint machinery on eng for a path of
-// round trip rtt, reverse path included; OracleRTT starts at rtt. The
-// caller sets OracleRate before adding sites that record slowdowns.
+// round trip rtt, reverse path included; oracleRTT starts at rtt.
+// Within this package, the dumbbell and the mesh set oracleRate before
+// adding sites that record slowdowns; other callers give each workload
+// its Traffic.OracleRate.
 func NewFabric(eng *sim.Engine, rtt sim.Time) *Fabric {
 	muxA := tcp.NewMux()
-	return &Fabric{Eng: eng, MuxA: muxA, Demux: netem.NewDemux(),
-		Reverse: netem.NewReverseLink(eng, rtt, muxA), OracleRTT: rtt, muxB: tcp.NewMux(),
+	return &Fabric{eng: eng, muxA: muxA, Demux: netem.NewDemux(),
+		reverse: netem.NewReverseLink(eng, rtt, muxA), oracleRTT: rtt, muxB: tcp.NewMux(),
 		nextHost: 1 << 16, nextCtl: 1 << 30}
 }
 
-// SetIDSpace moves the fabric's address and flow-ID allocators into a
+// setIDSpace moves the fabric's address and flow-ID allocators into a
 // disjoint per-partition region, so a sharded topology can decode which
 // partition owns a destination host from the address bits alone (static
 // cross-partition routing, no shared maps). Each base gets a 2^19-entry
 // region; overflowing it panics. Must be called before any site or flow
 // is added. Zero limits (the default) mean the legacy unchecked ranges.
-func (f *Fabric) SetIDSpace(hostBase, ctlBase uint32, flowBase uint64) {
+func (f *Fabric) setIDSpace(hostBase, ctlBase uint32, flowBase uint64) {
 	if f.nextHost != 1<<16 || f.nextCtl != 1<<30 || f.flowID != 0 {
-		panic("scenario: SetIDSpace after allocation began")
+		panic("scenario: setIDSpace after allocation began")
 	}
 	f.nextHost, f.hostLimit = hostBase, hostBase+1<<19
 	f.nextCtl, f.ctlLimit = ctlBase, ctlBase+1<<19
 	f.flowID = flowBase
 }
 
-// Net is one emulated dumbbell: source sites on the left, a single
+// dumbbell is the emulated dumbbell: source sites on the left, a single
 // bottleneck link, destination demux on the right, and an uncongested
 // reverse path for ACKs and Bundler control messages.
-type Net struct {
+type dumbbell struct {
 	Fabric
-	Cfg        netConfig
-	Bottleneck *netem.Link
+	cfg        netConfig
+	bottleneck *netem.Link
 }
 
 // newNet builds the dumbbell.
-func newNet(cfg netConfig) *Net {
+func newNet(cfg netConfig) *dumbbell {
 	cfg.fill()
 	eng := sim.NewEngine(cfg.Seed)
-	n := &Net{Fabric: *NewFabric(eng, cfg.RTT), Cfg: cfg}
-	n.OracleRate = cfg.LinkRate
-	n.Bottleneck = netem.NewLink(eng, "bottleneck", cfg.LinkRate, cfg.RTT/2, cfg.Bottleneck, n.Demux)
+	n := &dumbbell{Fabric: *NewFabric(eng, cfg.RTT), cfg: cfg}
+	n.oracleRate = cfg.LinkRate
+	n.bottleneck = netem.NewLink(eng, "bottleneck", cfg.LinkRate, cfg.RTT/2, cfg.Bottleneck, n.Demux)
 	return n
 }
 
@@ -150,17 +156,25 @@ func newNet(cfg netConfig) *Net {
 type Site struct {
 	net     *Fabric
 	SB      *bundle.Sendbox
-	RB      *bundle.Receivebox
+	rb      *bundle.Receivebox
 	ingress netem.Receiver
 	egress  netem.Receiver
 	parent  *Site  // the enclosing site of a nested one (AddSiteIn)
 	id      uint16 // pkt.Addr.Site of the site's destinations; never 0
 }
 
-// AddSite creates a site pairing whose egress is the dumbbell's
+// boxPair is a bundled site's Bundler pair and the tap that shows the
+// site's ingress to its receivebox, in one slot of the fabric's slab.
+type boxPair struct {
+	sb  bundle.Sendbox
+	rb  bundle.Receivebox
+	tap netem.Tap
+}
+
+// addSite creates a site pairing whose egress is the dumbbell's
 // bottleneck. bcfg nil means no Bundler (status quo).
-func (n *Net) AddSite(bcfg *bundle.Config) *Site {
-	return n.AddSiteAt(n.Bottleneck, bcfg)
+func (n *dumbbell) addSite(bcfg *bundle.Config) *Site {
+	return n.AddSiteAt(n.bottleneck, bcfg)
 }
 
 // AddSiteAt creates a site pairing that forwards into egress — the head
@@ -186,16 +200,19 @@ func (f *Fabric) AddSiteAt(egress netem.Receiver, bcfg *bundle.Config) *Site {
 	rbCtl := pkt.Addr{Host: f.nextCtl, Port: 2}
 	f.nextCtl++
 	if f.ctlLimit != 0 && f.nextCtl > f.ctlLimit {
-		panic("scenario: control-address region exhausted (SetIDSpace)")
+		panic("scenario: control-address region exhausted (setIDSpace)")
 	}
-	s.SB = bundle.NewSendbox(f.Eng, *bcfg, egress, sbCtl, rbCtl)
+	b := f.boxes.New()
+	s.SB, s.rb = &b.sb, &b.rb
+	s.SB.Init(f.eng, *bcfg, egress, sbCtl, rbCtl)
 	s.SB.SetPool(f.Pool)
-	s.RB = bundle.NewReceivebox(f.Eng, f.Reverse, rbCtl, sbCtl, 0)
-	s.RB.SetPool(f.Pool)
-	f.MuxA.Register(sbCtl, s.SB)
-	f.muxB.Register(rbCtl, s.RB)
+	s.rb.Init(f.eng, f.reverse, rbCtl, sbCtl, 0)
+	s.rb.SetPool(f.Pool)
+	f.muxA.Register(sbCtl, s.SB)
+	f.muxB.Register(rbCtl, s.rb)
 	f.Demux.Route(rbCtl.Host, f.muxB) // epoch updates reach the receivebox, untapped
-	s.ingress = netem.NewTap(s.RB.Observe, f.muxB)
+	b.tap.Init(s.rb, f.muxB)
+	s.ingress = &b.tap
 	s.egress = s.SB
 	f.Demux.RouteSite(s.id, s.ingress)
 	return s
@@ -210,13 +227,15 @@ func (f *Fabric) AddSiteAt(egress netem.Receiver, bcfg *bundle.Config) *Site {
 // wrap its ingress. Control addresses bypass the taps. bcfg nil nests a
 // plain member host.
 func (f *Fabric) AddSiteIn(parent *Site, bcfg *bundle.Config) *Site {
-	if parent.RB == nil {
+	if parent.rb == nil {
 		panic("scenario: AddSiteIn needs a parent with a Bundler pair")
 	}
 	s := f.AddSiteAt(parent.egress, bcfg)
 	s.parent = parent
 	for p := parent; p != nil; p = p.parent {
-		s.ingress = netem.NewTap(p.RB.Observe, s.ingress)
+		t := new(netem.Tap)
+		t.Init(p.rb, s.ingress)
+		s.ingress = t
 	}
 	f.Demux.RouteSite(s.id, s.ingress)
 	return s
@@ -224,23 +243,23 @@ func (f *Fabric) AddSiteIn(parent *Site, bcfg *bundle.Config) *Site {
 
 // bundleConfig is the Sendbox configuration for inner-loop algorithm alg
 // behind the scheduler sched names (qdisc.Parse's grammar), depth packets
-// deep. Alg "" is no Bundler at all — the nil that AddSite reads as
+// deep. Alg "" is no Bundler at all — the nil that addSite reads as
 // status quo — so a with/without comparison is a loop over alg values.
 // It panics on a bad spec; code paths fed by user-supplied config files
 // call qdisc.Parse instead.
-func (n *Net) bundleConfig(alg, sched string, depth int) *bundle.Config {
+func (n *dumbbell) bundleConfig(alg, sched string, depth int) *bundle.Config {
 	if alg == "" {
 		return nil
 	}
-	q, err := qdisc.Parse(n.Eng, sched, depth, nil)
+	q, err := qdisc.Parse(n.eng, sched, depth, nil)
 	if err != nil {
 		panic("scenario: " + err.Error())
 	}
 	return &bundle.Config{Algorithm: alg, Scheduler: q}
 }
 
-// Stop halts the site's Bundler control loop, if it has one.
-func (s *Site) Stop() {
+// stop halts the site's Bundler control loop, if it has one.
+func (s *Site) stop() {
 	if s.SB != nil {
 		s.SB.Stop()
 	}
@@ -256,15 +275,16 @@ func (s *Site) addrs(dstPort uint16) (src, dst pkt.Addr) {
 	dst = pkt.Addr{Host: n.nextHost, Port: dstPort, Site: s.id}
 	n.nextHost++
 	if n.hostLimit != 0 && n.nextHost > n.hostLimit {
-		panic("scenario: host-address region exhausted (SetIDSpace)")
+		panic("scenario: host-address region exhausted (setIDSpace)")
 	}
 	return src, dst
 }
 
 // conn is one TCP connection through a fabric: both endpoints, an
-// open-loop flow's controller, and what the completion callbacks read,
-// in one record carved from the fabric's slab. The callbacks are built
-// once per record, so a flow costs no closure.
+// open-loop flow's controller, and what the completion hooks read, in
+// one record carved from the fabric's slab. The record is both
+// endpoints' tcp.Completion (as sentHook and receivedHook), so a flow
+// costs no closure.
 //
 // A record is reused only when all three hold: its sender has completed,
 // both endpoints are unregistered, and no caller holds the sender. So
@@ -295,9 +315,18 @@ type conn struct {
 	ccName string
 	ccSegs int
 
-	sent, received func(now sim.Time) // senderDone and receiverDone
-	next           *conn              // the fabric's free list
+	next *conn // the fabric's free list
 }
+
+// sentHook and receivedHook are a conn seen as its sender's and its
+// receiver's tcp.Completion.
+type (
+	sentHook     conn
+	receivedHook conn
+)
+
+func (h *sentHook) Complete(now sim.Time)     { (*conn)(h).senderDone(now) }
+func (h *receivedHook) Complete(now sim.Time) { (*conn)(h).receiverDone(now) }
 
 // conn takes a finished record off the free list, or carves a new one.
 func (f *Fabric) conn() *conn {
@@ -305,7 +334,6 @@ func (f *Fabric) conn() *conn {
 	if c == nil {
 		c = f.conns.New()
 		c.net = f
-		c.sent, c.received = c.senderDone, c.receiverDone
 		return c
 	}
 	f.free, c.next = c.next, nil
@@ -343,7 +371,7 @@ func (c *conn) controller(name string, segs int) tcp.Congestion {
 // sender nobody holds, goes back on the free list.
 func (c *conn) senderDone(sim.Time) {
 	f := c.net
-	f.MuxA.Unregister(c.src)
+	f.muxA.Unregister(c.src)
 	f.muxB.Unregister(c.dst)
 	if c.rec != nil {
 		c.next, f.free = f.free, c
@@ -380,13 +408,13 @@ func (s *Site) AddFlow(size int64, cc tcp.Congestion, done func(size int64, fct 
 func (s *Site) startConn(c *conn, size int64, cc tcp.Congestion, dstPort uint16) *tcp.Sender {
 	n := s.net
 	c.src, c.dst = s.addrs(dstPort)
-	c.size, c.start = size, n.Eng.Now()
+	c.size, c.start = size, n.eng.Now()
 	n.flowID++
-	c.rcv.Init(n.Eng, n.Reverse, c.dst, c.src, n.flowID, size, c.received)
+	c.rcv.Init(n.eng, n.reverse, c.dst, c.src, n.flowID, size, (*receivedHook)(c))
 	c.rcv.SetPool(n.Pool)
-	c.snd.Init(n.Eng, s.egress, c.src, c.dst, n.flowID, size, cc, c.sent)
+	c.snd.Init(n.eng, s.egress, c.src, c.dst, n.flowID, size, cc, (*sentHook)(c))
 	c.snd.SetPool(n.Pool)
-	n.MuxA.Register(c.src, &c.snd)
+	n.muxA.Register(c.src, &c.snd)
 	n.muxB.Register(c.dst, &c.rcv)
 	c.snd.Start()
 	return &c.snd
@@ -398,18 +426,18 @@ func (s *Site) AddPing() *udpapp.PingClient {
 	n := s.net
 	src, dst := s.addrs(7)
 	n.flowID++
-	client := udpapp.NewPingClient(n.Eng, s.egress, src, dst, n.flowID)
+	client := udpapp.NewPingClient(n.eng, s.egress, src, dst, n.flowID)
 	client.SetPool(n.Pool)
-	server := udpapp.NewPingServer(n.Eng, n.Reverse, dst)
+	server := udpapp.NewPingServer(n.eng, n.reverse, dst)
 	server.SetPool(n.Pool)
-	n.MuxA.Register(src, client)
+	n.muxA.Register(src, client)
 	n.muxB.Register(dst, server)
 	client.Start()
 	return client
 }
 
-// AddPings starts n latency probes through the site.
-func (s *Site) AddPings(n int) []*udpapp.PingClient {
+// addPings starts n latency probes through the site.
+func (s *Site) addPings(n int) []*udpapp.PingClient {
 	pings := make([]*udpapp.PingClient, n)
 	for i := range pings {
 		pings[i] = s.AddPing()
@@ -454,7 +482,7 @@ func (s *Site) AddCBR(rateBps float64, pktSize int) (*udpapp.CBRStream, *netem.S
 	src, dst := s.addrs(443)
 	n.flowID++
 	sink := &netem.Sink{}
-	stream := udpapp.NewCBRStream(n.Eng, s.egress, src, dst, n.flowID, rateBps, pktSize)
+	stream := udpapp.NewCBRStream(n.eng, s.egress, src, dst, n.flowID, rateBps, pktSize)
 	stream.SetPool(n.Pool)
 	n.muxB.Register(dst, sink)
 	stream.Start()
@@ -483,68 +511,90 @@ type Traffic struct {
 	// differs from the fabric default. Zero means use the fabric's.
 	OracleRate float64
 	OracleRTT  sim.Time
-	// Sketch records completions into bounded quantile sketches instead
+	// sketch records completions into bounded quantile sketches instead
 	// of exact per-flow slices (see internal/stats/sketch.go): recorder
 	// memory becomes independent of the request count, at ≤1 % relative
 	// quantile error. Mesh runs with emulated-user background load turn
 	// this on.
-	Sketch bool
+	sketch bool
+}
+
+// openLoop is one RunOpenLoop workload: its arrival process, its
+// recorder, and what each arrival needs to start a flow, in one record
+// carved from the fabric's slab. It is its arrival process's
+// workload.Arrival, so a workload costs no closure.
+type openLoop struct {
+	arrivals workload.Poisson
+	rec      workload.Recorder
+	site     *Site
+	warmup   sim.Time
+	ccName   string
+	ccSegs   int
+	port     uint16
+}
+
+// Arrive implements workload.Arrival: it starts one size-byte flow on a
+// recycled connection.
+func (l *openLoop) Arrive(size int64) {
+	f := l.site.net
+	c := f.conn()
+	c.rec, c.counted, c.done = &l.rec, f.eng.Now() >= l.warmup, nil
+	l.site.startConn(c, size, c.controller(l.ccName, l.ccSegs), l.port)
 }
 
 // RunOpenLoop schedules tr.Requests Poisson arrivals through the site and
 // returns the recorder that accumulates their completions, with
-// tr.Requests as its target; recorders are carved from the fabric's
-// slab. Each arrival takes a finished connection off the fabric's free
-// list (see conn) and re-initialises its endpoints and controller in
-// place, so a steady stream of requests allocates almost nothing. The
-// engine is not run; drive it with Fabric.RunUntilDone.
+// tr.Requests as its target. The workload and its recorder are one slot
+// of the fabric's slab, and a small recorder's sample buffers come from
+// the fabric's arena. Each arrival takes a finished connection off the
+// fabric's free list (see conn) and re-initialises its endpoints and
+// controller in place, so a steady stream of requests allocates almost
+// nothing. The engine is not run; drive it with Fabric.RunUntilDone.
 func (s *Site) RunOpenLoop(tr Traffic) *workload.Recorder {
 	dist := tr.Dist
 	if dist == nil {
 		dist = workload.PaperWebCDF()
 	}
-	rate, rtt := s.net.OracleRate, s.net.OracleRTT
+	rate, rtt := s.net.oracleRate, s.net.oracleRTT
 	if tr.OracleRate > 0 {
 		rate = tr.OracleRate
 	}
 	if tr.OracleRTT > 0 {
 		rtt = tr.OracleRTT
 	}
-	rec := s.net.recs.New()
-	*rec = *workload.NewRecorder(rate, rtt)
-	rec.Requests = tr.Requests
-	if tr.Sketch {
-		rec.UseSketch()
+	l := s.net.loops.New()
+	l.rec.Init(rate, rtt)
+	l.rec.Requests = tr.Requests
+	if tr.sketch {
+		l.rec.UseSketch()
 	} else if tr.Requests < 1<<20 { // huge counts mean "run until the horizon"
-		rec.Reserve(tr.Requests)
+		l.rec.ReserveIn(&s.net.floats, tr.Requests)
 	}
-	port := tr.DstPort
-	if port == 0 {
-		port = 80
+	l.site, l.warmup, l.ccName, l.ccSegs, l.port = s, tr.Warmup, tr.CC, tr.FixedCwndSegs, tr.DstPort
+	if l.port == 0 {
+		l.port = 80
 	}
-	// The arrival closure captures tr's fields by value: capturing tr
-	// itself would move it to the heap once per call.
-	f, warmup, ccName, segs := s.net, tr.Warmup, tr.CC, tr.FixedCwndSegs
-	workload.Arrivals(f.Eng, dist, tr.OfferedBps, tr.Requests, func(size int64) {
-		c := f.conn()
-		c.rec, c.counted, c.done = rec, f.Eng.Now() >= warmup, nil
-		s.startConn(c, size, c.controller(ccName, segs), port)
-	})
-	return rec
+	l.arrivals.Start(s.net.eng, dist, tr.OfferedBps, tr.Requests, l)
+	return &l.rec
 }
 
 // RunUntilDone advances the engine in one-second steps until every
 // recorder in recs is Done or the horizon passes; with no recorders it
-// runs to the horizon. It returns the stop time.
+// runs to the horizon. It returns the stop time. A run that stops at the
+// horizon with a recorder unfinished leaves a note (exp.Note) per live
+// sender saying how far it got and why it stalled.
 func (f *Fabric) RunUntilDone(horizon sim.Time, recs ...*workload.Recorder) sim.Time {
-	for f.Eng.Now() < horizon && !allDone(recs) {
-		next := f.Eng.Now() + sim.Second
+	for f.eng.Now() < horizon && !allDone(recs) {
+		next := f.eng.Now() + sim.Second
 		if next > horizon {
 			next = horizon
 		}
-		f.Eng.RunUntil(next)
+		f.eng.RunUntil(next)
 	}
-	return f.Eng.Now()
+	if len(recs) > 0 && !allDone(recs) {
+		f.noteStalls()
+	}
+	return f.eng.Now()
 }
 
 // allDone reports whether recs is non-empty and every recorder is Done.

@@ -21,11 +21,11 @@ type Sec72CoDelResult struct {
 func RunSec72CoDel(seed int64, dur sim.Time) Sec72CoDelResult {
 	run := func(alg string) (med, p99 float64) {
 		n := newNet(netConfig{Seed: seed})
-		site := n.AddSite(n.bundleConfig(alg, "fqcodel", 1000))
-		pings := site.AddPings(10)
+		site := n.addSite(n.bundleConfig(alg, "fqcodel", 1000))
+		pings := site.addPings(10)
 		site.RunOpenLoop(Traffic{OfferedBps: 84e6, Requests: 1 << 30})
-		n.Eng.RunUntil(dur)
-		site.Stop()
+		n.eng.RunUntil(dur)
+		site.stop()
 		all := probeSamples(pings, dur/4)
 		return all.Median(), all.Quantile(0.99)
 	}
@@ -50,13 +50,13 @@ func RunSec72Prio(seed int64, requests int) Sec72PrioResult {
 	const highPort, lowPort = 8443, 80
 	run := func(alg string) (hi, lo float64) {
 		n := newNet(netConfig{Seed: seed})
-		site := n.AddSite(n.bundleConfig(alg, "prio:8443", 1000))
+		site := n.addSite(n.bundleConfig(alg, "prio:8443", 1000))
 		// A latency-sensitive quarter of the load is favored over bulk
 		// three quarters, the §7.2 setup's spirit.
 		hiRec := site.RunOpenLoop(Traffic{OfferedBps: 21e6, Requests: requests / 4, DstPort: highPort})
 		loRec := site.RunOpenLoop(Traffic{OfferedBps: 63e6, Requests: requests * 3 / 4, DstPort: lowPort})
 		n.RunUntilDone(600*sim.Second, hiRec, loRec)
-		site.Stop()
+		site.stop()
 		return hiRec.Slowdowns.Median(), loRec.Slowdowns.Median()
 	}
 	var res Sec72PrioResult

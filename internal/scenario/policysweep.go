@@ -19,12 +19,12 @@ func policies(r *exp.Run) error {
 	fmt.Fprintf(r, "%-10s %14s %12s %12s %12s\n", "policy", "median slow", "p99 slow", "probe p50", "probe p99")
 	for _, pol := range []string{"fifo", "sfq", "drr", "fqcodel", "codel", "red", "pie"} {
 		n := newNet(netConfig{Seed: r.Seed})
-		site := n.AddSite(n.bundleConfig("copa", pol, 1000))
-		probes := site.AddPings(5)
+		site := n.addSite(n.bundleConfig("copa", pol, 1000))
+		probes := site.addPings(5)
 		rec := site.RunOpenLoop(Traffic{OfferedBps: 84e6, Requests: requests,
 			Warmup: 2 * sim.Second})
 		n.RunUntilDone(600*sim.Second, rec)
-		site.Stop()
+		site.stop()
 		// Latency-probe RTTs sharing the bundle, ms.
 		rtts := probeSamples(probes, 2*sim.Second)
 		median, p99 := rec.Slowdowns.Median(), rec.Slowdowns.Quantile(0.99)

@@ -351,16 +351,16 @@ func TestSec9HierarchicalBundles(t *testing.T) {
 // when all the traffic comes from the innermost site.
 func TestAddSiteInTwoDeep(t *testing.T) {
 	n := newNet(netConfig{Seed: 1})
-	sites := []*Site{n.AddSite(&bundle.Config{})}
+	sites := []*Site{n.addSite(&bundle.Config{})}
 	for range 2 {
 		sites = append(sites, n.AddSiteIn(sites[len(sites)-1], &bundle.Config{}))
 	}
 	for range 2 {
 		sites[2].AddFlow(1<<40, tcp.NewCubic(), nil)
 	}
-	n.Eng.RunUntil(3 * sim.Second)
+	n.eng.RunUntil(3 * sim.Second)
 	for depth, s := range sites {
-		s.Stop()
+		s.stop()
 		if s.SB.AcksMatched < 10 {
 			t.Errorf("loop at depth %d matched %d congestion ACKs, want ≥ 10", depth, s.SB.AcksMatched)
 		}
@@ -488,10 +488,10 @@ func TestOpenLoopAllocs(t *testing.T) {
 			run := func() {
 				n := newNet(netConfig{Seed: 1})
 				n.Pool = &pkt.Pool{}
-				site := n.AddSite(c.bcfg())
+				site := n.addSite(c.bcfg())
 				rec := site.RunOpenLoop(Traffic{OfferedBps: 84e6, Requests: requests})
 				n.RunUntilDone(LoadHorizon(requests), rec)
-				site.Stop()
+				site.stop()
 				if !rec.Done() {
 					t.Fatalf("%s: %d requests unfinished at the horizon", c.name, requests)
 				}

@@ -35,18 +35,18 @@ func fig2(r *exp.Run) error {
 	// every 100 ms, and returns the flow's throughput in Mbit/s.
 	run := func(alg string, bn, edge *stats.TimeSeries) float64 {
 		n := newNet(netConfig{Seed: r.Seed})
-		site := n.AddSite(n.bundleConfig(alg, "sfq", 1000))
+		site := n.addSite(n.bundleConfig(alg, "sfq", 1000))
 		snd := site.AddFlow(1<<40, tcp.NewCubic(), nil)
-		n.Eng.Tick(100*sim.Millisecond, func() {
-			bn.Add(n.Eng.Now(), n.Bottleneck.QueueDelay().Millis())
+		n.eng.Tick(100*sim.Millisecond, func() {
+			bn.Add(n.eng.Now(), n.bottleneck.QueueDelay().Millis())
 			if site.SB != nil {
-				edge.Add(n.Eng.Now(), site.SB.QueueDelay().Millis())
+				edge.Add(n.eng.Now(), site.SB.QueueDelay().Millis())
 			} else {
-				edge.Add(n.Eng.Now(), 0)
+				edge.Add(n.eng.Now(), 0)
 			}
 		})
-		n.Eng.RunUntil(dur)
-		site.Stop()
+		n.eng.RunUntil(dur)
+		site.stop()
 		return float64(snd.Acked()) * 8 / dur.Seconds() / 1e6
 	}
 	var sqBnTS, sqEdgeTS, bdBnTS, bdSBTS stats.TimeSeries
@@ -85,13 +85,13 @@ func fig10(r *exp.Run) error {
 	artifacts := r.Bool("artifacts")
 	const phaseDur = 60 * sim.Second
 	n := newNet(netConfig{Seed: r.Seed})
-	site := n.AddSite(defaultBundleConfig())
-	crossSite := n.AddSite(nil)
+	site := n.addSite(defaultBundleConfig())
+	crossSite := n.addSite(nil)
 
 	// Continuous bundle web traffic for the whole 180 s at the §7.1 load.
 	recs := [3]*workload.Recorder{}
 	for i := range recs {
-		recs[i] = workload.NewRecorder(n.Cfg.LinkRate, n.Cfg.RTT)
+		recs[i] = workload.NewRecorder(n.cfg.LinkRate, n.cfg.RTT)
 	}
 	phaseOf := func(t sim.Time) int {
 		p := int(t / phaseDur)
@@ -100,29 +100,29 @@ func fig10(r *exp.Run) error {
 		}
 		return p
 	}
-	workload.Arrivals(n.Eng, workload.PaperWebCDF(), 84e6, 1<<30, func(size int64) {
-		if n.Eng.Now() >= 3*phaseDur {
+	workload.Arrivals(n.eng, workload.PaperWebCDF(), 84e6, 1<<30, func(size int64) {
+		if n.eng.Now() >= 3*phaseDur {
 			return
 		}
 		site.AddFlow(size, tcp.NewCubic(), func(sz int64, fct sim.Time) {
 			if workload.ClassOf(sz) == workload.ClassSmall {
-				recs[phaseOf(n.Eng.Now())].Record(sz, fct)
+				recs[phaseOf(n.eng.Now())].Record(sz, fct)
 			}
 		})
 	})
 
 	// Phase 2: a buffer-filling cross flow from 60 s to 120 s.
 	var crossSender *tcp.Sender
-	clock.At(n.Eng, phaseDur, func() {
+	clock.At(n.eng, phaseDur, func() {
 		crossSender = crossSite.AddFlow(1<<40, tcp.NewCubic(), nil)
 	})
-	clock.At(n.Eng, 2*phaseDur, func() { crossSender.Abort() })
+	clock.At(n.eng, 2*phaseDur, func() { crossSender.Abort() })
 	// Phase 3: non-buffer-filling web cross traffic at a quarter of the
 	// link (the paper does not state the phase-3 offered load; a modest
 	// one keeps the total near capacity rather than deep overload).
-	clock.At(n.Eng, 2*phaseDur, func() {
-		workload.Arrivals(n.Eng, workload.PaperWebCDF(), 24e6, 1<<30, func(size int64) {
-			if n.Eng.Now() >= 3*phaseDur {
+	clock.At(n.eng, 2*phaseDur, func() {
+		workload.Arrivals(n.eng, workload.PaperWebCDF(), 24e6, 1<<30, func(size int64) {
+			if n.eng.Now() >= 3*phaseDur {
 				return
 			}
 			crossSite.AddFlow(size, tcp.NewCubic(), nil)
@@ -134,23 +134,23 @@ func fig10(r *exp.Run) error {
 	var bundleTput, crossTput, queueMs, mode stats.TimeSeries
 	var lastBundleBytes, lastCrossBytes int64
 	var passTicks, totalTicks [3]int
-	n.Eng.Tick(100*sim.Millisecond, func() {
-		now := n.Eng.Now()
+	n.eng.Tick(100*sim.Millisecond, func() {
+		now := n.eng.Now()
 		p := phaseOf(now)
-		bb := site.RB.BytesReceived()
+		bb := site.rb.BytesReceived()
 		bundleTput.Add(now, float64(bb-lastBundleBytes)*8/0.1/1e6)
 		lastBundleBytes = bb
-		cb := n.Bottleneck.BytesSent() - bb
+		cb := n.bottleneck.BytesSent() - bb
 		crossTput.Add(now, float64(cb-lastCrossBytes)*8/0.1/1e6)
 		lastCrossBytes = cb
-		queueMs.Add(now, n.Bottleneck.QueueDelay().Millis())
+		queueMs.Add(now, n.bottleneck.QueueDelay().Millis())
 		mode.Add(now, float64(site.SB.Mode()))
 		totalTicks[p]++
 		if site.SB.Mode() != 0 {
 			passTicks[p]++
 		}
 	})
-	n.Eng.RunUntil(3 * phaseDur)
+	n.eng.RunUntil(3 * phaseDur)
 	site.SB.Stop()
 
 	ReportHeader(r, "Figure 10: time-varying cross traffic (3 × 60 s phases)")

@@ -58,8 +58,8 @@ func RunFig16(seed int64, dur sim.Time) []WANPathResult {
 			// Twenty backlogged Cubic flows need more sendbox queue than
 			// the web-workload default, or their synchronized drops
 			// starve the pacer between recovery rounds.
-			site := n.AddSite(n.bundleConfig(alg, "sfq", 4000))
-			pings := site.AddPings(10)
+			site := n.addSite(n.bundleConfig(alg, "sfq", 4000))
+			pings := site.addPings(10)
 			var bulk []*tcp.Sender
 			if withLoad {
 				for i := 0; i < 20; i++ {
@@ -68,8 +68,8 @@ func RunFig16(seed int64, dur sim.Time) []WANPathResult {
 			}
 			// Measure after convergence: both probes and throughput use
 			// the window past dur/4.
-			mbps = goodputMbps(n.Eng, bulk, dur/4, dur)
-			site.Stop()
+			mbps = goodputMbps(n.eng, bulk, dur/4, dur)
+			site.stop()
 			return probeSamples(pings, dur/4).Median(), mbps
 		}
 

@@ -57,13 +57,13 @@ type event struct {
 	at  Time
 	seq uint64 // tie-break: FIFO among events with equal timestamps
 
-	// A pooled event sets afn and carries its arguments in the event
-	// itself, so hot-path callers need no capturing closure; a timer's
-	// event sets fn.
-	fn  func()
-	afn func(a0, a1 any)
-	a0  any
-	a1  any
+	// Every event carries a static callback and its arguments in the
+	// event itself, so no caller needs a capturing closure. A timer's
+	// event is owned: it stays with its timer when it fires.
+	afn   func(a0, a1 any)
+	a0    any
+	a1    any
+	owned bool
 
 	index int    // heap index; -1 when not in the heap
 	lane  *lane  // the lane this event was scheduled on, if any
@@ -349,26 +349,41 @@ func (e *Engine) NewLane() clock.Lane {
 
 // NewTimer implements clock.Clock: it returns an unarmed timer bound to
 // fn, carved from the engine's timer slab.
-func (e *Engine) NewTimer(fn func()) clock.Timer {
+func (e *Engine) NewTimer(fn func()) clock.Timer { return e.NewCallTimer(callFunc, fn, nil) }
+
+// NewCallTimer implements clock.Clock: an unarmed timer that calls
+// fn(a0, a1), carved from the engine's timer slab.
+func (e *Engine) NewCallTimer(fn func(a0, a1 any), a0, a1 any) clock.Timer {
 	t := e.timers.New()
-	t.init(e, fn)
+	t.init(e, fn, a0, a1)
 	return t
 }
 
 // Tick implements clock.Clock: fn runs every period, first one period
-// from now, until the returned ticker is stopped. Each tick re-arms an
-// intrusive timer, so a running ticker allocates nothing. Tickers are
-// carved from the engine's ticker slab.
+// from now, until the returned ticker is stopped.
 func (e *Engine) Tick(period Time, fn func()) clock.Ticker {
+	return e.CallEvery(period, callFunc, fn, nil)
+}
+
+// CallEvery implements clock.Clock: fn(a0, a1) runs every period, first
+// one period from now, until the returned ticker is stopped. Each tick
+// re-arms an intrusive timer, so a running ticker allocates nothing.
+// Tickers are carved from the engine's ticker slab.
+func (e *Engine) CallEvery(period Time, fn func(a0, a1 any), a0, a1 any) clock.Ticker {
 	if period <= 0 {
 		panic("sim: Tick period must be positive")
 	}
 	t := e.tickers.New()
-	t.period, t.fn = period, fn
-	t.timer.init(e, t.tick)
+	t.period, t.fn, t.a0, t.a1 = period, fn, a0, a1
+	t.timer.init(e, tickerFire, t, nil)
 	t.timer.ArmAfter(period)
 	return t
 }
+
+// callFunc runs the plain func() in a0: the static callback behind
+// NewTimer and Tick. A func value is one pointer, so boxing it into a0
+// does not allocate.
+func callFunc(a0, _ any) { a0.(func())() }
 
 // The engine is the virtual-time implementation of the scheduling
 // interface; clock.Wall is the real-time one.
@@ -406,11 +421,10 @@ func (e *Engine) step(limit Time, useLimit bool) bool {
 		panic(fmt.Sprintf("sim: clock would run backwards: event at %v, now %v", next.at, e.now))
 	}
 	e.now = next.at
-	if next.afn == nil {
-		next.fn()
+	next.afn(next.a0, next.a1)
+	if next.owned {
 		return true
 	}
-	next.afn(next.a0, next.a1)
 	// Back to the free list, dropping references so the pool never
 	// retains callbacks or packet arguments.
 	next.afn, next.a0, next.a1 = nil, nil, nil
@@ -446,9 +460,9 @@ type timer struct {
 	ev  event
 }
 
-func (t *timer) init(eng *Engine, fn func()) {
+func (t *timer) init(eng *Engine, fn func(a0, a1 any), a0, a1 any) {
 	t.eng = eng
-	t.ev.fn = fn
+	t.ev.afn, t.ev.a0, t.ev.a1, t.ev.owned = fn, a0, a1, true
 	t.ev.index = -1
 }
 
@@ -524,15 +538,18 @@ func (l *lane) CallAt(t Time, fn func(a0, a1 any), a0, a1 any) {
 type ticker struct {
 	timer   timer
 	period  Time
-	fn      func()
+	fn      func(a0, a1 any)
+	a0, a1  any
 	stopped bool
 }
 
-func (t *ticker) tick() {
+// tickerFire is every ticker's timer callback, with the ticker in a0.
+func tickerFire(a0, _ any) {
+	t := a0.(*ticker)
 	if t.stopped {
 		return
 	}
-	t.fn()
+	t.fn(t.a0, t.a1)
 	if !t.stopped {
 		t.timer.ArmAfter(t.period)
 	}

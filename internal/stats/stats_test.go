@@ -187,3 +187,32 @@ func TestMaxFilterWindowAndMonotonicity(t *testing.T) {
 		t.Fatalf("max after expiry = %v, want 1", m.Get())
 	}
 }
+
+// TestReserveInKeepsSamplesApart carves many small samples from one
+// arena: one chunk serves them all, and a sample that outgrows its room
+// moves out without touching its neighbour's values.
+func TestReserveInKeepsSamplesApart(t *testing.T) {
+	var a Arena
+	samples := make([]Sample, 100)
+	if n := testing.AllocsPerRun(1, func() {
+		a = Arena{}
+		for i := range samples {
+			samples[i] = Sample{}
+			samples[i].ReserveIn(&a, 2)
+		}
+	}); n != 1 {
+		t.Errorf("reserving 100 two-value samples from an arena: %v allocations, want 1", n)
+	}
+	s1, s2 := &samples[0], &samples[1]
+	s1.Add(1)
+	s1.Add(2)
+	s2.Add(10)
+	s1.Add(3) // past its room
+	s2.Add(20)
+	if s1.N() != 3 || s1.Min() != 1 || s1.Max() != 3 || s1.Mean() != 2 {
+		t.Errorf("s1: n %d min %v max %v mean %v, want 3 values 1, 2, 3", s1.N(), s1.Min(), s1.Max(), s1.Mean())
+	}
+	if s2.N() != 2 || s2.Min() != 10 || s2.Max() != 20 {
+		t.Errorf("s2: n %d min %v max %v, want 10 and 20", s2.N(), s2.Min(), s2.Max())
+	}
+}

@@ -119,7 +119,7 @@ func runTransfers(c reuseCase, reuse bool) ([]wirePacket, []transferStats, []*re
 			k := int(c.pick[i%len(c.pick)]) % len(free)
 			p := free[k]
 			free = append(free[:k], free[k+1:]...)
-			p.s.Init(eng, fwd, sa, ra, id, size, p.controller(cc), done)
+			p.s.Init(eng, fwd, sa, ra, id, size, p.controller(cc), CompletionFunc(done))
 			p.r.Init(eng, rev, ra, sa, id, size, nil)
 			pairs[i] = p
 		} else {

@@ -15,7 +15,9 @@
 package tcp
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
 	"bundler/internal/clock"
 	"bundler/internal/netem"
@@ -55,23 +57,27 @@ type Sender struct {
 	sndUna    int64
 	sb        scoreboard // the segments in [sndUna, sndNxt)
 	dupacks   int
-	recovery  bool
-	recoverPt int64
+	recoverPt int64 // the end of the window recovery repairs (see recovery)
 
 	srtt, rttvar, rto clock.Time
 	lastRTT           clock.Time
+	maxRTT            clock.Time // the largest RTT sample
+	lastAckAt         clock.Time // when sndUna last advanced
 	rtoTimer          clock.Timer
 
-	ipid       uint16
 	nextSendAt clock.Time
 	paceTimer  clock.Timer // created on first use: only BBR paces
 	pool       *pkt.Pool
 
+	// The small fields share one word: a sender is most of a recycled
+	// connection record, which a fabric carves 16 at a time.
+	ipid       uint16
+	recovery   bool
 	started    bool
 	done       bool
 	StartedAt  clock.Time
 	DoneAt     clock.Time
-	onComplete func(now clock.Time)
+	onComplete Completion
 
 	// Counters for tests and stats.
 	DataSent    int
@@ -79,12 +85,36 @@ type Sender struct {
 	Timeouts    int
 }
 
+// Completion is told when an endpoint's transfer completes: a sender's
+// at the final byte's cumulative acknowledgement, a receiver's at the
+// last byte's in-order arrival. It is an interface rather than a func
+// value so that an owner keeping both endpoints in one record hands in
+// that record (through a named conversion per endpoint) and wiring a
+// flow allocates no bound method value.
+type Completion interface {
+	Complete(now clock.Time)
+}
+
+// CompletionFunc adapts a function to the Completion interface.
+type CompletionFunc func(now clock.Time)
+
+// Complete implements Completion.
+func (f CompletionFunc) Complete(now clock.Time) { f(now) }
+
+// completion is fn as a Completion; a nil fn is none.
+func completion(fn func(now clock.Time)) Completion {
+	if fn == nil {
+		return nil
+	}
+	return CompletionFunc(fn)
+}
+
 // NewSender constructs a sender for a size-byte transfer. out is the first
 // hop of the egress path; onComplete (optional) fires when the final byte
 // is cumulatively acknowledged.
 func NewSender(eng clock.Clock, out netem.Receiver, src, dst pkt.Addr, flowID uint64, size int64, cc Congestion, onComplete func(now clock.Time)) *Sender {
 	s := new(Sender)
-	s.Init(eng, out, src, dst, flowID, size, cc, onComplete)
+	s.Init(eng, out, src, dst, flowID, size, cc, completion(onComplete))
 	return s
 }
 
@@ -94,13 +124,13 @@ func NewSender(eng clock.Clock, out netem.Receiver, src, dst pkt.Addr, flowID ui
 // timers (stopped, and kept only on the same clock) and the scoreboard
 // ring. Re-initialise a sender only once its transfer is over and
 // nothing else holds it, in a later event than its completion.
-func (s *Sender) Init(eng clock.Clock, out netem.Receiver, src, dst pkt.Addr, flowID uint64, size int64, cc Congestion, onComplete func(now clock.Time)) {
+func (s *Sender) Init(eng clock.Clock, out netem.Receiver, src, dst pkt.Addr, flowID uint64, size int64, cc Congestion, onComplete Completion) {
 	if size <= 0 {
 		panic("tcp: transfer size must be positive")
 	}
 	rtoTimer, paceTimer := s.rtoTimer, s.paceTimer
 	if s.eng != eng { // a timer belongs to one clock; a zero Sender has none
-		rtoTimer, paceTimer = eng.NewTimer(s.onRTO), nil
+		rtoTimer, paceTimer = eng.NewCallTimer(senderRTO, s, nil), nil
 	}
 	rtoTimer.Stop()
 	if paceTimer != nil {
@@ -153,7 +183,7 @@ func (s *Sender) trySend() {
 			now := s.eng.Now()
 			if now < s.nextSendAt {
 				if s.paceTimer == nil {
-					s.paceTimer = s.eng.NewTimer(s.trySend)
+					s.paceTimer = s.eng.NewCallTimer(senderPace, s, nil)
 				}
 				if !s.paceTimer.Pending() {
 					s.paceTimer.ArmAt(s.nextSendAt)
@@ -221,6 +251,10 @@ func (s *Sender) rearmRTO() {
 	}
 }
 
+// senderRTO and senderPace are the timer callbacks of the sender in a0.
+func senderRTO(a0, _ any)  { a0.(*Sender).onRTO() }
+func senderPace(a0, _ any) { a0.(*Sender).trySend() }
+
 func (s *Sender) onRTO() {
 	if s.done {
 		return
@@ -256,7 +290,7 @@ func (s *Sender) Receive(p *pkt.Packet) {
 			s.sampleRTT(now - sent)
 		}
 		newly := ack - s.sndUna
-		s.sndUna = ack
+		s.sndUna, s.lastAckAt = ack, now
 		s.dupacks = 0
 		s.cc.OnAck(int(newly), s.lastRTT, now)
 		if s.recovery && ack >= s.recoverPt {
@@ -296,6 +330,7 @@ var _ netem.Receiver = (*Sender)(nil)
 // sampleRTT feeds one round-trip measurement to the RFC 6298 estimator.
 func (s *Sender) sampleRTT(rtt clock.Time) {
 	s.lastRTT = rtt
+	s.maxRTT = max(s.maxRTT, rtt)
 	if s.srtt == 0 {
 		s.srtt = rtt
 		s.rttvar = rtt / 2
@@ -320,8 +355,32 @@ func (s *Sender) complete(now clock.Time) {
 	s.Abort() // stop the timers, end the scoreboard
 	s.DoneAt = now
 	if s.onComplete != nil {
-		s.onComplete(now)
+		s.onComplete.Complete(now)
 	}
+}
+
+// Stall is a sender's state, as a record that explains an unfinished
+// transfer: how far it got and what its loss recovery and RTT
+// estimator were doing.
+type Stall struct {
+	FlowID      uint64
+	Size, Acked int64      // bytes: the transfer's, and sndUna
+	Start       clock.Time // when the transfer started
+	LastAck     clock.Time // when sndUna last advanced; 0 if it never did
+	SRTT, RTO   clock.Time
+	RTOAtCap    bool // RTO has backed off to its 60 s cap
+	MaxRTT      clock.Time
+	Timeouts    int
+	Retransmits int
+	Recovery    bool
+	CwndBytes   float64
+}
+
+// Stall returns the sender's state as a Stall record.
+func (s *Sender) Stall() Stall {
+	return Stall{FlowID: s.flowID, Size: s.size, Acked: s.sndUna, Start: s.StartedAt, LastAck: s.lastAckAt,
+		SRTT: s.srtt, RTO: s.rto, RTOAtCap: s.rto >= maxRTO, MaxRTT: s.maxRTT, Timeouts: s.Timeouts,
+		Retransmits: s.Retransmits, Recovery: s.recovery, CwndBytes: s.cc.CwndBytes()}
 }
 
 // Abort stops the transfer immediately without marking it complete:
@@ -353,7 +412,7 @@ type Receiver struct {
 	pool   *pkt.Pool
 
 	done       bool
-	onComplete func(now clock.Time)
+	onComplete Completion
 }
 
 type interval struct{ start, end int64 }
@@ -363,14 +422,14 @@ type interval struct{ start, end int64 }
 // the last payload byte arrives in order.
 func NewReceiver(eng clock.Clock, out netem.Receiver, addr, peer pkt.Addr, flowID uint64, size int64, onComplete func(now clock.Time)) *Receiver {
 	r := new(Receiver)
-	r.Init(eng, out, addr, peer, flowID, size, onComplete)
+	r.Init(eng, out, addr, peer, flowID, size, completion(onComplete))
 	return r
 }
 
 // Init (re)initialises r in place as NewReceiver's receiver. Every field
 // starts afresh except the reassembly list's backing array; the rule for
 // reuse is Sender.Init's.
-func (r *Receiver) Init(eng clock.Clock, out netem.Receiver, addr, peer pkt.Addr, flowID uint64, size int64, onComplete func(now clock.Time)) {
+func (r *Receiver) Init(eng clock.Clock, out netem.Receiver, addr, peer pkt.Addr, flowID uint64, size int64, onComplete Completion) {
 	*r = Receiver{eng: eng, out: out, addr: addr, peer: peer, flowID: flowID, size: size,
 		ooo: r.ooo[:0], onComplete: onComplete}
 }
@@ -393,7 +452,7 @@ func (r *Receiver) Receive(p *pkt.Packet) {
 	if !r.done && r.rcvNxt >= r.size {
 		r.done = true
 		if r.onComplete != nil {
-			r.onComplete(r.eng.Now())
+			r.onComplete.Complete(r.eng.Now())
 		}
 	}
 	r.sendAck()
@@ -507,3 +566,17 @@ func (m *Mux) Receive(p *pkt.Packet) {
 
 // Dropped reports packets with no registered endpoint.
 func (m *Mux) Dropped() int { return m.dropped }
+
+// Stalls returns the state of every registered sender that has not
+// completed, in flow-ID order: what a run that stops at its horizon
+// unfinished still has in flight.
+func (m *Mux) Stalls() []Stall {
+	var out []Stall
+	for _, r := range m.routes {
+		if s, ok := r.(*Sender); ok && !s.done {
+			out = append(out, s.Stall())
+		}
+	}
+	slices.SortFunc(out, func(a, b Stall) int { return cmp.Compare(a.FlowID, b.FlowID) })
+	return out
+}

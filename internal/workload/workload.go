@@ -115,32 +115,50 @@ func (d *SizeDist) Mean() float64 {
 // the drawn flow size. Arrival times use the engine's deterministic RNG:
 // each arrival draws its size, runs fn, then draws the gap to the next.
 func Arrivals(eng clock.Clock, d *SizeDist, offeredBps float64, n int, fn func(size int64)) {
-	if offeredBps <= 0 || n <= 0 {
-		panic("workload: offered load and request count must be positive")
-	}
-	a := &arrivals{eng: eng, d: d, lambda: offeredBps / 8 / d.Mean(), left: n, fn: fn}
-	eng.CallAt(eng.Now()+a.gap(), arrive, a, nil)
+	new(Poisson).Start(eng, d, offeredBps, n, arrivalFunc(fn))
 }
 
-// arrivals is one Arrivals workload. It re-schedules itself through
-// CallAt with the package-level arrive, so the workload costs one
-// allocation however many arrivals it makes.
-type arrivals struct {
+// Arrival is told each arrival's drawn flow size. A workload's owner
+// implements it on the record that holds the Poisson, so starting the
+// workload allocates no closure.
+type Arrival interface {
+	Arrive(size int64)
+}
+
+// arrivalFunc adapts Arrivals' plain func to Arrival.
+type arrivalFunc func(size int64)
+
+func (f arrivalFunc) Arrive(size int64) { f(size) }
+
+// Poisson is one Arrivals workload, held in place by its owner. It
+// re-schedules itself through CallAt with the package-level arrive, so
+// it costs no allocation however many arrivals it makes.
+type Poisson struct {
 	eng    clock.Clock
 	d      *SizeDist
 	lambda float64 // requests per second
 	left   int     // arrivals not yet fired, this one included
-	fn     func(size int64)
+	to     Arrival
 }
 
-func (a *arrivals) gap() clock.Time {
+// Start schedules the arrivals of Arrivals(eng, d, offeredBps, n, …)
+// on a, telling to of each. a must not be moved while arrivals remain.
+func (a *Poisson) Start(eng clock.Clock, d *SizeDist, offeredBps float64, n int, to Arrival) {
+	if offeredBps <= 0 || n <= 0 {
+		panic("workload: offered load and request count must be positive")
+	}
+	*a = Poisson{eng: eng, d: d, lambda: offeredBps / 8 / d.Mean(), left: n, to: to}
+	eng.CallAt(eng.Now()+a.gap(), arrive, a, nil)
+}
+
+func (a *Poisson) gap() clock.Time {
 	return clock.FromSeconds(a.eng.Rand().ExpFloat64() / a.lambda)
 }
 
-// arrive fires one arrival of the *arrivals in a0 and schedules the next.
+// arrive fires one arrival of the *Poisson in a0 and schedules the next.
 func arrive(a0, _ any) {
-	a := a0.(*arrivals)
-	a.fn(a.d.Sample(a.eng.Rand()))
+	a := a0.(*Poisson)
+	a.to.Arrive(a.d.Sample(a.eng.Rand()))
 	gap := a.gap()
 	if a.left--; a.left > 0 {
 		a.eng.CallAt(a.eng.Now()+gap, arrive, a, nil)
@@ -221,19 +239,43 @@ type Recorder struct {
 // NewRecorder builds a recorder that normalizes against the given unloaded
 // path parameters.
 func NewRecorder(linkRate float64, rtt clock.Time) *Recorder {
-	return &Recorder{linkRate: linkRate, rtt: rtt}
+	r := new(Recorder)
+	r.Init(linkRate, rtt)
+	return r
+}
+
+// Init sets r up in place as NewRecorder's recorder, for an owner that
+// holds its recorder by value.
+func (r *Recorder) Init(linkRate float64, rtt clock.Time) {
+	*r = Recorder{linkRate: linkRate, rtt: rtt}
 }
 
 // Reserve pre-sizes the recorder's sample buffers for n expected flows,
 // batching what would otherwise be grow-on-Add reallocation during the
 // run. The per-class samples are sized by the web CDF's class shares
 // (97.6 % small) with headroom, since exact splits are seed-dependent.
-// Tiny workloads are left to grow on Add: below a few dozen flows the
-// eight reservation allocations cost more than the appends they would
-// save, and a large mesh carries one recorder per ordered site pair —
-// thousands of them, most seeing a handful of flows each.
-func (r *Recorder) Reserve(n int) {
+// Tiny workloads (n < 32) are left to grow on Add: below a few dozen
+// flows the eight reservation allocations cost more than the appends
+// they would save. An owner of many small recorders (a large mesh
+// carries one per ordered site pair, thousands of them, most seeing a
+// handful of flows each) reserves them with ReserveIn instead.
+func (r *Recorder) Reserve(n int) { r.ReserveIn(nil, n) }
+
+// ReserveIn is Reserve with a small n's buffers carved from a: the
+// all-flow samples and the small class's, which the web CDF gives 97.6 %
+// of flows, get room for all n, so the recorder usually costs no
+// allocation of its own; a rarer medium or large flow grows its class's
+// sample on Add. A nil a leaves a small n to grow on Add, as Reserve
+// does; a large n reserves as Reserve does either way.
+func (r *Recorder) ReserveIn(a *stats.Arena, n int) {
 	if n < 32 {
+		if a == nil {
+			return
+		}
+		r.Slowdowns.ReserveIn(a, n)
+		r.FCTms.ReserveIn(a, n)
+		r.ByClass[ClassSmall].ReserveIn(a, n)
+		r.FCTByClass[ClassSmall].ReserveIn(a, n)
 		return
 	}
 	r.Slowdowns.Reserve(n)

@@ -189,6 +189,30 @@ func TestArrivalsAllocs(t *testing.T) {
 	}
 }
 
+// counter is an Arrival that counts arrivals.
+type counter int
+
+func (c *counter) Arrive(int64) { *c++ }
+
+// TestPoissonInPlaceAllocFree: a Poisson held by its owner and started
+// with an Arrival costs no allocation at all, and fires the arrivals
+// Arrivals would.
+func TestPoissonInPlaceAllocFree(t *testing.T) {
+	const n = 1000
+	eng := sim.NewEngine(1)
+	var p Poisson
+	var c counter
+	if allocs := testing.AllocsPerRun(10, func() {
+		p.Start(eng, PaperWebCDF(), 24e6, n, &c)
+		eng.Run()
+	}); allocs != 0 {
+		t.Errorf("Poisson.Start of %d requests: %.0f allocations, want 0", n, allocs)
+	}
+	if c != 11*n {
+		t.Fatalf("%d arrivals fired, want %d", c, 11*n)
+	}
+}
+
 func TestOracleFCT(t *testing.T) {
 	rtt := 50 * sim.Millisecond
 	// A 1-byte flow: 1 RTT + ~0 transmission.

@@ -446,7 +446,12 @@ type Demux struct {
 }
 
 // NewDemux returns an empty destination demultiplexer.
-func NewDemux() *Demux { return &Demux{hosts: make(map[uint32]Receiver)} }
+func NewDemux() *Demux { return NewDemuxSized(0, 0) }
+
+// NewDemuxSized returns an empty demux with room for site ids 1 to sites and hosts host routes.
+func NewDemuxSized(sites, hosts int) *Demux {
+	return &Demux{sites: make([]Receiver, 0, sites+1), hosts: make(map[uint32]Receiver, hosts)}
+}
 
 // Route installs dst as the receiver for unstamped packets addressed to
 // host.

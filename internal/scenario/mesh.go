@@ -290,7 +290,7 @@ func NewMesh(o MeshOptions) *Mesh {
 	accessBuf := netem.BDPBuffer(o.AccessRate, o.RTT)
 	for i := 0; i < o.Sites; i++ {
 		pa := parts[i]
-		fab := NewFabric(pa.Eng, o.RTT)
+		fab := newFabric(pa.Eng, o.RTT, o.Sites-1, o.Bundled)
 		fab.Pool = pa.Pool
 		hostBase, ctlBase, flowBase := meshHostBase(i)
 		fab.setIDSpace(hostBase, ctlBase, flowBase)

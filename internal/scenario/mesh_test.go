@@ -122,8 +122,9 @@ func TestMeshSweepDeterminism(t *testing.T) {
 // holds its pacer, inner loop, detector, pulser and PI controller by
 // value, no hook is a bound method value, each fabric has one
 // destination mux and every pair shares one size CDF; so built, it
-// measures 474 allocations, and the ceiling leaves about 10 % of
-// headroom above that.
+// measured 474 allocations, and the ceiling leaves about 10 % of
+// headroom above that. Sizing the muxes and demux for the fabric's
+// sites up front moved their growth from the run into set-up: 482.
 func TestMeshSetupAllocs(t *testing.T) {
 	const ceiling = 520
 	o := MeshOptions{Seed: 1, Sites: 8, Bundled: true, Requests: 1, Shards: 1}
@@ -134,11 +135,13 @@ func TestMeshSetupAllocs(t *testing.T) {
 
 // TestMeshPairAllocs prices a mesh pair's set-up and first flow: NewMesh
 // plus Run of a hub mesh with one request per pair, per ordered pair.
-// An 8-site mesh measures 14.96 allocations per pair bundled and 11.89
-// status quo; the ceilings leave about 10 % of headroom. A 64-site mesh
-// must cost no more per pair than the 8-site one, so per-pair cost does
-// not grow with the site count (it reads 4.44 and 2.95: per-site and
-// per-fabric costs spread over more pairs).
+// An 8-site mesh measured 14.96 allocations per pair bundled and 11.89
+// status quo; the ceilings leave about 10 % of headroom above those. A
+// 64-site mesh must cost no more per pair than the 8-site one, so
+// per-pair cost does not grow with the site count (it read 4.44 and
+// 2.95: per-site and per-fabric costs spread over more pairs). With
+// controllers and rings carved per fabric and muxes sized up front, the
+// four read 12.39, 9.70, 2.91 and 1.62.
 func TestMeshPairAllocs(t *testing.T) {
 	perPair := func(sites int, bundled bool) float64 {
 		o := MeshOptions{Seed: 1, Sites: sites, Bundled: bundled, Requests: 1, Shards: 1}

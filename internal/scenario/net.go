@@ -92,9 +92,10 @@ type Fabric struct {
 	loops     sim.Slab[openLoop]
 	conns     sim.Slab[conn]
 	boxes     sim.Slab[boxPair]
-	floats    stats.Arena // the sample buffers of small open-loop recorders
-	free      *conn       // finished open-loop connections, linked through conn.next
-	nextSite  uint16      // the last site id handed out; ids start at 1
+	floats    sim.Arena[float64] // the sample buffers of small open-loop recorders
+	rings     sim.Arena[uint64]  // the senders' first scoreboard rings
+	free      *conn              // finished open-loop connections, linked through conn.next
+	nextSite  uint16             // the last site id handed out; ids start at 1
 	nextHost  uint32
 	nextCtl   uint32
 	hostLimit uint32
@@ -107,10 +108,19 @@ type Fabric struct {
 // Within this package, the dumbbell and the mesh set oracleRate before
 // adding sites that record slowdowns; other callers give each workload
 // its Traffic.OracleRate.
-func NewFabric(eng *sim.Engine, rtt sim.Time) *Fabric {
-	muxA := tcp.NewMux()
-	return &Fabric{eng: eng, muxA: muxA, Demux: netem.NewDemux(),
-		reverse: netem.NewReverseLink(eng, rtt, muxA), oracleRTT: rtt, muxB: tcp.NewMux(),
+func NewFabric(eng *sim.Engine, rtt sim.Time) *Fabric { return newFabric(eng, rtt, 0, false) }
+
+// newFabric is NewFabric for a caller that will add sites sites, bundled
+// or not: the muxes and demux have room for every site's routes and one
+// live flow per site, so they do not grow as the sites and flows start.
+func newFabric(eng *sim.Engine, rtt sim.Time, sites int, bundled bool) *Fabric {
+	ctl := 0 // a bundled site's control address in each mux, and its demux host route
+	if bundled {
+		ctl = sites
+	}
+	muxA := tcp.NewMuxSized(ctl + sites)
+	return &Fabric{eng: eng, muxA: muxA, Demux: netem.NewDemuxSized(sites, ctl),
+		reverse: netem.NewReverseLink(eng, rtt, muxA), oracleRTT: rtt, muxB: tcp.NewMuxSized(ctl + sites),
 		nextHost: 1 << 16, nextCtl: 1 << 30}
 }
 
@@ -308,9 +318,10 @@ type conn struct {
 	counted bool
 	done    func(size int64, fct sim.Time)
 
-	// cc is the controller open-loop flows re-initialise in place while
-	// they ask for the same kind (ccName, ccSegs: Traffic's CC and
-	// FixedCwndSegs).
+	// An open-loop flow's controller is re-initialised in place: cubic
+	// for the default, cc for any other kind while flows ask for the same
+	// one (ccName, ccSegs: Traffic's CC and FixedCwndSegs).
+	cubic  tcp.Cubic
 	cc     tcp.Congestion
 	ccName string
 	ccSegs int
@@ -341,13 +352,16 @@ func (f *Fabric) conn() *conn {
 }
 
 // controller returns a fresh controller of the kind a Traffic with CC
-// name and FixedCwndSegs segs asks for: the record's own, re-initialised
-// in place, when it is of that kind.
+// name and FixedCwndSegs segs asks for, re-initialised in place: Cubic,
+// the default, is held by the record itself; another kind is reused when
+// the record's last one was of that kind.
 func (c *conn) controller(name string, segs int) tcp.Congestion {
+	if segs <= 0 && (name == "" || name == "cubic") {
+		c.cubic.Init()
+		return &c.cubic
+	}
 	if c.cc != nil && c.ccName == name && c.ccSegs == segs {
 		switch cc := c.cc.(type) {
-		case *tcp.Cubic:
-			cc.Init()
 		case *tcp.Reno:
 			cc.Init()
 		case *tcp.BBR:
@@ -412,6 +426,7 @@ func (s *Site) startConn(c *conn, size int64, cc tcp.Congestion, dstPort uint16)
 	n.flowID++
 	c.rcv.Init(n.eng, n.reverse, c.dst, c.src, n.flowID, size, (*receivedHook)(c))
 	c.rcv.SetPool(n.Pool)
+	c.snd.ReserveRing(&n.rings, size)
 	c.snd.Init(n.eng, s.egress, c.src, c.dst, n.flowID, size, cc, (*sentHook)(c))
 	c.snd.SetPool(n.Pool)
 	n.muxA.Register(c.src, &c.snd)

@@ -13,6 +13,7 @@ import (
 type stall struct {
 	tcp.Stall
 	Idle    sim.Time // since the last byte was acknowledged (or the start)
+	BDP     float64  // the unloaded path's bandwidth-delay product, bytes; 0 if unknown
 	Verdict string
 }
 
@@ -28,6 +29,11 @@ var stallRules = [...]struct {
 	// RTO per step.
 	{"RTT estimator", func(s *stall, rtt sim.Time) bool {
 		return s.RTOAtCap && s.Timeouts >= 5 && s.SRTT >= 10*rtt
+	}},
+	// A window far beyond what the path holds: the controller's path
+	// model ran away (BBR's bandwidth samples under loss).
+	{"window runaway", func(s *stall, _ sim.Time) bool {
+		return s.BDP > 0 && s.CwndBytes >= 8*s.BDP
 	}},
 	// Repeated timeouts with nothing acknowledged for a second: the
 	// path loses everything the sender sends.
@@ -48,7 +54,7 @@ func (f *Fabric) stalls() []stall {
 	now := f.eng.Now()
 	var out []stall
 	for _, st := range f.muxA.Stalls() {
-		s := stall{Stall: st, Idle: now - max(st.LastAck, st.Start)}
+		s := stall{Stall: st, Idle: now - max(st.LastAck, st.Start), BDP: f.oracleRate * f.oracleRTT.Seconds() / 8}
 		for _, r := range stallRules {
 			if r.match(&s, f.oracleRTT) {
 				s.Verdict = r.verdict
@@ -78,7 +84,7 @@ func (s stall) String() string {
 	if s.Recovery {
 		state = "in recovery"
 	}
-	return fmt.Sprintf("stall flow %d: %d B, acked %d B, started %v, last ack %v, idle %v, srtt %v, rto %s, max rtt %v, %d timeouts, %d retransmits, %s, cwnd %.0f B: %s",
+	return fmt.Sprintf("stall flow %d: %d B, acked %d B, started %v, last ack %v, idle %v, srtt %v, rto %s, max rtt %v, %d timeouts, %d retransmits, %s, cwnd %.0f B (path BDP %.0f B): %s",
 		s.FlowID, s.Size, s.Acked, s.Start, s.LastAck, s.Idle, s.SRTT, rto, s.MaxRTT,
-		s.Timeouts, s.Retransmits, state, s.CwndBytes, s.Verdict)
+		s.Timeouts, s.Retransmits, state, s.CwndBytes, s.BDP, s.Verdict)
 }

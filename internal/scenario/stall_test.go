@@ -56,6 +56,26 @@ func TestStallNamesCutLink(t *testing.T) {
 	}
 }
 
+// TestStallNamesWindowRunaway runs one BBR flow over the dumbbell
+// behind an element that drops 2 % of its packets. BBR's delivery-rate
+// sampler credits a cumulative ACK's whole jump to one inter-ACK gap,
+// so within 10 s its window is hundreds of times the path's 600 kB BDP,
+// the shape of sec74's stalled BBR flow; the verdict names that.
+func TestStallNamesWindowRunaway(t *testing.T) {
+	n := newNet(netConfig{Seed: 1})
+	site := n.AddSiteAt(netem.NewLossy(n.eng, 0.02, n.bottleneck), nil)
+	site.AddFlow(65e6, tcp.NewBBR(), nil)
+	n.eng.RunUntil(10 * sim.Second)
+	st := n.stalls()
+	if len(st) != 1 || st[0].Verdict != "window runaway" {
+		t.Fatalf("stalls %+v, want one with verdict \"window runaway\"", st)
+	}
+	t.Log(st[0])
+	if st[0].CwndBytes < 8*st[0].BDP || st[0].BDP != 600e3 {
+		t.Errorf("stall %+v: want a cwnd of at least 8 × the path's 600 kB BDP", st[0])
+	}
+}
+
 // TestStallRules pins the rule table on records shaped like the stalls
 // each row names.
 func TestStallRules(t *testing.T) {
@@ -70,11 +90,14 @@ func TestStallRules(t *testing.T) {
 		// samples left unfinished at 150 s.
 		{"estimator", tcp.Stall{SRTT: 28 * sim.Second, RTO: 60 * sim.Second, RTOAtCap: true, Timeouts: 14, Retransmits: 44305},
 			20 * sim.Second, "RTT estimator"},
+		// sec74's status-quo BBR flow: 13.5 MB acked of 65 MB at 150 s.
+		{"runaway", tcp.Stall{SRTT: 470 * sim.Millisecond, RTO: 60 * sim.Second, RTOAtCap: true, Timeouts: 7,
+			Retransmits: 186846, CwndBytes: 220e6}, 6 * sim.Second, "window runaway"},
 		{"dead path", tcp.Stall{SRTT: 60 * sim.Millisecond, RTO: 25 * sim.Second, Timeouts: 7}, 29 * sim.Second, "dead path"},
 		{"starved", tcp.Stall{SRTT: 80 * sim.Millisecond, RTO: 300 * sim.Millisecond}, 12 * sim.Second, "scheduler starvation"},
 		{"moving", tcp.Stall{SRTT: 80 * sim.Millisecond, RTO: 300 * sim.Millisecond, Timeouts: 1}, 100 * sim.Millisecond, "slow progress"},
 	} {
-		s := stall{Stall: c.st, Idle: c.idle}
+		s := stall{Stall: c.st, Idle: c.idle, BDP: 600e3} // 96 Mbit/s × 50 ms
 		for _, r := range stallRules {
 			if r.match(&s, rtt) {
 				s.Verdict = r.verdict

@@ -231,6 +231,24 @@ func (s *Slab[T]) New() *T {
 	return v
 }
 
+// Arena carves the small buffers of many owners from shared chunks. A
+// live buffer keeps its whole chunk reachable, so an arena suits buffers
+// that live and die together. The zero Arena is ready to use.
+type Arena[T any] struct{ free []T }
+
+// arenaChunk is how many values an Arena chunk holds, unless a request needs more.
+const arenaChunk = 256
+
+// Take returns an empty slice of capacity n whose storage no other Take shares.
+func (a *Arena[T]) Take(n int) []T {
+	if len(a.free) < n {
+		a.free = make([]T, max(n, arenaChunk))
+	}
+	v := a.free[:0:n]
+	a.free = a.free[n:]
+	return v
+}
+
 // FIFO is a first-in first-out queue of values in a slice read from a
 // moving head: a sliding window (the Sendbox's boundary order, WFQ's
 // finish tags, FQ-CoDel's flow lists) that keeps its storage. A push

@@ -70,39 +70,18 @@ func (s *Sample) Reserve(n int) { s.ReserveIn(nil, n) }
 // samples share one allocation per chunk of a. A nil a allocates, as
 // Reserve does. The carved room is the sample's alone: an Add past it
 // moves the sample to a buffer of its own.
-func (s *Sample) ReserveIn(a *Arena, n int) {
+func (s *Sample) ReserveIn(a *sim.Arena[float64], n int) {
 	if s.sk != nil || cap(s.vals) >= n {
 		return
 	}
 	var vals []float64
 	if a != nil {
-		vals = a.take(n)[:len(s.vals)]
+		vals = a.Take(n)[:len(s.vals)]
 	} else {
 		vals = make([]float64, len(s.vals), n)
 	}
 	copy(vals, s.vals)
 	s.vals = vals
-}
-
-// Arena carves the buffers of many small samples from shared chunks.
-// A live sample keeps its whole chunk reachable, so an arena suits
-// samples that live and die together (a mesh's per-pair recorders).
-// The zero Arena is ready to use.
-type Arena struct{ free []float64 }
-
-// arenaChunk is how many values one chunk of an Arena holds, unless a
-// single request needs more.
-const arenaChunk = 256
-
-// take returns an empty slice of capacity n whose storage no other
-// take shares.
-func (a *Arena) take(n int) []float64 {
-	if len(a.free) < n {
-		a.free = make([]float64, max(n, arenaChunk))
-	}
-	v := a.free[:0:n]
-	a.free = a.free[n:]
-	return v
 }
 
 // AddSample folds every observation of o into s — the aggregation step

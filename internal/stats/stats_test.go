@@ -192,10 +192,10 @@ func TestMaxFilterWindowAndMonotonicity(t *testing.T) {
 // arena: one chunk serves them all, and a sample that outgrows its room
 // moves out without touching its neighbour's values.
 func TestReserveInKeepsSamplesApart(t *testing.T) {
-	var a Arena
+	var a sim.Arena[float64]
 	samples := make([]Sample, 100)
 	if n := testing.AllocsPerRun(1, func() {
-		a = Arena{}
+		a = sim.Arena[float64]{}
 		for i := range samples {
 			samples[i] = Sample{}
 			samples[i].ReserveIn(&a, 2)

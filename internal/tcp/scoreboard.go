@@ -3,6 +3,7 @@ package tcp
 import (
 	"bundler/internal/clock"
 	"bundler/internal/pkt"
+	"bundler/internal/sim"
 )
 
 // Per-segment state, packed below the segment's last send time in one
@@ -64,16 +65,27 @@ type scoreboard struct {
 // than a fresh one behaves identically: positions are taken mod its
 // length, only live entries are read, and it grows only when full.
 func newScoreboard(size int64, ring []uint64) scoreboard {
-	b := scoreboard{size: size}
-	n := 1
-	for int64(n) < min(b.segs(), InitialCwnd) {
-		n *= 2
-	}
-	if len(ring) < n {
+	if n := ringSize(size); len(ring) < n {
 		ring = make([]uint64, n)
 	}
-	b.ring = ring
-	return b
+	return scoreboard{size: size, ring: ring}
+}
+
+// ringSize is a fresh ring's length: the initial window, rounded up to a power of two.
+func ringSize(size int64) int {
+	n := 1
+	for int64(n) < min((size+pkt.MSS-1)/pkt.MSS, InitialCwnd) {
+		n *= 2
+	}
+	return n
+}
+
+// ReserveRing carves from a the ring s's next Init, for a size-byte
+// transfer, would allocate; a large enough ring is kept. Call it first.
+func (s *Sender) ReserveRing(a *sim.Arena[uint64], size int64) {
+	if n := ringSize(size); len(s.sb.ring) < n {
+		s.sb.ring = a.Take(n)[:n]
+	}
 }
 
 func (b *scoreboard) at(k int64) *uint64 { return &b.ring[k&int64(len(b.ring)-1)] }

@@ -539,7 +539,10 @@ type Mux struct {
 }
 
 // NewMux returns an empty address mux.
-func NewMux() *Mux { return &Mux{routes: make(map[pkt.Addr]netem.Receiver)} }
+func NewMux() *Mux { return NewMuxSized(0) }
+
+// NewMuxSized returns an empty address mux with room for routes routes.
+func NewMuxSized(routes int) *Mux { return &Mux{routes: make(map[pkt.Addr]netem.Receiver, routes)} }
 
 // Register installs r as the receiver for packets addressed to a.
 // Registering the same address twice panics: it always indicates an

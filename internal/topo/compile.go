@@ -599,16 +599,28 @@ func meshOptions(sc Scenario, seed int64, pv map[string]string) (scenario.MeshOp
 // compileMesh instantiates a mesh scenario through scenario.NewMesh —
 // the same fabric the registered mesh experiment drives — and adapts its
 // per-pair recorders into the compiled form the report renderers expect
-// (one web workload named "s<i>-s<j>" per ordered site pair).
+// (one web workload named "s<i>-s<j>" per ordered site pair, one fluid
+// aggregate "s<i>" per site), all cut from one buffer: a mesh has at
+// most 64 sites, so an index is at most two digits.
 func compileMesh(opt scenario.MeshOptions) *compiled {
 	m := scenario.NewMesh(opt)
-	c := &compiled{mesh: m, horizon: m.Opt.Horizon}
-	for _, pr := range m.Pairs {
-		c.webs = append(c.webs, webOut{
-			Host: fmt.Sprintf("s%d-s%d", pr.Src, pr.Dst), Rec: pr.Rec})
+	c := &compiled{mesh: m, horizon: m.Opt.Horizon,
+		webs: make([]webOut, len(m.Pairs)), fluids: make([]fluidOut, len(m.Fluids))}
+	var names strings.Builder
+	names.Grow(len(m.Pairs)*len("s00-s00") + len(m.Fluids)*len("s00"))
+	var num [len("s00")]byte
+	site := func(i int) { names.Write(strconv.AppendInt(append(num[:0], 's'), int64(i), 10)) }
+	for i, pr := range m.Pairs {
+		at := names.Len()
+		site(pr.Src)
+		names.WriteByte('-')
+		site(pr.Dst)
+		c.webs[i] = webOut{Host: names.String()[at:], Rec: pr.Rec}
 	}
 	for i, a := range m.Fluids {
-		c.fluids = append(c.fluids, fluidOut{Host: fmt.Sprintf("s%d", i), Users: a.Users(), Agg: a})
+		at := names.Len()
+		site(i)
+		c.fluids[i] = fluidOut{Host: names.String()[at:], Users: a.Users(), Agg: a}
 	}
 	return c
 }

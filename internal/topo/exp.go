@@ -260,32 +260,54 @@ func summaryResult(cfg *Config, seed int64, p exp.Params, header string, outs []
 	var w strings.Builder
 	scenario.ReportHeader(&w, header)
 	res := exp.Result{Experiment: cfg.Name, Seed: seed, Params: p}
-	n := 0
+	// A web workload is named for its host, or host.class when it has a
+	// class (a host carries one per class, and metric names must not
+	// collide). All web metric names are cut from one buffer, and the
+	// report is sized up front, so neither grows with the workload count.
+	n, size, report := 0, 0, 0
 	for _, o := range outs {
 		n += 3*len(o.c.webs) + len(o.c.bulks) + 2*len(o.c.pings) + len(o.c.cbrs) + 2*len(o.c.fluids)
+		report += len(o.label) + len(" (ran 1000s virtual):\n")
+		for _, web := range o.c.webs {
+			name := len(web.Host)
+			if web.Class != "" {
+				name += len(".") + len(web.Class)
+			}
+			size += 3*(len(o.label)+len("/web-")+name) + len("/completed/median-slowdown/p99-slowdown")
+			report += max(12, name) + len("  web   completed 300/300, slowdown p50=10.00 p90=10.00 p99=10.00\n")
+		}
 	}
 	if n > 0 { // no metrics leaves Metrics nil
 		res.Metrics = make([]exp.Metric, 0, n)
 	}
+	var names strings.Builder
+	names.Grow(size)
+	w.Grow(report)
 	var line []byte
 	for _, o := range outs {
 		fmt.Fprintf(&w, "%s (ran %.0fs virtual):\n", o.label, o.stop.Seconds())
 		prefix := strings.ReplaceAll(o.label, " ", "_") + "/"
 		for _, web := range o.c.webs {
-			s := web.Rec.Slowdowns.Summarize()
-			// Class-assigned workloads report as host.class: a host can
-			// carry one web workload per class, and the names must not
-			// collide in the metric namespace.
-			name := web.Host
-			if web.Class != "" {
-				name = web.Host + "." + web.Class
+			var metric [3]string
+			for i, sfx := range [3]string{"/completed", "/median-slowdown", "/p99-slowdown"} {
+				at := names.Len()
+				names.WriteString(prefix)
+				names.WriteString("web-")
+				names.WriteString(web.Host)
+				if web.Class != "" {
+					names.WriteByte('.')
+					names.WriteString(web.Class)
+				}
+				names.WriteString(sfx)
+				metric[i] = names.String()[at:]
 			}
+			name := metric[0][len(prefix)+len("web-") : len(metric[0])-len("/completed")]
+			s := web.Rec.Slowdowns.Summarize()
 			line = appendWebLine(line[:0], name, web.Rec.Completed, web.Rec.Requests, s.P50, s.P90, s.P99)
 			w.Write(line)
-			names := webMetricNames(prefix, name)
-			res.AddMetric(names[0], float64(web.Rec.Completed), "requests")
-			res.AddMetric(names[1], s.P50, "")
-			res.AddMetric(names[2], s.P99, "")
+			res.AddMetric(metric[0], float64(web.Rec.Completed), "requests")
+			res.AddMetric(metric[1], s.P50, "")
+			res.AddMetric(metric[2], s.P99, "")
 		}
 		for _, bk := range o.c.bulks {
 			var acked int64
@@ -345,27 +367,4 @@ func appendWebLine(b []byte, name string, completed, requests int, p50, p90, p99
 	b = append(b, " p99="...)
 	b = strconv.AppendFloat(b, p99, 'f', 2, 64)
 	return append(b, '\n')
-}
-
-// webSuffixes are the names of a web workload's three metrics, in the
-// order summaryResult adds them.
-var webSuffixes = [3]string{"/completed", "/median-slowdown", "/p99-slowdown"}
-
-// webMetricNames returns prefix+"web-"+name+suffix for each of
-// webSuffixes, all three backed by one string.
-func webMetricNames(prefix, name string) (names [3]string) {
-	stem := len(prefix) + len("web-") + len(name)
-	var b strings.Builder
-	b.Grow(3*stem + len(webSuffixes[0]) + len(webSuffixes[1]) + len(webSuffixes[2]))
-	for _, sfx := range webSuffixes {
-		b.WriteString(prefix)
-		b.WriteString("web-")
-		b.WriteString(name)
-		b.WriteString(sfx)
-	}
-	all := b.String()
-	for i, sfx := range webSuffixes {
-		names[i], all = all[:stem+len(sfx)], all[stem+len(sfx):]
-	}
-	return names
 }

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"bundler/internal/scenario"
 	"bundler/internal/workload"
 )
 
@@ -40,8 +41,8 @@ func TestWebLineMatchesFmt(t *testing.T) {
 }
 
 // TestSummaryResultMetrics: a run with no metrics leaves Metrics nil,
-// and a web workload's three metric names, which share one backing
-// string, read as three separately built names would.
+// and web workloads' metric names, all cut from one buffer, read as
+// separately built names would.
 func TestSummaryResultMetrics(t *testing.T) {
 	cfg := &Config{Name: "cfg"}
 	empty := summaryResult(cfg, 1, nil, "hdr", []outcome{{label: "a run", c: &compiled{}}})
@@ -72,5 +73,36 @@ func TestSummaryResultMetrics(t *testing.T) {
 	}
 	if line := fmt.Sprintf(webLineFormat, "h2.gold", 0, 5, math.NaN(), math.NaN(), math.NaN()); !strings.Contains(res.Report, line) {
 		t.Errorf("report lacks %q:\n%s", line, res.Report)
+	}
+}
+
+// TestMeshResultNameAllocs: a mesh's result names, its pairs' "s<i>-s<j>"
+// hosts in compileMesh and their three metric names each in
+// summaryResult, cost allocations per run, not per pair. It compiles,
+// runs and summarises an 8-site and a 16-site mesh (56 and 240 pairs):
+// what compileMesh allocates beyond NewMesh, and what summaryResult
+// allocates, may differ by at most 4 between the two. Both read 3 and 14
+// at either size; with a Sprintf per pair host, a builder per web
+// workload's names and a report grown by doubling, they read 64 → 250
+// and 77 → 267. Counts are averaged over 20 runs: the race detector
+// drops sync.Pool entries (fmt's printers) at random.
+func TestMeshResultNameAllocs(t *testing.T) {
+	cost := func(sites int) (names, summary float64) {
+		opt := scenario.MeshOptions{Seed: 1, Sites: sites, Requests: 1, Shards: 1}
+		var c *compiled
+		mesh := testing.AllocsPerRun(20, func() { scenario.NewMesh(opt) })
+		names = testing.AllocsPerRun(20, func() { c = compileMesh(opt) }) - mesh
+		outs := []outcome{{label: "Status Quo", c: c, stop: c.run(0)}}
+		summary = testing.AllocsPerRun(20, func() { summaryResult(&Config{Name: "m"}, 1, nil, "hdr", outs) })
+		return names, summary
+	}
+	names8, summary8 := cost(8)
+	names16, summary16 := cost(16)
+	t.Logf("compileMesh beyond NewMesh: %.0f → %.0f allocations; summaryResult: %.0f → %.0f", names8, names16, summary8, summary16)
+	if names16-names8 > 4 {
+		t.Errorf("compileMesh's names cost %.0f allocations at 8 sites and %.0f at 16: they grow with the pair count", names8, names16)
+	}
+	if summary16-summary8 > 4 {
+		t.Errorf("summaryResult costs %.0f allocations at 8 sites and %.0f at 16: it grows with the pair count", summary8, summary16)
 	}
 }

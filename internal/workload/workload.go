@@ -15,6 +15,7 @@ import (
 
 	"bundler/internal/clock"
 	"bundler/internal/pkt"
+	"bundler/internal/sim"
 	"bundler/internal/stats"
 )
 
@@ -267,7 +268,7 @@ func (r *Recorder) Reserve(n int) { r.ReserveIn(nil, n) }
 // allocation of its own; a rarer medium or large flow grows its class's
 // sample on Add. A nil a leaves a small n to grow on Add, as Reserve
 // does; a large n reserves as Reserve does either way.
-func (r *Recorder) ReserveIn(a *stats.Arena, n int) {
+func (r *Recorder) ReserveIn(a *sim.Arena[float64], n int) {
 	if n < 32 {
 		if a == nil {
 			return
